@@ -122,8 +122,8 @@ def _apply(cfg: Config, key: str, value: str, where: str) -> None:
         if key == "seed":
             if number < 0:
                 raise NonPositiveValue(key, number, reason="must be non-negative")
-        elif number <= 0:
-            raise NonPositiveValue(key, number)
+        elif number < 8:
+            raise NonPositiveValue(key, number, reason="must be at least 8")
         setattr(cfg, key, number)
         return
     if key in _FLOAT_KEYS:

@@ -100,11 +100,6 @@ def island_rings(radius: float, tiers: int) -> list[tuple[float, float]]:
     return rings
 
 
-def assign_layers(model: CodeModel) -> list[int]:
-    """Inheritance layer per class: longest resolved path from a root."""
-    return compute_layers(model)
-
-
 def place_islands(
     model: CodeModel, layers: list[int], params: LayoutParams
 ) -> list[IslandLayout]:
@@ -321,7 +316,7 @@ def route_channels(
 
 def build_layout(model: CodeModel, params: LayoutParams) -> ForestLayout:
     """Full layout pass: layers, islands, trees, channels."""
-    layers = assign_layers(model)
+    layers = compute_layers(model)
     gmax = max(layers, default=0)
     islands = place_islands(model, layers, params)
     trees: list[TreePlacement] = []

@@ -158,91 +158,42 @@ def resolve_inheritance(model: CodeModel) -> None:
             edges.append((idx, parent))
     model.inheritance_edges = edges
     model.unresolved_supers = unresolved
-    _check_acyclic(model)
+    compute_layers(model)  # raises InheritanceCycle
 
 
-def _check_acyclic(model: CodeModel) -> None:
-    parents: dict[int, list[int]] = {}
-    for child, parent in model.inheritance_edges:
-        parents.setdefault(child, []).append(parent)
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * len(model.classes)
-    for start in range(len(model.classes)):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        color[start] = GREY
-        trail = [start]
-        while stack:
-            node, k = stack[-1]
-            nexts = parents.get(node, [])
-            if k < len(nexts):
-                stack[-1] = (node, k + 1)
-                nxt = nexts[k]
-                if color[nxt] == GREY:
-                    cycle = trail[trail.index(nxt):] + [nxt]
-                    raise InheritanceCycle(
-                        [model.qualified_name(i) for i in cycle]
-                    )
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, 0))
-                    trail.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                trail.pop()
+def _parents(model: CodeModel) -> list[int | None]:
+    """Each class's resolved parent; the parser gives at most one."""
+    parent: list[int | None] = [None] * len(model.classes)
+    for child, p in model.inheritance_edges:
+        parent[child] = p
+    return parent
 
 
 def compute_layers(model: CodeModel) -> list[int]:
-    """Longest resolved-inheritance path from any root, per class.
+    """Number of resolved ancestors above each class.
 
-    Roots (classes with no resolved parent) sit at layer 0. With a
-    multi-parent DAG the deepest path wins.
+    Roots (classes with no resolved parent) sit at layer 0. Classes are
+    walked up their parent pointers in index order, and each walk stops
+    at the first class whose layer is already known. A walk that meets
+    itself raises ``InheritanceCycle`` naming the loop, first class
+    repeated at the end.
     """
-    n = len(model.classes)
-    children: dict[int, list[int]] = {}
-    indegree = [0] * n
-    for child, parent in model.inheritance_edges:
-        children.setdefault(parent, []).append(child)
-        indegree[child] += 1
-
-    layers = [0] * n
-    queue = [i for i in range(n) if indegree[i] == 0]
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for child in children.get(node, []):
-            layers[child] = max(layers[child], layers[node] + 1)
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                queue.append(child)
-    if seen != n:
-        leftover = [model.qualified_name(i) for i in range(n) if indegree[i] > 0]
-        raise InheritanceCycle(leftover)
+    parent = _parents(model)
+    layers: list[int | None] = [None] * len(model.classes)
+    for start in range(len(model.classes)):
+        path: dict[int, int] = {}  # class -> position on this walk
+        node = start
+        while node is not None and layers[node] is None:
+            if node in path:
+                cycle = list(path)[path[node]:] + [node]
+                raise InheritanceCycle([model.qualified_name(i) for i in cycle])
+            path[node] = len(path)
+            node = parent[node]
+        depth = -1 if node is None else layers[node]
+        for i in reversed(path):
+            depth += 1
+            layers[i] = depth
     return layers
-
-
-def _ancestor_chain(model: CodeModel, class_index: int) -> list[int]:
-    """Ancestors ordered nearest first; ties broken by class index."""
-    parents: dict[int, list[int]] = {}
-    for child, parent in model.inheritance_edges:
-        parents.setdefault(child, []).append(parent)
-    chain: list[int] = []
-    seen = {class_index}
-    frontier = [class_index]
-    while frontier:
-        nxt: list[int] = []
-        for node in frontier:
-            for parent in sorted(parents.get(node, [])):
-                if parent not in seen:
-                    seen.add(parent)
-                    chain.append(parent)
-                    nxt.append(parent)
-        frontier = nxt
-    return chain
 
 
 def resolve_calls(model: CodeModel) -> None:
@@ -260,7 +211,7 @@ def resolve_calls(model: CodeModel) -> None:
             ftypes.setdefault(f.name, f.declared_type)
         field_types.append(ftypes)
 
-    chains = [_ancestor_chain(model, i) for i in range(len(model.classes))]
+    parent = _parents(model)
 
     counts: dict[tuple[MethodId, MethodId], int] = {}
     for idx, cls in enumerate(model.classes):
@@ -269,11 +220,13 @@ def resolve_calls(model: CodeModel) -> None:
             for site in method.call_sites:
                 target = None
                 if site.receiver_kind == RECEIVER_THIS:
-                    for cand in (idx, *chains[idx]):
+                    cand = idx
+                    while cand is not None:  # ends: resolve_inheritance found no cycle
                         hit = method_ordinal[cand].get(site.callee_name)
                         if hit is not None:
                             target = (cand, hit)
                             break
+                        cand = parent[cand]
                 elif site.receiver_kind == RECEIVER_NAMED:
                     ftype = field_types[idx].get(site.receiver_name)
                     if ftype is not None:
@@ -364,18 +317,19 @@ def compute_metrics(model: CodeModel) -> tuple[list[ClassMetrics], list[PackageM
             )
         )
 
+    edge_counts = [0] * len(model.packages)
+    for child, _ in model.inheritance_edges:
+        edge_counts[model.package_of[child]] += 1
+
     package_metrics = []
     for p, pkg in enumerate(model.packages):
-        members = set(pkg.class_indices)
         package_metrics.append(
             PackageMetrics(
                 package_index=p,
                 class_count=len(pkg.class_indices),
                 method_count=sum(class_metrics[i].method_count for i in pkg.class_indices),
                 loc=sum(class_metrics[i].loc for i in pkg.class_indices),
-                inheritance_edge_count=sum(
-                    1 for child, _ in model.inheritance_edges if child in members
-                ),
+                inheritance_edge_count=edge_counts[p],
             )
         )
     return class_metrics, package_metrics

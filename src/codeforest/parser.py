@@ -25,7 +25,6 @@ inheritance participation.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -699,13 +698,12 @@ def parse_unit(tokens: list[Token]) -> list[ClassDecl]:
     return _Parser(sig).parse_unit_body()
 
 
-def parse_corpus(root, jobs: int | None = None) -> CorpusParse:
+def parse_corpus(root) -> CorpusParse:
     """Parse every ``*.java`` file under ``root``.
 
     Files are visited in byte order of their corpus-relative posix
     paths, so the result does not depend on filesystem enumeration
-    order or on ``jobs`` (worker results are merged back in path
-    order). Files that fail to tokenize or parse are reported in
+    order. Files that fail to tokenize or parse are reported in
     ``failures`` and excluded; an empty corpus is a warning, not an
     error.
     """
@@ -721,27 +719,14 @@ def parse_corpus(root, jobs: int | None = None) -> CorpusParse:
         key=lambda r: r.encode("utf-8"),
     )
 
-    def parse_one(rel: str) -> list[ClassDecl]:
-        data = (rootp / rel).read_bytes()
-        return parse_unit(tokenize(data, rel))
-
     units: list[CorpusUnit] = []
     failures: list[tuple[str, str]] = []
-    if jobs is not None and jobs > 1 and len(rels) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {rel: pool.submit(parse_one, rel) for rel in rels}
-            outcomes = [(rel, futures[rel]) for rel in rels]
-        for rel, fut in outcomes:
-            try:
-                units.append(CorpusUnit(rel, fut.result()))
-            except (CodeforestError, OSError) as exc:
-                failures.append((rel, f"{type(exc).__name__}: {exc}"))
-    else:
-        for rel in rels:
-            try:
-                units.append(CorpusUnit(rel, parse_one(rel)))
-            except (CodeforestError, OSError) as exc:
-                failures.append((rel, f"{type(exc).__name__}: {exc}"))
+    for rel in rels:
+        try:
+            data = (rootp / rel).read_bytes()
+            units.append(CorpusUnit(rel, parse_unit(tokenize(data, rel))))
+        except (CodeforestError, OSError) as exc:
+            failures.append((rel, f"{type(exc).__name__}: {exc}"))
 
     warnings = [] if rels else [f"no .java files under {root}"]
     return CorpusParse(units, failures, warnings)

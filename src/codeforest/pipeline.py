@@ -35,13 +35,13 @@ class CorpusInfo:
     warnings: list[str] = field(default_factory=list)
 
 
-def analyze(root: str | Path, jobs: int | None = None) -> CorpusInfo:
+def analyze(root: str | Path) -> CorpusInfo:
     """Parse every ``.java`` file under ``root`` and compute metrics.
 
     Files that fail to parse are recorded in ``failures`` and excluded;
     the rest of the corpus is still analyzed.
     """
-    parse = parse_corpus(root, jobs=jobs)
+    parse = parse_corpus(root)
     model = build_model(parse.units)
     resolve_inheritance(model)
     resolve_calls(model)
@@ -66,11 +66,10 @@ def layout_corpus(info: CorpusInfo, config: Config | None = None) -> ForestLayou
 def build_scene(info: CorpusInfo, config: Config | None = None) -> Scene:
     """Lay out the corpus and assemble the full scene graph."""
     cfg = config if config is not None else Config()
-    forest = build_layout(info.model, cfg.layout_params())
     return assemble_scene(
         info.model,
         info.class_metrics,
-        forest,
+        layout_corpus(info, cfg),
         cfg.geometry_params(),
         palette=cfg.palette(),
     )

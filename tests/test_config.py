@@ -63,6 +63,14 @@ def test_segments_must_be_positive_integer():
         parse_config("segments = eight")
 
 
+def test_segments_below_eight_are_rejected():
+    assert parse_config("segments = 8").segments == 8
+    with pytest.raises(NonPositiveValue) as err:
+        parse_config("segments = 7")
+    assert (err.value.key, err.value.value) == ("segments", 7)
+    assert "at least 8" in str(err.value)
+
+
 def test_unknown_key_is_rejected():
     with pytest.raises(UnknownKey):
         parse_config("smin = 2")

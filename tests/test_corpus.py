@@ -1,4 +1,4 @@
-"""Corpus walking: ordering, parallel merge, per-file failure isolation."""
+"""Corpus walking: ordering and per-file failure isolation."""
 
 import pytest
 
@@ -25,17 +25,6 @@ def test_non_java_files_are_ignored(tmp_path):
     write(tmp_path, "K.java", "class K { }")
     result = parse_corpus(tmp_path)
     assert [u.path for u in result.units] == ["K.java"]
-
-
-def test_parallel_parse_matches_serial(tmp_path):
-    for i in range(12):
-        write(tmp_path, f"p{i % 3}/C{i}.java", f"package p{i % 3};\nclass C{i} {{ }}")
-    serial = parse_corpus(tmp_path, jobs=1)
-    parallel = parse_corpus(tmp_path, jobs=4)
-    assert [u.path for u in serial.units] == [u.path for u in parallel.units]
-    assert [
-        [c.name for c in u.classes] for u in serial.units
-    ] == [[c.name for c in u.classes] for u in parallel.units]
 
 
 def test_bad_file_is_reported_and_skipped(tmp_path):

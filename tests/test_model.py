@@ -1,6 +1,8 @@
 """Model assembly, name resolution, metrics and their hand-checked values."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from codeforest.errors import DuplicateClassName, InheritanceCycle
@@ -163,6 +165,68 @@ def test_layers_match_exhaustive_search(name):
     assert compute_layers(model) == oracles.layers_exhaustive(
         len(model.classes), model.inheritance_edges
     )
+
+
+def forest_model(parent):
+    """Model of classes ``C0..Cn-1`` where ``Ck extends C{parent[k]}``."""
+    sources = [
+        f"class C{k} {{ }}" if p is None else f"class C{k} extends C{p} {{ }}"
+        for k, p in enumerate(parent)
+    ]
+    return make_model(*sources)
+
+
+@st.composite
+def acyclic_parents(draw):
+    """Parent arrays with no cycle: each class points before it in a random order."""
+    n = draw(st.integers(1, 10))
+    order = draw(st.permutations(range(n)))
+    parent = [None] * n
+    for rank, k in enumerate(order):
+        if rank:
+            parent[k] = draw(st.none() | st.sampled_from(order[:rank]))
+    return parent
+
+
+@st.composite
+def cyclic_parents(draw):
+    """Parent arrays holding at least one cycle of two or more classes."""
+    n = draw(st.integers(2, 10))
+    order = draw(st.permutations(range(n)))
+    loop = order[: draw(st.integers(2, n))]
+    parent = [None] * n
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        parent[a] = b
+    for k in order[len(loop):]:
+        others = [j for j in range(n) if j != k]
+        parent[k] = draw(st.none() | st.sampled_from(others))
+    return parent
+
+
+@settings(deadline=None)
+@given(acyclic_parents())
+def test_layers_of_random_forests_match_exhaustive_search(parent):
+    model = forest_model(parent)
+    at = {int(name[2:]): i for i, name in enumerate(qnames(model))}  # Ck -> index
+    assert sorted(model.inheritance_edges) == sorted(
+        (at[k], at[p]) for k, p in enumerate(parent) if p is not None
+    )
+    assert compute_layers(model) == oracles.layers_exhaustive(
+        len(model.classes), model.inheritance_edges
+    )
+
+
+@settings(deadline=None)
+@given(cyclic_parents())
+def test_cycle_report_is_a_closed_parent_path(parent):
+    with pytest.raises(InheritanceCycle) as err:
+        forest_model(parent)
+    path = [int(name[2:]) for name in err.value.participants]
+    assert len(path) >= 3 and path[0] == path[-1]
+    assert len(set(path)) == len(path) - 1
+    # A closed walk along parent pointers only visits classes on the
+    # loop, so no class from a tail leading into it is named.
+    assert all(parent[a] == b for a, b in zip(path, path[1:]))
 
 
 # ---------------------------------------------------------------------------
