@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import config as config_module
 from . import pipeline
-from .errors import CodeforestError, NonPositiveValue, RootNotFound, UnknownKey
+from .errors import CodeforestError, NonPositiveValue
 from .exporters import export_gltf, export_mel, export_obj, export_report
 
 
@@ -106,15 +106,14 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _run_analyze(args)
         return _run_render(args)
-    except (RootNotFound, UnknownKey, NonPositiveValue) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CodeforestError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    except OSError as exc:
+        # Source files that fail to read are per-file warnings, so what
+        # reaches here is the root, the config or the output path.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import NonPositiveValue, UnknownKey
+from .errors import ConfigSyntaxError, NonPositiveValue, UnknownKey
 from .geometry import GeometryParams, Material, default_palette
 from .layout import LayoutParams
 
@@ -89,7 +89,7 @@ def parse_config(text: str, file_id: str = "<config>") -> Config:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{file_id}:{lineno}: expected 'key = value'")
+            raise ConfigSyntaxError(f"{file_id}:{lineno}", "expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         _apply(cfg, key, value, f"{file_id}:{lineno}")
     return cfg
@@ -107,7 +107,7 @@ def _apply(cfg: Config, key: str, value: str, where: str) -> None:
             raise UnknownKey(key)
         parts = value.replace(",", " ").split()
         if len(parts) != 4:
-            raise ValueError(f"{where}: palette colors take 4 components")
+            raise ConfigSyntaxError(where, "palette colors take 4 components")
         rgba = tuple(_parse_float(key, part, where) for part in parts)
         for component in rgba:
             if not 0.0 <= component <= 1.0:
@@ -118,7 +118,7 @@ def _apply(cfg: Config, key: str, value: str, where: str) -> None:
         try:
             number = int(value)
         except ValueError:
-            raise ValueError(f"{where}: {key} takes an integer, got {value!r}") from None
+            raise ConfigSyntaxError(where, f"{key} takes an integer, got {value!r}") from None
         if key == "seed":
             if number < 0:
                 raise NonPositiveValue(key, number, reason="must be non-negative")
@@ -139,4 +139,4 @@ def _parse_float(key: str, value: str, where: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ValueError(f"{where}: {key} takes a number, got {value!r}") from None
+        raise ConfigSyntaxError(where, f"{key} takes a number, got {value!r}") from None

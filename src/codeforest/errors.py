@@ -2,7 +2,9 @@
 
 Every error carries enough context to point a user at the offending
 input: lexer and parser errors hold a source span, corpus errors hold
-paths, model errors hold the class names involved.
+paths, model errors hold the class names involved. ``exit_code`` is
+the CLI's exit status for the error: 2 for usage errors (a missing
+root, an invalid config), 1 for everything else.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 class CodeforestError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class NonUtf8Input(CodeforestError):
@@ -56,6 +60,8 @@ class MissingClassName(CodeforestError):
 class RootNotFound(CodeforestError):
     """The corpus root directory does not exist or is not a directory."""
 
+    exit_code = 2
+
     def __init__(self, root: str):
         self.root = root
         super().__init__(f"corpus root not found: {root}")
@@ -97,6 +103,8 @@ class SceneTooLarge(CodeforestError):
 class UnknownKey(CodeforestError):
     """A config file names a key this tool does not define."""
 
+    exit_code = 2
+
     def __init__(self, key: str):
         self.key = key
         super().__init__(f"unknown config key: {key}")
@@ -105,7 +113,19 @@ class UnknownKey(CodeforestError):
 class NonPositiveValue(CodeforestError):
     """A config value is outside its allowed range."""
 
+    exit_code = 2
+
     def __init__(self, key: str, value, reason: str = "must be positive"):
         self.key = key
         self.value = value
         super().__init__(f"config key {key} {reason}, got {value}")
+
+
+class ConfigSyntaxError(CodeforestError):
+    """A config line does not parse: no ``=``, or a value of the wrong shape."""
+
+    exit_code = 2
+
+    def __init__(self, where: str, detail: str):
+        self.where = where
+        super().__init__(f"{where}: {detail}")

@@ -5,24 +5,32 @@ Every byte of the input lands in exactly one token, so concatenating
 property is what lets later stages report spans (line and byte ranges)
 without keeping a second copy of the source.
 
-Token kinds:
+The scanner is one compiled alternation regex, ``_TOKEN``, with a named
+group per kind; the loop dispatches on the name of the group that
+matched. Alternatives are tried in order, so the first that matches at
+a position wins:
 
-* ``keyword``        reserved words, including ``true``/``false``/``null``
-* ``identifier``     ``[A-Za-z_$][A-Za-z0-9_$]*`` that is not a keyword
-* ``punctuation``    operators and separators, longest-match first
-* ``string-literal`` double-quoted, backslash escapes honoured
-* ``char-literal``   single-quoted, backslash escapes honoured
-* ``number-literal`` tolerant numeric run (hex, float, suffixes)
-* ``comment``        ``//`` to end of line, or ``/* ... */``
 * ``whitespace``     maximal run of blanks, tabs and newlines
+* ``comment``        ``//`` to end of line, or ``/* ... */``
+* ``string-literal`` a text block ``\"\"\"...\"\"\"`` (Java 15), which may span
+                     lines, or a double-quoted literal on one line
+* ``char-literal``   single-quoted, backslash escapes honoured
+* ``keyword``        reserved words, including ``true``/``false``/``null``
+* ``identifier``     a Unicode letter, ``_`` or ``$``, then letters,
+                     digits, ``_`` and ``$`` (JLS 3.8), not a keyword
+* ``number-literal`` tolerant numeric run (hex, float, suffixes)
+* ``punctuation``    operators and separators, longest first, with any
+                     other single character as the fallback
 
-String and char literals must close on their own line, block comments
-before end of file; violations raise errors rather than producing
+Literals must close on their own line (text blocks and block comments
+before end of file); an opening quote or ``/*`` that no alternative can
+close matches one of two error groups and raises, rather than producing
 garbage structure downstream.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
@@ -49,31 +57,47 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Multi-character operators, tried longest first so "==" never splits
-# into two "=" tokens.
-_OPERATORS = (
-    ">>>=",
-    ">>>", ">>=", "<<=",
-    "->", "::", "==", "!=", "<=", ">=", "&&", "||", "++", "--",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
-)
-
 ASSIGNMENT_OPERATORS = frozenset(
     ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=")
 )
 
-_WS = frozenset(" \t\r\n\f\x0b")
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
+# ``"(?!"")`` keeps an unclosed text block from lexing as ``""`` plus a
+# string that opens at its third quote: it reaches ``open_literal``.
+_TOKEN = re.compile(
+    r"""
+    (?P<whitespace>[ \t\r\n\f\x0b]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?\*/)
+    | (?P<text_block>\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\")
+    | (?P<string>"(?!"")(?:[^"\\\n]|\\.)*")
+    | (?P<char>'(?:[^'\\\n]|\\.)*')
+    | (?P<word>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<number>[0-9][0-9a-fA-FxXlLpP._]*)
+    | (?P<open_comment>/\*)
+    | (?P<open_literal>["'])
+    | (?P<punctuation>>>>=|>>>|>>=|<<=|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
+        |\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|.)
+    """,
+    re.DOTALL | re.VERBOSE,
 )
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-# Tolerant numeric continuation: hex digits, radix markers, exponents,
-# type suffixes, separators and the decimal point.
-_NUMBER_CONT = frozenset("0123456789abcdefABCDEFxXlLfFdDeEpP._")
+
+_KIND_OF_GROUP = {
+    "whitespace": KIND_WHITESPACE,
+    "line_comment": KIND_COMMENT,
+    "block_comment": KIND_COMMENT,
+    "text_block": KIND_STRING,
+    "string": KIND_STRING,
+    "char": KIND_CHAR,
+    "number": KIND_NUMBER,
+    "punctuation": KIND_PUNCTUATION,
+}
+# Only these groups can hold a newline (an escaped one, in literals).
+_MULTILINE_GROUPS = frozenset(
+    ("whitespace", "block_comment", "text_block", "string", "char")
+)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Span:
     """Half-open byte range plus 1-based inclusive line range."""
 
@@ -84,43 +108,11 @@ class Span:
     byte_end: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
     span: Span
-
-
-class _Scanner:
-    def __init__(self, text: str, file_id: str):
-        self.text = text
-        self.file_id = file_id
-        self.i = 0
-        self.line = 1
-        self.byte_off = 0
-        self.tokens: list[Token] = []
-
-    def emit(self, kind: str, end: int) -> None:
-        chunk = self.text[self.i:end]
-        newlines = chunk.count("\n")
-        # A trailing newline sits on the line it terminates, so it does
-        # not advance line_end past it.
-        line_end = self.line + (chunk[:-1].count("\n") if chunk else 0)
-        nbytes = len(chunk.encode("utf-8"))
-        self.tokens.append(
-            Token(
-                kind,
-                chunk,
-                Span(self.file_id, self.line, line_end,
-                     self.byte_off, self.byte_off + nbytes),
-            )
-        )
-        self.line += newlines
-        self.byte_off += nbytes
-        self.i = end
-
-    def span_here(self) -> Span:
-        return Span(self.file_id, self.line, self.line, self.byte_off, self.byte_off)
 
 
 def tokenize(source: bytes, file_id: str = "<memory>") -> list[Token]:
@@ -133,59 +125,35 @@ def tokenize(source: bytes, file_id: str = "<memory>") -> list[Token]:
     except UnicodeDecodeError as exc:
         raise NonUtf8Input(exc.start, file_id) from None
 
-    s = _Scanner(text, file_id)
-    n = len(text)
-    while s.i < n:
-        c = text[s.i]
-        if c in _WS:
-            j = s.i + 1
-            while j < n and text[j] in _WS:
-                j += 1
-            s.emit(KIND_WHITESPACE, j)
-        elif c == "/" and s.i + 1 < n and text[s.i + 1] == "/":
-            j = text.find("\n", s.i)
-            s.emit(KIND_COMMENT, n if j < 0 else j)
-        elif c == "/" and s.i + 1 < n and text[s.i + 1] == "*":
-            j = text.find("*/", s.i + 2)
-            if j < 0:
-                raise UnterminatedComment(s.span_here())
-            s.emit(KIND_COMMENT, j + 2)
-        elif c == '"' or c == "'":
-            s.emit(KIND_STRING if c == '"' else KIND_CHAR, _scan_quoted(s, c))
-        elif c in _IDENT_START:
-            j = s.i + 1
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[s.i:j]
-            s.emit(KIND_KEYWORD if word in KEYWORDS else KIND_IDENTIFIER, j)
-        elif c in _DIGITS:
-            j = s.i + 1
-            while j < n and text[j] in _NUMBER_CONT:
-                j += 1
-            s.emit(KIND_NUMBER, j)
+    # For ASCII text a character offset is a byte offset.
+    ascii_only = text.isascii()
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    byte = 0
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        chunk = m.group()
+        if ascii_only:
+            byte, end = m.span()
         else:
-            end = s.i + 1
-            for op in _OPERATORS:
-                if text.startswith(op, s.i):
-                    end = s.i + len(op)
-                    break
-            s.emit(KIND_PUNCTUATION, end)
-    return s.tokens
-
-
-def _scan_quoted(s: _Scanner, quote: str) -> int:
-    """Return the end index of a quoted literal starting at ``s.i``."""
-    text = s.text
-    j = s.i + 1
-    n = len(text)
-    while j < n:
-        c = text[j]
-        if c == "\\" and j + 1 < n:
-            j += 2
-            continue
-        if c == quote:
-            return j + 1
-        if c == "\n":
-            break
-        j += 1
-    raise UnterminatedLiteral(s.span_here())
+            end = byte + len(chunk.encode("utf-8"))
+        if group == "word":
+            kind = KIND_KEYWORD if chunk in KEYWORDS else KIND_IDENTIFIER
+        elif group == "open_comment":
+            raise UnterminatedComment(Span(file_id, line, line, byte, byte))
+        elif group == "open_literal":
+            raise UnterminatedLiteral(Span(file_id, line, line, byte, byte))
+        else:
+            kind = _KIND_OF_GROUP[group]
+        if group in _MULTILINE_GROUPS and "\n" in chunk:
+            newlines = chunk.count("\n")
+            # A trailing newline sits on the line it terminates, so it
+            # does not advance line_end past it.
+            last = line + newlines - (chunk[-1] == "\n")
+            append(Token(kind, chunk, Span(file_id, line, last, byte, end)))
+            line += newlines
+        else:
+            append(Token(kind, chunk, Span(file_id, line, line, byte, end)))
+        byte = end
+    return tokens

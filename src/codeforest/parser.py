@@ -207,28 +207,8 @@ def _call_site(sig: list[Token], paren_idx: int, name_tok: Token, before) -> Cal
         else:
             receiver_kind = RECEIVER_OTHER
 
-    depth = 1
-    commas = 0
-    saw_item = False
-    end_span = sig[paren_idx].span
-    j = paren_idx + 1
-    while j < len(sig) and depth > 0:
-        text = sig[j].text
-        if text in _OPENERS:
-            depth += 1
-            saw_item = True
-        elif text in _CLOSERS:
-            depth -= 1
-            if depth == 0:
-                end_span = sig[j].span
-                break
-            saw_item = True
-        elif text == "," and depth == 1:
-            commas += 1
-        else:
-            saw_item = True
-        j += 1
-    hint = commas + 1 if saw_item or commas else 0
+    hint, close = _count_items(sig, paren_idx)
+    end_span = sig[close].span if close < len(sig) else sig[paren_idx].span
     return CallSite(
         name_tok.text,
         receiver_kind,
@@ -236,6 +216,35 @@ def _call_site(sig: list[Token], paren_idx: int, name_tok: Token, before) -> Cal
         hint,
         _join(name_tok.span, end_span),
     )
+
+
+def _count_items(sig: list[Token], open_idx: int) -> tuple[int, int]:
+    """Count the top-level items of the group opened at ``sig[open_idx]``.
+
+    Returns the item count (top-level commas plus one, 0 for an empty
+    group) and the index of the closing token, or ``len(sig)`` when the
+    group never closes.
+    """
+    depth = 1
+    commas = 0
+    saw_item = False
+    j = open_idx + 1
+    while j < len(sig):
+        text = sig[j].text
+        if text in _OPENERS:
+            depth += 1
+            saw_item = True
+        elif text in _CLOSERS:
+            depth -= 1
+            if depth == 0:
+                break
+            saw_item = True
+        elif text == "," and depth == 1:
+            commas += 1
+        else:
+            saw_item = True
+        j += 1
+    return (commas + 1 if saw_item or commas else 0), j
 
 
 class _Parser:
@@ -288,8 +297,12 @@ class _Parser:
                     return t
         raise UnbalancedBraces(start.span)
 
-    def skip_generics(self) -> None:
-        """Consume a ``<...>`` group; ``>>`` and ``>>>`` close 2 and 3 levels."""
+    def take_generics(self) -> list[Token]:
+        """Consume a ``<...>`` group; ``>>`` and ``>>>`` close 2 and 3 levels.
+
+        Returns the consumed tokens, so skipping a group is ignoring them.
+        """
+        start = self.pos
         depth = 0
         while not self.done():
             t = self.peek()
@@ -301,11 +314,12 @@ class _Parser:
                 depth -= 2
             elif t.text == ">>>":
                 depth -= 3
-            elif t.text in (";", "{", "}") or (depth <= 0):
-                return
-            self.take()
+            elif t.text in (";", "{", "}") or depth <= 0:
+                break
+            self.pos += 1
             if depth <= 0:
-                return
+                break
+        return self.sig[start:self.pos]
 
     # -- declarations ----------------------------------------------------------
 
@@ -365,7 +379,7 @@ class _Parser:
             if t.text == "<":
                 # Type parameters of a generic method declaration.
                 start_tok = start_tok or t
-                self.skip_generics()
+                self.take_generics()
                 continue
             break
         return start_tok, is_abstract, False
@@ -393,7 +407,7 @@ class _Parser:
             self.take()
             parts.append(self.take().text)
         if self.at("<"):
-            self.skip_generics()
+            self.take_generics()
         while self.at("[") and self.at("]", 1):
             self.take()
             self.take()
@@ -414,7 +428,7 @@ class _Parser:
             raise MissingClassName(kw.span)
         name = prefix + self.take().text
         if self.at("<"):
-            self.skip_generics()
+            self.take_generics()
 
         extends_names: list[str] = []
         implements_names: list[str] = []
@@ -546,7 +560,7 @@ class _Parser:
             if t.text in ("(", "=", ";", ",", "{", "}"):
                 break
             if t.text == "<":
-                self.append_generics(head)
+                head.extend(self.take_generics())
                 continue
             head.append(self.take())
         if self.done() or self.at("}"):
@@ -561,25 +575,6 @@ class _Parser:
             self.skip_balanced("{", "}")
         else:
             self.finish_fields(start_tok, head, fields)
-
-    def append_generics(self, head: list[Token]) -> None:
-        """Copy a generic argument group into the member head."""
-        depth = 0
-        while not self.done():
-            t = self.peek()
-            if t.text == "<":
-                depth += 1
-            elif t.text == ">":
-                depth -= 1
-            elif t.text == ">>":
-                depth -= 2
-            elif t.text == ">>>":
-                depth -= 3
-            elif t.text in (";", "{", "}") or depth <= 0:
-                return
-            head.append(self.take())
-            if depth <= 0:
-                return
 
     def finish_method(
         self, start_tok: Token, head: list[Token], pending: list[dict]
@@ -623,25 +618,9 @@ class _Parser:
 
     def read_param_count(self) -> int:
         """Consume a balanced parameter list, counting top-level commas."""
-        self.take()  # "("
-        depth = 1
-        commas = 0
-        saw_item = False
-        while not self.done():
-            t = self.take()
-            if t.text in _OPENERS:
-                depth += 1
-                saw_item = True
-            elif t.text in _CLOSERS:
-                depth -= 1
-                if depth == 0:
-                    break
-                saw_item = True
-            elif t.text == "," and depth == 1:
-                commas += 1
-            else:
-                saw_item = True
-        return commas + 1 if saw_item or commas else 0
+        count, close = _count_items(self.sig, self.pos)
+        self.pos = min(close + 1, len(self.sig))
+        return count
 
     def finish_fields(
         self, start_tok: Token, head: list[Token], fields: list[FieldDecl]

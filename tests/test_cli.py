@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from codeforest import pipeline
 from codeforest.cli import main
 from codeforest.exporters.report import report_text
 
@@ -106,6 +107,31 @@ def test_small_segment_count_exits_two(tmp_path, capsys):
     cfg.write_text("segments = 4\n", encoding="utf-8")
     rc = main(["render", TWO_CLASSES, "-o", str(tmp_path / "x.gltf"),
                "--format", "gltf", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_malformed_config_line_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text("seed = 1\njust words\n", encoding="utf-8")
+    rc = main(["render", TWO_CLASSES, "-o", str(tmp_path / "x.gltf"),
+               "--format", "gltf", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value'\n"
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(root):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(pipeline, "analyze", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["analyze", TWO_CLASSES])
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.gltf"
+    rc = main(["render", TWO_CLASSES, "-o", str(out), "--format", "gltf"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
 

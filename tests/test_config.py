@@ -3,7 +3,7 @@
 import pytest
 
 from codeforest.config import Config, load_config, parse_config
-from codeforest.errors import NonPositiveValue, UnknownKey
+from codeforest.errors import ConfigSyntaxError, NonPositiveValue, UnknownKey
 
 
 def test_empty_text_gives_defaults():
@@ -59,7 +59,7 @@ def test_seed_zero_is_allowed_but_negative_is_not():
 def test_segments_must_be_positive_integer():
     with pytest.raises(NonPositiveValue):
         parse_config("segments = 0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigSyntaxError):
         parse_config("segments = eight")
 
 
@@ -77,13 +77,15 @@ def test_unknown_key_is_rejected():
 
 
 def test_malformed_line_reports_position():
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ConfigSyntaxError) as err:
         parse_config("just words", file_id="render.cfg")
     assert "render.cfg:1" in str(err.value)
+    assert err.value.where == "render.cfg:1"
+    assert err.value.exit_code == 2
 
 
 def test_non_numeric_value_reports_key():
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ConfigSyntaxError) as err:
         parse_config("s_min = wide")
     assert "s_min" in str(err.value)
 
@@ -104,8 +106,9 @@ def test_palette_accepts_commas():
 
 
 def test_palette_needs_four_components():
-    with pytest.raises(ValueError):
-        parse_config("palette.water = 0.1 0.3 0.9")
+    with pytest.raises(ConfigSyntaxError) as err:
+        parse_config("seed = 1\npalette.water = 0.1 0.3 0.9", file_id="render.cfg")
+    assert err.value.where == "render.cfg:2"
 
 
 def test_palette_component_range():

@@ -63,3 +63,34 @@ def test_file_with_multiple_top_level_classes(tmp_path):
     write(tmp_path, "Two.java", "class One { }\nclass Two { }")
     (unit,) = parse_corpus(tmp_path).units
     assert [c.name for c in unit.classes] == ["One", "Two"]
+
+
+def test_text_block_file_parses_without_failures(tmp_path):
+    write(
+        tmp_path,
+        "p/Doc.java",
+        "package p;\n"
+        "class Doc {\n"
+        "    String html() {\n"
+        '        return """\n'
+        '            <p class="x">{ not a block; }</p>\n'
+        '            void fake() { "\n'
+        '            """;\n'
+        "    }\n"
+        "    int size() { return 1; }\n"
+        "}\n",
+    )
+    result = parse_corpus(tmp_path)
+    assert result.failures == []
+    (unit,) = result.units
+    (cls,) = unit.classes
+    assert [(m.name, m.loc) for m in cls.methods] == [("html", 6), ("size", 1)]
+    assert cls.methods[0].call_sites == []
+
+
+def test_unclosed_text_block_is_a_failure(tmp_path):
+    write(tmp_path, "Doc.java", 'class Doc { String s = """\n  open\n; }\n')
+    result = parse_corpus(tmp_path)
+    assert result.units == []
+    ((path, message),) = result.failures
+    assert path == "Doc.java" and message.startswith("UnterminatedLiteral: Doc.java:1:")

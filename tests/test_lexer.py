@@ -1,8 +1,15 @@
 """Tokenizer behaviour: lossless coverage, classification, error spans."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codeforest.errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
+from codeforest.errors import (
+    CodeforestError,
+    NonUtf8Input,
+    UnterminatedComment,
+    UnterminatedLiteral,
+)
 from codeforest.lexer import (
     KIND_CHAR,
     KIND_COMMENT,
@@ -81,6 +88,32 @@ def test_string_and_char_literals():
     assert (KIND_CHAR, "'x'") in toks
 
 
+def test_unicode_identifiers():
+    assert kinds_and_texts("größe=$µ_1+é") == [
+        (KIND_IDENTIFIER, "größe"),
+        (KIND_PUNCTUATION, "="),
+        (KIND_IDENTIFIER, "$µ_1"),
+        (KIND_PUNCTUATION, "+"),
+        (KIND_IDENTIFIER, "é"),
+    ]
+
+
+def test_text_block_is_one_string_literal():
+    block = '"""\n  {"a";}\n  \\"""\n  ""x\n  """'
+    toks = kinds_and_texts(f"s = {block};\nint y;")
+    assert toks[4] == (KIND_STRING, block)
+    assert toks[5] == (KIND_PUNCTUATION, ";")
+    (y,) = [t for t in tokenize(f"s = {block};\nint y;".encode()) if t.text == "y"]
+    assert y.span.line_start == 6
+
+
+def test_unclosed_text_block_raises():
+    with pytest.raises(UnterminatedLiteral) as err:
+        tokenize(b'int a;\nString s = """\n  never closed "" \\"""\n;')
+    assert err.value.span.line_start == 2
+    assert err.value.span.byte_start == len(b'int a;\nString s = ')
+
+
 def test_tolerant_numbers():
     for text in ("0x1F", "1.5e3f", "1_000", "2L", ".5d"):
         source = f"a={text};".encode()
@@ -133,3 +166,39 @@ def test_non_utf8_input_reports_offset():
         tokenize(b"ab\xff\xfe", "bad.java")
     assert err.value.byte_offset == 2
     assert err.value.file_id == "bad.java"
+
+
+# Java-flavoured pieces, so random text often reaches literals, comments,
+# escapes, text blocks and non-ASCII names rather than only punctuation.
+# Whole literals and comments keep most inputs valid; the lone openers
+# reach the error paths.
+_PIECES = st.sampled_from(
+    [" ", "\t", "\r\n", "\n", "/", "*", "a", "x1", "int", "_$", "0x1F",
+     "1.5e3f", ".", ">>>=", "->", "::", "=", "{", "}", ";", "é", "größe",
+     "中", "\u00a0", "²", '"a\\"b"', '"\\\n"', "'\\''", "'\\\n'",
+     '"""\n "" \\""" é\n"""', "/* a\n é */", "// c é", '"', '"""', "'", "/*",
+     "\\"]
+)
+_SOURCES = st.one_of(
+    st.binary(max_size=64),
+    st.text(max_size=64).map(str.encode),
+    st.lists(_PIECES, max_size=40).map(lambda parts: "".join(parts).encode()),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOURCES)
+def test_tokenize_is_lossless_or_raises(data):
+    try:
+        tokens = tokenize(data)
+    except CodeforestError:
+        return
+    assert "".join(t.text for t in tokens).encode() == data
+    at = 0
+    for t in tokens:
+        assert t.span.byte_start == at < t.span.byte_end
+        at = t.span.byte_end
+        assert data[t.span.byte_start : at] == t.text.encode()
+        assert t.span.line_start == data[: t.span.byte_start].count(b"\n") + 1
+        assert t.span.line_end == t.span.line_start + t.text[:-1].count("\n")
+    assert at == len(data)

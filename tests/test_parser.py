@@ -4,6 +4,7 @@ import pytest
 
 from codeforest.errors import MissingClassName, UnbalancedBraces
 from codeforest.lexer import tokenize
+from codeforest.model import classify_method
 from codeforest.parser import (
     RECEIVER_NAMED,
     RECEIVER_OTHER,
@@ -301,3 +302,12 @@ def test_argument_count_hints(args, hint):
 def test_body_loc_spans_braces():
     s = scan("{\n a();\n}", [])
     assert s.loc == 3
+
+
+def test_unicode_identifiers_are_fields_and_names():
+    (cls,) = parse("class K { int größe; void setGröße(int v) { größe = v; } }")
+    assert [f.name for f in cls.fields] == ["größe"]
+    (method,) = cls.methods
+    assert method.name == "setGröße"
+    assert method.writes_fields == {"größe"}
+    assert classify_method(method, "K") == "mutator"
