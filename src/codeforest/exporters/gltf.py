@@ -2,15 +2,16 @@
 
 Produces a single self-contained ``.gltf`` JSON file: all vertex and
 index data live in one buffer embedded as a base64 data URI. Every
-mesh gets three accessors (POSITION, NORMAL, indices), each backed by
-its own buffer view. Positions and normals are float32 VEC3; indices
-are always uint32. POSITION accessors carry exact component-wise
-min/max. All chunks are multiples of four bytes, so views need no
-padding.
+distinct mesh of the scene gets three accessors (POSITION, NORMAL,
+indices), each backed by its own buffer view; nodes that share a mesh
+reference the same glTF mesh. Positions and normals are float32 VEC3;
+indices are always uint32. POSITION accessors carry exact
+component-wise min/max. All chunks are multiples of four bytes, so
+views need no padding.
 
-Nodes keep their scene names; translation and scale are emitted only
-when they differ from the defaults, matching the glTF schema's
-minItems rules (empty top-level arrays are omitted entirely).
+Nodes keep their scene names; a translation is emitted only when it
+differs from the default, matching the glTF schema's minItems rules
+(empty top-level arrays are omitted entirely).
 """
 
 from __future__ import annotations
@@ -108,8 +109,6 @@ def build_gltf(scene: Scene) -> dict:
             entry["mesh"] = node.mesh
         if node.translation != (0.0, 0.0, 0.0):
             entry["translation"] = [float(v) for v in node.translation]
-        if node.scale != 1.0:
-            entry["scale"] = [float(node.scale)] * 3
         if node.children:
             entry["children"] = list(node.children)
         nodes_json.append(entry)

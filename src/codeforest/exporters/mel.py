@@ -40,8 +40,8 @@ def mel_text(scene: Scene) -> str:
         if node.mesh is None:
             continue
         mesh = scene.meshes[node.mesh]
-        tx, ty, tz, s = transforms[idx]
-        world = mesh.positions.astype("float64") * s
+        tx, ty, tz = transforms[idx]
+        world = mesh.positions.astype("float64")
         world[:, 0] += tx
         world[:, 1] += ty
         world[:, 2] += tz

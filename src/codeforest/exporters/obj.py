@@ -1,44 +1,51 @@
 """Wavefront OBJ export.
 
 One ``o`` group per mesh-bearing node, vertices baked into world space
-(the OBJ format has no node hierarchy). Vertex and normal indices are
-global and 1-based; faces reference them as ``v//n``. A sibling .mtl
-file carries the palette as ``newmtl``/``Kd``/``d`` entries.
+(the OBJ format has no node hierarchy), so a mesh that several nodes
+share is written once per node. Vertex and normal indices are global
+and 1-based; faces reference them as ``v//n``. A sibling .mtl file
+carries the palette as ``newmtl``/``Kd``/``d`` entries.
+
+Each block of ``v``, ``vn`` or ``f`` lines is one ``%``-format over a
+flattened array; world positions are float64 sums, the same bits as
+adding Python floats one by one.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from ..geometry import Scene, world_transforms
 
 
 def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
     transforms = world_transforms(scene)
-    lines = []
+    chunks = []
     if mtl_name is not None:
-        lines.append(f"mtllib {mtl_name}")
+        chunks.append(f"mtllib {mtl_name}\n")
+    normal_blocks: dict[int, str] = {}  # by mesh index
     offset = 1
     for idx, node in enumerate(scene.nodes):
         if node.mesh is None:
             continue
         mesh = scene.meshes[node.mesh]
-        tx, ty, tz, s = transforms[idx]
-        lines.append(f"o {node.name}")
-        lines.append(f"usemtl {scene.materials[mesh.material].name}")
-        for x, y, z in mesh.positions:
-            lines.append(
-                "v %.6f %.6f %.6f" % (tx + s * float(x), ty + s * float(y),
-                                      tz + s * float(z))
+        n = mesh.vertex_count
+        chunks.append(f"o {node.name}\nusemtl {scene.materials[mesh.material].name}\n")
+        world = mesh.positions.astype(np.float64) + np.array(transforms[idx])
+        chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world.ravel().tolist()))
+        normals = normal_blocks.get(node.mesh)
+        if normals is None:
+            normals = normal_blocks[node.mesh] = (
+                "vn %.6f %.6f %.6f\n" * n % tuple(mesh.normals.ravel().tolist())
             )
-        for x, y, z in mesh.normals:
-            lines.append("vn %.6f %.6f %.6f" % (float(x), float(y), float(z)))
-        tris = mesh.indices.reshape(-1, 3)
-        for a, b, c in tris:
-            a, b, c = int(a) + offset, int(b) + offset, int(c) + offset
-            lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
-        offset += mesh.vertex_count
-    return "\n".join(lines) + "\n"
+        chunks.append(normals)
+        corners = np.repeat(mesh.indices.astype(np.int64) + offset, 2)
+        chunks.append("f %d//%d %d//%d %d//%d\n" * mesh.triangle_count
+                      % tuple(corners.tolist()))
+        offset += n
+    return "".join(chunks) or "\n"
 
 
 def mtl_text(scene: Scene) -> str:

@@ -8,8 +8,15 @@ layout's tier heights; channels are flat water ribbons following the
 layout polylines.
 
 All meshes store float32 positions/normals and uint32 triangle
-indices. Nodes form a single tree rooted at ``forest`` with stable,
-unique names:
+indices. Meshes are shared by exact dimensions: within one
+``assemble_scene`` call, trunks, canopies and leaves with the same
+dimensions, segment count and material get one ``Mesh`` whose index
+several nodes hold, so every leaf of a kind and every canopy of a given
+method count is built once. Shared arrays are read-only. Islands and
+channels keep one mesh each.
+
+Nodes form a single tree rooted at ``forest`` with stable, unique
+names:
 
 * ``island:<pkg>`` (carries the island mesh)
 * ``tree:<pkg>.<Class>`` (grouping node at the trunk base)
@@ -109,7 +116,6 @@ class Mesh:
 class SceneNode:
     name: str
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    scale: float = 1.0
     mesh: int | None = None
     children: list[int] = field(default_factory=list)
 
@@ -396,6 +402,22 @@ def build_channel_mesh(path: ChannelPath, width: float = CHANNEL_WIDTH,
     return _as_mesh(verts, norms, tris, material)
 
 
+def _shared(memo: dict, build, *args) -> Mesh:
+    """``build(*args)``, built once per distinct ``args`` in ``memo``.
+
+    The key is the exact arguments, so a shared mesh is bitwise the
+    mesh ``build`` gives for them; its arrays are made read-only, as an
+    in-place edit would reach every node that holds it.
+    """
+    key = (build, *args)
+    mesh = memo.get(key)
+    if mesh is None:
+        mesh = memo[key] = build(*args)
+        for array in (mesh.positions, mesh.normals, mesh.indices):
+            array.setflags(write=False)
+    return mesh
+
+
 @dataclass
 class ScenePart:
     name: str
@@ -409,21 +431,25 @@ def build_tree_parts(
     kinds: list[str],
     dims: TreeDims,
     segments: int,
+    memo: dict,
 ) -> list[ScenePart]:
     """Trunk, canopy and one leaf per method, in declaration order.
 
     Leaves sit on the canopy sphere along a golden-angle spiral; all
-    translations are local to the tree node at the trunk base.
+    translations are local to the tree node at the trunk base. Meshes
+    come from ``memo`` (see ``_shared``), so parts of equal dimensions
+    share one.
     """
     parts = [
         ScenePart(f"trunk:{qualified}",
-                  _cylinder(dims.trunk_radius, dims.trunk_height, segments, MAT_TRUNK),
+                  _shared(memo, _cylinder, dims.trunk_radius, dims.trunk_height,
+                          segments, MAT_TRUNK),
                   (0.0, 0.0, 0.0)),
     ]
     cy = dims.trunk_height + CANOPY_LIFT * dims.canopy_radius
     parts.append(
         ScenePart(f"canopy:{qualified}",
-                  _sphere(dims.canopy_radius, segments, MAT_CANOPY),
+                  _shared(memo, _sphere, dims.canopy_radius, segments, MAT_CANOPY),
                   (0.0, cy, 0.0))
     )
     n = len(labels)
@@ -438,7 +464,8 @@ def build_tree_parts(
         )
         parts.append(
             ScenePart(f"leaf:{qualified}.{label}",
-                      _sphere(dims.leaf_radius, segments, _LEAF_MATERIAL[kind]),
+                      _shared(memo, _sphere, dims.leaf_radius, segments,
+                              _LEAF_MATERIAL[kind]),
                       offset)
         )
     return parts
@@ -451,10 +478,16 @@ def assemble_scene(
     params: GeometryParams,
     palette: list[Material] | None = None,
 ) -> Scene:
-    """Build the full node tree for a laid-out corpus."""
+    """Build the full node tree for a laid-out corpus.
+
+    ``scene.meshes`` lists each distinct mesh once, in first-use order;
+    tree parts of equal dimensions hold the same mesh index.
+    """
     nodes: list[SceneNode] = [SceneNode("forest")]
     meshes: list[Mesh] = []
     scene = Scene(nodes, meshes, palette if palette is not None else default_palette())
+    memo: dict = {}
+    mesh_index: dict[int, int] = {}  # id(mesh) -> index; `meshes` keeps the ids live
 
     def add_node(parent: int, node: SceneNode) -> int:
         nodes.append(node)
@@ -463,8 +496,11 @@ def assemble_scene(
         return idx
 
     def add_mesh(mesh: Mesh) -> int:
-        meshes.append(mesh)
-        return len(meshes) - 1
+        idx = mesh_index.get(id(mesh))
+        if idx is None:
+            meshes.append(mesh)
+            idx = mesh_index[id(mesh)] = len(meshes) - 1
+        return idx
 
     max_fan_out = max((cm.fan_out for cm in class_metrics), default=0)
     tree_by_class = {t.class_index: t for t in forest.trees}
@@ -499,7 +535,7 @@ def assemble_scene(
                 ),
             )
             for part in build_tree_parts(
-                qualified, method_labels(cls), kinds, dims, params.segments
+                qualified, method_labels(cls), kinds, dims, params.segments, memo
             ):
                 add_node(
                     tree_node,
@@ -543,18 +579,16 @@ def _channel_name(model: CodeModel, channel: ChannelPath, used: dict[str, int]) 
     return base if n == 1 else f"{base}#{n}"
 
 
-def world_transforms(scene: Scene) -> list[tuple[float, float, float, float]]:
-    """Per node: world (tx, ty, tz, uniform scale), by scene walk."""
-    out: list[tuple[float, float, float, float]] = [(0.0, 0.0, 0.0, 1.0)] * len(scene.nodes)
-    stack = [(scene.root, (0.0, 0.0, 0.0), 1.0)]
+def world_transforms(scene: Scene) -> list[tuple[float, float, float]]:
+    """Per node: world translation (tx, ty, tz), by scene walk."""
+    out: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * len(scene.nodes)
+    stack = [(scene.root, (0.0, 0.0, 0.0))]
     while stack:
-        idx, base, scale = stack.pop()
+        idx, base = stack.pop()
         node = scene.nodes[idx]
-        tx = base[0] + scale * node.translation[0]
-        ty = base[1] + scale * node.translation[1]
-        tz = base[2] + scale * node.translation[2]
-        s = scale * node.scale
-        out[idx] = (tx, ty, tz, s)
+        world = (base[0] + node.translation[0], base[1] + node.translation[1],
+                 base[2] + node.translation[2])
+        out[idx] = world
         for child in node.children:
-            stack.append((child, (tx, ty, tz), s))
+            stack.append((child, world))
     return out

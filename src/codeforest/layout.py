@@ -28,6 +28,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from .errors import IslandTooSmall
 from .model import CodeModel, compute_layers
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -206,7 +207,7 @@ def place_trees(
                 r * math.sin(theta) + jr * math.sin(jt),
             )
 
-    rel = _enforce_separation(rel, island.radius, params.s_min)
+    rel = _enforce_separation(rel, island.radius, params.s_min, pkg_name)
     return [
         TreePlacement(
             idx,
@@ -230,7 +231,7 @@ def _min_separation(points: list[tuple[float, float]]) -> float:
 
 
 def _enforce_separation(
-    rel: dict[int, tuple[float, float]], radius: float, s_min: float
+    rel: dict[int, tuple[float, float]], radius: float, s_min: float, package: str
 ) -> dict[int, tuple[float, float]]:
     order = sorted(rel)
     pts = [rel[i] for i in order]
@@ -251,10 +252,7 @@ def _enforce_separation(
     if len(slots) < len(order):
         slots = _hex_slots(radius * 0.97, s_min * 1.0005)
     if len(slots) < len(order):
-        raise RuntimeError(
-            f"island of radius {radius} cannot hold {len(order)} trees "
-            f"at separation {s_min}"
-        )
+        raise IslandTooSmall(package, len(order), s_min, radius)
     return dict(zip(order, slots[: len(order)]))
 
 

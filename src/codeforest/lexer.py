@@ -5,10 +5,11 @@ Every byte of the input lands in exactly one token, so concatenating
 property is what lets later stages report spans (line and byte ranges)
 without keeping a second copy of the source.
 
-The scanner is one compiled alternation regex, ``_TOKEN``, with a named
+The scanner is one alternation regex, ``_TOKEN_PATTERN``, with a named
 group per kind; the loop dispatches on the name of the group that
-matched. Alternatives are tried in order, so the first that matches at
-a position wins:
+matched. ``_token_regex`` compiles it once for ASCII text and once, on
+first use, for text with non-ASCII characters. Alternatives are tried
+in order, so the first that matches at a position wins:
 
 * ``whitespace``     maximal run of blanks, tabs and newlines
 * ``comment``        ``//`` to end of line, or ``/* ... */``
@@ -17,7 +18,8 @@ a position wins:
 * ``char-literal``   single-quoted, backslash escapes honoured
 * ``keyword``        reserved words, including ``true``/``false``/``null``
 * ``identifier``     a Unicode letter, ``_`` or ``$``, then letters,
-                     digits, ``_`` and ``$`` (JLS 3.8), not a keyword
+                     digits, ``_``, ``$``, combining marks (Mn, Mc) and
+                     ignorable characters (JLS 3.8), not a keyword
 * ``number-literal`` tolerant numeric run (hex, float, suffixes)
 * ``punctuation``    operators and separators, longest first, with any
                      other single character as the fallback
@@ -30,7 +32,9 @@ garbage structure downstream.
 
 from __future__ import annotations
 
+import functools
 import re
+import unicodedata
 from dataclasses import dataclass
 
 from .errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
@@ -61,25 +65,68 @@ ASSIGNMENT_OPERATORS = frozenset(
     ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=")
 )
 
+# Identifier parts beyond ``[\w$]`` (Character.isJavaIdentifierPart):
+# the ASCII identifier-ignorable controls. Non-ASCII parts are added by
+# ``_token_regex``.
+_ASCII_EXTRA_PART = r"\x00-\x08\x0e-\x1b\x7f"
+
 # ``"(?!"")`` keeps an unclosed text block from lexing as ``""`` plus a
 # string that opens at its third quote: it reaches ``open_literal``.
-_TOKEN = re.compile(
-    r"""
+_TOKEN_PATTERN = r"""
     (?P<whitespace>[ \t\r\n\f\x0b]+)
     | (?P<line_comment>//[^\n]*)
     | (?P<block_comment>/\*.*?\*/)
     | (?P<text_block>\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\")
     | (?P<string>"(?!"")(?:[^"\\\n]|\\.)*")
     | (?P<char>'(?:[^'\\\n]|\\.)*')
-    | (?P<word>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<word>(?:[^\W\d]|\$)[\w$EXTRA_PART]*)
     | (?P<number>[0-9][0-9a-fA-FxXlLpP._]*)
     | (?P<open_comment>/\*)
     | (?P<open_literal>["'])
     | (?P<punctuation>>>>=|>>>|>>=|<<=|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
         |\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|.)
-    """,
-    re.DOTALL | re.VERBOSE,
-)
+    """
+
+
+def _non_ascii_parts() -> str:
+    """Class ranges of the non-ASCII identifier parts ``\\w`` misses.
+
+    These are the combining marks (Mn, Mc), the format characters (Cf)
+    and the C1 controls, all identifier-ignorable or part characters in
+    JLS 3.8. Unicode assigns Mn, Mc and Cf only in planes 0 and 1 and in
+    the tag and variation-selector blocks at U+E0000-U+E0FFF, so only
+    those are scanned.
+    """
+    category = unicodedata.category
+    wanted = {"Mn", "Mc", "Cf"}
+    codes = list(range(0x80, 0xA0))
+    codes += [
+        c
+        for block in (range(0xA0, 0x20000), range(0xE0000, 0xE1000))
+        for c in block
+        if category(chr(c)) in wanted
+    ]
+    ranges = []
+    start = prev = codes[0]
+    for c in codes[1:] + [-1]:
+        if c != prev + 1:
+            ranges.append(f"\\U{start:08x}-\\U{prev:08x}")
+            start = c
+        prev = c
+    return "".join(ranges)
+
+
+@functools.cache
+def _token_regex(ascii_only: bool) -> re.Pattern:
+    """The scanner; for non-ASCII text it is built once, on first use.
+
+    ASCII text cannot hold a non-ASCII identifier part, so importing the
+    module and tokenizing ASCII sources never pay for the Unicode scan.
+    """
+    extra = _ASCII_EXTRA_PART + ("" if ascii_only else _non_ascii_parts())
+    return re.compile(_TOKEN_PATTERN.replace("EXTRA_PART", extra),
+                      re.DOTALL | re.VERBOSE)
+
 
 _KIND_OF_GROUP = {
     "whitespace": KIND_WHITESPACE,
@@ -131,7 +178,7 @@ def tokenize(source: bytes, file_id: str = "<memory>") -> list[Token]:
     append = tokens.append
     line = 1
     byte = 0
-    for m in _TOKEN.finditer(text):
+    for m in _token_regex(ascii_only).finditer(text):
         group = m.lastgroup
         chunk = m.group()
         if ascii_only:

@@ -4,8 +4,9 @@ The parser walks the significant tokens of one compilation unit and
 pulls out the structure later stages care about:
 
 * the package name,
-* class and interface declarations, nested ones flattened to
-  ``Outer.Inner`` names,
+* class, interface and record declarations, nested ones flattened to
+  ``Outer.Inner`` names (record components become fields; ``sealed``
+  and ``non-sealed`` are modifiers),
 * field declarations (name plus declared type as written),
 * method and constructor declarations with physical line counts,
 * per-body field reads, field writes and call sites.
@@ -59,6 +60,9 @@ _MODIFIERS = frozenset(
 _CALL_BLOCKING_KEYWORDS = frozenset(
     ("new", "if", "for", "while", "switch", "catch", "synchronized", "return")
 )
+
+# First words of a class, interface or record declaration.
+_TYPE_WORDS = frozenset(("class", "interface", "record"))
 
 _OPENERS = frozenset(("(", "[", "{"))
 _CLOSERS = frozenset((")", "]", "}"))
@@ -344,7 +348,7 @@ class _Parser:
             if is_annotation_decl or (t.kind == KIND_KEYWORD and t.text == "enum"):
                 self.skip_unknown_declaration()
                 continue
-            if t.kind == KIND_KEYWORD and t.text in ("class", "interface"):
+            if t.text in _TYPE_WORDS and self.at_type_declaration():
                 self.parse_class(package, "", start_tok, is_abstract, out)
                 continue
             # Not a declaration this subset models: drop one token, or a
@@ -367,6 +371,10 @@ class _Parser:
                 if t.text == "abstract":
                     is_abstract = True
                 continue
+            if t.text in ("sealed", "non") and (width := self.sealed_modifier_width()):
+                start_tok = start_tok or t
+                self.pos += width
+                continue
             if t.text == "@":
                 if self.at_kind(KIND_KEYWORD, 1) and self.at("interface", 1):
                     return start_tok or t, is_abstract, True
@@ -383,6 +391,45 @@ class _Parser:
                 continue
             break
         return start_tok, is_abstract, False
+
+    def sealed_modifier_width(self) -> int:
+        """Tokens of a ``sealed`` or ``non-sealed`` modifier at the cursor, or 0.
+
+        Both are contextual words, so they count as modifiers only when
+        a keyword or an annotation follows; ``non-sealed`` must be
+        written without blanks (the lexer splits it into three tokens).
+        """
+        t = self.peek()
+        if t.kind != KIND_IDENTIFIER:
+            return 0
+        if t.text == "sealed":
+            width = 1
+        elif (
+            t.text == "non"
+            and self.at("-", 1)
+            and self.at("sealed", 2)
+            and t.span.byte_end == self.peek(1).span.byte_start
+            and self.peek(1).span.byte_end == self.peek(2).span.byte_start
+        ):
+            width = 3
+        else:
+            return 0
+        after = self.peek(width)
+        if after is not None and (after.kind == KIND_KEYWORD or after.text == "@"):
+            return width
+        return 0
+
+    def at_type_declaration(self) -> bool:
+        """At ``class``, ``interface`` or ``record Name(`` / ``record Name<``."""
+        t = self.peek()
+        if t.kind == KIND_KEYWORD:
+            return t.text in ("class", "interface")
+        return (
+            t.text == "record"
+            and t.kind == KIND_IDENTIFIER
+            and self.at_kind(KIND_IDENTIFIER, 1)
+            and (self.at("(", 2) or self.at("<", 2))
+        )
 
     def skip_unknown_declaration(self) -> None:
         """Drop an enum or annotation-type declaration wholesale."""
@@ -421,7 +468,7 @@ class _Parser:
         is_abstract: bool,
         out: list[ClassDecl],
     ) -> None:
-        kw = self.take()  # "class" or "interface"
+        kw = self.take()  # "class", "interface" or "record"
         start_tok = start_tok or kw
         is_interface = kw.text == "interface"
         if not self.at_kind(KIND_IDENTIFIER):
@@ -429,6 +476,9 @@ class _Parser:
         name = prefix + self.take().text
         if self.at("<"):
             self.take_generics()
+        fields: list[FieldDecl] = []
+        if kw.text == "record" and self.at("("):
+            self.read_record_components(fields)
 
         extends_names: list[str] = []
         implements_names: list[str] = []
@@ -453,7 +503,6 @@ class _Parser:
             super_name = None
 
         open_brace = self.take()
-        fields: list[FieldDecl] = []
         pending: list[dict] = []
         nested: list[ClassDecl] = []
         close = self.parse_members(package, name, open_brace, fields, pending, nested)
@@ -495,6 +544,28 @@ class _Parser:
             )
         )
         out.extend(nested)
+
+    def read_record_components(self, fields: list[FieldDecl]) -> None:
+        """Consume a record header ``(T a, U b)``; each component is a field."""
+        open_paren = self.take()
+        while not self.at(")"):
+            if self.done():
+                raise UnbalancedBraces(open_paren.span)
+            start_tok, _, _ = self.collect_modifiers()
+            head: list[Token] = []
+            while not self.done() and not (self.at(",") or self.at(")")):
+                if self.at("<"):
+                    head.extend(self.take_generics())
+                else:
+                    head.append(self.take())
+            if len(head) >= 2 and head[-1].kind == KIND_IDENTIFIER:
+                fields.append(
+                    FieldDecl(head[-1].text, _compact(head[:-1]),
+                              _join((start_tok or head[0]).span, head[-1].span))
+                )
+            if self.at(","):
+                self.take()
+        self.take()
 
     def read_type_ref_list(self) -> list[str]:
         names = []
@@ -539,7 +610,7 @@ class _Parser:
             if is_annotation_decl or (t.kind == KIND_KEYWORD and t.text == "enum"):
                 self.skip_unknown_declaration()
                 continue
-            if t.kind == KIND_KEYWORD and t.text in ("class", "interface"):
+            if t.text in _TYPE_WORDS and self.at_type_declaration():
                 self.parse_class(package, class_name + ".", start_tok, is_abstract, nested)
                 continue
             if t.text == "{":

@@ -56,6 +56,21 @@ def test_inheritance_cycle_exits_one(capsys):
     assert "loop.Alpha" in err and "loop.Beta" in err
 
 
+def test_island_too_small_for_its_trees_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("s_min = 10\nbase_radius_per_class = 0.5\n", encoding="utf-8")
+    out = tmp_path / "forest.gltf"
+    argv = ["render", str(FIXTURES / "jfreechart_annotations"), "-o", str(out),
+            "--format", "gltf", "--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: package 'org.jfree.chart.annotations': island of radius 20.0 "
+        "cannot hold 15 trees at separation 10.0\n"
+    )
+    assert not out.exists()
+
+
 def test_render_gltf(tmp_path, capsys):
     out = tmp_path / "forest.gltf"
     assert main(["render", TWO_CLASSES, "-o", str(out), "--format", "gltf"]) == 0

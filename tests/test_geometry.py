@@ -1,11 +1,15 @@
 """Mesh builders, tree sizing and scene assembly."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from codeforest.errors import DegenerateSegment
+from codeforest.errors import DegenerateSegment, InheritanceCycle
+from codeforest.exporters.mel import mel_text
+from codeforest.exporters.obj import obj_text
 from codeforest.geometry import (
     CANOPY_LIFT,
     CANOPY_MIN_RADIUS,
@@ -22,7 +26,9 @@ from codeforest.geometry import (
 )
 from codeforest.layout import ChannelPath, IslandLayout, build_layout, LayoutParams
 from codeforest.model import ClassMetrics
-from conftest import CORPUS_NAMES, corpus, scene
+from codeforest.pipeline import analyze, build_scene
+from conftest import CORPUS_NAMES, FIXTURES, corpus, scene
+import synth
 
 
 def metrics(loc=10, methods=3, fan_out=0):
@@ -187,7 +193,7 @@ def make_parts(methods=3, kinds=None, loc=10):
     dims = tree_dimensions(metrics(loc=loc, methods=methods), 0, GeometryParams())
     labels = [f"m{i}" for i in range(methods)]
     kinds = kinds or ["other"] * methods
-    return build_tree_parts("pkg.K", labels, kinds, dims, segments=12), dims
+    return build_tree_parts("pkg.K", labels, kinds, dims, 12, {}), dims
 
 
 def test_tree_part_names_and_order():
@@ -346,3 +352,63 @@ def test_default_palette_has_eight_slots():
     canopy = palette[2]
     assert canopy.base_color[3] < 1.0  # translucent canopy
     assert all(0.0 <= c <= 1.0 for m in palette for c in m.base_color)
+
+
+# ---------------------------------------------------------------------------
+# Mesh sharing.
+
+def unshared(s):
+    """The scene with a private deep copy of its mesh on every mesh node."""
+    nodes, meshes = [], []
+    for node in s.nodes:
+        if node.mesh is not None:
+            meshes.append(copy.deepcopy(s.meshes[node.mesh]))
+            node = dataclasses.replace(node, mesh=len(meshes) - 1)
+        nodes.append(node)
+    return Scene(nodes, meshes, s.materials)
+
+
+def synth_scene(seed, tmp_path):
+    synth.generate(seed, tmp_path)
+    return build_scene(analyze(tmp_path))
+
+
+def test_the_seventh_fixture_never_reaches_a_scene():
+    # The sharing tests below cover every fixture that renders.
+    assert sorted(CORPUS_NAMES + ["cycle"]) == sorted(p.name for p in FIXTURES.iterdir())
+    with pytest.raises(InheritanceCycle):
+        analyze(FIXTURES / "cycle")
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_mesh_sharing_is_invisible_to_obj_and_mel(name):
+    shared = scene(name)
+    own = unshared(shared)
+    assert obj_text(shared, "forest.mtl") == obj_text(own, "forest.mtl")
+    assert mel_text(shared) == mel_text(own)
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 4))
+def test_mesh_sharing_is_invisible_on_synth_corpora(seed, tmp_path):
+    shared = synth_scene(seed, tmp_path)
+    own = unshared(shared)
+    assert obj_text(shared) == obj_text(own)
+    assert mel_text(shared) == mel_text(own)
+
+
+def test_leaves_and_equal_canopies_share_meshes():
+    s = scene("jfreechart_annotations")
+    mesh_nodes = [n for n in s.nodes if n.mesh is not None]
+    assert len(s.meshes) < len(mesh_nodes)
+    leaf_meshes = {n.mesh for n in mesh_nodes if n.name.startswith("leaf:")}
+    assert len(leaf_meshes) <= 4
+    assert len(set(map(id, s.meshes))) == len(s.meshes)
+
+
+def test_shared_mesh_arrays_are_read_only():
+    s = scene("two_classes")
+    leaf = next(n for n in s.nodes if n.name.startswith("leaf:"))
+    mesh = s.meshes[leaf.mesh]
+    for array in (mesh.positions, mesh.normals, mesh.indices):
+        with pytest.raises(ValueError):
+            array[0] = 0

@@ -63,13 +63,13 @@ def test_every_node_reachable_from_root():
 def test_default_transform_keys_omitted():
     sc = empty_scene()
     sc.nodes[0].children.append(1)
-    sc.nodes.append(SceneNode("offset", translation=(1.0, 2.0, 3.0), scale=2.0))
+    sc.nodes.append(SceneNode("offset", translation=(1.0, 2.0, 3.0)))
     doc = build_gltf(sc)
     root, offset = doc["nodes"]
-    assert "translation" not in root and "scale" not in root
+    assert "translation" not in root
     assert root["children"] == [1]
     assert offset["translation"] == [1.0, 2.0, 3.0]
-    assert offset["scale"] == [2.0, 2.0, 2.0]
+    assert "scale" not in root and "scale" not in offset
     assert "children" not in offset
 
 

@@ -98,6 +98,40 @@ def test_unicode_identifiers():
     ]
 
 
+def test_identifier_parts_take_combining_marks_and_ignorables():
+    # "café" with a decomposed é (e + U+0301 COMBINING ACUTE ACCENT), a
+    # spacing mark (U+0903, Mc), a zero-width joiner (U+200D, Cf) and an
+    # ASCII ignorable control inside identifiers (JLS 3.8).
+    assert kinds_and_texts("int cafe\u0301 = a\u0903b + x\u200dy - p\x00q;") == [
+        (KIND_KEYWORD, "int"),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "cafe\u0301"),
+        (KIND_WHITESPACE, " "),
+        (KIND_PUNCTUATION, "="),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "a\u0903b"),
+        (KIND_WHITESPACE, " "),
+        (KIND_PUNCTUATION, "+"),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "x\u200dy"),
+        (KIND_WHITESPACE, " "),
+        (KIND_PUNCTUATION, "-"),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "p\x00q"),
+        (KIND_PUNCTUATION, ";"),
+    ]
+
+
+def test_marks_and_ignorables_do_not_start_identifiers():
+    assert kinds_and_texts("\u0301a \u200db") == [
+        (KIND_PUNCTUATION, "\u0301"),
+        (KIND_IDENTIFIER, "a"),
+        (KIND_WHITESPACE, " "),
+        (KIND_PUNCTUATION, "\u200d"),
+        (KIND_IDENTIFIER, "b"),
+    ]
+
+
 def test_text_block_is_one_string_literal():
     block = '"""\n  {"a";}\n  \\"""\n  ""x\n  """'
     toks = kinds_and_texts(f"s = {block};\nint y;")
@@ -175,7 +209,8 @@ def test_non_utf8_input_reports_offset():
 _PIECES = st.sampled_from(
     [" ", "\t", "\r\n", "\n", "/", "*", "a", "x1", "int", "_$", "0x1F",
      "1.5e3f", ".", ">>>=", "->", "::", "=", "{", "}", ";", "é", "größe",
-     "中", "\u00a0", "²", '"a\\"b"', '"\\\n"', "'\\''", "'\\\n'",
+     "中", "\u00a0", "²", "\u0301", "\u200d", "\x00",
+     '"a\\"b"', '"\\\n"', "'\\''", "'\\\n'",
      '"""\n "" \\""" é\n"""', "/* a\n é */", "// c é", '"', '"""', "'", "/*",
      "\\"]
 )

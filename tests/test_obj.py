@@ -26,7 +26,7 @@ def triangle_scene() -> Scene:
     )
     nodes = [
         SceneNode("forest", children=[1]),
-        SceneNode("tri", translation=(1.0, 2.0, 3.0), scale=2.0, mesh=0),
+        SceneNode("tri", translation=(1.0, 2.0, 3.0), mesh=0),
     ]
     return Scene(nodes, [mesh], [Material("island", (0.85, 0.78, 0.55, 1.0))])
 
@@ -37,8 +37,8 @@ def test_single_triangle_exact_text():
             "o tri",
             "usemtl island",
             "v 1.000000 2.000000 3.000000",
-            "v 3.000000 2.000000 3.000000",
-            "v 1.000000 4.000000 3.000000",
+            "v 2.000000 2.000000 3.000000",
+            "v 1.000000 3.000000 3.000000",
             "vn 0.000000 1.000000 0.000000",
             "vn 0.000000 1.000000 0.000000",
             "vn 0.000000 1.000000 0.000000",
@@ -76,9 +76,10 @@ def test_two_classes_one_group_per_mesh_node():
 def test_round_trip_counts_and_index_bounds(name):
     built = scene(name)
     objects, verts, normals, faces = read_obj(obj_text(built))
-    assert len(verts) == sum(m.vertex_count for m in built.meshes)
+    placed = [built.meshes[n.mesh] for n in built.nodes if n.mesh is not None]
+    assert len(verts) == sum(m.vertex_count for m in placed)
     assert len(normals) == len(verts)
-    assert len(faces) == sum(m.triangle_count for m in built.meshes)
+    assert len(faces) == sum(m.triangle_count for m in placed)
     for corners in faces:
         assert len(corners) == 3
         for v, n in corners:
@@ -94,9 +95,9 @@ def test_vertices_are_world_baked():
     for idx, node in enumerate(built.nodes):
         if node.mesh is None:
             continue
-        tx, ty, tz, s = transforms[idx]
+        tx, ty, tz = transforms[idx]
         for x, y, z in built.meshes[node.mesh].positions:
-            expected.append((tx + s * float(x), ty + s * float(y), tz + s * float(z)))
+            expected.append((tx + float(x), ty + float(y), tz + float(z)))
     assert len(verts) == len(expected)
     for got, want in zip(verts, expected):
         assert got == pytest.approx(want, abs=1e-6)

@@ -311,3 +311,61 @@ def test_unicode_identifiers_are_fields_and_names():
     assert method.name == "setGröße"
     assert method.writes_fields == {"größe"}
     assert classify_method(method, "K") == "mutator"
+
+
+def test_nested_record_is_a_class_not_a_method():
+    classes = parse(
+        "class A {\n"
+        "  record R(int x, java.util.Map<String, Integer> m) implements Comparable<R> {\n"
+        "    int twice() { return 2 * x; }\n"
+        "  }\n"
+        "  void a() { }\n"
+        "}\n"
+    )
+    assert [c.name for c in classes] == ["A", "A.R"]
+    outer, rec = classes
+    assert [m.name for m in outer.methods] == ["a"]
+    assert [(f.name, f.declared_type) for f in rec.fields] == [
+        ("x", "int"), ("m", "java.util.Map<String,Integer>")
+    ]
+    (twice,) = rec.methods
+    assert twice.name == "twice" and twice.reads_fields == {"x"}
+    assert rec.super_name == "Comparable"
+    assert not rec.is_interface
+
+
+def test_record_compact_constructor_is_not_a_method():
+    (rec,) = parse("record Range<T>(T lo, T hi) { Range { check(lo); } T lo() { return lo; } }")
+    assert rec.name == "Range"
+    assert [f.name for f in rec.fields] == ["lo", "hi"]
+    assert [m.name for m in rec.methods] == ["lo"]
+
+
+def test_record_as_a_name_is_not_a_declaration():
+    (cls,) = parse("class K { Record record; void record(int n) { } }")
+    assert [f.name for f in cls.fields] == ["record"]
+    assert [m.name for m in cls.methods] == ["record"]
+
+
+def test_sealed_and_non_sealed_are_modifiers():
+    classes = parse(
+        "sealed class A permits A.N, A.F {\n"
+        "  non-sealed class N extends A { void n() {} }\n"
+        "  static final class F extends A { }\n"
+        "  public sealed interface S { }\n"
+        "  boolean sealed;\n"
+        "  int non = 1, x = non-sealed;\n"
+        "}\n"
+    )
+    assert [c.name for c in classes] == ["A", "A.N", "A.F", "A.S"]
+    a, n, _, s = classes
+    assert [f.name for f in a.fields] == ["sealed", "non", "x"]
+    assert a.span.line_start == 1 and a.methods == []
+    assert n.super_name == "A" and [m.name for m in n.methods] == ["n"]
+    assert s.is_interface
+
+
+def test_spaced_non_sealed_is_not_a_modifier():
+    # ``non - sealed`` is an expression, never the modifier.
+    (cls,) = parse("class K { int non = 1, sealed = 2, d = non - sealed; }")
+    assert [f.name for f in cls.fields] == ["non", "sealed", "d"]
