@@ -42,7 +42,12 @@ class UnterminatedComment(CodeforestError):
 
 
 class UnbalancedBraces(CodeforestError):
-    """Braces do not balance inside a compilation unit."""
+    """Brackets do not pair inside a compilation unit, or a class has no body.
+
+    ``span`` is the first closer with no partner or of the wrong kind,
+    the first opener that never closes, or the keyword of a class whose
+    header reaches a closer or end of file before its ``{``.
+    """
 
     def __init__(self, span):
         self.span = span

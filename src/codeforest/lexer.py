@@ -17,9 +17,10 @@ in order, so the first that matches at a position wins:
                      lines, or a double-quoted literal on one line
 * ``char-literal``   single-quoted, backslash escapes honoured
 * ``keyword``        reserved words, including ``true``/``false``/``null``
-* ``identifier``     a Unicode letter, ``_`` or ``$``, then letters,
-                     digits, ``_``, ``$``, combining marks (Mn, Mc) and
-                     ignorable characters (JLS 3.8), not a keyword
+* ``identifier``     a Unicode letter, currency symbol (Sc) or connecting
+                     punctuation (Pc), then those, digits, combining
+                     marks (Mn, Mc) and ignorable characters (JLS 3.8),
+                     not a keyword
 * ``number-literal`` tolerant numeric run (hex, float, suffixes)
 * ``punctuation``    operators and separators, longest first, with any
                      other single character as the fallback
@@ -66,8 +67,8 @@ ASSIGNMENT_OPERATORS = frozenset(
 )
 
 # Identifier parts beyond ``[\w$]`` (Character.isJavaIdentifierPart):
-# the ASCII identifier-ignorable controls. Non-ASCII parts are added by
-# ``_token_regex``.
+# the ASCII identifier-ignorable controls. Non-ASCII starts and parts are
+# added by ``_token_regex``.
 _ASCII_EXTRA_PART = r"\x00-\x08\x0e-\x1b\x7f"
 
 # ``"(?!"")`` keeps an unclosed text block from lexing as ``""`` plus a
@@ -79,7 +80,7 @@ _TOKEN_PATTERN = r"""
     | (?P<text_block>\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\")
     | (?P<string>"(?!"")(?:[^"\\\n]|\\.)*")
     | (?P<char>'(?:[^'\\\n]|\\.)*')
-    | (?P<word>(?:[^\W\d]|\$)[\w$EXTRA_PART]*)
+    | (?P<word>(?:[^\W\d]|[$EXTRA_START])[\w$EXTRA_PART]*)
     | (?P<number>[0-9][0-9a-fA-FxXlLpP._]*)
     | (?P<open_comment>/\*)
     | (?P<open_literal>["'])
@@ -88,24 +89,8 @@ _TOKEN_PATTERN = r"""
     """
 
 
-def _non_ascii_parts() -> str:
-    """Class ranges of the non-ASCII identifier parts ``\\w`` misses.
-
-    These are the combining marks (Mn, Mc), the format characters (Cf)
-    and the C1 controls, all identifier-ignorable or part characters in
-    JLS 3.8. Unicode assigns Mn, Mc and Cf only in planes 0 and 1 and in
-    the tag and variation-selector blocks at U+E0000-U+E0FFF, so only
-    those are scanned.
-    """
-    category = unicodedata.category
-    wanted = {"Mn", "Mc", "Cf"}
-    codes = list(range(0x80, 0xA0))
-    codes += [
-        c
-        for block in (range(0xA0, 0x20000), range(0xE0000, 0xE1000))
-        for c in block
-        if category(chr(c)) in wanted
-    ]
+def _ranges(codes: list[int]) -> str:
+    """Regex class ranges covering the ascending code points ``codes``."""
     ranges = []
     start = prev = codes[0]
     for c in codes[1:] + [-1]:
@@ -116,6 +101,29 @@ def _non_ascii_parts() -> str:
     return "".join(ranges)
 
 
+def _non_ascii_classes() -> tuple[str, str]:
+    """Class ranges of the non-ASCII identifier starts and parts ``\\w`` misses.
+
+    Starts are the currency symbols (Sc) and connecting punctuation (Pc).
+    Parts are those plus the combining marks (Mn, Mc), the format
+    characters (Cf) and the C1 controls, all identifier-ignorable or part
+    characters in JLS 3.8. Unicode assigns Sc and Pc only in planes 0 and
+    1, and Mn, Mc and Cf only there and in the tag and variation-selector
+    blocks at U+E0000-U+E0FFF, so only those are scanned.
+    """
+    category = unicodedata.category
+    part_categories = frozenset(("Sc", "Pc", "Mn", "Mc", "Cf"))
+    starts = []
+    parts = list(range(0x80, 0xA0))
+    for block in (range(0xA0, 0x20000), range(0xE0000, 0xE1000)):
+        for c, cat in zip(block, map(category, map(chr, block))):
+            if cat in part_categories:
+                parts.append(c)
+                if cat in ("Sc", "Pc"):
+                    starts.append(c)
+    return _ranges(starts), _ranges(parts)
+
+
 @functools.cache
 def _token_regex(ascii_only: bool) -> re.Pattern:
     """The scanner; for non-ASCII text it is built once, on first use.
@@ -123,8 +131,9 @@ def _token_regex(ascii_only: bool) -> re.Pattern:
     ASCII text cannot hold a non-ASCII identifier part, so importing the
     module and tokenizing ASCII sources never pay for the Unicode scan.
     """
-    extra = _ASCII_EXTRA_PART + ("" if ascii_only else _non_ascii_parts())
-    return re.compile(_TOKEN_PATTERN.replace("EXTRA_PART", extra),
+    starts, parts = ("", "") if ascii_only else _non_ascii_classes()
+    pattern = _TOKEN_PATTERN.replace("EXTRA_START", starts)
+    return re.compile(pattern.replace("EXTRA_PART", _ASCII_EXTRA_PART + parts),
                       re.DOTALL | re.VERBOSE)
 
 

@@ -13,9 +13,12 @@ pulls out the structure later stages care about:
 
 Everything else (imports, annotations, generics, enum bodies, code the
 subset does not model) is consumed and dropped. The parser never guesses
-across brace boundaries: bodies are delimited by balanced-brace scans,
-so a file that fails to balance raises instead of producing a skewed
-model.
+across bracket boundaries: ``(``/``)``, ``[``/``]`` and ``{``/``}`` are
+paired once per file in one bracket table (``_match_brackets``), every
+scan jumps over a group to its partner and stops at the closer of the
+group it is in, so class, method and record bodies end where their
+brackets pair. A file whose brackets do not pair raises
+``UnbalancedBraces`` instead of producing a skewed model.
 
 A class records one parent name: the ``extends`` target when present,
 otherwise the first ``implements`` target. That single-parent reading
@@ -55,17 +58,25 @@ _MODIFIERS = frozenset(
     transient volatile strictfp default""".split()
 )
 
-# Words that never open a method call even when directly followed by a
-# parenthesis; "new" additionally suppresses the constructor name after it.
-_CALL_BLOCKING_KEYWORDS = frozenset(
-    ("new", "if", "for", "while", "switch", "catch", "synchronized", "return")
+# Words after which ``name(`` is not a method call: control keywords,
+# ``new`` (``new Foo(...)`` constructs), and the words that make it a
+# declaration: ``void`` or a primitive return type (a method of an
+# anonymous class) and ``record`` (a local record). All but ``record``
+# are keywords, so no identifier or literal spells them.
+_CALL_BLOCKING_WORDS = frozenset(
+    """new if for while switch catch synchronized return
+    void boolean byte char short int long float double record""".split()
 )
 
 # First words of a class, interface or record declaration.
 _TYPE_WORDS = frozenset(("class", "interface", "record"))
 
-_OPENERS = frozenset(("(", "[", "{"))
-_CLOSERS = frozenset((")", "]", "}"))
+_PARTNER = {"(": ")", "[": "]", "{": "}"}
+_OPENERS = frozenset(_PARTNER)
+_CLOSERS = frozenset(_PARTNER.values())
+
+# Tokens that end the head (modifiers stripped) of a member declaration.
+_HEAD_ENDS = frozenset(("(", "=", ";", ",", "{", "}"))
 
 
 @dataclass
@@ -142,43 +153,79 @@ def _compact(tokens: list[Token]) -> str:
     return "".join(t.text for t in tokens)
 
 
+def _match_brackets(sig: list[Token]) -> list[int]:
+    """Index of each bracket's partner; other entries are unused.
+
+    Raises UnbalancedBraces at the first closer with no partner or of
+    the wrong kind, or at the first opener that never closes.
+    """
+    partner = [0] * len(sig)
+    stack: list[int] = []
+    for i, tok in enumerate(sig):
+        text = tok.text
+        if text in _OPENERS:
+            stack.append(i)
+        elif text in _CLOSERS:
+            if not stack or _PARTNER[sig[stack[-1]].text] != text:
+                raise UnbalancedBraces(tok.span)
+            j = stack.pop()
+            partner[i] = j
+            partner[j] = i
+    if stack:
+        raise UnbalancedBraces(sig[stack[0]].span)
+    return partner
+
+
 def scan_method_body(tokens: list[Token], field_names) -> BodyScan:
     """Scan a brace-delimited method body for field access and calls.
 
     ``tokens`` is the slice covering the body including both braces;
     trivia tokens are ignored if present. ``loc`` is the physical line
-    span of the slice.
+    span of the slice. Raises UnbalancedBraces if its brackets do not
+    pair.
 
     A call site fires for each identifier directly followed by ``(``
-    unless the preceding token is one of the call-blocking keywords
-    (``new Foo(...)`` is a construction, not a call). The receiver is
-    ``named`` for an ``x.m(...)`` pattern with an identifier receiver,
-    ``implicit-this`` for bare and ``this.`` calls, ``other`` for
-    anything else (chained or indexed expressions, ``super.`` calls).
+    unless the preceding token is a call-blocking word: a control
+    keyword, ``new`` (``new Foo(...)`` is a construction, not a call),
+    or ``void``, a primitive type or ``record``, which make it a
+    declaration (``void run()`` in an anonymous class, a local
+    ``record R(int x)``).
+    The receiver is ``named`` for an ``x.m(...)`` pattern with an
+    identifier receiver, ``implicit-this`` for bare and ``this.`` calls,
+    ``other`` for anything else (chained or indexed expressions,
+    ``super.`` calls).
 
     A field write is a field name directly followed by an assignment
     operator; a field read is any other occurrence of the name not
     preceded by a dot.
     """
-    fields = set(field_names)
     sig = [t for t in tokens if t.kind not in TRIVIA_KINDS]
-    reads: set[str] = set()
-    writes: set[str] = set()
-    calls: list[CallSite] = []
+    if tokens:
+        loc = tokens[-1].span.line_end - tokens[0].span.line_start + 1
+    else:
+        loc = 0
+    scan = BodyScan(set(), set(), [], loc)
+    _scan_body(sig, _match_brackets(sig), 0, len(sig), set(field_names), scan)
+    return scan
 
-    for idx, tok in enumerate(sig):
+
+def _scan_body(sig, partner, lo, hi, fields, out) -> None:
+    """Add the field accesses and calls of ``sig[lo:hi]`` to ``out``.
+
+    ``out`` is a BodyScan or a MethodDecl: both hold ``reads_fields``,
+    ``writes_fields`` and ``call_sites``.
+    """
+    reads, writes, calls = out.reads_fields, out.writes_fields, out.call_sites
+    for idx in range(lo, hi):
+        tok = sig[idx]
         if tok.kind == KIND_PUNCTUATION and tok.text == "(" and idx > 0:
             name_tok = sig[idx - 1]
             if name_tok.kind != KIND_IDENTIFIER:
                 continue
             before = sig[idx - 2] if idx >= 2 else None
-            if (
-                before is not None
-                and before.kind == KIND_KEYWORD
-                and before.text in _CALL_BLOCKING_KEYWORDS
-            ):
+            if before is not None and before.text in _CALL_BLOCKING_WORDS:
                 continue
-            calls.append(_call_site(sig, idx, name_tok, before))
+            calls.append(_call_site(sig, partner, idx, name_tok, before))
         elif tok.kind == KIND_IDENTIFIER and tok.text in fields:
             nxt = sig[idx + 1] if idx + 1 < len(sig) else None
             prv = sig[idx - 1] if idx > 0 else None
@@ -191,14 +238,8 @@ def scan_method_body(tokens: list[Token], field_names) -> BodyScan:
             elif prv is None or prv.text != ".":
                 reads.add(tok.text)
 
-    if tokens:
-        loc = tokens[-1].span.line_end - tokens[0].span.line_start + 1
-    else:
-        loc = 0
-    return BodyScan(reads, writes, calls, loc)
 
-
-def _call_site(sig: list[Token], paren_idx: int, name_tok: Token, before) -> CallSite:
+def _call_site(sig, partner, paren_idx: int, name_tok: Token, before) -> CallSite:
     receiver_kind = RECEIVER_THIS
     receiver_name = None
     if before is not None and before.text == ".":
@@ -211,51 +252,48 @@ def _call_site(sig: list[Token], paren_idx: int, name_tok: Token, before) -> Cal
         else:
             receiver_kind = RECEIVER_OTHER
 
-    hint, close = _count_items(sig, paren_idx)
-    end_span = sig[close].span if close < len(sig) else sig[paren_idx].span
     return CallSite(
         name_tok.text,
         receiver_kind,
         receiver_name,
-        hint,
-        _join(name_tok.span, end_span),
+        _count_items(sig, partner, paren_idx),
+        _join(name_tok.span, sig[partner[paren_idx]].span),
     )
 
 
-def _count_items(sig: list[Token], open_idx: int) -> tuple[int, int]:
+def _count_items(sig, partner, open_idx: int) -> int:
     """Count the top-level items of the group opened at ``sig[open_idx]``.
 
-    Returns the item count (top-level commas plus one, 0 for an empty
-    group) and the index of the closing token, or ``len(sig)`` when the
-    group never closes.
+    That is the top-level commas plus one, or 0 for an empty group.
     """
-    depth = 1
+    close = partner[open_idx]
     commas = 0
     saw_item = False
     j = open_idx + 1
-    while j < len(sig):
+    while j < close:
         text = sig[j].text
-        if text in _OPENERS:
-            depth += 1
-            saw_item = True
-        elif text in _CLOSERS:
-            depth -= 1
-            if depth == 0:
-                break
-            saw_item = True
-        elif text == "," and depth == 1:
+        if text == ",":
             commas += 1
         else:
             saw_item = True
+            if text in _OPENERS:
+                j = partner[j]
         j += 1
-    return (commas + 1 if saw_item or commas else 0), j
+    return commas + 1 if saw_item or commas else 0
 
 
 class _Parser:
-    """Cursor over the significant tokens of one compilation unit."""
+    """Cursor over the significant tokens of one compilation unit.
+
+    ``partner`` is the unit's bracket table. Every scan moves either one
+    token at a time or from an opener past its partner, and stops at the
+    closer of the group it is in, so no scan leaves the group it started
+    in.
+    """
 
     def __init__(self, sig: list[Token]):
         self.sig = sig
+        self.partner = _match_brackets(sig)
         self.pos = 0
 
     # -- cursor primitives -------------------------------------------------
@@ -277,49 +315,67 @@ class _Parser:
         self.pos += 1
         return t
 
+    def accept(self, text: str) -> bool:
+        """Consume the token at the cursor if it is ``text``."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
+
     def done(self) -> bool:
         return self.pos >= len(self.sig)
 
     # -- skipping helpers ----------------------------------------------------
 
-    def skip_to_semicolon(self) -> None:
-        while not self.done():
-            if self.take().text == ";":
-                return
+    def skip_group(self) -> int:
+        """Jump past the group opened at the cursor; return its closer's index."""
+        close = self.partner[self.pos]
+        self.pos = close + 1
+        return close
 
-    def skip_balanced(self, opener: str, closer: str) -> Token:
-        """Consume an already-peeked ``opener`` block; return the closer."""
-        start = self.take()
-        depth = 1
-        while not self.done():
-            t = self.take()
-            if t.text == opener:
-                depth += 1
-            elif t.text == closer:
-                depth -= 1
-                if depth == 0:
-                    return t
-        raise UnbalancedBraces(start.span)
+    def skip_until(self, stops) -> None:
+        """Walk to the first token in ``stops`` or closer, jumping over groups."""
+        sig, partner = self.sig, self.partner
+        i = self.pos
+        while i < len(sig):
+            text = sig[i].text
+            if text in stops or text in _CLOSERS:
+                break
+            if text in _OPENERS:
+                i = partner[i]
+            i += 1
+        self.pos = i
+
+    def skip_declaration(self) -> None:
+        """Drop a declaration up to its ``;`` or its ``{...}`` body."""
+        self.skip_until(("{", ";"))
+        if self.at("{"):
+            self.skip_group()
+        self.accept(";")
 
     def take_generics(self) -> list[Token]:
         """Consume a ``<...>`` group; ``>>`` and ``>>>`` close 2 and 3 levels.
 
-        Returns the consumed tokens, so skipping a group is ignoring them.
+        ``(...)`` and ``[...]`` inside are jumped; ``;``, ``{`` or a closer
+        ends the scan. Returns the consumed tokens, so skipping a group is
+        ignoring them.
         """
         start = self.pos
         depth = 0
         while not self.done():
-            t = self.peek()
-            if t.text == "<":
+            text = self.sig[self.pos].text
+            if text == "<":
                 depth += 1
-            elif t.text == ">":
+            elif text == ">":
                 depth -= 1
-            elif t.text == ">>":
+            elif text == ">>":
                 depth -= 2
-            elif t.text == ">>>":
+            elif text == ">>>":
                 depth -= 3
-            elif t.text in (";", "{", "}") or depth <= 0:
+            elif text in (";", "{") or text in _CLOSERS or depth <= 0:
                 break
+            elif text in _OPENERS:
+                self.pos = self.partner[self.pos]
             self.pos += 1
             if depth <= 0:
                 break
@@ -332,21 +388,19 @@ class _Parser:
         out: list[ClassDecl] = []
         while not self.done():
             t = self.peek()
-            if t.kind == KIND_KEYWORD and t.text == "package":
+            if t.kind == KIND_KEYWORD and t.text in ("package", "import"):
                 self.take()
-                package = self.read_type_ref() or ""
-                self.skip_to_semicolon()
-                continue
-            if t.kind == KIND_KEYWORD and t.text == "import":
-                self.take()
-                self.skip_to_semicolon()
+                if t.text == "package":
+                    package = self.read_type_ref() or ""
+                self.skip_until((";",))
+                self.accept(";")
                 continue
             start_tok, is_abstract, is_annotation_decl = self.collect_modifiers()
             t = self.peek()
             if t is None:
                 break
             if is_annotation_decl or (t.kind == KIND_KEYWORD and t.text == "enum"):
-                self.skip_unknown_declaration()
+                self.skip_declaration()
                 continue
             if t.text in _TYPE_WORDS and self.at_type_declaration():
                 self.parse_class(package, "", start_tok, is_abstract, out)
@@ -354,7 +408,7 @@ class _Parser:
             # Not a declaration this subset models: drop one token, or a
             # whole block so we never descend into foreign braces.
             if t.text == "{":
-                self.skip_balanced("{", "}")
+                self.skip_group()
             else:
                 self.take()
         return out
@@ -382,7 +436,7 @@ class _Parser:
                 self.take()
                 self.read_type_ref()
                 if self.at("("):
-                    self.skip_balanced("(", ")")
+                    self.skip_group()
                 continue
             if t.text == "<":
                 # Type parameters of a generic method declaration.
@@ -431,20 +485,6 @@ class _Parser:
             and (self.at("(", 2) or self.at("<", 2))
         )
 
-    def skip_unknown_declaration(self) -> None:
-        """Drop an enum or annotation-type declaration wholesale."""
-        while not self.done():
-            t = self.peek()
-            if t.text == "{":
-                self.skip_balanced("{", "}")
-                if self.at(";"):
-                    self.take()
-                return
-            if t.text == ";":
-                self.take()
-                return
-            self.take()
-
     def read_type_ref(self) -> str | None:
         """Read ``a.b.C`` with generics and array suffixes stripped."""
         if not self.at_kind(KIND_IDENTIFIER):
@@ -482,17 +522,16 @@ class _Parser:
 
         extends_names: list[str] = []
         implements_names: list[str] = []
-        while not self.done() and not self.at("{"):
-            t = self.peek()
-            if t.kind == KIND_KEYWORD and t.text == "extends":
-                self.take()
+        while True:
+            self.skip_until(("{", "extends", "implements"))
+            if self.accept("extends"):
                 extends_names.extend(self.read_type_ref_list())
-            elif t.kind == KIND_KEYWORD and t.text == "implements":
-                self.take()
+            elif self.accept("implements"):
                 implements_names.extend(self.read_type_ref_list())
             else:
-                self.take()
-        if self.done():
+                break
+        if not self.at("{"):
+            # The header ran into the closer of its group or end of file.
             raise UnbalancedBraces(kw.span)
 
         if extends_names:
@@ -502,34 +541,17 @@ class _Parser:
         else:
             super_name = None
 
-        open_brace = self.take()
-        pending: list[dict] = []
+        methods: list[MethodDecl] = []
+        bodies: list[tuple[MethodDecl, int]] = []
         nested: list[ClassDecl] = []
-        close = self.parse_members(package, name, open_brace, fields, pending, nested)
+        close = self.parse_members(package, name, fields, methods, bodies, nested)
 
-        methods = []
-        field_names = [f.name for f in fields]
-        for rec in pending:
-            body = rec.pop("body_tokens")
-            if body is None:
-                scan = BodyScan(set(), set(), [], 0)
-                body_span = None
-            else:
-                scan = scan_method_body(body, field_names)
-                body_span = _join(body[0].span, body[-1].span)
-            methods.append(
-                MethodDecl(
-                    name=rec["name"],
-                    param_count=rec["param_count"],
-                    return_type=rec["return_type"],
-                    span=rec["span"],
-                    body_span=body_span,
-                    loc=rec["loc"],
-                    reads_fields=scan.reads_fields,
-                    writes_fields=scan.writes_fields,
-                    call_sites=scan.call_sites,
-                )
-            )
+        # Fields may be declared after the methods that use them, so the
+        # bodies are scanned once the class's field list is complete.
+        field_names = {f.name for f in fields}
+        for method, body in bodies:
+            _scan_body(self.sig, self.partner, body, self.partner[body] + 1,
+                       field_names, method)
 
         out.append(
             ClassDecl(
@@ -540,20 +562,19 @@ class _Parser:
                 is_abstract=is_abstract,
                 fields=fields,
                 methods=methods,
-                span=_join(start_tok.span, close.span),
+                span=_join(start_tok.span, self.sig[close].span),
             )
         )
         out.extend(nested)
 
     def read_record_components(self, fields: list[FieldDecl]) -> None:
         """Consume a record header ``(T a, U b)``; each component is a field."""
-        open_paren = self.take()
-        while not self.at(")"):
-            if self.done():
-                raise UnbalancedBraces(open_paren.span)
+        close = self.partner[self.pos]
+        self.pos += 1
+        while self.pos < close:
             start_tok, _, _ = self.collect_modifiers()
             head: list[Token] = []
-            while not self.done() and not (self.at(",") or self.at(")")):
+            while self.pos < close and not self.at(","):
                 if self.at("<"):
                     head.extend(self.take_generics())
                 else:
@@ -563,9 +584,8 @@ class _Parser:
                     FieldDecl(head[-1].text, _compact(head[:-1]),
                               _join((start_tok or head[0]).span, head[-1].span))
                 )
-            if self.at(","):
-                self.take()
-        self.take()
+            self.accept(",")
+        self.pos = close + 1
 
     def read_type_ref_list(self) -> list[str]:
         names = []
@@ -583,137 +603,109 @@ class _Parser:
         self,
         package: str,
         class_name: str,
-        open_brace: Token,
         fields: list[FieldDecl],
-        pending: list[dict],
+        methods: list[MethodDecl],
+        bodies: list[tuple[MethodDecl, int]],
         nested: list[ClassDecl],
-    ) -> Token:
-        """Parse member declarations until the class's closing brace.
+    ) -> int:
+        """Parse the member declarations of the class body at the cursor.
 
-        Method bodies are collected raw and scanned by the caller once
-        the class's full field list is known (fields may be declared
-        after the methods that use them).
+        Returns the index of the body's closing brace and leaves the
+        cursor past it. Each method with a body goes to ``bodies`` with
+        the index of the body's opening brace.
         """
-        while True:
-            if self.done():
-                raise UnbalancedBraces(open_brace.span)
-            if self.at("}"):
-                return self.take()
-            if self.at(";"):
-                self.take()
+        close = self.partner[self.pos]
+        self.pos += 1
+        while self.pos < close:
+            if self.accept(";"):
                 continue
-
             start_tok, is_abstract, is_annotation_decl = self.collect_modifiers()
-            t = self.peek()
-            if t is None:
-                raise UnbalancedBraces(open_brace.span)
+            t = self.sig[self.pos]
             if is_annotation_decl or (t.kind == KIND_KEYWORD and t.text == "enum"):
-                self.skip_unknown_declaration()
-                continue
-            if t.text in _TYPE_WORDS and self.at_type_declaration():
+                self.skip_declaration()
+            elif t.text in _TYPE_WORDS and self.at_type_declaration():
                 self.parse_class(package, class_name + ".", start_tok, is_abstract, nested)
-                continue
-            if t.text == "{":
+            elif t.text == "{":
                 # Instance or static initializer block.
-                self.skip_balanced("{", "}")
-                continue
-            if t.text == "}":
-                continue
-            self.parse_member(start_tok, fields, pending)
+                self.skip_group()
+            else:
+                self.parse_member(start_tok, fields, methods, bodies)
+        self.pos = close + 1
+        return close
 
-    def parse_member(
-        self, start_tok: Token | None, fields: list[FieldDecl], pending: list[dict]
-    ) -> None:
+    def parse_member(self, start_tok: Token | None, fields, methods, bodies) -> None:
         """Parse one field or method declaration after its modifiers."""
         head: list[Token] = []
-        while not self.done():
-            t = self.peek()
-            if t.text in ("(", "=", ";", ",", "{", "}"):
-                break
+        while (t := self.sig[self.pos]).text not in _HEAD_ENDS:
             if t.text == "<":
                 head.extend(self.take_generics())
-                continue
-            head.append(self.take())
-        if self.done() or self.at("}"):
+            else:
+                head.append(self.take())
+        if t.text == "}":
             return
-        start_tok = start_tok or (head[0] if head else self.peek())
-
-        t = self.peek()
+        start_tok = start_tok or (head[0] if head else t)
         if t.text == "(":
-            self.finish_method(start_tok, head, pending)
+            self.finish_method(start_tok, head, methods, bodies)
         elif t.text == "{":
             # A stray block after tokens we did not understand.
-            self.skip_balanced("{", "}")
+            self.skip_group()
         else:
             self.finish_fields(start_tok, head, fields)
 
-    def finish_method(
-        self, start_tok: Token, head: list[Token], pending: list[dict]
-    ) -> None:
+    def finish_method(self, start_tok: Token, head: list[Token], methods, bodies) -> None:
         if not head or head[-1].kind != KIND_IDENTIFIER:
             # Not a method declaration we model; drop the paren group.
-            self.skip_balanced("(", ")")
+            self.skip_group()
             if self.at("{"):
-                self.skip_balanced("{", "}")
-            elif self.at(";"):
-                self.take()
+                self.skip_group()
+            else:
+                self.accept(";")
             return
-        name = head[-1].text
-        return_type = _compact(head[:-1])
-        param_count = self.read_param_count()
-
-        while not self.done() and not (self.at("{") or self.at(";") or self.at("}")):
-            self.take()  # throws clause and anything else before the body
-        body_tokens = None
-        if self.at("{"):
-            body_start = self.pos
-            close = self.skip_balanced("{", "}")
-            body_tokens = self.sig[body_start:self.pos]
-            end_span = close.span
+        param_count = _count_items(self.sig, self.partner, self.pos)
+        self.skip_group()
+        self.skip_until(("{", ";"))  # throws clause and anything else before the body
+        body = self.pos if self.at("{") else None
+        if body is not None:
+            end_span = self.sig[self.skip_group()].span
         elif self.at(";"):
             end_span = self.take().span
         else:
             end_span = head[-1].span
-
         span = _join(start_tok.span, end_span)
-        pending.append(
-            {
-                "name": name,
-                "param_count": param_count,
-                "return_type": return_type,
-                "span": span,
-                "loc": span.line_end - span.line_start + 1,
-                "body_tokens": body_tokens,
-            }
+        method = MethodDecl(
+            name=head[-1].text,
+            param_count=param_count,
+            return_type=_compact(head[:-1]),
+            span=span,
+            body_span=None if body is None else _join(self.sig[body].span, end_span),
+            loc=span.line_end - span.line_start + 1,
+            reads_fields=set(),
+            writes_fields=set(),
+            call_sites=[],
         )
-
-    def read_param_count(self) -> int:
-        """Consume a balanced parameter list, counting top-level commas."""
-        count, close = _count_items(self.sig, self.pos)
-        self.pos = min(close + 1, len(self.sig))
-        return count
+        methods.append(method)
+        if body is not None:
+            bodies.append((method, body))
 
     def finish_fields(
         self, start_tok: Token, head: list[Token], fields: list[FieldDecl]
     ) -> None:
         """Parse ``type a = init, b, c;`` declarator lists."""
         if not head or head[-1].kind != KIND_IDENTIFIER or len(head) < 2:
-            self.skip_to_semicolon()
+            self.skip_until((";",))
+            self.accept(";")
             return
         declared_type = _compact(head[:-1])
         names = [head[-1]]
-        while not self.done():
-            t = self.take()
-            if t.text == ";":
+        # Initializers and array suffixes are skipped up to the next
+        # top-level ``,`` or ``;``.
+        while True:
+            self.skip_until((",", ";"))
+            if not self.accept(","):
                 break
-            if t.text == ",":
-                if self.at_kind(KIND_IDENTIFIER):
-                    names.append(self.take())
-                continue
-            if t.text == "=":
-                self.skip_initializer()
-                continue
-            # Array suffix on the declarator or anything unexpected.
+            if self.at_kind(KIND_IDENTIFIER):
+                names.append(self.take())
+        self.accept(";")
         for name_tok in names:
             fields.append(
                 FieldDecl(
@@ -722,21 +714,6 @@ class _Parser:
                     span=_join(start_tok.span, name_tok.span),
                 )
             )
-
-    def skip_initializer(self) -> None:
-        """Consume an initializer up to a top-level ``,`` or ``;``."""
-        depth = 0
-        while not self.done():
-            t = self.peek()
-            if t.text in _OPENERS:
-                depth += 1
-            elif t.text in _CLOSERS:
-                if depth == 0:
-                    return
-                depth -= 1
-            elif depth == 0 and t.text in (",", ";"):
-                return
-            self.take()
 
 
 def parse_unit(tokens: list[Token]) -> list[ClassDecl]:

@@ -1,9 +1,17 @@
 """Corpus walking: ordering and per-file failure isolation."""
 
-import pytest
+import tempfile
+from pathlib import Path
 
-from codeforest.errors import RootNotFound
-from codeforest.parser import parse_corpus
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codeforest import errors
+from codeforest.errors import CodeforestError, RootNotFound
+from codeforest.lexer import tokenize
+from codeforest.parser import parse_corpus, parse_unit
+from conftest import FIXTURES
 
 
 def write(root, rel, text):
@@ -94,3 +102,79 @@ def test_unclosed_text_block_is_a_failure(tmp_path):
     assert result.units == []
     ((path, message),) = result.failures
     assert path == "Doc.java" and message.startswith("UnterminatedLiteral: Doc.java:1:")
+
+
+@pytest.mark.parametrize(
+    "source,line",
+    [
+        ("class A { }\n}\n", 2),  # stray top-level closer
+        ("class A {\n  void m() { ( }\n}\n", 2),  # { ( }
+        ("class A { }\nfoo(\n", 2),  # unclosed (
+        ("class A {\n  int[ x;\n}\n", 3),  # ] expected, } found
+    ],
+)
+def test_unpaired_brackets_are_a_failure(tmp_path, source, line):
+    write(tmp_path, "Good.java", "class Good { }")
+    write(tmp_path, "Bad.java", source)
+    result = parse_corpus(tmp_path)
+    assert [u.path for u in result.units] == ["Good.java"]
+    assert result.failures == [
+        ("Bad.java", f"UnbalancedBraces: Bad.java:{line}: unbalanced braces")
+    ]
+
+
+_ERROR_NAMES = {
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, CodeforestError)
+}
+_FIXTURE_FILES = [
+    (p.relative_to(FIXTURES).as_posix(), p.read_bytes())
+    for p in sorted(FIXTURES.rglob("*.java"))
+]
+_FIXTURE_BYTES = st.sampled_from([data for _, data in _FIXTURE_FILES])
+_CUT = st.floats(min_value=0.0, max_value=1.0)
+# Java-flavoured token soup: brackets, declaration words, literals, and
+# openers of literals and comments that may never close.
+_SOUP = st.lists(
+    st.sampled_from(
+        ["class", "interface", "record", "enum", "@interface", "A", "x", "extends",
+         "implements", "void", "int", "new", "package", "import", "sealed", "non-sealed",
+         "{", "}", "(", ")", "[", "]", "<", ">", ">>", ";", ",", "=", ".", "@", "\n",
+         '"s"', "'c'", '"', "/*", "*/", "//", '"""', "é", "€", "\u0301"]
+    ),
+    max_size=50,
+).map(lambda parts: " ".join(parts).encode())
+_TRUNCATED = st.tuples(_FIXTURE_BYTES, _CUT).map(lambda a: a[0][: int(len(a[0]) * a[1])])
+_SPLICED = st.tuples(_FIXTURE_BYTES, _CUT, _FIXTURE_BYTES, _CUT).map(
+    lambda a: a[0][: int(len(a[0]) * a[1])] + a[2][int(len(a[2]) * a[3]):]
+)
+_SOURCE = st.one_of(_SOUP, _TRUNCATED, _SPLICED, st.binary(max_size=32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(good=st.sampled_from(_FIXTURE_FILES), others=st.lists(_SOURCE, min_size=1, max_size=3))
+def test_parse_corpus_isolates_every_bad_file(good, others):
+    """Random and damaged files never raise: each is a unit or one failure."""
+    good_rel, good_data = good
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        files = {f"good/{good_rel}": good_data}
+        files.update((f"other{i}.java", data) for i, data in enumerate(others))
+        for rel, data in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(data)
+        result = parse_corpus(root)
+
+    paths = [u.path for u in result.units] + [path for path, _ in result.failures]
+    assert sorted(paths) == sorted(files)
+    units = {u.path: u.classes for u in result.units}
+    failures = dict(result.failures)
+    for rel, data in files.items():
+        try:
+            expected = parse_unit(tokenize(data, rel))
+        except CodeforestError as exc:
+            assert failures[rel] == f"{type(exc).__name__}: {exc}"
+            assert failures[rel].split(":", 1)[0] in _ERROR_NAMES
+        else:
+            assert units[rel] == expected
+    assert f"good/{good_rel}" in units

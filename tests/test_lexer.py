@@ -122,6 +122,29 @@ def test_identifier_parts_take_combining_marks_and_ignorables():
     ]
 
 
+def test_currency_and_connecting_punctuation_in_identifiers():
+    # Currency symbols (Sc) and connecting punctuation (Pc) may start or
+    # continue an identifier, like "$" and "_" (JLS 3.8).
+    assert kinds_and_texts("int a€b = x‿y + £p - ⁀q;") == [
+        (KIND_KEYWORD, "int"),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "a€b"),
+        (KIND_WHITESPACE, " "),
+        (KIND_PUNCTUATION, "="),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "x‿y"),
+        (KIND_WHITESPACE, " "),
+        (KIND_PUNCTUATION, "+"),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "£p"),
+        (KIND_WHITESPACE, " "),
+        (KIND_PUNCTUATION, "-"),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "⁀q"),
+        (KIND_PUNCTUATION, ";"),
+    ]
+
+
 def test_marks_and_ignorables_do_not_start_identifiers():
     assert kinds_and_texts("\u0301a \u200db") == [
         (KIND_PUNCTUATION, "\u0301"),
@@ -209,7 +232,7 @@ def test_non_utf8_input_reports_offset():
 _PIECES = st.sampled_from(
     [" ", "\t", "\r\n", "\n", "/", "*", "a", "x1", "int", "_$", "0x1F",
      "1.5e3f", ".", ">>>=", "->", "::", "=", "{", "}", ";", "é", "größe",
-     "中", "\u00a0", "²", "\u0301", "\u200d", "\x00",
+     "中", "\u00a0", "²", "\u0301", "\u200d", "\x00", "€", "‿",
      '"a\\"b"', '"\\\n"', "'\\''", "'\\\n'",
      '"""\n "" \\""" é\n"""', "/* a\n é */", "// c é", '"', '"""', "'", "/*",
      "\\"]

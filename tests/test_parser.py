@@ -369,3 +369,55 @@ def test_spaced_non_sealed_is_not_a_modifier():
     # ``non - sealed`` is an expression, never the modifier.
     (cls,) = parse("class K { int non = 1, sealed = 2, d = non - sealed; }")
     assert [f.name for f in cls.fields] == ["non", "sealed", "d"]
+
+
+def test_local_record_is_not_a_call_site():
+    s = scan("{ record R(int x) { } R r = make(1); }", [])
+    assert site_tuples(s) == [("make", RECEIVER_THIS, None)]
+
+
+def test_anonymous_class_methods_are_not_call_sites():
+    s = scan(
+        "{ new Runnable() { public void run() { go(); } }; "
+        "new Sized() { int size() { count(); return 1; } }; }",
+        [],
+    )
+    assert site_tuples(s) == [("go", RECEIVER_THIS, None), ("count", RECEIVER_THIS, None)]
+
+
+# ---------------------------------------------------------------------------
+# Bracket pairing.
+
+def test_scan_method_body_needs_paired_brackets():
+    with pytest.raises(UnbalancedBraces):
+        scan("{ f(; }", [])
+
+
+def test_generic_type_with_braces_in_an_annotation():
+    # ``{`` inside ``<...>`` belongs to the annotation's argument group.
+    (cls,) = parse("class G { List<@Size({1, 2}) String> xs; int n; }")
+    assert [(f.name, f.declared_type) for f in cls.fields] == [
+        ("xs", "List<@Size({1,2})String>"), ("n", "int")
+    ]
+
+
+def test_declaration_skips_stop_at_the_enclosing_brace():
+    # The unfinished field and enum stay inside A; B is still a class.
+    classes = parse("class A { int x = 1 } class B { enum E }")
+    assert [c.name for c in classes] == ["A", "B"]
+    a, b = classes
+    assert [f.name for f in a.fields] == ["x"] and b.fields == []
+
+
+def test_unclosed_generics_end_at_the_enclosing_closer():
+    # The ``<`` never closes, so its scan stops at the header's ``)``.
+    (rec,) = parse("record R(int x, List<T) { int size() { return x; } }")
+    assert [(f.name, f.declared_type) for f in rec.fields] == [("x", "int"), ("T", "List<")]
+    assert [m.name for m in rec.methods] == ["size"]
+
+
+def test_class_header_without_a_body_raises():
+    # B's header reaches A's closing brace before any body opens.
+    with pytest.raises(UnbalancedBraces) as err:
+        parse("class A {\n  class B\n}\nclass C { }\n")
+    assert err.value.span.line_start == 2
