@@ -13,6 +13,7 @@ material colors and take four components in [0, 1]:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -137,6 +138,9 @@ def _apply(cfg: Config, key: str, value: str, where: str) -> None:
 
 def _parse_float(key: str, value: str, where: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigSyntaxError(where, f"{key} takes a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigSyntaxError(where, f"{key} takes a finite number, got {value!r}")
+    return number

@@ -42,11 +42,10 @@ class UnterminatedComment(CodeforestError):
 
 
 class UnbalancedBraces(CodeforestError):
-    """Brackets do not pair inside a compilation unit, or a class has no body.
+    """Brackets do not pair inside a compilation unit.
 
     ``span`` is the first closer with no partner or of the wrong kind,
-    the first opener that never closes, or the keyword of a class whose
-    header reaches a closer or end of file before its ``{``.
+    or the first opener that never closes.
     """
 
     def __init__(self, span):
@@ -60,6 +59,15 @@ class MissingClassName(CodeforestError):
     def __init__(self, span):
         self.span = span
         super().__init__(f"{span.file_id}:{span.line_start}: class keyword without a name")
+
+
+class MissingClassBody(CodeforestError):
+    """A class header reaches a closer or end of file before its ``{``."""
+
+    def __init__(self, span, name: str):
+        self.span = span
+        self.name = name
+        super().__init__(f"{span.file_id}:{span.line_start}: class {name} has no body")
 
 
 class RootNotFound(CodeforestError):

@@ -506,7 +506,17 @@ def assemble_scene(
     tree_by_class = {t.class_index: t for t in forest.trees}
     channel_names: dict[str, int] = {}
 
+    # Channels within one package hang under its island, after its
+    # trees; channels between packages hang under the root, last.
+    local_channels: dict[int, list[ChannelPath]] = {}
     cross_channels: list[ChannelPath] = []
+    for channel in forest.channels:
+        parent_pkg, child_pkg = (model.package_of[c] for c in channel.edge)
+        if parent_pkg == child_pkg:
+            local_channels.setdefault(parent_pkg, []).append(channel)
+        else:
+            cross_channels.append(channel)
+
     for island in forest.islands:
         pkg = model.packages[island.package_index]
         island_node = add_node(
@@ -542,12 +552,7 @@ def assemble_scene(
                     SceneNode(part.name, translation=part.translation,
                               mesh=add_mesh(part.mesh)),
                 )
-        for channel in forest.channels:
-            parent_cls, child_cls = channel.edge
-            if model.package_of[parent_cls] != island.package_index:
-                continue
-            if model.package_of[child_cls] != island.package_index:
-                continue
+        for channel in local_channels.get(island.package_index, ()):
             add_node(
                 island_node,
                 SceneNode(
@@ -557,10 +562,7 @@ def assemble_scene(
                     ),
                 ),
             )
-    for channel in forest.channels:
-        parent_cls, child_cls = channel.edge
-        if model.package_of[parent_cls] == model.package_of[child_cls]:
-            continue
+    for channel in cross_channels:
         add_node(
             0,
             SceneNode(

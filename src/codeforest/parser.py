@@ -11,6 +11,14 @@ pulls out the structure later stages care about:
 * method and constructor declarations with physical line counts,
 * per-body field reads, field writes and call sites.
 
+Method bodies are scanned once the class's field list is complete. In
+a body, ``name(`` is a call site unless it is a declaration header,
+that is its ``)`` is followed by ``{``, ``throws`` or ``implements``
+(a method of an anonymous or local class, a local constructor or
+record, an anonymous class ``new a.Foo(...) { ... }``), or the word
+before ``name`` blocks it: ``new`` (a construction), ``return``, and
+``void`` or a primitive type (a bodiless method of a local interface).
+
 Everything else (imports, annotations, generics, enum bodies, code the
 subset does not model) is consumed and dropped. The parser never guesses
 across bracket boundaries: ``(``/``)``, ``[``/``]`` and ``{``/``}`` are
@@ -18,7 +26,9 @@ paired once per file in one bracket table (``_match_brackets``), every
 scan jumps over a group to its partner and stops at the closer of the
 group it is in, so class, method and record bodies end where their
 brackets pair. A file whose brackets do not pair raises
-``UnbalancedBraces`` instead of producing a skewed model.
+``UnbalancedBraces`` instead of producing a skewed model, and a class
+header that reaches a closer or end of file before its ``{`` raises
+``MissingClassBody``.
 
 A class records one parent name: the ``extends`` target when present,
 otherwise the first ``implements`` target. That single-parent reading
@@ -34,6 +44,7 @@ from pathlib import Path
 
 from .errors import (
     CodeforestError,
+    MissingClassBody,
     MissingClassName,
     RootNotFound,
     UnbalancedBraces,
@@ -58,15 +69,16 @@ _MODIFIERS = frozenset(
     transient volatile strictfp default""".split()
 )
 
-# Words after which ``name(`` is not a method call: control keywords,
-# ``new`` (``new Foo(...)`` constructs), and the words that make it a
-# declaration: ``void`` or a primitive return type (a method of an
-# anonymous class) and ``record`` (a local record). All but ``record``
-# are keywords, so no identifier or literal spells them.
+# Keywords after which ``name(`` is not a method call: ``new`` (``new
+# Foo(...)`` constructs), ``return``, and ``void`` or a primitive return
+# type, which make it a declaration even without a body.
 _CALL_BLOCKING_WORDS = frozenset(
-    """new if for while switch catch synchronized return
-    void boolean byte char short int long float double record""".split()
+    "new return void boolean byte char short int long float double".split()
 )
+
+# Tokens after the ``)`` of ``name(...)`` that make it a declaration
+# header rather than a call.
+_HEADER_ENDS = frozenset(("{", "throws", "implements"))
 
 # First words of a class, interface or record declaration.
 _TYPE_WORDS = frozenset(("class", "interface", "record"))
@@ -93,14 +105,6 @@ class CallSite:
     receiver_name: str | None  # only for RECEIVER_NAMED
     arg_count_hint: int
     span: Span
-
-
-@dataclass
-class BodyScan:
-    reads_fields: set[str]
-    writes_fields: set[str]
-    call_sites: list[CallSite]
-    loc: int
 
 
 @dataclass
@@ -176,80 +180,58 @@ def _match_brackets(sig: list[Token]) -> list[int]:
     return partner
 
 
-def scan_method_body(tokens: list[Token], field_names) -> BodyScan:
-    """Scan a brace-delimited method body for field access and calls.
+def _scan_body(sig, partner, body: int, fields, method: MethodDecl) -> None:
+    """Add the field accesses and call sites of the body at ``sig[body]``.
 
-    ``tokens`` is the slice covering the body including both braces;
-    trivia tokens are ignored if present. ``loc`` is the physical line
-    span of the slice. Raises UnbalancedBraces if its brackets do not
-    pair.
+    ``body`` is the index of the body's ``{``. A call site is an
+    identifier directly followed by ``(``, with two exceptions:
 
-    A call site fires for each identifier directly followed by ``(``
-    unless the preceding token is a call-blocking word: a control
-    keyword, ``new`` (``new Foo(...)`` is a construction, not a call),
-    or ``void``, a primitive type or ``record``, which make it a
-    declaration (``void run()`` in an anonymous class, a local
-    ``record R(int x)``).
+    * the word before the identifier is ``new`` (``new Foo(...)``
+      constructs), ``return``, or ``void`` or a primitive type, which
+      make it a declaration (``void run();`` in a local interface);
+    * the group's ``)`` is followed by ``{``, ``throws`` or
+      ``implements``: a declaration header, such as a method of an
+      anonymous or local class (``String toString() {``), a local
+      constructor or record, or ``new a.Foo(...) { ... }``.
+
     The receiver is ``named`` for an ``x.m(...)`` pattern with an
     identifier receiver, ``implicit-this`` for bare and ``this.`` calls,
-    ``other`` for anything else (chained or indexed expressions,
+    and ``other`` for anything else (chained or indexed expressions,
     ``super.`` calls).
 
     A field write is a field name directly followed by an assignment
     operator; a field read is any other occurrence of the name not
-    preceded by a dot.
+    preceded by a dot. The body's braces keep every neighbour looked
+    at inside ``sig``.
     """
-    sig = [t for t in tokens if t.kind not in TRIVIA_KINDS]
-    if tokens:
-        loc = tokens[-1].span.line_end - tokens[0].span.line_start + 1
-    else:
-        loc = 0
-    scan = BodyScan(set(), set(), [], loc)
-    _scan_body(sig, _match_brackets(sig), 0, len(sig), set(field_names), scan)
-    return scan
-
-
-def _scan_body(sig, partner, lo, hi, fields, out) -> None:
-    """Add the field accesses and calls of ``sig[lo:hi]`` to ``out``.
-
-    ``out`` is a BodyScan or a MethodDecl: both hold ``reads_fields``,
-    ``writes_fields`` and ``call_sites``.
-    """
-    reads, writes, calls = out.reads_fields, out.writes_fields, out.call_sites
-    for idx in range(lo, hi):
+    reads, writes, calls = method.reads_fields, method.writes_fields, method.call_sites
+    for idx in range(body + 1, partner[body]):
         tok = sig[idx]
-        if tok.kind == KIND_PUNCTUATION and tok.text == "(" and idx > 0:
-            name_tok = sig[idx - 1]
-            if name_tok.kind != KIND_IDENTIFIER:
-                continue
-            before = sig[idx - 2] if idx >= 2 else None
-            if before is not None and before.text in _CALL_BLOCKING_WORDS:
-                continue
-            calls.append(_call_site(sig, partner, idx, name_tok, before))
-        elif tok.kind == KIND_IDENTIFIER and tok.text in fields:
-            nxt = sig[idx + 1] if idx + 1 < len(sig) else None
-            prv = sig[idx - 1] if idx > 0 else None
+        if tok.kind == KIND_PUNCTUATION and tok.text == "(":
             if (
-                nxt is not None
-                and nxt.kind == KIND_PUNCTUATION
-                and nxt.text in ASSIGNMENT_OPERATORS
+                sig[idx - 1].kind == KIND_IDENTIFIER
+                and sig[idx - 2].text not in _CALL_BLOCKING_WORDS
+                and sig[partner[idx] + 1].text not in _HEADER_ENDS
             ):
+                calls.append(_call_site(sig, partner, idx))
+        elif tok.kind == KIND_IDENTIFIER and tok.text in fields:
+            nxt = sig[idx + 1]
+            if nxt.kind == KIND_PUNCTUATION and nxt.text in ASSIGNMENT_OPERATORS:
                 writes.add(tok.text)
-            elif prv is None or prv.text != ".":
+            elif sig[idx - 1].text != ".":
                 reads.add(tok.text)
 
 
-def _call_site(sig, partner, paren_idx: int, name_tok: Token, before) -> CallSite:
+def _call_site(sig, partner, paren_idx: int) -> CallSite:
+    name_tok = sig[paren_idx - 1]
     receiver_kind = RECEIVER_THIS
     receiver_name = None
-    if before is not None and before.text == ".":
-        owner = sig[paren_idx - 3] if paren_idx >= 3 else None
-        if owner is not None and owner.kind == KIND_IDENTIFIER:
+    if sig[paren_idx - 2].text == ".":
+        owner = sig[paren_idx - 3]
+        if owner.kind == KIND_IDENTIFIER:
             receiver_kind = RECEIVER_NAMED
             receiver_name = owner.text
-        elif owner is not None and owner.kind == KIND_KEYWORD and owner.text == "this":
-            receiver_kind = RECEIVER_THIS
-        else:
+        elif owner.text != "this":
             receiver_kind = RECEIVER_OTHER
 
     return CallSite(
@@ -513,7 +495,8 @@ class _Parser:
         is_interface = kw.text == "interface"
         if not self.at_kind(KIND_IDENTIFIER):
             raise MissingClassName(kw.span)
-        name = prefix + self.take().text
+        name_tok = self.take()
+        name = prefix + name_tok.text
         if self.at("<"):
             self.take_generics()
         fields: list[FieldDecl] = []
@@ -532,7 +515,7 @@ class _Parser:
                 break
         if not self.at("{"):
             # The header ran into the closer of its group or end of file.
-            raise UnbalancedBraces(kw.span)
+            raise MissingClassBody(kw.span, name_tok.text)
 
         if extends_names:
             super_name = extends_names[0]
@@ -550,8 +533,7 @@ class _Parser:
         # bodies are scanned once the class's field list is complete.
         field_names = {f.name for f in fields}
         for method, body in bodies:
-            _scan_body(self.sig, self.partner, body, self.partner[body] + 1,
-                       field_names, method)
+            _scan_body(self.sig, self.partner, body, field_names, method)
 
         out.append(
             ClassDecl(
@@ -698,9 +680,13 @@ class _Parser:
         declared_type = _compact(head[:-1])
         names = [head[-1]]
         # Initializers and array suffixes are skipped up to the next
-        # top-level ``,`` or ``;``.
+        # top-level ``,`` or ``;``. The type after ``new`` is read whole,
+        # so the ``,`` in ``new HashMap<K, V>()`` splits no declarator.
         while True:
-            self.skip_until((",", ";"))
+            self.skip_until((",", ";", "new"))
+            if self.accept("new"):
+                self.read_type_ref()
+                continue
             if not self.accept(","):
                 break
             if self.at_kind(KIND_IDENTIFIER):

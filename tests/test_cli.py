@@ -135,6 +135,22 @@ def test_malformed_config_line_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value'\n"
 
 
+@pytest.mark.parametrize("line", ["s_min = nan", "h1 = inf", "tier_drop = inf"])
+def test_non_finite_config_value_exits_two(tmp_path, capsys, line):
+    # nan once crashed the hex-slot count; inf wrote NaN/Infinity into the glTF.
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "x.gltf"
+    rc = main(["render", TWO_CLASSES, "-o", str(out), "--format", "gltf",
+               "--config", str(cfg)])
+    assert rc == 2
+    key, value = line.split(" = ")
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:1: {key} takes a finite number, got {value!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(root):
         raise ValueError("internal bug")

@@ -90,6 +90,13 @@ def test_non_numeric_value_reports_key():
     assert "s_min" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["h0 = -inf", "c = NaN", "palette.water = 0 0 nan 1"])
+def test_non_finite_numbers_are_rejected(text):
+    with pytest.raises(ConfigSyntaxError) as err:
+        parse_config(text, file_id="render.cfg")
+    assert "finite" in str(err.value) and err.value.exit_code == 2
+
+
 def test_palette_override_applies():
     cfg = parse_config("palette.water = 0.1 0.3 0.9 1.0")
     water = next(m for m in cfg.palette() if m.name == "water")

@@ -123,6 +123,16 @@ def test_unpaired_brackets_are_a_failure(tmp_path, source, line):
     ]
 
 
+def test_class_without_a_body_is_a_failure(tmp_path):
+    write(tmp_path, "Good.java", "class Good { }")
+    write(tmp_path, "Bad.java", "class A {\n  class B\n}\n")
+    result = parse_corpus(tmp_path)
+    assert [u.path for u in result.units] == ["Good.java"]
+    assert result.failures == [
+        ("Bad.java", "MissingClassBody: Bad.java:2: class B has no body")
+    ]
+
+
 _ERROR_NAMES = {
     name for name, value in vars(errors).items()
     if isinstance(value, type) and issubclass(value, CodeforestError)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from codeforest.errors import MissingClassName, UnbalancedBraces
+from codeforest.errors import MissingClassBody, MissingClassName, UnbalancedBraces
 from codeforest.lexer import tokenize
 from codeforest.model import classify_method
 from codeforest.parser import (
@@ -10,7 +10,6 @@ from codeforest.parser import (
     RECEIVER_OTHER,
     RECEIVER_THIS,
     parse_unit,
-    scan_method_body,
 )
 from conftest import FIXTURES
 
@@ -20,7 +19,11 @@ def parse(source: str):
 
 
 def scan(body: str, fields):
-    return scan_method_body(tokenize(body.encode(), "<body>"), fields)
+    """The method whose body is ``body``, in a class declaring ``fields``."""
+    decls = "".join(f"int {name}; " for name in fields)
+    (cls,) = parse(f"class S {{ {decls}void m() {body} }}")
+    (method,) = cls.methods
+    return method
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +304,7 @@ def test_argument_count_hints(args, hint):
 
 def test_body_loc_spans_braces():
     s = scan("{\n a();\n}", [])
-    assert s.loc == 3
+    assert s.body_span.line_end - s.body_span.line_start + 1 == 3
 
 
 def test_unicode_identifiers_are_fields_and_names():
@@ -385,13 +388,50 @@ def test_anonymous_class_methods_are_not_call_sites():
     assert site_tuples(s) == [("go", RECEIVER_THIS, None), ("count", RECEIVER_THIS, None)]
 
 
+def test_anonymous_class_method_with_a_reference_type_is_not_a_call_site():
+    s = scan("{ new Object() { public String toString() { return s; } }; }", [])
+    assert site_tuples(s) == []
+    s = scan("{ new Task() { Object call() throws Exception { go(); } }; }", [])
+    assert site_tuples(s) == [("go", RECEIVER_THIS, None)]
+
+
+def test_local_class_constructor_is_not_a_call_site():
+    s = scan("{ class L { L(int x) { init(x); } } }", [])
+    assert site_tuples(s) == [("init", RECEIVER_THIS, None)]
+
+
+def test_qualified_anonymous_class_is_not_a_call_site():
+    s = scan("{ new pkg.Foo(1) { }; pkg.make(2); }", [])
+    assert site_tuples(s) == [("make", RECEIVER_NAMED, "pkg")]
+
+
+def test_local_record_and_interface_declare_no_call_sites():
+    s = scan(
+        "{ record R(int x) implements Comparable<R> { } "
+        "interface I { void run(); int size(); } }",
+        [],
+    )
+    assert site_tuples(s) == []
+
+
+# ---------------------------------------------------------------------------
+# Field initializers.
+
+def test_generic_construction_in_a_field_initializer():
+    (cls,) = parse(
+        "class A { Map<K, V> m = new HashMap<K, V>(), n; "
+        "Map<K, V> q = new java.util.TreeMap<K, List<V>>(); }"
+    )
+    assert [f.name for f in cls.fields] == ["m", "n", "q"]
+
+
+def test_less_than_in_a_field_initializer_is_a_comparison():
+    (cls,) = parse("class A { boolean a = x < y, b; }")
+    assert [f.name for f in cls.fields] == ["a", "b"]
+
+
 # ---------------------------------------------------------------------------
 # Bracket pairing.
-
-def test_scan_method_body_needs_paired_brackets():
-    with pytest.raises(UnbalancedBraces):
-        scan("{ f(; }", [])
-
 
 def test_generic_type_with_braces_in_an_annotation():
     # ``{`` inside ``<...>`` belongs to the annotation's argument group.
@@ -418,6 +458,12 @@ def test_unclosed_generics_end_at_the_enclosing_closer():
 
 def test_class_header_without_a_body_raises():
     # B's header reaches A's closing brace before any body opens.
-    with pytest.raises(UnbalancedBraces) as err:
+    with pytest.raises(MissingClassBody) as err:
         parse("class A {\n  class B\n}\nclass C { }\n")
     assert err.value.span.line_start == 2
+    assert str(err.value) == "<test>:2: class B has no body"
+
+
+def test_class_header_at_end_of_file_raises():
+    with pytest.raises(MissingClassBody):
+        parse("class A extends B")
