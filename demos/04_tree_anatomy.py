@@ -12,11 +12,12 @@ this demo shows on a real class.
 import tempfile
 from pathlib import Path
 
-from codeforest.geometry import GeometryParams, tree_dimensions
+from codeforest.config import Config
+from codeforest.geometry import tree_dimensions
 from codeforest.model import ClassMetrics
 from codeforest.pipeline import analyze, build_scene
 
-PARAMS = GeometryParams()
+PARAMS = Config()
 
 
 def metrics(loc=50, methods=6, fan_out=0) -> ClassMetrics:

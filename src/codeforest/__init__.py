@@ -17,7 +17,6 @@ Typical use:
 from .config import Config, load_config, parse_config
 from .errors import CodeforestError
 from .geometry import (
-    GeometryParams,
     Material,
     Mesh,
     Scene,
@@ -25,7 +24,7 @@ from .geometry import (
     assemble_scene,
     default_palette,
 )
-from .layout import ForestLayout, LayoutParams, build_layout
+from .layout import ForestLayout, build_layout
 from .model import (
     CodeModel,
     build_model,
@@ -44,8 +43,6 @@ __all__ = [
     "Config",
     "CorpusInfo",
     "ForestLayout",
-    "GeometryParams",
-    "LayoutParams",
     "Material",
     "Mesh",
     "Scene",

@@ -1,5 +1,10 @@
 """Rendering configuration.
 
+``Config`` is the one parameter object: layout (``build_layout`` and
+its stages) and geometry (``tree_dimensions``, ``assemble_scene``) read
+their settings from it directly. Each numeric key takes the type of its
+field's default, ``int`` or ``float``.
+
 Config files are flat ``key = value`` lines; ``#`` starts a comment and
 blank lines are ignored. Unknown keys are rejected rather than skipped
 so typos surface immediately. All numeric knobs must be positive except
@@ -14,26 +19,12 @@ material colors and take four components in [0, 1]:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigSyntaxError, NonPositiveValue, UnknownKey
-from .geometry import GeometryParams, Material, default_palette
-from .layout import LayoutParams
+from .geometry import Material, default_palette
 
-_INT_KEYS = {"seed", "segments"}
-_FLOAT_KEYS = {
-    "s_min",
-    "tier_drop",
-    "base_radius_per_class",
-    "island_margin",
-    "h0",
-    "h1",
-    "r0",
-    "c",
-    "leaf_radius",
-    "canopy_coefficient",
-}
 _PALETTE_NAMES = {m.name for m in default_palette()}
 
 
@@ -55,32 +46,18 @@ class Config:
         default_factory=dict
     )
 
-    def layout_params(self) -> LayoutParams:
-        return LayoutParams(
-            seed=self.seed,
-            s_min=self.s_min,
-            tier_drop=self.tier_drop,
-            base_radius_per_class=self.base_radius_per_class,
-            island_margin=self.island_margin,
-        )
-
-    def geometry_params(self) -> GeometryParams:
-        return GeometryParams(
-            h0=self.h0,
-            h1=self.h1,
-            r0=self.r0,
-            fan_out_gain=self.c,
-            canopy_coefficient=self.canopy_coefficient,
-            leaf_radius=self.leaf_radius,
-            segments=self.segments,
-        )
-
     def palette(self) -> list[Material]:
         materials = default_palette()
         for i, mat in enumerate(materials):
             if mat.name in self.palette_overrides:
                 materials[i] = replace(mat, base_color=self.palette_overrides[mat.name])
         return materials
+
+
+# Numeric key -> int or float, the type of its field's default.
+_NUMERIC_KEYS = {
+    f.name: type(f.default) for f in fields(Config) if type(f.default) in (int, float)
+}
 
 
 def parse_config(text: str, file_id: str = "<config>") -> Config:
@@ -115,7 +92,10 @@ def _apply(cfg: Config, key: str, value: str, where: str) -> None:
                 raise NonPositiveValue(key, component, reason="needs components in [0, 1]")
         cfg.palette_overrides[name] = rgba
         return
-    if key in _INT_KEYS:
+    kind = _NUMERIC_KEYS.get(key)
+    if kind is None:
+        raise UnknownKey(key)
+    if kind is int:
         try:
             number = int(value)
         except ValueError:
@@ -125,15 +105,11 @@ def _apply(cfg: Config, key: str, value: str, where: str) -> None:
                 raise NonPositiveValue(key, number, reason="must be non-negative")
         elif number < 8:
             raise NonPositiveValue(key, number, reason="must be at least 8")
-        setattr(cfg, key, number)
-        return
-    if key in _FLOAT_KEYS:
+    else:
         number = _parse_float(key, value, where)
         if number <= 0.0:
             raise NonPositiveValue(key, number)
-        setattr(cfg, key, number)
-        return
-    raise UnknownKey(key)
+    setattr(cfg, key, number)
 
 
 def _parse_float(key: str, value: str, where: str) -> float:

@@ -4,7 +4,8 @@ Every error carries enough context to point a user at the offending
 input: lexer and parser errors hold a source span, corpus errors hold
 paths, model errors hold the class names involved. ``exit_code`` is
 the CLI's exit status for the error: 2 for usage errors (a missing
-root, an invalid config), 1 for everything else.
+root, an invalid config, a config whose sizes overflow the geometry),
+1 for everything else.
 """
 
 from __future__ import annotations
@@ -117,6 +118,19 @@ class IslandTooSmall(CodeforestError):
             f"package {package!r}: island of radius {radius} cannot hold "
             f"{trees} trees at separation {s_min}"
         )
+
+
+class GeometryOverflow(CodeforestError):
+    """Config values so large that a size or coordinate overflows a float.
+
+    ``what`` names the first island or scene node found to overflow.
+    """
+
+    exit_code = 2
+
+    def __init__(self, what: str):
+        self.what = what
+        super().__init__(f"{what} overflows; the config's sizes are too large")
 
 
 class SceneTooLarge(CodeforestError):

@@ -5,7 +5,9 @@ trunk girth with normalized outgoing calls, canopy radius with the
 square root of the method count, and each method contributes one leaf
 sphere colored by its kind. Islands are terraced cones built from the
 layout's tier heights; channels are flat water ribbons following the
-layout polylines.
+layout polylines. The sizing rules and the tessellation read their
+settings (``h0``, ``h1``, ``r0``, ``c``, ``canopy_coefficient``,
+``leaf_radius``, ``segments``) and the palette from ``Config``.
 
 All meshes store float32 positions/normals and uint32 triangle
 indices. Meshes are shared by exact dimensions: within one
@@ -26,17 +28,20 @@ names:
 
 Same-island channels hang under their island node; channels between
 islands hang under the root. Node order is deterministic: islands in
-package order, trees in class order, then channels.
+package order, trees in class order, then channels. A scene with a
+node translation or mesh position that overflows raises
+``GeometryOverflow`` instead of reaching an exporter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateSegment
+from .errors import DegenerateSegment, GeometryOverflow
 from .layout import (
     GOLDEN_ANGLE,
     ChannelPath,
@@ -55,6 +60,9 @@ from .model import (
     classify_method,
     method_labels,
 )
+
+if TYPE_CHECKING:
+    from .config import Config
 
 CANOPY_MIN_RADIUS = 0.4
 CANOPY_LIFT = 0.7  # canopy centre sits this fraction of its radius above the trunk
@@ -132,17 +140,6 @@ class Scene:
 
 
 @dataclass
-class GeometryParams:
-    h0: float = 1.0
-    h1: float = 0.4
-    r0: float = 0.15
-    fan_out_gain: float = 1.0  # config key "c"
-    canopy_coefficient: float = 0.5
-    leaf_radius: float = 0.12
-    segments: int = 12
-
-
-@dataclass
 class TreeDims:
     trunk_height: float
     trunk_radius: float
@@ -151,7 +148,7 @@ class TreeDims:
 
 
 def tree_dimensions(
-    metrics: ClassMetrics, max_fan_out: int, params: GeometryParams
+    metrics: ClassMetrics, max_fan_out: int, params: Config
 ) -> TreeDims:
     """Metric-driven dimensions for one tree.
 
@@ -162,7 +159,7 @@ def tree_dimensions(
     fan_norm = metrics.fan_out / max_fan_out if max_fan_out > 0 else 0.0
     return TreeDims(
         trunk_height=params.h0 + params.h1 * math.log1p(metrics.loc),
-        trunk_radius=params.r0 * (1.0 + params.fan_out_gain * fan_norm),
+        trunk_radius=params.r0 * (1.0 + params.c * fan_norm),
         canopy_radius=max(
             params.canopy_coefficient * math.sqrt(metrics.method_count),
             CANOPY_MIN_RADIUS,
@@ -197,7 +194,7 @@ def _quad_up(a0, a1, b0, b1):
     return [(a0, b1, b0), (a0, a1, b1)]
 
 
-def build_island_mesh(island: IslandLayout, segments: int, material: int = MAT_ISLAND) -> Mesh:
+def build_island_mesh(island: IslandLayout, segments: int) -> Mesh:
     """Terraced island: one flat annulus per tier plus walls and a cap.
 
     Vertex count is ``segments * 2 * tiers + segments + 1``: an inner
@@ -274,7 +271,7 @@ def build_island_mesh(island: IslandLayout, segments: int, material: int = MAT_I
                 _quad_up(outer_base[u] + k, outer_base[u] + k1,
                          inner_base[u + 1] + k, inner_base[u + 1] + k1)
             )
-    return _as_mesh(verts, norms, tris, material)
+    return _as_mesh(verts, norms, tris, MAT_ISLAND)
 
 
 def _cylinder(radius: float, height: float, segments: int, material: int) -> Mesh:
@@ -345,10 +342,9 @@ def _sphere(radius: float, segments: int, material: int) -> Mesh:
     return _as_mesh(verts, norms, tris, material)
 
 
-def build_channel_mesh(path: ChannelPath, width: float = CHANNEL_WIDTH,
-                       material: int = MAT_WATER,
-                       origin: tuple[float, float] = (0.0, 0.0)) -> Mesh:
-    """Flat water ribbon along the polyline, two triangles per segment.
+def build_channel_mesh(path: ChannelPath, origin: tuple[float, float] = (0.0, 0.0)) -> Mesh:
+    """Flat water ribbon ``CHANNEL_WIDTH`` wide along the polyline, two
+    triangles per segment.
 
     ``origin`` shifts the mesh into a parent node's local frame.
     Raises DegenerateSegment when consecutive points coincide.
@@ -373,7 +369,7 @@ def build_channel_mesh(path: ChannelPath, width: float = CHANNEL_WIDTH,
     fallback = next((d for d in seg_dirs if d is not None), (1.0, 0.0))
     seg_dirs = [d if d is not None else fallback for d in seg_dirs]
 
-    half = width / 2.0
+    half = CHANNEL_WIDTH / 2.0
     ox, oz = origin
     verts = []
     norms = []
@@ -399,7 +395,7 @@ def build_channel_mesh(path: ChannelPath, width: float = CHANNEL_WIDTH,
         r1, l1 = 2 * i + 2, 2 * i + 3
         tris.append((r0, l0, l1))
         tris.append((r0, l1, r1))
-    return _as_mesh(verts, norms, tris, material)
+    return _as_mesh(verts, norms, tris, MAT_WATER)
 
 
 def _shared(memo: dict, build, *args) -> Mesh:
@@ -471,21 +467,23 @@ def build_tree_parts(
     return parts
 
 
+@np.errstate(over="ignore")  # an overflowing float32 cast is reported below
 def assemble_scene(
     model: CodeModel,
     class_metrics: list[ClassMetrics],
     forest: ForestLayout,
-    params: GeometryParams,
-    palette: list[Material] | None = None,
+    params: Config,
 ) -> Scene:
     """Build the full node tree for a laid-out corpus.
 
     ``scene.meshes`` lists each distinct mesh once, in first-use order;
-    tree parts of equal dimensions hold the same mesh index.
+    tree parts of equal dimensions hold the same mesh index. Raises
+    ``GeometryOverflow`` if a node translation or a mesh position is
+    not finite.
     """
     nodes: list[SceneNode] = [SceneNode("forest")]
     meshes: list[Mesh] = []
-    scene = Scene(nodes, meshes, palette if palette is not None else default_palette())
+    scene = Scene(nodes, meshes, params.palette())
     memo: dict = {}
     mesh_index: dict[int, int] = {}  # id(mesh) -> index; `meshes` keeps the ids live
 
@@ -570,7 +568,18 @@ def assemble_scene(
                 mesh=add_mesh(build_channel_mesh(channel)),
             ),
         )
+    _check_finite(scene)
     return scene
+
+
+def _check_finite(scene: Scene) -> None:
+    finite_mesh = [bool(np.isfinite(m.positions).all()) for m in scene.meshes]
+    for node in scene.nodes:
+        if not (
+            all(map(math.isfinite, node.translation))
+            and (node.mesh is None or finite_mesh[node.mesh])
+        ):
+            raise GeometryOverflow(f"node {node.name!r}")
 
 
 def _channel_name(model: CodeModel, channel: ChannelPath, used: dict[str, int]) -> str:

@@ -2,7 +2,8 @@
 
 One island per package, one tree per class, one channel per resolved
 inheritance edge. All coordinates are pure functions of the model and
-the layout parameters (including the seed), with no global random
+the ``Config`` (``seed``, ``s_min``, ``tier_drop``,
+``base_radius_per_class``, ``island_margin``), with no global random
 state: the only randomness is hash-derived jitter keyed on seed,
 package and class names.
 
@@ -27,9 +28,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .errors import IslandTooSmall
+from .errors import GeometryOverflow, IslandTooSmall
 from .model import CodeModel, compute_layers
+
+if TYPE_CHECKING:
+    from .config import Config
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -37,15 +42,6 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # terraces; the rest is flat, plantable ground.
 _WALL_RUN = 0.3
 _EDGE_PAD = 0.08
-
-
-@dataclass
-class LayoutParams:
-    seed: int = 0
-    s_min: float = 2.0
-    tier_drop: float = 1.0
-    base_radius_per_class: float = 1.5
-    island_margin: float = 4.0
 
 
 @dataclass
@@ -102,19 +98,27 @@ def island_rings(radius: float, tiers: int) -> list[tuple[float, float]]:
 
 
 def place_islands(
-    model: CodeModel, layers: list[int], params: LayoutParams
+    model: CodeModel, layers: list[int], params: Config
 ) -> list[IslandLayout]:
     """Size islands from class counts and wind them onto a spiral.
 
     Islands appear in package-name order; the first sits at the
     origin, later ones advance along a golden-angle spiral until they
-    clear every placed island by at least ``island_margin``.
+    clear every placed island by at least ``island_margin``. Raises
+    ``GeometryOverflow`` for a radius that is not finite, or whose
+    squared clearance from a placed island is not: the spiral could
+    never clear it.
     """
     gmax = max(layers, default=0)
     islands: list[IslandLayout] = []
+    widest = 0.0  # largest radius placed so far
     for p, pkg in enumerate(model.packages):
         count = len(pkg.class_indices)
         radius = max(params.base_radius_per_class * math.sqrt(count), 2.0 * params.s_min)
+        reach = radius + widest + params.island_margin
+        if not math.isfinite(radius) or (islands and not math.isfinite(reach * reach)):
+            raise GeometryOverflow(f"island {pkg.name!r}")
+        widest = max(widest, radius)
         member_layers = [layers[i] for i in pkg.class_indices]
         lo, hi = min(member_layers), max(member_layers)
         center = _spiral_slot(islands, radius, params)
@@ -132,7 +136,7 @@ def place_islands(
 
 
 def _spiral_slot(
-    placed: list[IslandLayout], radius: float, params: LayoutParams
+    placed: list[IslandLayout], radius: float, params: Config
 ) -> tuple[float, float]:
     if not placed:
         return (0.0, 0.0)
@@ -159,7 +163,7 @@ def place_trees(
     island: IslandLayout,
     model: CodeModel,
     layers: list[int],
-    params: LayoutParams,
+    params: Config,
     global_max_layer: int,
 ) -> list[TreePlacement]:
     """Position one tree per class on the island's terraces."""
@@ -275,7 +279,7 @@ def route_channels(
     model: CodeModel,
     layers: list[int],
     trees: list[TreePlacement],
-    params: LayoutParams,
+    params: Config,
     global_max_layer: int,
 ) -> list[ChannelPath]:
     """One downhill polyline per resolved inheritance edge.
@@ -312,7 +316,7 @@ def route_channels(
     return channels
 
 
-def build_layout(model: CodeModel, params: LayoutParams) -> ForestLayout:
+def build_layout(model: CodeModel, params: Config) -> ForestLayout:
     """Full layout pass: layers, islands, trees, channels."""
     layers = compute_layers(model)
     gmax = max(layers, default=0)

@@ -69,11 +69,13 @@ _MODIFIERS = frozenset(
     transient volatile strictfp default""".split()
 )
 
-# Keywords after which ``name(`` is not a method call: ``new`` (``new
-# Foo(...)`` constructs), ``return``, and ``void`` or a primitive return
-# type, which make it a declaration even without a body.
+# Tokens after which ``name(`` is not a method call: ``new`` (``new
+# Foo(...)`` constructs), ``return``, and ``void``, a primitive return
+# type or the ``]`` of an array type, which make it a declaration even
+# without a body. An identifier other than ``yield`` blocks too (see
+# ``_scan_body``).
 _CALL_BLOCKING_WORDS = frozenset(
-    "new return void boolean byte char short int long float double".split()
+    "new return void boolean byte char short int long float double ]".split()
 )
 
 # Tokens after the ``)`` of ``name(...)`` that make it a declaration
@@ -186,9 +188,14 @@ def _scan_body(sig, partner, body: int, fields, method: MethodDecl) -> None:
     ``body`` is the index of the body's ``{``. A call site is an
     identifier directly followed by ``(``, with two exceptions:
 
-    * the word before the identifier is ``new`` (``new Foo(...)``
-      constructs), ``return``, or ``void`` or a primitive type, which
-      make it a declaration (``void run();`` in a local interface);
+    * the token before the identifier is ``new`` (``new Foo(...)``
+      constructs) or ``return``; or it ends a return type, which makes
+      ``name(`` a declaration even without a body (``void run();``,
+      ``String name();`` or ``int[] arr();`` in a local interface):
+      ``void``, a primitive type, ``]``, or an identifier other than
+      the contextual ``yield`` (``yield compute(f);`` is a call). A
+      generic return type (``List<String> all();``) still reads as a
+      call, as its ``>`` may as well be a comparison;
     * the group's ``)`` is followed by ``{``, ``throws`` or
       ``implements``: a declaration header, such as a method of an
       anonymous or local class (``String toString() {``), a local
@@ -208,9 +215,11 @@ def _scan_body(sig, partner, body: int, fields, method: MethodDecl) -> None:
     for idx in range(body + 1, partner[body]):
         tok = sig[idx]
         if tok.kind == KIND_PUNCTUATION and tok.text == "(":
+            before = sig[idx - 2]
             if (
                 sig[idx - 1].kind == KIND_IDENTIFIER
-                and sig[idx - 2].text not in _CALL_BLOCKING_WORDS
+                and before.text not in _CALL_BLOCKING_WORDS
+                and (before.kind != KIND_IDENTIFIER or before.text == "yield")
                 and sig[partner[idx] + 1].text not in _HEADER_ENDS
             ):
                 calls.append(_call_site(sig, partner, idx))

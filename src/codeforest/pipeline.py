@@ -60,16 +60,10 @@ def analyze(root: str | Path) -> CorpusInfo:
 
 def layout_corpus(info: CorpusInfo, config: Config | None = None) -> ForestLayout:
     cfg = config if config is not None else Config()
-    return build_layout(info.model, cfg.layout_params())
+    return build_layout(info.model, cfg)
 
 
 def build_scene(info: CorpusInfo, config: Config | None = None) -> Scene:
     """Lay out the corpus and assemble the full scene graph."""
     cfg = config if config is not None else Config()
-    return assemble_scene(
-        info.model,
-        info.class_metrics,
-        layout_corpus(info, cfg),
-        cfg.geometry_params(),
-        palette=cfg.palette(),
-    )
+    return assemble_scene(info.model, info.class_metrics, layout_corpus(info, cfg), cfg)

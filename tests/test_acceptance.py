@@ -15,7 +15,7 @@ import pytest
 
 from codeforest.cli import main
 from codeforest.exporters.gltf import build_gltf
-from codeforest.layout import LayoutParams
+from codeforest.config import Config
 from codeforest.model import classify_method
 from codeforest.pipeline import analyze, build_scene, layout_corpus
 
@@ -23,7 +23,7 @@ import oracles
 import synth
 from conftest import CORPUS_NAMES, FIXTURES, corpus, scene
 
-S_MIN = LayoutParams().s_min
+S_MIN = Config().s_min
 ANNOTATION_CLASSES = {
     "AbstractXYAnnotation",
     "CategoryAnnotation",

@@ -1,6 +1,8 @@
 """Tests for the codeforest command line interface."""
 
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -147,6 +149,49 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, line):
     key, value = line.split(" = ")
     assert capsys.readouterr().err == (
         f"error: {cfg}:1: {key} takes a finite number, got {value!r}\n"
+    )
+    assert not out.exists()
+
+
+class Hung(Exception):
+    """Raised by ``deadline``; not an OSError, which ``main`` would catch."""
+
+
+@contextmanager
+def deadline(seconds):
+    def hang(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "fixture, line, what",
+    [
+        # An infinite island radius once kept the spiral searching forever.
+        ("multipkg", "s_min = 1e308", "island 'base'"),
+        # A finite radius whose squared clearance overflows did the same.
+        ("multipkg", "base_radius_per_class = 1e308", "island 'ext'"),
+        # An infinite trunk once wrote Infinity and NaN into the glTF.
+        ("calls", "h1 = 1e308", "node 'trunk:app.Audit'"),
+    ],
+)
+def test_overflowing_config_exits_two(tmp_path, capsys, fixture, line, what):
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "x.gltf"
+    with deadline(1.0):
+        rc = main(["render", str(FIXTURES / fixture), "-o", str(out),
+                   "--format", "gltf", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {what} overflows; the config's sizes are too large\n"
     )
     assert not out.exists()
 

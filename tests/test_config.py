@@ -1,5 +1,9 @@
 """Config file parsing and validation."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from codeforest.config import Config, load_config, parse_config
@@ -35,8 +39,8 @@ def test_every_numeric_key_parses():
     assert cfg.seed == 3
     assert cfg.s_min == 2.5
     assert cfg.segments == 16
-    assert cfg.layout_params().tier_drop == 0.8
-    assert cfg.geometry_params().fan_out_gain == 0.9
+    assert cfg.tier_drop == 0.8
+    assert cfg.c == 0.9
 
 
 def test_negative_s_min_is_rejected():
@@ -137,7 +141,34 @@ def test_load_config_reads_files(tmp_path):
 
 def test_defaults_match_documented_values():
     cfg = Config()
-    assert cfg.layout_params().s_min == 2.0
-    assert cfg.layout_params().tier_drop == 1.0
-    assert cfg.geometry_params().segments == 12
-    assert cfg.geometry_params().h0 == 1.0
+    assert cfg.s_min == 2.0
+    assert cfg.tier_drop == 1.0
+    assert cfg.segments == 12
+    assert cfg.h0 == 1.0
+
+
+NUMERIC_FIELDS = [
+    f for f in dataclasses.fields(Config) if type(f.default) in (int, float)
+]
+
+
+def test_every_numeric_field_round_trips_a_non_default_value():
+    values = {
+        f.name: f.default + 9 if type(f.default) is int else f.default * 2.0 + 0.25
+        for f in NUMERIC_FIELDS
+    }
+    cfg = parse_config("".join(f"{name} = {value}\n" for name, value in values.items()))
+    for name, value in values.items():
+        got = getattr(cfg, name)
+        assert (got, type(got)) == (value, type(value)), name
+
+
+def test_readme_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration", 1)[1].split("\n\n| key", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[2:]
+    listed = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    keys = {f.name for f in NUMERIC_FIELDS} | {"palette.<material>"}
+    others = {f.name for f in dataclasses.fields(Config)} - {f.name for f in NUMERIC_FIELDS}
+    assert others == {"palette_overrides"}
+    assert listed == keys

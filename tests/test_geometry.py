@@ -2,18 +2,23 @@
 
 import copy
 import dataclasses
+import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from codeforest.errors import DegenerateSegment, InheritanceCycle
+from codeforest.errors import CodeforestError, DegenerateSegment, InheritanceCycle
 from codeforest.exporters.mel import mel_text
 from codeforest.exporters.obj import obj_text
 from codeforest.geometry import (
     CANOPY_LIFT,
     CANOPY_MIN_RADIUS,
-    GeometryParams,
+    CHANNEL_WIDTH,
     Scene,
     SceneNode,
     assemble_scene,
@@ -24,10 +29,12 @@ from codeforest.geometry import (
     tree_dimensions,
     world_transforms,
 )
-from codeforest.layout import ChannelPath, IslandLayout, build_layout, LayoutParams
+from codeforest.config import Config, parse_config
+from codeforest.layout import ChannelPath, IslandLayout
 from codeforest.model import ClassMetrics
 from codeforest.pipeline import analyze, build_scene
 from conftest import CORPUS_NAMES, FIXTURES, corpus, scene
+import oracles
 import synth
 
 
@@ -130,9 +137,9 @@ def test_channel_normals_point_up():
 
 
 def test_channel_ribbon_width():
-    mesh = build_channel_mesh(channel((0, 0, 0), (4, 0, 0)), width=0.5)
+    mesh = build_channel_mesh(channel((0, 0, 0), (4, 0, 0)))
     z = mesh.positions[:, 2]
-    assert float(z.max() - z.min()) == pytest.approx(0.5)
+    assert float(z.max() - z.min()) == pytest.approx(CHANNEL_WIDTH)
 
 
 def test_zero_length_channel_raises():
@@ -152,12 +159,12 @@ def test_channel_origin_shift():
 # Tree sizing.
 
 def test_trunk_height_formula():
-    dims = tree_dimensions(metrics(loc=10), 0, GeometryParams())
+    dims = tree_dimensions(metrics(loc=10), 0, Config())
     assert dims.trunk_height == pytest.approx(1.0 + 0.4 * math.log(11))
 
 
 def test_trunk_height_grows_with_loc():
-    params = GeometryParams()
+    params = Config()
     heights = [
         tree_dimensions(metrics(loc=n), 0, params).trunk_height
         for n in (1, 5, 20, 100, 1000)
@@ -167,7 +174,7 @@ def test_trunk_height_grows_with_loc():
 
 
 def test_trunk_radius_normalises_fan_out():
-    params = GeometryParams()
+    params = Config()
     thin = tree_dimensions(metrics(fan_out=0), 8, params)
     thick = tree_dimensions(metrics(fan_out=8), 8, params)
     assert thin.trunk_radius == pytest.approx(0.15)
@@ -175,14 +182,14 @@ def test_trunk_radius_normalises_fan_out():
 
 
 def test_zero_max_fan_out_means_base_radius():
-    dims = tree_dimensions(metrics(fan_out=0), 0, GeometryParams())
+    dims = tree_dimensions(metrics(fan_out=0), 0, Config())
     assert dims.trunk_radius == pytest.approx(0.15)
 
 
 def test_canopy_radius_floor():
-    small = tree_dimensions(metrics(methods=0), 0, GeometryParams())
+    small = tree_dimensions(metrics(methods=0), 0, Config())
     assert small.canopy_radius == CANOPY_MIN_RADIUS
-    big = tree_dimensions(metrics(methods=16), 0, GeometryParams())
+    big = tree_dimensions(metrics(methods=16), 0, Config())
     assert big.canopy_radius == pytest.approx(0.5 * 4.0)
 
 
@@ -190,7 +197,7 @@ def test_canopy_radius_floor():
 # Tree parts.
 
 def make_parts(methods=3, kinds=None, loc=10):
-    dims = tree_dimensions(metrics(loc=loc, methods=methods), 0, GeometryParams())
+    dims = tree_dimensions(metrics(loc=loc, methods=methods), 0, Config())
     labels = [f"m{i}" for i in range(methods)]
     kinds = kinds or ["other"] * methods
     return build_tree_parts("pkg.K", labels, kinds, dims, 12, {}), dims
@@ -412,3 +419,61 @@ def test_shared_mesh_arrays_are_read_only():
     for array in (mesh.positions, mesh.normals, mesh.indices):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# Random valid configs.
+
+@functools.lru_cache(maxsize=None)
+def synth_info(seed):
+    # A cache, not a fixture: hypothesis would print a fixture's corpora
+    # with every failing example.
+    with tempfile.TemporaryDirectory() as tmp:
+        synth.generate(seed, Path(tmp))
+        return analyze(tmp)
+
+
+# Sizes stay within [0.05, 50]: wider island radii make the spiral slow.
+_CONFIG_LINES = st.fixed_dictionaries(
+    {
+        f.name: (
+            st.integers(min_value=0) if f.name == "seed"
+            else st.integers(8, 24) if f.name == "segments"
+            else st.floats(0.05, 50.0)
+        )
+        for f in dataclasses.fields(Config)
+        if f.name != "palette_overrides"
+    }
+).map(lambda values: "".join(f"{key} = {value!r}\n" for key, value in values.items()))
+
+
+# No shrinking: an example can take 0.4 s (narrow margins, wide islands),
+# so shrinking a failure would run for minutes. It is reported as drawn.
+@settings(max_examples=60, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(seed=st.integers(0, 5), text=_CONFIG_LINES)
+def test_random_valid_configs_give_sound_scenes(seed, text):
+    """A valid config gives a typed error or a scene whose trunks keep
+    ``s_min`` apart, whose channels never climb and whose coordinates
+    are all finite."""
+    cfg = parse_config(text)
+    try:
+        sc = build_scene(synth_info(seed), cfg)
+    except CodeforestError:
+        return
+    assert np.isfinite(world_transforms(sc)).all()
+    assert all(np.isfinite(m.positions).all() for m in sc.meshes)
+    for child in sc.nodes[sc.root].children:
+        island = sc.nodes[child]
+        if not island.name.startswith("island:"):
+            continue
+        trunks = [
+            (sc.nodes[i].translation[0], sc.nodes[i].translation[2])
+            for i in island.children
+            if sc.nodes[i].name.startswith("tree:")
+        ]
+        assert oracles.min_pair_distance(trunks) >= cfg.s_min - 1e-9
+    for node in sc.nodes:
+        if node.name.startswith("channel:"):
+            ys = sc.meshes[node.mesh].positions[::2, 1]  # one vertex pair per point
+            assert (np.diff(ys) <= 0.0).all(), node.name

@@ -5,11 +5,8 @@ import math
 import pytest
 
 import oracles
-from codeforest.layout import (
-    LayoutParams,
-    build_layout,
-    island_rings,
-)
+from codeforest.config import Config
+from codeforest.layout import build_layout, island_rings
 from codeforest.lexer import tokenize
 from codeforest.model import build_model, resolve_calls, resolve_inheritance
 from codeforest.parser import CorpusUnit, parse_unit
@@ -29,7 +26,7 @@ def make_model(*sources):
 
 
 def layout_of(model, **overrides):
-    return build_layout(model, LayoutParams(**overrides))
+    return build_layout(model, Config(**overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +51,7 @@ def test_islands_keep_their_margin():
     model = make_model(
         *(f"package p{i};\nclass C{i} {{ }}" for i in range(6))
     )
-    params = LayoutParams()
+    params = Config()
     layout = layout_of(model)
     for i, a in enumerate(layout.islands):
         for b in layout.islands[i + 1:]:

@@ -414,6 +414,22 @@ def test_local_record_and_interface_declare_no_call_sites():
     assert site_tuples(s) == []
 
 
+def test_bodiless_methods_with_reference_and_array_types_are_declarations():
+    s = scan("{ interface I { String name(); int[] arr(); } }", [])
+    assert site_tuples(s) == []
+
+
+def test_yield_call_is_a_call_site():
+    s = scan("{ int v = switch (k) { default -> { yield compute(f); } }; }", [])
+    assert site_tuples(s) == [("compute", RECEIVER_THIS, None)]
+
+
+def test_generic_bodiless_method_still_reads_as_a_call():
+    # ``>`` may close a type or be a comparison, so it blocks nothing.
+    s = scan("{ interface I { List<String> all(); } }", [])
+    assert site_tuples(s) == [("all", RECEIVER_THIS, None)]
+
+
 # ---------------------------------------------------------------------------
 # Field initializers.
 
