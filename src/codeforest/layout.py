@@ -21,10 +21,24 @@ most ``0.25 * s_min``. If that leaves two trunks closer than
 re-gridded hexagonally (nearest slots to the centre go to the lowest
 layers), so the separation invariant holds for any corpus that
 physically fits its island.
+
+Island placement and the tree separation check cost about n log n,
+not n², and make the same decisions, float for float, as the all-pairs
+scans they replace (the tests keep those scans as oracles). Islands sit
+on the first golden-angle spiral point that clears every placed island.
+Each spiral search resumes at the largest point taken by an island no
+wider than the new one: every earlier point was blocked for that
+island, and stays blocked for a wider one, because the clearance
+``need`` rounds monotonically in the radius. Clearance and separation
+tests look only at a uniform grid's neighbouring cells (``_Grid``). A
+cell is at least as wide as the largest distance that can fail a test
+on one axis, and cells are numbered by monotone rounding, so no failing
+neighbour is skipped.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -103,25 +117,77 @@ def place_islands(
     """Size islands from class counts and wind them onto a spiral.
 
     Islands appear in package-name order; the first sits at the
-    origin, later ones advance along a golden-angle spiral until they
-    clear every placed island by at least ``island_margin``. Raises
-    ``GeometryOverflow`` for a radius that is not finite, or whose
-    squared clearance from a placed island is not: the spiral could
-    never clear it.
+    origin, each later one at the first point ``t = 1, 2, ...`` of a
+    golden-angle spiral that clears every placed island by at least
+    ``island_margin`` (``dx*dx + dz*dz >= need*need``). Raises
+    ``GeometryOverflow``, before any island is placed, for the first
+    radius that is not finite, or whose squared clearance from an
+    earlier island is not: the spiral could never clear it.
+
+    Two shortcuts keep that choice and skip only work whose outcome is
+    known:
+
+    * The search for an island starts at the largest ``t`` taken so
+      far by an island no wider than it. Every point before that ``t``
+      was blocked for the narrower island by an island that is still
+      placed, and ``need`` never shrinks as ``radius`` grows (float
+      addition and multiplication round monotonically), so it is
+      blocked for this one too. The ``t`` itself is tested again: an
+      island sits there, but ``need * need`` may underflow to 0.
+    * A point is tested only against the islands a ``_Grid`` holds
+      near it. Its cell side is at least the largest ``need`` of any
+      pair, and a blocking island is closer than its ``need`` on each
+      axis.
     """
     gmax = max(layers, default=0)
-    islands: list[IslandLayout] = []
-    widest = 0.0  # largest radius placed so far
-    for p, pkg in enumerate(model.packages):
+    margin = params.island_margin
+    radii: list[float] = []
+    widest = 0.0  # largest radius so far
+    for pkg in model.packages:
         count = len(pkg.class_indices)
         radius = max(params.base_radius_per_class * math.sqrt(count), 2.0 * params.s_min)
-        reach = radius + widest + params.island_margin
-        if not math.isfinite(radius) or (islands and not math.isfinite(reach * reach)):
+        reach = radius + widest + margin
+        if not math.isfinite(radius) or (radii and not math.isfinite(reach * reach)):
             raise GeometryOverflow(f"island {pkg.name!r}")
         widest = max(widest, radius)
+        radii.append(radius)
+
+    gain = max(1.0, 0.5 * margin)
+    # A side of at least ``gain`` keeps every cell number small.
+    grid = _Grid(max(2.0 * widest + margin, gain) * (1.0 + 1e-6))
+    # Where searches resume: radii ascending, each with the largest t
+    # taken by an island of that radius or less, so t ascends too.
+    resume_r: list[float] = []
+    resume_t: list[int] = []
+    islands: list[IslandLayout] = []
+    for p, (pkg, radius) in enumerate(zip(model.packages, radii)):
+        if islands:
+            at = bisect.bisect_right(resume_r, radius)
+            t = resume_t[at - 1] - 1 if at else 0
+            while True:
+                t += 1
+                r = gain * math.sqrt(t)
+                x = r * math.cos(t * GOLDEN_ANGLE)
+                z = r * math.sin(t * GOLDEN_ANGLE)
+                for cx, cz, other in grid.near(x, z):
+                    dx = x - cx
+                    dz = z - cz
+                    need = radius + other + margin
+                    if dx * dx + dz * dz < need * need:
+                        break
+                else:
+                    break
+            at = end = bisect.bisect_left(resume_r, radius)
+            while end < len(resume_t) and resume_t[end] <= t:
+                end += 1
+            resume_r[at:end] = [radius]
+            resume_t[at:end] = [t]
+            center = (x, z)
+        else:
+            center = (0.0, 0.0)
+        grid.add(*center, (*center, radius))
         member_layers = [layers[i] for i in pkg.class_indices]
         lo, hi = min(member_layers), max(member_layers)
-        center = _spiral_slot(islands, radius, params)
         islands.append(
             IslandLayout(
                 package_index=p,
@@ -135,28 +201,31 @@ def place_islands(
     return islands
 
 
-def _spiral_slot(
-    placed: list[IslandLayout], radius: float, params: Config
-) -> tuple[float, float]:
-    if not placed:
-        return (0.0, 0.0)
-    gain = max(1.0, 0.5 * params.island_margin)
-    t = 1
-    while True:
-        r = gain * math.sqrt(t)
-        x = r * math.cos(t * GOLDEN_ANGLE)
-        z = r * math.sin(t * GOLDEN_ANGLE)
-        ok = True
-        for isl in placed:
-            dx = x - isl.center[0]
-            dz = z - isl.center[1]
-            need = radius + isl.radius + params.island_margin
-            if dx * dx + dz * dz < need * need:
-                ok = False
-                break
-        if ok:
-            return (x, z)
-        t += 1
+class _Grid:
+    """Items at points in the plane, bucketed in square cells.
+
+    ``near(x, z)`` yields every item whose point lies within ``side``
+    of ``(x, z)`` on both axes, and perhaps a few more: it scans the
+    cells from that of ``x - side`` to that of ``x + side`` on each
+    axis. Rounding is monotone, so a point between the two ends has a
+    cell between them too, at any magnitude; in practice that is the
+    3x3 block around ``(x, z)``.
+    """
+
+    def __init__(self, side: float) -> None:
+        self.side = side
+        self.cells: dict[tuple[int, int], list] = {}
+
+    def add(self, x: float, z: float, item) -> None:
+        key = (math.floor(x / self.side), math.floor(z / self.side))
+        self.cells.setdefault(key, []).append(item)
+
+    def near(self, x: float, z: float):
+        side, cells = self.side, self.cells
+        zs = range(math.floor((z - side) / side), math.floor((z + side) / side) + 1)
+        for i in range(math.floor((x - side) / side), math.floor((x + side) / side) + 1):
+            for j in zs:
+                yield from cells.get((i, j), ())
 
 
 def place_trees(
@@ -223,15 +292,26 @@ def place_trees(
     ]
 
 
-def _min_separation(points: list[tuple[float, float]]) -> float:
-    best = math.inf
-    for i in range(len(points)):
-        xi, zi = points[i]
-        for j in range(i + 1, len(points)):
-            dx = xi - points[j][0]
-            dz = zi - points[j][1]
-            best = min(best, math.hypot(dx, dz))
-    return best
+def _too_close(points: list[tuple[float, float]], s_min: float) -> bool:
+    """Whether some two points are closer than ``s_min``.
+
+    Makes the all-pairs test ``math.hypot(dx, dz) < s_min``, but only
+    on the pairs a ``_Grid`` leaves, and stops at the first close one.
+    A close pair is less than ``s_min`` apart on each axis; the cell
+    side's ``1e-6`` slack covers the last bit of ``hypot``. A point
+    with a non-finite coordinate is close to nothing under that test,
+    so it is left out; the side grows with the points' extent, so no
+    cell number overflows.
+    """
+    finite = [p for p in points if math.isfinite(p[0]) and math.isfinite(p[1])]
+    extent = max((abs(c) for p in finite for c in p), default=0.0)
+    grid = _Grid(max(s_min * (1.0 + 1e-6), extent * 2.0**-40))
+    for x, z in finite:
+        for px, pz in grid.near(x, z):
+            if math.hypot(x - px, z - pz) < s_min:
+                return True
+        grid.add(x, z, (x, z))
+    return False
 
 
 def _enforce_separation(
@@ -239,7 +319,7 @@ def _enforce_separation(
 ) -> dict[int, tuple[float, float]]:
     order = sorted(rel)
     pts = [rel[i] for i in order]
-    if _min_separation(pts) >= s_min:
+    if not _too_close(pts, s_min):
         return rel
 
     # First remedy: scale everything radially outward from the centre.
@@ -248,7 +328,7 @@ def _enforce_separation(
     while factor * 1.06 * max_r <= 0.96 * radius:
         factor *= 1.06
         scaled = [(x * factor, z * factor) for x, z in pts]
-        if _min_separation(scaled) >= s_min:
+        if not _too_close(scaled, s_min):
             return dict(zip(order, scaled))
 
     # Last resort: hexagonal slots, nearest-to-centre first.

@@ -199,7 +199,10 @@ def _scan_body(sig, partner, body: int, fields, method: MethodDecl) -> None:
     * the group's ``)`` is followed by ``{``, ``throws`` or
       ``implements``: a declaration header, such as a method of an
       anonymous or local class (``String toString() {``), a local
-      constructor or record, or ``new a.Foo(...) { ... }``.
+      constructor or record, or ``new a.Foo(...) { ... }``;
+    * the name is an annotation's, plain or qualified: ``@`` comes
+      before it, or before the ``a.b.`` that qualifies it
+      (``@SuppressWarnings("u") int a;``, ``@java.lang.Deprecated()``).
 
     The receiver is ``named`` for an ``x.m(...)`` pattern with an
     identifier receiver, ``implicit-this`` for bare and ``this.`` calls,
@@ -221,6 +224,7 @@ def _scan_body(sig, partner, body: int, fields, method: MethodDecl) -> None:
                 and before.text not in _CALL_BLOCKING_WORDS
                 and (before.kind != KIND_IDENTIFIER or before.text == "yield")
                 and sig[partner[idx] + 1].text not in _HEADER_ENDS
+                and not _names_annotation(sig, idx - 1)
             ):
                 calls.append(_call_site(sig, partner, idx))
         elif tok.kind == KIND_IDENTIFIER and tok.text in fields:
@@ -229,6 +233,14 @@ def _scan_body(sig, partner, body: int, fields, method: MethodDecl) -> None:
                 writes.add(tok.text)
             elif sig[idx - 1].text != ".":
                 reads.add(tok.text)
+
+
+def _names_annotation(sig, name_idx: int) -> bool:
+    """Whether ``sig[name_idx]`` ends an ``@name`` or ``@a.b.name``."""
+    at = name_idx - 1
+    while sig[at].text == "." and sig[at - 1].kind == KIND_IDENTIFIER:
+        at -= 2
+    return sig[at].text == "@"
 
 
 def _call_site(sig, partner, paren_idx: int) -> CallSite:

@@ -29,6 +29,8 @@ JAVA_KEYWORDS = frozenset(
     """.split()
 )
 
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
 _WORD = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 # Characters that can directly precede a call in an expression. A word
@@ -85,13 +87,26 @@ def _word_ending_at(src: str, i: int) -> str | None:
     return src[j + 1 : i + 1]
 
 
+def _annotation_chain(src: str, dot: int) -> bool:
+    """Whether the `a.b.` ending at `src[dot]` follows an `@`."""
+    while dot >= 0 and src[dot] == ".":
+        end = _prev_nonspace(src, dot - 1)
+        word = _word_ending_at(src, end)
+        if word is None:
+            return False
+        dot = _prev_nonspace(src, end - len(word))
+    return dot >= 0 and src[dot] == "@"
+
+
 def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
     """All call sites in a file as (callee, receiver_kind, receiver).
 
     Works directly on scrubbed characters: a call is a non-keyword word
     followed by `(` whose preceding non-space character is expression
     punctuation. Declarations, `new Foo(...)` and keyword-blocked calls
-    such as `return foo()` all have a word character there instead.
+    such as `return foo()` all have a word character there instead, and
+    an annotation `@Foo(...)` has `@`; a qualified `@a.b.Foo(...)` is
+    skipped by walking its dotted chain back to the `@`.
     """
     src = scrub(text)
     sites = []
@@ -109,6 +124,8 @@ def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
             continue
         if src[p] != ".":
             sites.append((name, "implicit-this", None))
+            continue
+        if _annotation_chain(src, p):
             continue
         owner = _word_ending_at(src, _prev_nonspace(src, p - 1))
         if owner is None:
@@ -161,6 +178,30 @@ def min_pair_distance(points: list[tuple[float, float]]) -> float:
             dz = points[i][1] - points[j][1]
             best = min(best, math.hypot(dx, dz))
     return best
+
+
+def spiral_slot(placed, radius: float, params) -> tuple[float, float]:
+    """Island centre by the linear scan: every spiral point from t = 1,
+    each tested against every placed island."""
+    if not placed:
+        return (0.0, 0.0)
+    gain = max(1.0, 0.5 * params.island_margin)
+    t = 1
+    while True:
+        r = gain * math.sqrt(t)
+        x = r * math.cos(t * GOLDEN_ANGLE)
+        z = r * math.sin(t * GOLDEN_ANGLE)
+        ok = True
+        for isl in placed:
+            dx = x - isl.center[0]
+            dz = z - isl.center[1]
+            need = radius + isl.radius + params.island_margin
+            if dx * dx + dz * dz < need * need:
+                ok = False
+                break
+        if ok:
+            return (x, z)
+        t += 1
 
 
 def worst_channel_rise(layout) -> float:

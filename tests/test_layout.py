@@ -1,14 +1,31 @@
 """Spatial layout: island sizing, tree placement, channel routing."""
 
 import math
+import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from codeforest import layout as layout_mod
 from codeforest.config import Config
-from codeforest.layout import build_layout, island_rings
+from codeforest.layout import (
+    IslandLayout,
+    _too_close,
+    build_layout,
+    island_rings,
+    place_islands,
+    place_trees,
+)
 from codeforest.lexer import tokenize
-from codeforest.model import build_model, resolve_calls, resolve_inheritance
+from codeforest.model import (
+    PackageRecord,
+    build_model,
+    resolve_calls,
+    resolve_inheritance,
+)
 from codeforest.parser import CorpusUnit, parse_unit
 from codeforest.pipeline import layout_corpus
 from conftest import CORPUS_NAMES, corpus
@@ -27,6 +44,32 @@ def make_model(*sources):
 
 def layout_of(model, **overrides):
     return build_layout(model, Config(**overrides))
+
+
+def packages_of(sizes):
+    """A bare model with one package per size, named in order."""
+    packages, first = [], 0
+    for p, size in enumerate(sizes):
+        packages.append(PackageRecord(f"p{p:04d}", list(range(first, first + size))))
+        first += size
+    classes = [SimpleNamespace(name=f"C{i:05d}") for i in range(first)]
+    return SimpleNamespace(packages=packages, classes=classes)
+
+
+def count_grid_work(monkeypatch):
+    """Count grid queries (spiral candidates, trees) and the clearance
+    or pair tests they lead to (items yielded)."""
+    counts = {"queries": 0, "tests": 0}
+    near = layout_mod._Grid.near
+
+    def counted(self, x, z):
+        counts["queries"] += 1
+        for item in near(self, x, z):
+            counts["tests"] += 1
+            yield item
+
+    monkeypatch.setattr(layout_mod._Grid, "near", counted)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +100,56 @@ def test_islands_keep_their_margin():
         for b in layout.islands[i + 1:]:
             d = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
             assert d >= a.radius + b.radius + params.island_margin - 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 20), min_size=2, max_size=8),
+    s_min=st.floats(0.05, 2.0),
+    island_margin=st.floats(0.1, 6.0),
+    base=st.floats(0.05, 2.0),
+)
+@example(sizes=[9, 1, 16, 1, 4, 20, 1, 9], s_min=0.5, island_margin=1.0, base=1.5)
+@example(sizes=[1, 1, 20, 1, 1, 20, 2, 2], s_min=2.0, island_margin=4.0, base=1.5)
+# need * need underflows to 0 here, so an island's own t does not block the next.
+@example(sizes=[1, 1, 1, 2], s_min=1e-200, island_margin=1e-200, base=1e-200)
+def test_island_centres_match_the_linear_spiral_scan(sizes, s_min, island_margin, base):
+    # Radii go up and down, so searches resume from narrower islands'
+    # points and restart below wider ones'.
+    params = Config(s_min=s_min, island_margin=island_margin, base_radius_per_class=base)
+    islands = place_islands(packages_of(sizes), [0] * sum(sizes), params)
+    for p, island in enumerate(islands):
+        assert island.center == oracles.spiral_slot(islands[:p], island.radius, params)
+
+
+def test_island_and_tree_work_grows_near_linearly(monkeypatch):
+    # Four times the packages (or trees on one island) must cost less
+    # than six times the spiral candidates and clearance tests (or pair
+    # tests); the linear scans grew about 16x.
+    counts = count_grid_work(monkeypatch)
+    params = Config()
+
+    def island_work(packages):
+        rng = random.Random(packages)
+        sizes = [rng.choice((4, 5, 6)) for _ in range(packages)]
+        counts.update(queries=0, tests=0)
+        place_islands(packages_of(sizes), [0] * sum(sizes), params)
+        return dict(counts)
+
+    def tree_work(n):
+        # One tier, roomy enough that no pair is close: every tree is
+        # checked, none stops the scan early.
+        island = IslandLayout(0, (0.0, 0.0), 2.5 * math.sqrt(n), 0, 0, [0.0])
+        counts.update(queries=0, tests=0)
+        place_trees(island, packages_of([n]), [0] * n, params, 0)
+        assert counts["queries"] == n
+        return dict(counts)
+
+    pairs = ((island_work(100), island_work(400)), (tree_work(250), tree_work(1000)))
+    for small, large in pairs:
+        assert large["queries"] > 0 and large["tests"] > 0
+        for key in ("queries", "tests"):
+            assert large[key] < 6 * small[key], (key, small, large)
 
 
 def test_tier_heights_are_global():
@@ -138,6 +231,32 @@ def test_seed_moves_trees_on_a_roomy_island():
     assert [t.position for t in a.trees] != [t.position for t in b.trees]
     for layout in (a, b):
         assert oracles.min_pair_distance([t.position for t in layout.trees]) >= 2.0 - 1e-9
+
+
+@st.composite
+def point_sets(draw):
+    s_min = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.01, 5.0))
+    side = s_min * (1.0 + 1e-6)  # the grid's cell side
+    coord = st.one_of(
+        st.integers(-8, 8).map(lambda k: k * s_min),  # pairs exactly s_min apart
+        st.integers(-8, 8).map(lambda k: k * side),  # points on cell boundaries
+        st.floats(-20.0, 20.0),
+        st.sampled_from([math.inf, -math.inf]),
+    )
+    points = draw(st.lists(st.tuples(coord, coord), max_size=30))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=3))  # duplicates
+    return points, s_min
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+@example(([(0.0, 0.0), (2.0, 0.0), (0.0, -2.0), (-2.0, 2.0)], 2.0))
+@example(([(1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)], 0.5))
+@example(([(1e10, 0.0), (-1e10, 3.0), (1e10, 0.0)], 1e-300))  # x / s_min overflows
+def test_too_close_matches_the_all_pairs_scan(case):
+    points, s_min = case
+    assert _too_close(points, s_min) == (oracles.min_pair_distance(points) < s_min)
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,16 @@ def test_generic_bodiless_method_still_reads_as_a_call():
     assert site_tuples(s) == [("all", RECEIVER_THIS, None)]
 
 
+def test_annotations_with_arguments_in_a_body_are_not_call_sites():
+    s = scan(
+        '{ @SuppressWarnings("u") int a = 1; '
+        "@java.lang.SuppressWarnings({\"a\", \"b\"}) int b = f(a); "
+        "@Deprecated() Runnable r = x.run(); }",
+        [],
+    )
+    assert site_tuples(s) == [("f", RECEIVER_THIS, None), ("run", RECEIVER_NAMED, "x")]
+
+
 # ---------------------------------------------------------------------------
 # Field initializers.
 
