@@ -12,18 +12,20 @@ views need no padding.
 Nodes keep their scene names; a translation is emitted only when it
 differs from the default, matching the glTF schema's minItems rules
 (empty top-level arrays are omitted entirely).
+
+The file is the text of ``json.dumps(doc, indent=2)`` plus a newline,
+written by ``jsontext.json_text`` rather than by json's pure-Python
+indenting encoder.
 """
 
 from __future__ import annotations
 
 import base64
-import json
 from pathlib import Path
-
-import numpy as np
 
 from ..errors import SceneTooLarge
 from ..geometry import Scene
+from .jsontext import json_text
 
 _ARRAY_BUFFER = 34962
 _ELEMENT_ARRAY_BUFFER = 34963
@@ -34,6 +36,8 @@ _MAX_COUNT = 0xFFFFFFFF
 
 def build_gltf(scene: Scene) -> dict:
     """Assemble the glTF document as a plain dict (JSON-ready)."""
+    import numpy as np
+
     buffer = bytearray()
     buffer_views: list[dict] = []
     accessors: list[dict] = []
@@ -149,5 +153,4 @@ def _material_json(material) -> dict:
 
 
 def export_gltf(scene: Scene, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(build_gltf(scene), indent=2) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(json_text(build_gltf(scene)) + "\n", encoding="utf-8")

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from ..geometry import Scene, world_transforms
 
 
 def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
+    import numpy as np
+
     transforms = world_transforms(scene)
     chunks = []
     if mtl_name is not None:

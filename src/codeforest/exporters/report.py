@@ -4,41 +4,18 @@ Fixed top-level key order (corpus, totals, packages, classes,
 inheritance_edges, call_edges, unresolved_supers) and fixed float
 formatting (%.4f for cohesion) so byte-identical inputs yield
 byte-identical reports. Class and method names are fully qualified;
-call edges use overload labels (``draw``, ``draw#2``).
+call edges use overload labels (``draw``, ``draw#2``). The text, laid
+out as ``json.dumps(indent=2)`` lays it out, is written by
+``jsontext.json_text``.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..model import METHOD_KINDS, method_labels
 from ..pipeline import CorpusInfo
-
-
-def _render(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [
-            f"{inner}{json.dumps(key)}: {_render(item, indent + 1)}"
-            for key, item in value.items()
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        rows = [f"{inner}{_render(item, indent + 1)}" for item in value]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.4f" % value
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(value)
+from .jsontext import json_text
 
 
 def report_dict(info: CorpusInfo) -> dict:
@@ -106,7 +83,7 @@ def report_dict(info: CorpusInfo) -> dict:
 
 
 def report_text(info: CorpusInfo) -> str:
-    return _render(report_dict(info), 0) + "\n"
+    return json_text(report_dict(info), float_text="%.4f".__mod__) + "\n"
 
 
 def export_report(info: CorpusInfo, path: str | Path) -> None:

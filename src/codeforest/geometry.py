@@ -10,7 +10,9 @@ settings (``h0``, ``h1``, ``r0``, ``c``, ``canopy_coefficient``,
 ``leaf_radius``, ``segments``) and the palette from ``Config``.
 
 All meshes store float32 positions/normals and uint32 triangle
-indices. Meshes are shared by exact dimensions: within one
+indices. numpy is imported by the functions that build or read those
+arrays, not by this module, so a run that builds no scene (``analyze``)
+never loads it. Meshes are shared by exact dimensions: within one
 ``assemble_scene`` call, trunks, canopies and leaves with the same
 dimensions, segment count and material get one ``Mesh`` whose index
 several nodes hold, so every leaf of a kind and every canopy of a given
@@ -39,8 +41,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import DegenerateSegment, GeometryOverflow
 from .layout import (
     GOLDEN_ANGLE,
@@ -62,6 +62,8 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .config import Config
 
 CANOPY_MIN_RADIUS = 0.4
@@ -169,6 +171,8 @@ def tree_dimensions(
 
 
 def _as_mesh(verts, norms, tris, material: int) -> Mesh:
+    import numpy as np
+
     positions = np.asarray(verts, dtype=np.float64)
     normals = np.asarray(norms, dtype=np.float64)
     lengths = np.linalg.norm(normals, axis=1, keepdims=True)
@@ -467,7 +471,6 @@ def build_tree_parts(
     return parts
 
 
-@np.errstate(over="ignore")  # an overflowing float32 cast is reported below
 def assemble_scene(
     model: CodeModel,
     class_metrics: list[ClassMetrics],
@@ -481,6 +484,8 @@ def assemble_scene(
     ``GeometryOverflow`` if a node translation or a mesh position is
     not finite.
     """
+    import numpy as np
+
     nodes: list[SceneNode] = [SceneNode("forest")]
     meshes: list[Mesh] = []
     scene = Scene(nodes, meshes, params.palette())
@@ -515,64 +520,69 @@ def assemble_scene(
         else:
             cross_channels.append(channel)
 
-    for island in forest.islands:
-        pkg = model.packages[island.package_index]
-        island_node = add_node(
-            0,
-            SceneNode(
-                f"island:{pkg.name}",
-                translation=(island.center[0], 0.0, island.center[1]),
-                mesh=add_mesh(build_island_mesh(island, params.segments)),
-            ),
-        )
-        for class_index in pkg.class_indices:
-            cls = model.classes[class_index]
-            placement = tree_by_class[class_index]
-            qualified = model.qualified_name(class_index)
-            dims = tree_dimensions(class_metrics[class_index], max_fan_out, params)
-            kinds = [classify_method(m, cls.simple_name) for m in cls.methods]
-            tree_node = add_node(
-                island_node,
+    # Every float32 cast happens in here; one that overflows is
+    # reported by _check_finite, not warned about.
+    with np.errstate(over="ignore"):
+        for island in forest.islands:
+            pkg = model.packages[island.package_index]
+            island_node = add_node(
+                0,
                 SceneNode(
-                    f"tree:{qualified}",
-                    translation=(
-                        placement.position[0] - island.center[0],
-                        placement.trunk_base_y,
-                        placement.position[1] - island.center[1],
-                    ),
+                    f"island:{pkg.name}",
+                    translation=(island.center[0], 0.0, island.center[1]),
+                    mesh=add_mesh(build_island_mesh(island, params.segments)),
                 ),
             )
-            for part in build_tree_parts(
-                qualified, method_labels(cls), kinds, dims, params.segments, memo
-            ):
-                add_node(
-                    tree_node,
-                    SceneNode(part.name, translation=part.translation,
-                              mesh=add_mesh(part.mesh)),
+            for class_index in pkg.class_indices:
+                cls = model.classes[class_index]
+                placement = tree_by_class[class_index]
+                qualified = model.qualified_name(class_index)
+                dims = tree_dimensions(class_metrics[class_index], max_fan_out, params)
+                kinds = [classify_method(m, cls.simple_name) for m in cls.methods]
+                tree_node = add_node(
+                    island_node,
+                    SceneNode(
+                        f"tree:{qualified}",
+                        translation=(
+                            placement.position[0] - island.center[0],
+                            placement.trunk_base_y,
+                            placement.position[1] - island.center[1],
+                        ),
+                    ),
                 )
-        for channel in local_channels.get(island.package_index, ()):
+                for part in build_tree_parts(
+                    qualified, method_labels(cls), kinds, dims, params.segments, memo
+                ):
+                    add_node(
+                        tree_node,
+                        SceneNode(part.name, translation=part.translation,
+                                  mesh=add_mesh(part.mesh)),
+                    )
+            for channel in local_channels.get(island.package_index, ()):
+                add_node(
+                    island_node,
+                    SceneNode(
+                        _channel_name(model, channel, channel_names),
+                        mesh=add_mesh(
+                            build_channel_mesh(channel, origin=island.center)
+                        ),
+                    ),
+                )
+        for channel in cross_channels:
             add_node(
-                island_node,
+                0,
                 SceneNode(
                     _channel_name(model, channel, channel_names),
-                    mesh=add_mesh(
-                        build_channel_mesh(channel, origin=island.center)
-                    ),
+                    mesh=add_mesh(build_channel_mesh(channel)),
                 ),
             )
-    for channel in cross_channels:
-        add_node(
-            0,
-            SceneNode(
-                _channel_name(model, channel, channel_names),
-                mesh=add_mesh(build_channel_mesh(channel)),
-            ),
-        )
     _check_finite(scene)
     return scene
 
 
 def _check_finite(scene: Scene) -> None:
+    import numpy as np
+
     finite_mesh = [bool(np.isfinite(m.positions).all()) for m in scene.meshes]
     for node in scene.nodes:
         if not (

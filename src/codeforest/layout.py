@@ -331,7 +331,10 @@ def _enforce_separation(
         if not _too_close(scaled, s_min):
             return dict(zip(order, scaled))
 
-    # Last resort: hexagonal slots, nearest-to-centre first.
+    # Last resort: hexagonal slots, nearest-to-centre first. Their sort
+    # key squares coordinates up to the radius.
+    if not math.isfinite(radius * radius):
+        raise GeometryOverflow(f"island {package!r}")
     slots = _hex_slots(radius * 0.95, s_min * 1.05)
     if len(slots) < len(order):
         slots = _hex_slots(radius * 0.97, s_min * 1.0005)

@@ -2,6 +2,7 @@
 
 import json
 import signal
+import warnings
 from contextlib import contextmanager
 
 import pytest
@@ -180,13 +181,22 @@ def deadline(seconds):
         ("multipkg", "base_radius_per_class = 1e308", "island 'ext'"),
         # An infinite trunk once wrote Infinity and NaN into the glTF.
         ("calls", "h1 = 1e308", "node 'trunk:app.Audit'"),
+        # Finite as a float64, infinite once cast to float32: the cast
+        # must neither warn nor reach the file.
+        ("calls", "h1 = 1e39", "node 'trunk:app.Audit'"),
+        # Hexagonal tree slots once squared coordinates past the float
+        # range in their sort key.
+        ("jfreechart_annotations",
+         "base_radius_per_class = 4.6e307\ns_min = 8e307",
+         "island 'org.jfree.chart.annotations'"),
     ],
 )
 def test_overflowing_config_exits_two(tmp_path, capsys, fixture, line, what):
     cfg = tmp_path / "render.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     out = tmp_path / "x.gltf"
-    with deadline(1.0):
+    with deadline(1.0), warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["render", str(FIXTURES / fixture), "-o", str(out),
                    "--format", "gltf", "--config", str(cfg)])
     assert rc == 2
