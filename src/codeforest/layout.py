@@ -29,7 +29,9 @@ on the first golden-angle spiral point that clears every placed island.
 Each spiral search resumes at the largest point taken by an island no
 wider than the new one: every earlier point was blocked for that
 island, and stays blocked for a wider one, because the clearance
-``need`` rounds monotonically in the radius. Clearance and separation
+``need`` rounds monotonically in the radius. It also starts past the
+points that lie well inside the origin island's clearance, however
+many a large size puts there. Clearance and separation
 tests look only at a uniform grid's neighbouring cells (``_Grid``). A
 cell is at least as wide as the largest distance that can fail a test
 on one axis, and cells are numbered by monotone rounding, so no failing
@@ -122,11 +124,21 @@ def place_islands(
     ``island_margin`` (``dx*dx + dz*dz >= need*need``). Raises
     ``GeometryOverflow``, before any island is placed, for the first
     radius that is not finite, or whose squared clearance from an
-    earlier island is not: the spiral could never clear it.
+    earlier island is not: the spiral could never clear it. It does so
+    too for a radius whose search would start at ``t = 2**53`` or
+    later, where consecutive spiral points are no longer distinct
+    floats.
 
-    Two shortcuts keep that choice and skip only work whose outcome is
-    known:
+    Three shortcuts keep that choice and skip only work whose outcome
+    is known:
 
+    * The search for an island starts past every ``t`` whose point the
+      origin island surely blocks: ``gain * sqrt(t)``, the point's
+      distance from the origin, is at most ``need * (1 - 1e-12)`` for
+      the ``need`` between the two. ``dx*dx + dz*dz`` rounds by about
+      1e-15 of itself, far less, so each of those points fails the
+      exact test. Without this a large size walks about ``(need /
+      gain)**2`` blocked points, ``10**12`` for a ``1e6`` radius.
     * The search for an island starts at the largest ``t`` taken so
       far by an island no wider than it. Every point before that ``t``
       was blocked for the narrower island by an island that is still
@@ -141,7 +153,10 @@ def place_islands(
     """
     gmax = max(layers, default=0)
     margin = params.island_margin
+    gain = max(1.0, 0.5 * margin)
     radii: list[float] = []
+    # The last t whose point the origin island surely blocks, per island.
+    origin_blocks: list[int] = []
     widest = 0.0  # largest radius so far
     for pkg in model.packages:
         count = len(pkg.class_indices)
@@ -149,10 +164,13 @@ def place_islands(
         reach = radius + widest + margin
         if not math.isfinite(radius) or (radii and not math.isfinite(reach * reach)):
             raise GeometryOverflow(f"island {pkg.name!r}")
+        blocked = _origin_blocks(radius + radii[0] + margin, gain) if radii else 0
+        if blocked >= 2**53:
+            raise GeometryOverflow(f"island {pkg.name!r}")
         widest = max(widest, radius)
         radii.append(radius)
+        origin_blocks.append(blocked)
 
-    gain = max(1.0, 0.5 * margin)
     # A side of at least ``gain`` keeps every cell number small.
     grid = _Grid(max(2.0 * widest + margin, gain) * (1.0 + 1e-6))
     # Where searches resume: radii ascending, each with the largest t
@@ -163,7 +181,7 @@ def place_islands(
     for p, (pkg, radius) in enumerate(zip(model.packages, radii)):
         if islands:
             at = bisect.bisect_right(resume_r, radius)
-            t = resume_t[at - 1] - 1 if at else 0
+            t = max(resume_t[at - 1] - 1 if at else 0, origin_blocks[p])
             while True:
                 t += 1
                 r = gain * math.sqrt(t)
@@ -199,6 +217,24 @@ def place_islands(
             )
         )
     return islands
+
+
+def _origin_blocks(need: float, gain: float) -> int:
+    """The largest ``t`` with ``gain * sqrt(t) <= need * (1 - 1e-12)``, or 0.
+
+    ``gain * sqrt(t)`` never falls as ``t`` grows, so every smaller ``t``
+    passes the test too. From ``2**53`` on, the estimate is returned as
+    it is: ``t`` and ``t + 1`` may be the same float there.
+    """
+    bound = need * (1.0 - 1e-12)
+    t = math.floor((bound / gain) ** 2)
+    if t >= 2**53:
+        return t
+    while t > 0 and gain * math.sqrt(t) > bound:
+        t -= 1
+    while gain * math.sqrt(t + 1) <= bound:
+        t += 1
+    return t
 
 
 class _Grid:

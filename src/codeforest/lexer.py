@@ -5,11 +5,24 @@ Every byte of the input lands in exactly one token, so concatenating
 property is what lets later stages report spans (line and byte ranges)
 without keeping a second copy of the source.
 
-The scanner is one alternation regex, ``_TOKEN_PATTERN``, with a named
-group per kind; the loop dispatches on the name of the group that
-matched. ``_token_regex`` compiles it once for ASCII text and once, on
-first use, for text with non-ASCII characters. Alternatives are tried
-in order, so the first that matches at a position wins:
+``tokenize`` returns a read-only ``Tokens`` sequence: a table of three
+parallel lists, ``kinds``, ``texts`` and ``starts`` (character offsets),
+with one row per token, trivia included, so ``len()`` is the full token
+count. No ``Token`` or ``Span`` is built while scanning. Indexing or
+iterating builds them on demand, and ``span(i, j)`` gives the span from
+token ``i`` through token ``j``. Lines come from a per-file table of
+line starts (bisect). Byte offsets equal character offsets in an ASCII
+file; in any other file they are converted through a table of its
+non-ASCII characters, and only for the spans asked for.
+
+The scanner is one alternation regex, ``_TOKEN_PATTERN``. Its groups
+name the kinds, but ``_token_regex`` compiles it with every group made
+non-capturing, so ``findall`` returns the token texts directly, and a
+token's kind is read off its text: its first character, then a table of
+whole texts (keywords, ``/`` and ``/=``, and the lone openers that are
+errors). ``_token_regex`` compiles once for ASCII text and once, on
+first use, for text with non-ASCII characters. Alternatives are tried in
+order, so the first that matches at a position wins:
 
 * ``whitespace``     maximal run of blanks, tabs and newlines
 * ``comment``        ``//`` to end of line, or ``/* ... */``
@@ -27,8 +40,8 @@ in order, so the first that matches at a position wins:
 
 Literals must close on their own line (text blocks and block comments
 before end of file); an opening quote or ``/*`` that no alternative can
-close matches one of two error groups and raises, rather than producing
-garbage structure downstream.
+close is a token of its own, and ``tokenize`` raises at the first one
+rather than producing garbage structure downstream.
 """
 
 from __future__ import annotations
@@ -36,7 +49,11 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
 
@@ -49,6 +66,8 @@ KIND_NUMBER = "number-literal"
 KIND_COMMENT = "comment"
 KIND_WHITESPACE = "whitespace"
 
+KINDS = (KIND_KEYWORD, KIND_IDENTIFIER, KIND_PUNCTUATION, KIND_STRING, KIND_CHAR,
+         KIND_NUMBER, KIND_COMMENT, KIND_WHITESPACE)
 TRIVIA_KINDS = frozenset((KIND_COMMENT, KIND_WHITESPACE))
 
 KEYWORDS = frozenset(
@@ -68,8 +87,10 @@ ASSIGNMENT_OPERATORS = frozenset(
 
 # Identifier parts beyond ``[\w$]`` (Character.isJavaIdentifierPart):
 # the ASCII identifier-ignorable controls. Non-ASCII starts and parts are
-# added by ``_token_regex``.
+# added by ``_pattern``.
 _ASCII_EXTRA_PART = r"\x00-\x08\x0e-\x1b\x7f"
+
+_WORD_START = r"(?:[^\W\d]|[$EXTRA_START])"
 
 # ``"(?!"")`` keeps an unclosed text block from lexing as ``""`` plus a
 # string that opens at its third quote: it reaches ``open_literal``.
@@ -80,13 +101,14 @@ _TOKEN_PATTERN = r"""
     | (?P<text_block>\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\")
     | (?P<string>"(?!"")(?:[^"\\\n]|\\.)*")
     | (?P<char>'(?:[^'\\\n]|\\.)*')
-    | (?P<word>(?:[^\W\d]|[$EXTRA_START])[\w$EXTRA_PART]*)
+    | (?P<word>WORD_START[\w$EXTRA_PART]*)
     | (?P<number>[0-9][0-9a-fA-FxXlLpP._]*)
     | (?P<open_comment>/\*)
     | (?P<open_literal>["'])
     | (?P<punctuation>>>>=|>>>|>>=|<<=|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
         |\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|.)
     """
+_FLAGS = re.DOTALL | re.VERBOSE
 
 
 def _ranges(codes: list[int]) -> str:
@@ -101,6 +123,7 @@ def _ranges(codes: list[int]) -> str:
     return "".join(ranges)
 
 
+@functools.cache
 def _non_ascii_classes() -> tuple[str, str]:
     """Class ranges of the non-ASCII identifier starts and parts ``\\w`` misses.
 
@@ -125,32 +148,53 @@ def _non_ascii_classes() -> tuple[str, str]:
 
 
 @functools.cache
-def _token_regex(ascii_only: bool) -> re.Pattern:
-    """The scanner; for non-ASCII text it is built once, on first use.
+def _pattern(ascii_only: bool, pattern: str = _TOKEN_PATTERN) -> str:
+    """``pattern`` with its identifier classes filled in.
 
     ASCII text cannot hold a non-ASCII identifier part, so importing the
     module and tokenizing ASCII sources never pay for the Unicode scan.
     """
     starts, parts = ("", "") if ascii_only else _non_ascii_classes()
-    pattern = _TOKEN_PATTERN.replace("EXTRA_START", starts)
-    return re.compile(pattern.replace("EXTRA_PART", _ASCII_EXTRA_PART + parts),
-                      re.DOTALL | re.VERBOSE)
+    pattern = pattern.replace("WORD_START", _WORD_START).replace("EXTRA_START", starts)
+    return pattern.replace("EXTRA_PART", _ASCII_EXTRA_PART + parts)
 
 
-_KIND_OF_GROUP = {
-    "whitespace": KIND_WHITESPACE,
-    "line_comment": KIND_COMMENT,
-    "block_comment": KIND_COMMENT,
-    "text_block": KIND_STRING,
-    "string": KIND_STRING,
-    "char": KIND_CHAR,
-    "number": KIND_NUMBER,
-    "punctuation": KIND_PUNCTUATION,
-}
-# Only these groups can hold a newline (an escaped one, in literals).
-_MULTILINE_GROUPS = frozenset(
-    ("whitespace", "block_comment", "text_block", "string", "char")
-)
+@functools.cache
+def _token_regex(ascii_only: bool) -> re.Pattern:
+    """The scanner, with every group non-capturing, so that ``findall``
+    returns the token texts."""
+    return re.compile(re.sub(r"\(\?P<\w+>", "(?:", _pattern(ascii_only)), _FLAGS)
+
+
+@functools.cache
+def _word_start() -> re.Pattern:
+    """Matches a character that starts an identifier, non-ASCII ones included."""
+    return re.compile(_pattern(False, _WORD_START))
+
+
+# Kinds that are errors, not tokens: ``tokenize`` raises at the first.
+_OPEN_COMMENT = "open-comment"
+_OPEN_LITERAL = "open-literal"
+
+# A token's kind from its first character, for an ASCII one: no two
+# alternatives of the scanner start with the same ASCII character, but
+# for ``/`` (a comment, or the ``/`` and ``/=`` operators) and the quotes
+# (a literal, or a lone opener), and the fallback takes any character
+# the others do not. Where the first character leaves the kind open,
+# the whole text decides: a keyword, ``/``, ``/=``, or a lone ``/*``,
+# ``"`` or ``'``. A non-ASCII first character starts an identifier or is
+# punctuation on its own (``tokenize`` tells which).
+_KIND_OF_FIRST = dict.fromkeys(map(chr, range(128)), KIND_PUNCTUATION)
+_KIND_OF_FIRST.update(dict.fromkeys(" \t\r\n\f\x0b", KIND_WHITESPACE))
+_KIND_OF_FIRST.update(dict.fromkeys(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", KIND_IDENTIFIER))
+_KIND_OF_FIRST.update(dict.fromkeys("0123456789", KIND_NUMBER))
+_KIND_OF_FIRST.update({"/": KIND_COMMENT, '"': KIND_STRING, "'": KIND_CHAR})
+_KIND_OF_TEXT = dict.fromkeys(KEYWORDS, KIND_KEYWORD)
+_KIND_OF_TEXT.update({"/": KIND_PUNCTUATION, "/=": KIND_PUNCTUATION, "/*": _OPEN_COMMENT,
+                      '"': _OPEN_LITERAL, "'": _OPEN_LITERAL})
+_first_char = itemgetter(0)
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(slots=True)
@@ -171,8 +215,64 @@ class Token:
     span: Span
 
 
-def tokenize(source: bytes, file_id: str = "<memory>") -> list[Token]:
-    """Split ``source`` into a lossless token stream.
+class Tokens(Sequence):
+    """One file's tokens as a read-only table of parallel lists.
+
+    Token ``i`` has kind ``kinds[i]`` and text ``texts[i]`` and starts at
+    character offset ``starts[i]``; ``starts`` ends with one more entry,
+    the length of the text. Indexing, and so iterating, builds each
+    ``Token`` and its ``Span`` on demand.
+    """
+
+    __slots__ = ("file_id", "kinds", "texts", "starts", "_line_starts", "_wide", "_extra")
+
+    def __init__(self, file_id: str, text: str, kinds: list[str], texts: list[str]):
+        self.file_id = file_id
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = list(accumulate(map(len, texts), initial=0))
+        # The offset of each line's first character, then one past the end.
+        self._line_starts = list(
+            accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0)
+        )
+        if text.isascii():
+            self._wide = None  # a character offset is a byte offset
+        else:
+            # Offsets of the non-ASCII characters, and the bytes the first
+            # k of them add beyond one each.
+            self._wide = [m.start() for m in _NON_ASCII.finditer(text)]
+            self._extra = list(accumulate(
+                (len(text[c].encode("utf-8")) - 1 for c in self._wide), initial=0))
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i: int) -> Token:
+        at = range(len(self.texts))[i]  # negative indices count from the end
+        return Token(self.kinds[at], self.texts[at], self.span(at, at))
+
+    def span(self, i: int, j: int) -> Span:
+        """The span from the start of token ``i`` to the end of token ``j``.
+
+        A token's last line is that of its last character, so a trailing
+        newline does not carry it onto the next line.
+        """
+        start = self.starts[i]
+        end = self.starts[j + 1]
+        lines = self._line_starts
+        wide = self._wide
+        if wide is None:
+            byte_start, byte_end = start, end
+        else:
+            extra = self._extra
+            byte_start = start + extra[bisect_left(wide, start)]
+            byte_end = end + extra[bisect_left(wide, end)]
+        return Span(self.file_id, bisect_right(lines, start),
+                    bisect_right(lines, end - 1), byte_start, byte_end)
+
+
+def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
+    """Split ``source`` into a lossless token table.
 
     Raises NonUtf8Input, UnterminatedLiteral or UnterminatedComment.
     """
@@ -181,35 +281,19 @@ def tokenize(source: bytes, file_id: str = "<memory>") -> list[Token]:
     except UnicodeDecodeError as exc:
         raise NonUtf8Input(exc.start, file_id) from None
 
-    # For ASCII text a character offset is a byte offset.
     ascii_only = text.isascii()
-    tokens: list[Token] = []
-    append = tokens.append
-    line = 1
-    byte = 0
-    for m in _token_regex(ascii_only).finditer(text):
-        group = m.lastgroup
-        chunk = m.group()
-        if ascii_only:
-            byte, end = m.span()
-        else:
-            end = byte + len(chunk.encode("utf-8"))
-        if group == "word":
-            kind = KIND_KEYWORD if chunk in KEYWORDS else KIND_IDENTIFIER
-        elif group == "open_comment":
-            raise UnterminatedComment(Span(file_id, line, line, byte, byte))
-        elif group == "open_literal":
-            raise UnterminatedLiteral(Span(file_id, line, line, byte, byte))
-        else:
-            kind = _KIND_OF_GROUP[group]
-        if group in _MULTILINE_GROUPS and "\n" in chunk:
-            newlines = chunk.count("\n")
-            # A trailing newline sits on the line it terminates, so it
-            # does not advance line_end past it.
-            last = line + newlines - (chunk[-1] == "\n")
-            append(Token(kind, chunk, Span(file_id, line, last, byte, end)))
-            line += newlines
-        else:
-            append(Token(kind, chunk, Span(file_id, line, line, byte, end)))
-        byte = end
+    texts = _token_regex(ascii_only).findall(text)
+    by_first = map(_KIND_OF_FIRST.get, map(_first_char, texts))
+    kinds = list(map(_KIND_OF_TEXT.get, texts, by_first))
+    if not ascii_only and None in kinds:
+        is_word = _word_start().match
+        kinds = [kind or (KIND_IDENTIFIER if is_word(t) else KIND_PUNCTUATION)
+                 for kind, t in zip(kinds, texts)]
+    tokens = Tokens(file_id, text, kinds, texts)
+    errors = [kinds.index(k) for k in (_OPEN_COMMENT, _OPEN_LITERAL) if k in kinds]
+    if errors:
+        at = min(errors)
+        span = tokens.span(at, at)
+        span.byte_end = span.byte_start
+        raise (UnterminatedComment if kinds[at] == _OPEN_COMMENT else UnterminatedLiteral)(span)
     return tokens

@@ -40,6 +40,7 @@ inheritance participation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 from .errors import (
@@ -53,10 +54,10 @@ from .lexer import (
     ASSIGNMENT_OPERATORS,
     KIND_IDENTIFIER,
     KIND_KEYWORD,
-    KIND_PUNCTUATION,
+    KINDS,
     TRIVIA_KINDS,
     Span,
-    Token,
+    Tokens,
     tokenize,
 )
 
@@ -88,9 +89,15 @@ _TYPE_WORDS = frozenset(("class", "interface", "record"))
 _PARTNER = {"(": ")", "[": "]", "{": "}"}
 _OPENERS = frozenset(_PARTNER)
 _CLOSERS = frozenset(_PARTNER.values())
+_BRACKETS = _OPENERS | _CLOSERS
 
 # Tokens that end the head (modifiers stripped) of a member declaration.
 _HEAD_ENDS = frozenset(("(", "=", ";", ",", "{", "}"))
+
+_SIGNIFICANT = {kind: kind not in TRIVIA_KINDS for kind in KINDS}
+# Empty entries past the last significant token: a lookahead reads at
+# most two tokens past a cursor at most one past the last token.
+_PAD = 2
 
 
 @dataclass
@@ -151,121 +158,8 @@ class CorpusParse:
     warnings: list[str]
 
 
-def _join(a: Span, b: Span) -> Span:
-    return Span(a.file_id, a.line_start, b.line_end, a.byte_start, b.byte_end)
-
-
-def _compact(tokens: list[Token]) -> str:
-    return "".join(t.text for t in tokens)
-
-
-def _match_brackets(sig: list[Token]) -> list[int]:
-    """Index of each bracket's partner; other entries are unused.
-
-    Raises UnbalancedBraces at the first closer with no partner or of
-    the wrong kind, or at the first opener that never closes.
-    """
-    partner = [0] * len(sig)
-    stack: list[int] = []
-    for i, tok in enumerate(sig):
-        text = tok.text
-        if text in _OPENERS:
-            stack.append(i)
-        elif text in _CLOSERS:
-            if not stack or _PARTNER[sig[stack[-1]].text] != text:
-                raise UnbalancedBraces(tok.span)
-            j = stack.pop()
-            partner[i] = j
-            partner[j] = i
-    if stack:
-        raise UnbalancedBraces(sig[stack[0]].span)
-    return partner
-
-
-def _scan_body(sig, partner, body: int, fields, method: MethodDecl) -> None:
-    """Add the field accesses and call sites of the body at ``sig[body]``.
-
-    ``body`` is the index of the body's ``{``. A call site is an
-    identifier directly followed by ``(``, with two exceptions:
-
-    * the token before the identifier is ``new`` (``new Foo(...)``
-      constructs) or ``return``; or it ends a return type, which makes
-      ``name(`` a declaration even without a body (``void run();``,
-      ``String name();`` or ``int[] arr();`` in a local interface):
-      ``void``, a primitive type, ``]``, or an identifier other than
-      the contextual ``yield`` (``yield compute(f);`` is a call). A
-      generic return type (``List<String> all();``) still reads as a
-      call, as its ``>`` may as well be a comparison;
-    * the group's ``)`` is followed by ``{``, ``throws`` or
-      ``implements``: a declaration header, such as a method of an
-      anonymous or local class (``String toString() {``), a local
-      constructor or record, or ``new a.Foo(...) { ... }``;
-    * the name is an annotation's, plain or qualified: ``@`` comes
-      before it, or before the ``a.b.`` that qualifies it
-      (``@SuppressWarnings("u") int a;``, ``@java.lang.Deprecated()``).
-
-    The receiver is ``named`` for an ``x.m(...)`` pattern with an
-    identifier receiver, ``implicit-this`` for bare and ``this.`` calls,
-    and ``other`` for anything else (chained or indexed expressions,
-    ``super.`` calls).
-
-    A field write is a field name directly followed by an assignment
-    operator; a field read is any other occurrence of the name not
-    preceded by a dot. The body's braces keep every neighbour looked
-    at inside ``sig``.
-    """
-    reads, writes, calls = method.reads_fields, method.writes_fields, method.call_sites
-    for idx in range(body + 1, partner[body]):
-        tok = sig[idx]
-        if tok.kind == KIND_PUNCTUATION and tok.text == "(":
-            before = sig[idx - 2]
-            if (
-                sig[idx - 1].kind == KIND_IDENTIFIER
-                and before.text not in _CALL_BLOCKING_WORDS
-                and (before.kind != KIND_IDENTIFIER or before.text == "yield")
-                and sig[partner[idx] + 1].text not in _HEADER_ENDS
-                and not _names_annotation(sig, idx - 1)
-            ):
-                calls.append(_call_site(sig, partner, idx))
-        elif tok.kind == KIND_IDENTIFIER and tok.text in fields:
-            nxt = sig[idx + 1]
-            if nxt.kind == KIND_PUNCTUATION and nxt.text in ASSIGNMENT_OPERATORS:
-                writes.add(tok.text)
-            elif sig[idx - 1].text != ".":
-                reads.add(tok.text)
-
-
-def _names_annotation(sig, name_idx: int) -> bool:
-    """Whether ``sig[name_idx]`` ends an ``@name`` or ``@a.b.name``."""
-    at = name_idx - 1
-    while sig[at].text == "." and sig[at - 1].kind == KIND_IDENTIFIER:
-        at -= 2
-    return sig[at].text == "@"
-
-
-def _call_site(sig, partner, paren_idx: int) -> CallSite:
-    name_tok = sig[paren_idx - 1]
-    receiver_kind = RECEIVER_THIS
-    receiver_name = None
-    if sig[paren_idx - 2].text == ".":
-        owner = sig[paren_idx - 3]
-        if owner.kind == KIND_IDENTIFIER:
-            receiver_kind = RECEIVER_NAMED
-            receiver_name = owner.text
-        elif owner.text != "this":
-            receiver_kind = RECEIVER_OTHER
-
-    return CallSite(
-        name_tok.text,
-        receiver_kind,
-        receiver_name,
-        _count_items(sig, partner, paren_idx),
-        _join(name_tok.span, sig[partner[paren_idx]].span),
-    )
-
-
-def _count_items(sig, partner, open_idx: int) -> int:
-    """Count the top-level items of the group opened at ``sig[open_idx]``.
+def _count_items(texts, partner, open_idx: int) -> int:
+    """Count the top-level items of the group opened at ``texts[open_idx]``.
 
     That is the top-level commas plus one, or 0 for an empty group.
     """
@@ -274,7 +168,7 @@ def _count_items(sig, partner, open_idx: int) -> int:
     saw_item = False
     j = open_idx + 1
     while j < close:
-        text = sig[j].text
+        text = texts[j]
         if text == ",":
             commas += 1
         else:
@@ -288,45 +182,73 @@ def _count_items(sig, partner, open_idx: int) -> int:
 class _Parser:
     """Cursor over the significant tokens of one compilation unit.
 
-    ``partner`` is the unit's bracket table. Every scan moves either one
-    token at a time or from an opener past its partner, and stops at the
-    closer of the group it is in, so no scan leaves the group it started
-    in.
+    ``kinds`` and ``texts`` hold the significant tokens alone, ``index``
+    the row of each in the unit's ``Tokens`` table, which builds a
+    ``Span`` for a declaration, a call site or an error. Past the last
+    token, ``_PAD`` empty entries let a lookahead read ``""``. ``partner``
+    is the unit's bracket table. Every scan moves either one token at a
+    time or from an opener past its partner, and stops at the closer of
+    the group it is in, so no scan leaves the group it started in.
+
+    A keyword's text is only ever a keyword's, and ``(`` or ``=`` only
+    punctuation, so a test on such a text needs no test on the kind.
     """
 
-    def __init__(self, sig: list[Token]):
-        self.sig = sig
-        self.partner = _match_brackets(sig)
+    def __init__(self, tokens: Tokens):
+        kinds = tokens.kinds
+        keep = list(map(_SIGNIFICANT.__getitem__, kinds))
+        self.tokens = tokens
+        self.index = list(compress(range(len(kinds)), keep))
+        self.n = len(self.index)
+        self.kinds = list(compress(kinds, keep)) + [""] * _PAD
+        self.texts = list(compress(tokens.texts, keep)) + [""] * _PAD
+        self.partner = self.match_brackets()
         self.pos = 0
+
+    def span(self, a: int, b: int) -> Span:
+        """The span from significant token ``a`` through ``b``."""
+        return self.tokens.span(self.index[a], self.index[b])
+
+    def match_brackets(self) -> list[int]:
+        """Index of each bracket's partner; other entries are unused.
+
+        Raises UnbalancedBraces at the first closer with no partner or of
+        the wrong kind, or at the first opener that never closes.
+        """
+        texts = self.texts
+        partner = [0] * self.n
+        stack: list[int] = []
+        for i in compress(range(self.n), map(_BRACKETS.__contains__, texts)):
+            text = texts[i]
+            if text in _OPENERS:
+                stack.append(i)
+            elif not stack or _PARTNER[texts[stack[-1]]] != text:
+                raise UnbalancedBraces(self.span(i, i))
+            else:
+                j = stack.pop()
+                partner[i] = j
+                partner[j] = i
+        if stack:
+            raise UnbalancedBraces(self.span(stack[0], stack[0]))
+        return partner
 
     # -- cursor primitives -------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token | None:
-        i = self.pos + k
-        return self.sig[i] if i < len(self.sig) else None
-
     def at(self, text: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t is not None and t.text == text
+        return self.texts[self.pos + k] == text
 
     def at_kind(self, kind: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t is not None and t.kind == kind
-
-    def take(self) -> Token:
-        t = self.sig[self.pos]
-        self.pos += 1
-        return t
+        return self.kinds[self.pos + k] == kind
 
     def accept(self, text: str) -> bool:
         """Consume the token at the cursor if it is ``text``."""
-        if self.at(text):
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def done(self) -> bool:
-        return self.pos >= len(self.sig)
+        return self.pos >= self.n
 
     # -- skipping helpers ----------------------------------------------------
 
@@ -338,10 +260,10 @@ class _Parser:
 
     def skip_until(self, stops) -> None:
         """Walk to the first token in ``stops`` or closer, jumping over groups."""
-        sig, partner = self.sig, self.partner
+        texts, partner, n = self.texts, self.partner, self.n
         i = self.pos
-        while i < len(sig):
-            text = sig[i].text
+        while i < n:
+            text = texts[i]
             if text in stops or text in _CLOSERS:
                 break
             if text in _OPENERS:
@@ -356,17 +278,16 @@ class _Parser:
             self.skip_group()
         self.accept(";")
 
-    def take_generics(self) -> list[Token]:
+    def take_generics(self) -> None:
         """Consume a ``<...>`` group; ``>>`` and ``>>>`` close 2 and 3 levels.
 
         ``(...)`` and ``[...]`` inside are jumped; ``;``, ``{`` or a closer
-        ends the scan. Returns the consumed tokens, so skipping a group is
-        ignoring them.
+        ends the scan.
         """
-        start = self.pos
+        texts, n = self.texts, self.n
         depth = 0
-        while not self.done():
-            text = self.sig[self.pos].text
+        while self.pos < n:
+            text = texts[self.pos]
             if text == "<":
                 depth += 1
             elif text == ">":
@@ -382,146 +303,151 @@ class _Parser:
             self.pos += 1
             if depth <= 0:
                 break
-        return self.sig[start:self.pos]
 
     # -- declarations ----------------------------------------------------------
 
     def parse_unit_body(self) -> list[ClassDecl]:
+        texts = self.texts
         package = ""
         out: list[ClassDecl] = []
         while not self.done():
-            t = self.peek()
-            if t.kind == KIND_KEYWORD and t.text in ("package", "import"):
-                self.take()
-                if t.text == "package":
+            text = texts[self.pos]
+            if text in ("package", "import"):
+                self.pos += 1
+                if text == "package":
                     package = self.read_type_ref() or ""
                 self.skip_until((";",))
                 self.accept(";")
                 continue
-            start_tok, is_abstract, is_annotation_decl = self.collect_modifiers()
-            t = self.peek()
-            if t is None:
+            start, is_abstract, is_annotation_decl = self.collect_modifiers()
+            if self.done():
                 break
-            if is_annotation_decl or (t.kind == KIND_KEYWORD and t.text == "enum"):
+            text = texts[self.pos]
+            if is_annotation_decl or text == "enum":
                 self.skip_declaration()
                 continue
-            if t.text in _TYPE_WORDS and self.at_type_declaration():
-                self.parse_class(package, "", start_tok, is_abstract, out)
+            if text in _TYPE_WORDS and self.at_type_declaration():
+                self.parse_class(package, "", start, is_abstract, out)
                 continue
             # Not a declaration this subset models: drop one token, or a
             # whole block so we never descend into foreign braces.
-            if t.text == "{":
+            if text == "{":
                 self.skip_group()
             else:
-                self.take()
+                self.pos += 1
         return out
 
     def collect_modifiers(self):
-        """Consume modifiers/annotations; flag ``@interface`` declarations."""
-        start_tok: Token | None = None
+        """Consume modifiers/annotations; flag ``@interface`` declarations.
+
+        Returns the index of the first token consumed (None if none was),
+        whether ``abstract`` was among them, and the flag.
+        """
+        texts = self.texts
+        start: int | None = None
         is_abstract = False
         while not self.done():
-            t = self.peek()
-            if t.kind == KIND_KEYWORD and t.text in _MODIFIERS:
-                tok = self.take()
-                start_tok = start_tok or tok
-                if t.text == "abstract":
+            pos = self.pos
+            text = texts[pos]
+            if text in _MODIFIERS:
+                self.pos += 1
+                if text == "abstract":
                     is_abstract = True
-                continue
-            if t.text in ("sealed", "non") and (width := self.sealed_modifier_width()):
-                start_tok = start_tok or t
+            elif text in ("sealed", "non") and (width := self.sealed_modifier_width()):
                 self.pos += width
-                continue
-            if t.text == "@":
-                if self.at_kind(KIND_KEYWORD, 1) and self.at("interface", 1):
-                    return start_tok or t, is_abstract, True
-                start_tok = start_tok or t
-                self.take()
+            elif text == "@":
+                if texts[pos + 1] == "interface":
+                    return (pos if start is None else start), is_abstract, True
+                self.pos += 1
                 self.read_type_ref()
                 if self.at("("):
                     self.skip_group()
-                continue
-            if t.text == "<":
+            elif text == "<":
                 # Type parameters of a generic method declaration.
-                start_tok = start_tok or t
                 self.take_generics()
-                continue
-            break
-        return start_tok, is_abstract, False
+            else:
+                break
+            if start is None:
+                start = pos
+        return start, is_abstract, False
 
     def sealed_modifier_width(self) -> int:
         """Tokens of a ``sealed`` or ``non-sealed`` modifier at the cursor, or 0.
 
         Both are contextual words, so they count as modifiers only when
         a keyword or an annotation follows; ``non-sealed`` must be
-        written without blanks (the lexer splits it into three tokens).
+        written without blanks (the lexer splits it into three tokens,
+        which must then be adjacent rows of the table).
         """
-        t = self.peek()
-        if t.kind != KIND_IDENTIFIER:
+        pos, texts = self.pos, self.texts
+        if self.kinds[pos] != KIND_IDENTIFIER:
             return 0
-        if t.text == "sealed":
+        if texts[pos] == "sealed":
             width = 1
         elif (
-            t.text == "non"
-            and self.at("-", 1)
-            and self.at("sealed", 2)
-            and t.span.byte_end == self.peek(1).span.byte_start
-            and self.peek(1).span.byte_end == self.peek(2).span.byte_start
+            texts[pos] == "non"
+            and texts[pos + 1] == "-"
+            and texts[pos + 2] == "sealed"
+            and self.index[pos + 2] == self.index[pos] + 2
         ):
             width = 3
         else:
             return 0
-        after = self.peek(width)
-        if after is not None and (after.kind == KIND_KEYWORD or after.text == "@"):
+        after = pos + width
+        if self.kinds[after] == KIND_KEYWORD or texts[after] == "@":
             return width
         return 0
 
     def at_type_declaration(self) -> bool:
         """At ``class``, ``interface`` or ``record Name(`` / ``record Name<``."""
-        t = self.peek()
-        if t.kind == KIND_KEYWORD:
-            return t.text in ("class", "interface")
+        pos, texts, kinds = self.pos, self.texts, self.kinds
+        if kinds[pos] == KIND_KEYWORD:
+            return texts[pos] in ("class", "interface")
         return (
-            t.text == "record"
-            and t.kind == KIND_IDENTIFIER
-            and self.at_kind(KIND_IDENTIFIER, 1)
-            and (self.at("(", 2) or self.at("<", 2))
+            texts[pos] == "record"
+            and kinds[pos] == KIND_IDENTIFIER
+            and kinds[pos + 1] == KIND_IDENTIFIER
+            and texts[pos + 2] in ("(", "<")
         )
 
     def read_type_ref(self) -> str | None:
         """Read ``a.b.C`` with generics and array suffixes stripped."""
         if not self.at_kind(KIND_IDENTIFIER):
             return None
-        parts = [self.take().text]
+        texts = self.texts
+        parts = [texts[self.pos]]
+        self.pos += 1
         while self.at(".") and self.at_kind(KIND_IDENTIFIER, 1):
-            self.take()
-            parts.append(self.take().text)
+            parts.append(texts[self.pos + 1])
+            self.pos += 2
         if self.at("<"):
             self.take_generics()
         while self.at("[") and self.at("]", 1):
-            self.take()
-            self.take()
+            self.pos += 2
         return ".".join(parts)
 
     def parse_class(
         self,
         package: str,
         prefix: str,
-        start_tok: Token | None,
+        start: int | None,
         is_abstract: bool,
         out: list[ClassDecl],
     ) -> None:
-        kw = self.take()  # "class", "interface" or "record"
-        start_tok = start_tok or kw
-        is_interface = kw.text == "interface"
+        texts = self.texts
+        kw = self.pos  # "class", "interface" or "record"
+        self.pos += 1
+        if start is None:
+            start = kw
         if not self.at_kind(KIND_IDENTIFIER):
-            raise MissingClassName(kw.span)
-        name_tok = self.take()
-        name = prefix + name_tok.text
+            raise MissingClassName(self.span(kw, kw))
+        simple_name = texts[self.pos]
+        self.pos += 1
+        name = prefix + simple_name
         if self.at("<"):
             self.take_generics()
         fields: list[FieldDecl] = []
-        if kw.text == "record" and self.at("("):
+        if texts[kw] == "record" and self.at("("):
             self.read_record_components(fields)
 
         extends_names: list[str] = []
@@ -536,7 +462,7 @@ class _Parser:
                 break
         if not self.at("{"):
             # The header ran into the closer of its group or end of file.
-            raise MissingClassBody(kw.span, name_tok.text)
+            raise MissingClassBody(self.span(kw, kw), simple_name)
 
         if extends_names:
             super_name = extends_names[0]
@@ -554,38 +480,40 @@ class _Parser:
         # bodies are scanned once the class's field list is complete.
         field_names = {f.name for f in fields}
         for method, body in bodies:
-            _scan_body(self.sig, self.partner, body, field_names, method)
+            self.scan_body(body, field_names, method)
 
         out.append(
             ClassDecl(
                 name=name,
                 package_name=package,
                 super_name=super_name,
-                is_interface=is_interface,
+                is_interface=texts[kw] == "interface",
                 is_abstract=is_abstract,
                 fields=fields,
                 methods=methods,
-                span=_join(start_tok.span, self.sig[close].span),
+                span=self.span(start, close),
             )
         )
         out.extend(nested)
 
     def read_record_components(self, fields: list[FieldDecl]) -> None:
         """Consume a record header ``(T a, U b)``; each component is a field."""
+        texts = self.texts
         close = self.partner[self.pos]
         self.pos += 1
         while self.pos < close:
-            start_tok, _, _ = self.collect_modifiers()
-            head: list[Token] = []
+            start, _, _ = self.collect_modifiers()
+            head = self.pos
             while self.pos < close and not self.at(","):
                 if self.at("<"):
-                    head.extend(self.take_generics())
+                    self.take_generics()
                 else:
-                    head.append(self.take())
-            if len(head) >= 2 and head[-1].kind == KIND_IDENTIFIER:
+                    self.pos += 1
+            name = self.pos - 1
+            if name > head and self.kinds[name] == KIND_IDENTIFIER:
                 fields.append(
-                    FieldDecl(head[-1].text, _compact(head[:-1]),
-                              _join((start_tok or head[0]).span, head[-1].span))
+                    FieldDecl(texts[name], "".join(texts[head:name]),
+                              self.span(head if start is None else start, name))
                 )
             self.accept(",")
         self.pos = close + 1
@@ -596,7 +524,7 @@ class _Parser:
         while ref is not None:
             names.append(ref)
             if self.at(",") and self.at_kind(KIND_IDENTIFIER, 1):
-                self.take()
+                self.pos += 1
                 ref = self.read_type_ref()
             else:
                 break
@@ -617,46 +545,54 @@ class _Parser:
         cursor past it. Each method with a body goes to ``bodies`` with
         the index of the body's opening brace.
         """
+        texts = self.texts
         close = self.partner[self.pos]
         self.pos += 1
         while self.pos < close:
             if self.accept(";"):
                 continue
-            start_tok, is_abstract, is_annotation_decl = self.collect_modifiers()
-            t = self.sig[self.pos]
-            if is_annotation_decl or (t.kind == KIND_KEYWORD and t.text == "enum"):
+            start, is_abstract, is_annotation_decl = self.collect_modifiers()
+            text = texts[self.pos]
+            if is_annotation_decl or text == "enum":
                 self.skip_declaration()
-            elif t.text in _TYPE_WORDS and self.at_type_declaration():
-                self.parse_class(package, class_name + ".", start_tok, is_abstract, nested)
-            elif t.text == "{":
+            elif text in _TYPE_WORDS and self.at_type_declaration():
+                self.parse_class(package, class_name + ".", start, is_abstract, nested)
+            elif text == "{":
                 # Instance or static initializer block.
                 self.skip_group()
             else:
-                self.parse_member(start_tok, fields, methods, bodies)
+                self.parse_member(start, fields, methods, bodies)
         self.pos = close + 1
         return close
 
-    def parse_member(self, start_tok: Token | None, fields, methods, bodies) -> None:
-        """Parse one field or method declaration after its modifiers."""
-        head: list[Token] = []
-        while (t := self.sig[self.pos]).text not in _HEAD_ENDS:
-            if t.text == "<":
-                head.extend(self.take_generics())
+    def parse_member(self, start: int | None, fields, methods, bodies) -> None:
+        """Parse one field or method declaration after its modifiers.
+
+        Its head (modifiers stripped) is ``texts[head:end]``, the tokens
+        before the first of ``_HEAD_ENDS``.
+        """
+        texts = self.texts
+        head = self.pos
+        while (text := texts[self.pos]) not in _HEAD_ENDS:
+            if text == "<":
+                self.take_generics()
             else:
-                head.append(self.take())
-        if t.text == "}":
+                self.pos += 1
+        if text == "}":
             return
-        start_tok = start_tok or (head[0] if head else t)
-        if t.text == "(":
-            self.finish_method(start_tok, head, methods, bodies)
-        elif t.text == "{":
+        if start is None:
+            start = head
+        if text == "(":
+            self.finish_method(start, head, self.pos, methods, bodies)
+        elif text == "{":
             # A stray block after tokens we did not understand.
             self.skip_group()
         else:
-            self.finish_fields(start_tok, head, fields)
+            self.finish_fields(start, head, self.pos, fields)
 
-    def finish_method(self, start_tok: Token, head: list[Token], methods, bodies) -> None:
-        if not head or head[-1].kind != KIND_IDENTIFIER:
+    def finish_method(self, start: int, head: int, end: int, methods, bodies) -> None:
+        name = end - 1
+        if name < head or self.kinds[name] != KIND_IDENTIFIER:
             # Not a method declaration we model; drop the paren group.
             self.skip_group()
             if self.at("{"):
@@ -664,23 +600,24 @@ class _Parser:
             else:
                 self.accept(";")
             return
-        param_count = _count_items(self.sig, self.partner, self.pos)
+        param_count = _count_items(self.texts, self.partner, self.pos)
         self.skip_group()
         self.skip_until(("{", ";"))  # throws clause and anything else before the body
         body = self.pos if self.at("{") else None
         if body is not None:
-            end_span = self.sig[self.skip_group()].span
+            last = self.skip_group()
         elif self.at(";"):
-            end_span = self.take().span
+            last = self.pos
+            self.pos += 1
         else:
-            end_span = head[-1].span
-        span = _join(start_tok.span, end_span)
+            last = name
+        span = self.span(start, last)
         method = MethodDecl(
-            name=head[-1].text,
+            name=self.texts[name],
             param_count=param_count,
-            return_type=_compact(head[:-1]),
+            return_type="".join(self.texts[head:name]),
             span=span,
-            body_span=None if body is None else _join(self.sig[body].span, end_span),
+            body_span=None if body is None else self.span(body, last),
             loc=span.line_end - span.line_start + 1,
             reads_fields=set(),
             writes_fields=set(),
@@ -690,16 +627,15 @@ class _Parser:
         if body is not None:
             bodies.append((method, body))
 
-    def finish_fields(
-        self, start_tok: Token, head: list[Token], fields: list[FieldDecl]
-    ) -> None:
+    def finish_fields(self, start: int, head: int, end: int, fields: list[FieldDecl]) -> None:
         """Parse ``type a = init, b, c;`` declarator lists."""
-        if not head or head[-1].kind != KIND_IDENTIFIER or len(head) < 2:
+        texts = self.texts
+        if end - head < 2 or self.kinds[end - 1] != KIND_IDENTIFIER:
             self.skip_until((";",))
             self.accept(";")
             return
-        declared_type = _compact(head[:-1])
-        names = [head[-1]]
+        declared_type = "".join(texts[head:end - 1])
+        names = [end - 1]
         # Initializers and array suffixes are skipped up to the next
         # top-level ``,`` or ``;``. The type after ``new`` is read whole,
         # so the ``,`` in ``new HashMap<K, V>()`` splits no declarator.
@@ -711,25 +647,103 @@ class _Parser:
             if not self.accept(","):
                 break
             if self.at_kind(KIND_IDENTIFIER):
-                names.append(self.take())
+                names.append(self.pos)
+                self.pos += 1
         self.accept(";")
-        for name_tok in names:
+        for name in names:
             fields.append(
-                FieldDecl(
-                    name=name_tok.text,
-                    declared_type=declared_type,
-                    span=_join(start_tok.span, name_tok.span),
-                )
+                FieldDecl(name=texts[name], declared_type=declared_type,
+                          span=self.span(start, name))
             )
 
+    # -- method bodies -----------------------------------------------------------
 
-def parse_unit(tokens: list[Token]) -> list[ClassDecl]:
-    """Extract class declarations from one file's token stream.
+    def scan_body(self, body: int, fields, method: MethodDecl) -> None:
+        """Add the field accesses and call sites of the body at ``texts[body]``.
+
+        ``body`` is the index of the body's ``{``. A call site is an
+        identifier directly followed by ``(``, with these exceptions:
+
+        * the token before the identifier is ``new`` (``new Foo(...)``
+          constructs) or ``return``; or it ends a return type, which makes
+          ``name(`` a declaration even without a body (``void run();``,
+          ``String name();`` or ``int[] arr();`` in a local interface):
+          ``void``, a primitive type, ``]``, or an identifier other than
+          the contextual ``yield`` (``yield compute(f);`` is a call). A
+          generic return type (``List<String> all();``) still reads as a
+          call, as its ``>`` may as well be a comparison;
+        * the group's ``)`` is followed by ``{``, ``throws`` or
+          ``implements``: a declaration header, such as a method of an
+          anonymous or local class (``String toString() {``), a local
+          constructor or record, or ``new a.Foo(...) { ... }``;
+        * the name is an annotation's, plain or qualified: ``@`` comes
+          before it, or before the ``a.b.`` that qualifies it
+          (``@SuppressWarnings("u") int a;``, ``@java.lang.Deprecated()``).
+
+        The receiver is ``named`` for an ``x.m(...)`` pattern with an
+        identifier receiver, ``implicit-this`` for bare and ``this.`` calls,
+        and ``other`` for anything else (chained or indexed expressions,
+        ``super.`` calls).
+
+        A field write is a field name directly followed by an assignment
+        operator; a field read is any other occurrence of the name not
+        preceded by a dot. The body's braces keep every neighbour looked
+        at inside the unit.
+        """
+        texts, kinds, partner = self.texts, self.kinds, self.partner
+        reads, writes, calls = method.reads_fields, method.writes_fields, method.call_sites
+        for idx in range(body + 1, partner[body]):
+            text = texts[idx]
+            if text == "(":
+                before = idx - 2
+                if (
+                    kinds[idx - 1] == KIND_IDENTIFIER
+                    and texts[before] not in _CALL_BLOCKING_WORDS
+                    and (kinds[before] != KIND_IDENTIFIER or texts[before] == "yield")
+                    and texts[partner[idx] + 1] not in _HEADER_ENDS
+                    and not self.names_annotation(idx - 1)
+                ):
+                    calls.append(self.call_site(idx))
+            elif text in fields and kinds[idx] == KIND_IDENTIFIER:
+                if texts[idx + 1] in ASSIGNMENT_OPERATORS:
+                    writes.add(text)
+                elif texts[idx - 1] != ".":
+                    reads.add(text)
+
+    def names_annotation(self, name: int) -> bool:
+        """Whether ``texts[name]`` ends an ``@name`` or ``@a.b.name``."""
+        texts, kinds = self.texts, self.kinds
+        at = name - 1
+        while texts[at] == "." and kinds[at - 1] == KIND_IDENTIFIER:
+            at -= 2
+        return texts[at] == "@"
+
+    def call_site(self, paren: int) -> CallSite:
+        texts = self.texts
+        receiver_kind = RECEIVER_THIS
+        receiver_name = None
+        if texts[paren - 2] == ".":
+            owner = paren - 3
+            if self.kinds[owner] == KIND_IDENTIFIER:
+                receiver_kind = RECEIVER_NAMED
+                receiver_name = texts[owner]
+            elif texts[owner] != "this":
+                receiver_kind = RECEIVER_OTHER
+        return CallSite(
+            texts[paren - 1],
+            receiver_kind,
+            receiver_name,
+            _count_items(texts, self.partner, paren),
+            self.span(paren - 1, self.partner[paren]),
+        )
+
+
+def parse_unit(tokens: Tokens) -> list[ClassDecl]:
+    """Extract class declarations from one file's token table.
 
     Outer classes precede their nested classes in the returned list.
     """
-    sig = [t for t in tokens if t.kind not in TRIVIA_KINDS]
-    return _Parser(sig).parse_unit_body()
+    return _Parser(tokens).parse_unit_body()
 
 
 def parse_corpus(root) -> CorpusParse:

@@ -449,3 +449,59 @@ def file_class_loc(text: str) -> list[int]:
             continue
         i += 1
     return locs
+
+
+# The object-building tokenizer loop: one ``Token`` and ``Span`` per
+# match of the scanner's named-group form, its kind from the name of
+# the group that matched, lines and bytes counted as it goes.
+_KIND_OF_GROUP = {
+    "whitespace": "whitespace",
+    "line_comment": "comment",
+    "block_comment": "comment",
+    "text_block": "string-literal",
+    "string": "string-literal",
+    "char": "char-literal",
+    "number": "number-literal",
+    "punctuation": "punctuation",
+}
+# Only these groups can hold a newline (an escaped one, in literals).
+_MULTILINE_GROUPS = frozenset(
+    ("whitespace", "block_comment", "text_block", "string", "char")
+)
+
+
+def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
+    """``lexer.tokenize`` as a list of ``Token``, built one match at a time."""
+    from codeforest import lexer
+    from codeforest.errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
+    from codeforest.lexer import Span, Token
+
+    try:
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NonUtf8Input(exc.start, file_id) from None
+    ascii_only = text.isascii()
+    regex = re.compile(lexer._pattern(ascii_only), lexer._FLAGS)
+    tokens = []
+    line = 1
+    byte = 0
+    for m in regex.finditer(text):
+        group = m.lastgroup
+        chunk = m.group()
+        end = byte + len(chunk.encode("utf-8"))
+        if group == "word":
+            kind = "keyword" if chunk in JAVA_KEYWORDS else "identifier"
+        elif group == "open_comment":
+            raise UnterminatedComment(Span(file_id, line, line, byte, byte))
+        elif group == "open_literal":
+            raise UnterminatedLiteral(Span(file_id, line, line, byte, byte))
+        else:
+            kind = _KIND_OF_GROUP[group]
+        first = line
+        if group in _MULTILINE_GROUPS and "\n" in chunk:
+            line += chunk.count("\n")
+        # A trailing newline sits on the line it terminates.
+        last = line - (line > first and chunk[-1] == "\n")
+        tokens.append(Token(kind, chunk, Span(file_id, first, last, byte, end)))
+        byte = end
+    return tokens

@@ -179,6 +179,9 @@ def deadline(seconds):
         ("multipkg", "s_min = 1e308", "island 'base'"),
         # A finite radius whose squared clearance overflows did the same.
         ("multipkg", "base_radius_per_class = 1e308", "island 'ext'"),
+        # Past 2**53 points from the origin, consecutive spiral points
+        # are the same float, and the search never ends.
+        ("multipkg", "base_radius_per_class = 1e9", "island 'ext'"),
         # An infinite trunk once wrote Infinity and NaN into the glTF.
         ("calls", "h1 = 1e308", "node 'trunk:app.Audit'"),
         # Finite as a float64, infinite once cast to float32: the cast

@@ -23,6 +23,7 @@ from codeforest.lexer import tokenize
 from codeforest.model import (
     PackageRecord,
     build_model,
+    compute_layers,
     resolve_calls,
     resolve_inheritance,
 )
@@ -56,14 +57,16 @@ def packages_of(sizes):
     return SimpleNamespace(packages=packages, classes=classes)
 
 
-def count_grid_work(monkeypatch):
+def count_grid_work(monkeypatch, limit=None):
     """Count grid queries (spiral candidates, trees) and the clearance
-    or pair tests they lead to (items yielded)."""
+    or pair tests they lead to (items yielded). Past ``limit`` queries,
+    fail rather than run on."""
     counts = {"queries": 0, "tests": 0}
     near = layout_mod._Grid.near
 
     def counted(self, x, z):
         counts["queries"] += 1
+        assert limit is None or counts["queries"] <= limit, "too many grid queries"
         for item in near(self, x, z):
             counts["tests"] += 1
             yield item
@@ -113,6 +116,9 @@ def test_islands_keep_their_margin():
 @example(sizes=[1, 1, 20, 1, 1, 20, 2, 2], s_min=2.0, island_margin=4.0, base=1.5)
 # need * need underflows to 0 here, so an island's own t does not block the next.
 @example(sizes=[1, 1, 1, 2], s_min=1e-200, island_margin=1e-200, base=1e-200)
+# Wide islands: each search starts past thousands of points the origin
+# island blocks, and the widest is not the first.
+@example(sizes=[1, 4, 1, 9], s_min=0.5, island_margin=1.0, base=30.0)
 def test_island_centres_match_the_linear_spiral_scan(sizes, s_min, island_margin, base):
     # Radii go up and down, so searches resume from narrower islands'
     # points and restart below wider ones'.
@@ -150,6 +156,16 @@ def test_island_and_tree_work_grows_near_linearly(monkeypatch):
         assert large["queries"] > 0 and large["tests"] > 0
         for key in ("queries", "tests"):
             assert large[key] < 6 * small[key], (key, small, large)
+
+
+def test_a_large_base_radius_skips_the_points_the_origin_island_blocks(monkeypatch):
+    # At 1e6 the origin island blocks about 10**12 spiral points, which
+    # the search once walked one by one.
+    counts = count_grid_work(monkeypatch, limit=50)
+    info = corpus("multipkg")
+    islands = place_islands(info.model, compute_layers(info.model),
+                            Config(base_radius_per_class=1e6))
+    assert len(islands) == 2 and counts["queries"] > 0
 
 
 def test_tier_heights_are_global():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from codeforest.errors import (
     CodeforestError,
     NonUtf8Input,
@@ -19,6 +20,7 @@ from codeforest.lexer import (
     KIND_PUNCTUATION,
     KIND_STRING,
     KIND_WHITESPACE,
+    Span,
     tokenize,
 )
 from conftest import FIXTURES
@@ -260,3 +262,50 @@ def test_tokenize_is_lossless_or_raises(data):
         assert t.span.line_start == data[: t.span.byte_start].count(b"\n") + 1
         assert t.span.line_end == t.span.line_start + t.text[:-1].count("\n")
     assert at == len(data)
+
+
+def _same_as_the_loop(data: bytes) -> None:
+    """``tokenize`` equals the object-building loop, token for token, or
+    both raise the same error type with the same span."""
+    try:
+        expected = oracles.tokenize_by_loop(data, "<diff>")
+    except CodeforestError as exc:
+        with pytest.raises(type(exc)) as err:
+            tokenize(data, "<diff>")
+        assert getattr(err.value, "span", None) == getattr(exc, "span", None)
+        assert str(err.value) == str(exc)
+        return
+    tokens = tokenize(data, "<diff>")
+    assert len(tokens) == len(expected)
+    assert list(tokens) == expected
+    assert [tokens[i] for i in range(-len(tokens), 0)] == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOURCES)
+def test_tokenize_matches_the_object_building_loop(data):
+    _same_as_the_loop(data)
+
+
+# Texts whose kind the first character alone does not decide, and
+# characters at the edges of each alternative.
+@pytest.mark.parametrize("source", [
+    "a /= b / c // d\n/**/ e /* f */", "x = ''; y = '\\''", 'p("", """\n""")',
+    "/*", 'a "', "b '", "@x #y `z \\", "$a _b 9c .5 \x00d \x7f",
+    "\u00a0é² ٣ \u0301x ⁀€", "\t\f\x0b\r\n",
+])
+def test_edge_tokens_match_the_object_building_loop(source):
+    _same_as_the_loop(source.encode())
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.rglob("*.java")), ids=lambda p: p.relative_to(FIXTURES).as_posix()
+)
+def test_fixture_tokens_match_the_object_building_loop(path):
+    _same_as_the_loop(path.read_bytes())
+
+
+def test_span_joins_tokens():
+    tokens = tokenize("é = 1;\nint y;".encode(), "f")
+    assert tokens.span(0, len(tokens) - 1) == Span("f", 1, 2, 0, 14)
+    assert tokens.span(2, 2) == tokens[2].span == Span("f", 1, 1, 3, 4)

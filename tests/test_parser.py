@@ -2,6 +2,7 @@
 
 import pytest
 
+from codeforest import lexer
 from codeforest.errors import MissingClassBody, MissingClassName, UnbalancedBraces
 from codeforest.lexer import tokenize
 from codeforest.model import classify_method
@@ -9,6 +10,7 @@ from codeforest.parser import (
     RECEIVER_NAMED,
     RECEIVER_OTHER,
     RECEIVER_THIS,
+    parse_corpus,
     parse_unit,
 )
 from conftest import FIXTURES
@@ -493,3 +495,46 @@ def test_class_header_without_a_body_raises():
 def test_class_header_at_end_of_file_raises():
     with pytest.raises(MissingClassBody):
         parse("class A extends B")
+
+
+# ---------------------------------------------------------------------------
+# The parse path builds no token objects, and its spans count bytes.
+
+def test_parse_corpus_builds_no_token(monkeypatch):
+    built = []
+
+    class CountingToken:
+        def __init__(self, *fields):
+            built.append(fields)
+
+    monkeypatch.setattr(lexer, "Token", CountingToken)
+    result = parse_corpus(FIXTURES / "jfreechart_annotations")
+    assert len(result.units) == 15 and not result.failures
+    assert built == []
+    list(tokenize(b"int x;"))  # the counter does see tokens built on demand
+    assert len(built) == 4
+
+
+def test_spans_count_bytes_after_non_ascii_text():
+    data = (
+        "// é\n"
+        "package p; /* é */\n"
+        'class Café { String s = "é"; // é\n'
+        "  void m() { run(); }\n"
+        "}\n"
+    ).encode()
+    (cls,) = parse_unit(tokenize(data, "f"))
+    (field,) = cls.fields
+    (method,) = cls.methods
+    (call,) = method.call_sites
+    assert cls.name == "Café"
+    assert (cls.span.byte_start, cls.span.byte_end) == (data.index(b"class"), len(data) - 1)
+    assert (cls.span.line_start, cls.span.line_end) == (3, 5)
+    assert (field.span.byte_start, field.span.byte_end) == (
+        data.index(b"String"), data.index(b"s =") + 1)
+    start = data.index(b"void")
+    assert (method.span.byte_start, method.span.byte_end) == (start, data.index(b"}", start) + 1)
+    assert (method.span.line_start, method.span.line_end) == (4, 4)
+    assert (call.span.byte_start, call.span.byte_end) == (
+        data.index(b"run"), data.index(b"run") + len(b"run()"))
+    assert (call.span.line_start, call.span.line_end) == (4, 4)
