@@ -4,10 +4,10 @@ Produces a single self-contained ``.gltf`` JSON file: all vertex and
 index data live in one buffer embedded as a base64 data URI. Every
 distinct mesh of the scene gets three accessors (POSITION, NORMAL,
 indices), each backed by its own buffer view; nodes that share a mesh
-reference the same glTF mesh. Positions and normals are float32 VEC3;
-indices are always uint32. POSITION accessors carry exact
-component-wise min/max. All chunks are multiples of four bytes, so
-views need no padding.
+reference the same glTF mesh. A view holds one mesh array's bytes as
+they are: float32 VEC3 positions and normals, uint32 indices. POSITION
+accessors carry exact component-wise min/max (``geometry.bounds``).
+All chunks are multiples of four bytes, so views need no padding.
 
 Nodes keep their scene names; a translation is emitted only when it
 differs from the default, matching the glTF schema's minItems rules
@@ -24,7 +24,7 @@ import base64
 from pathlib import Path
 
 from ..errors import SceneTooLarge
-from ..geometry import Scene
+from ..geometry import Scene, bounds
 from .jsontext import json_text
 
 _ARRAY_BUFFER = 34962
@@ -36,8 +36,6 @@ _MAX_COUNT = 0xFFFFFFFF
 
 def build_gltf(scene: Scene) -> dict:
     """Assemble the glTF document as a plain dict (JSON-ready)."""
-    import numpy as np
-
     buffer = bytearray()
     buffer_views: list[dict] = []
     accessors: list[dict] = []
@@ -56,28 +54,25 @@ def build_gltf(scene: Scene) -> dict:
         return len(buffer_views) - 1
 
     for mesh in scene.meshes:
-        vertex_count = int(mesh.positions.shape[0])
-        index_count = int(mesh.indices.shape[0])
+        vertex_count = mesh.vertex_count
+        index_count = len(mesh.indices)
         if vertex_count > _MAX_COUNT or index_count > _MAX_COUNT:
             raise SceneTooLarge(max(vertex_count, index_count))
-        positions = np.ascontiguousarray(mesh.positions, dtype=np.float32)
-        normals = np.ascontiguousarray(mesh.normals, dtype=np.float32)
-        indices = np.ascontiguousarray(mesh.indices, dtype=np.uint32)
-
+        lo, hi = bounds(mesh)
         accessors.append(
             {
-                "bufferView": add_view(positions.tobytes(), _ARRAY_BUFFER),
+                "bufferView": add_view(mesh.positions.tobytes(), _ARRAY_BUFFER),
                 "componentType": _FLOAT,
                 "count": vertex_count,
                 "type": "VEC3",
-                "min": [float(v) for v in positions.min(axis=0)],
-                "max": [float(v) for v in positions.max(axis=0)],
+                "min": lo,
+                "max": hi,
             }
         )
         position_accessor = len(accessors) - 1
         accessors.append(
             {
-                "bufferView": add_view(normals.tobytes(), _ARRAY_BUFFER),
+                "bufferView": add_view(mesh.normals.tobytes(), _ARRAY_BUFFER),
                 "componentType": _FLOAT,
                 "count": vertex_count,
                 "type": "VEC3",
@@ -85,7 +80,7 @@ def build_gltf(scene: Scene) -> dict:
         )
         accessors.append(
             {
-                "bufferView": add_view(indices.tobytes(), _ELEMENT_ARRAY_BUFFER),
+                "bufferView": add_view(mesh.indices.tobytes(), _ELEMENT_ARRAY_BUFFER),
                 "componentType": _UNSIGNED_INT,
                 "count": index_count,
                 "type": "SCALAR",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from ..geometry import Scene, world_transforms
+from ..geometry import Scene, bounds, world_transforms
 
 _MIN_HEIGHT = 0.1
 
@@ -41,25 +41,23 @@ def mel_text(scene: Scene) -> str:
             continue
         mesh = scene.meshes[node.mesh]
         tx, ty, tz = transforms[idx]
-        world = mesh.positions.astype("float64")
-        world[:, 0] += tx
-        world[:, 1] += ty
-        world[:, 2] += tz
-        lo = world.min(axis=0)
-        hi = world.max(axis=0)
         name = _sanitize(node.name, used)
 
         if node.name.startswith("channel:"):
-            half = mesh.positions.shape[0] // 2
-            outline = [world[2 * i] for i in range(half)]
-            outline += [world[2 * i + 1] for i in range(half - 1, -1, -1)]
+            # Right edge forward, then left edge back.
+            world = [(x + tx, y + ty, z + tz) for x, y, z in mesh.positions.tolist()]
             flags = " ".join(
-                "-p %.6f %.6f %.6f" % (p[0], p[1], p[2]) for p in outline
+                "-p %.6f %.6f %.6f" % p for p in world[0::2] + world[-1::-2]
             )
             lines.append(f"$n = `polyCreateFacet {flags}`;")
             lines.append(f'rename $n[0] "{name}";')
             continue
 
+        # Rounding is monotone, so the bounds of the moved vertices are
+        # the moved bounds.
+        (x0, y0, z0), (x1, y1, z1) = bounds(mesh)
+        lo = (x0 + tx, y0 + ty, z0 + tz)
+        hi = (x1 + tx, y1 + ty, z1 + tz)
         radius = max(hi[0] - lo[0], hi[2] - lo[2]) / 2.0
         height = max(hi[1] - lo[1], _MIN_HEIGHT)
         if node.name.startswith("island:"):

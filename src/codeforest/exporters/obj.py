@@ -7,20 +7,20 @@ and 1-based; faces reference them as ``v//n``. A sibling .mtl file
 carries the palette as ``newmtl``/``Kd``/``d`` entries.
 
 Each block of ``v``, ``vn`` or ``f`` lines is one ``%``-format over a
-flattened array; world positions are float64 sums, the same bits as
-adding Python floats one by one.
+flat tuple of the mesh's items; a world position is the float32
+coordinate plus the node's world translation, added as Python floats.
 """
 
 from __future__ import annotations
 
+from itertools import chain, cycle
+from operator import add
 from pathlib import Path
 
-from ..geometry import Scene, world_transforms
+from ..geometry import Scene, flat, world_transforms
 
 
 def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
-    import numpy as np
-
     transforms = world_transforms(scene)
     chunks = []
     if mtl_name is not None:
@@ -33,17 +33,17 @@ def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
         mesh = scene.meshes[node.mesh]
         n = mesh.vertex_count
         chunks.append(f"o {node.name}\nusemtl {scene.materials[mesh.material].name}\n")
-        world = mesh.positions.astype(np.float64) + np.array(transforms[idx])
-        chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world.ravel().tolist()))
+        world = map(add, flat(mesh.positions).tolist(), cycle(transforms[idx]))
+        chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world))
         normals = normal_blocks.get(node.mesh)
         if normals is None:
             normals = normal_blocks[node.mesh] = (
-                "vn %.6f %.6f %.6f\n" * n % tuple(mesh.normals.ravel().tolist())
+                "vn %.6f %.6f %.6f\n" * n % tuple(flat(mesh.normals).tolist())
             )
         chunks.append(normals)
-        corners = np.repeat(mesh.indices.astype(np.int64) + offset, 2)
+        corners = [i + offset for i in mesh.indices.tolist()]
         chunks.append("f %d//%d %d//%d %d//%d\n" * mesh.triangle_count
-                      % tuple(corners.tolist()))
+                      % tuple(chain.from_iterable(zip(corners, corners))))
         offset += n
     return "".join(chunks) or "\n"
 

@@ -9,15 +9,13 @@ layout polylines. The sizing rules and the tessellation read their
 settings (``h0``, ``h1``, ``r0``, ``c``, ``canopy_coefficient``,
 ``leaf_radius``, ``segments``) and the palette from ``Config``.
 
-All meshes store float32 positions/normals and uint32 triangle
-indices. numpy is imported by the functions that build or read those
-arrays, not by this module, so a run that builds no scene (``analyze``)
-never loads it. Meshes are shared by exact dimensions: within one
-``assemble_scene`` call, trunks, canopies and leaves with the same
-dimensions, segment count and material get one ``Mesh`` whose index
-several nodes hold, so every leaf of a kind and every canopy of a given
-method count is built once. Shared arrays are read-only. Islands and
-channels keep one mesh each.
+A mesh holds read-only ``memoryview``s: float32 (n, 3) positions and
+normals, and a flat run of uint32 triangle indices. Meshes are shared
+by exact dimensions: within one ``assemble_scene`` call, trunks,
+canopies and leaves with the same dimensions, segment count and
+material get one ``Mesh`` whose index several nodes hold, so every leaf
+of a kind and every canopy of a given method count is built once.
+Islands and channels keep one mesh each.
 
 Nodes form a single tree rooted at ``forest`` with stable, unique
 names:
@@ -38,7 +36,9 @@ node translation or mesh position that overflows raises
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateSegment, GeometryOverflow
@@ -62,8 +62,6 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .config import Config
 
 CANOPY_MIN_RADIUS = 0.4
@@ -108,18 +106,30 @@ def default_palette() -> list[Material]:
 
 @dataclass
 class Mesh:
-    positions: np.ndarray  # (n, 3) float32
-    normals: np.ndarray  # (n, 3) float32
-    indices: np.ndarray  # (3 * t,) uint32
+    positions: memoryview  # float32, shape (n, 3)
+    normals: memoryview  # float32, shape (n, 3)
+    indices: memoryview  # uint32, shape (3 * t,)
     material: int
 
     @property
     def vertex_count(self) -> int:
-        return int(self.positions.shape[0])
+        return len(self.positions)
 
     @property
     def triangle_count(self) -> int:
-        return int(self.indices.shape[0]) // 3
+        return len(self.indices) // 3
+
+
+def flat(view: memoryview) -> memoryview:
+    """``view`` as one run of items; x, y, z per vertex for a (n, 3) view."""
+    return view.cast("B").cast(view.format)
+
+
+def bounds(mesh: Mesh) -> tuple[list[float], list[float]]:
+    """Per-axis minimum and maximum of ``mesh.positions``, as floats."""
+    coords = flat(mesh.positions).tolist()
+    axes = [coords[k::3] for k in range(3)]
+    return [min(a) for a in axes], [max(a) for a in axes]
 
 
 @dataclass
@@ -171,18 +181,23 @@ def tree_dimensions(
 
 
 def _as_mesh(verts, norms, tris, material: int) -> Mesh:
-    import numpy as np
-
-    positions = np.asarray(verts, dtype=np.float64)
-    normals = np.asarray(norms, dtype=np.float64)
-    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / np.where(lengths == 0.0, 1.0, lengths)
+    unit: list[float] = []
+    for x, y, z in norms:
+        length = math.sqrt(x * x + y * y + z * z) or 1.0  # a zero normal stays zero
+        unit += (x / length, y / length, z / length)
     return Mesh(
-        positions.astype(np.float32),
-        normals.astype(np.float32),
-        np.asarray(tris, dtype=np.uint32).reshape(-1),
+        _vec3(chain.from_iterable(verts)),
+        _vec3(unit),
+        memoryview(array("I", chain.from_iterable(tris)).tobytes()).cast("I"),
         material,
     )
+
+
+def _vec3(values) -> memoryview:
+    """Read-only float32 (n, 3) view of flat x, y, z values; past the
+    float32 range a value becomes inf, which ``_check_finite`` reports."""
+    floats = array("f", values)
+    return memoryview(floats.tobytes()).cast("f", (len(floats) // 3, 3))
 
 
 def _ring(radius: float, y: float, segments: int):
@@ -406,15 +421,13 @@ def _shared(memo: dict, build, *args) -> Mesh:
     """``build(*args)``, built once per distinct ``args`` in ``memo``.
 
     The key is the exact arguments, so a shared mesh is bitwise the
-    mesh ``build`` gives for them; its arrays are made read-only, as an
-    in-place edit would reach every node that holds it.
+    mesh ``build`` gives for them. Sharing is safe because every mesh
+    is read-only from the moment it is built.
     """
     key = (build, *args)
     mesh = memo.get(key)
     if mesh is None:
         mesh = memo[key] = build(*args)
-        for array in (mesh.positions, mesh.normals, mesh.indices):
-            array.setflags(write=False)
     return mesh
 
 
@@ -484,8 +497,6 @@ def assemble_scene(
     ``GeometryOverflow`` if a node translation or a mesh position is
     not finite.
     """
-    import numpy as np
-
     nodes: list[SceneNode] = [SceneNode("forest")]
     meshes: list[Mesh] = []
     scene = Scene(nodes, meshes, params.palette())
@@ -520,70 +531,65 @@ def assemble_scene(
         else:
             cross_channels.append(channel)
 
-    # Every float32 cast happens in here; one that overflows is
-    # reported by _check_finite, not warned about.
-    with np.errstate(over="ignore"):
-        for island in forest.islands:
-            pkg = model.packages[island.package_index]
-            island_node = add_node(
-                0,
+    for island in forest.islands:
+        pkg = model.packages[island.package_index]
+        island_node = add_node(
+            0,
+            SceneNode(
+                f"island:{pkg.name}",
+                translation=(island.center[0], 0.0, island.center[1]),
+                mesh=add_mesh(build_island_mesh(island, params.segments)),
+            ),
+        )
+        for class_index in pkg.class_indices:
+            cls = model.classes[class_index]
+            placement = tree_by_class[class_index]
+            qualified = model.qualified_name(class_index)
+            dims = tree_dimensions(class_metrics[class_index], max_fan_out, params)
+            kinds = [classify_method(m, cls.simple_name) for m in cls.methods]
+            tree_node = add_node(
+                island_node,
                 SceneNode(
-                    f"island:{pkg.name}",
-                    translation=(island.center[0], 0.0, island.center[1]),
-                    mesh=add_mesh(build_island_mesh(island, params.segments)),
+                    f"tree:{qualified}",
+                    translation=(
+                        placement.position[0] - island.center[0],
+                        placement.trunk_base_y,
+                        placement.position[1] - island.center[1],
+                    ),
                 ),
             )
-            for class_index in pkg.class_indices:
-                cls = model.classes[class_index]
-                placement = tree_by_class[class_index]
-                qualified = model.qualified_name(class_index)
-                dims = tree_dimensions(class_metrics[class_index], max_fan_out, params)
-                kinds = [classify_method(m, cls.simple_name) for m in cls.methods]
-                tree_node = add_node(
-                    island_node,
-                    SceneNode(
-                        f"tree:{qualified}",
-                        translation=(
-                            placement.position[0] - island.center[0],
-                            placement.trunk_base_y,
-                            placement.position[1] - island.center[1],
-                        ),
-                    ),
-                )
-                for part in build_tree_parts(
-                    qualified, method_labels(cls), kinds, dims, params.segments, memo
-                ):
-                    add_node(
-                        tree_node,
-                        SceneNode(part.name, translation=part.translation,
-                                  mesh=add_mesh(part.mesh)),
-                    )
-            for channel in local_channels.get(island.package_index, ()):
+            for part in build_tree_parts(
+                qualified, method_labels(cls), kinds, dims, params.segments, memo
+            ):
                 add_node(
-                    island_node,
-                    SceneNode(
-                        _channel_name(model, channel, channel_names),
-                        mesh=add_mesh(
-                            build_channel_mesh(channel, origin=island.center)
-                        ),
-                    ),
+                    tree_node,
+                    SceneNode(part.name, translation=part.translation,
+                              mesh=add_mesh(part.mesh)),
                 )
-        for channel in cross_channels:
+        for channel in local_channels.get(island.package_index, ()):
             add_node(
-                0,
+                island_node,
                 SceneNode(
                     _channel_name(model, channel, channel_names),
-                    mesh=add_mesh(build_channel_mesh(channel)),
+                    mesh=add_mesh(
+                        build_channel_mesh(channel, origin=island.center)
+                    ),
                 ),
             )
+    for channel in cross_channels:
+        add_node(
+            0,
+            SceneNode(
+                _channel_name(model, channel, channel_names),
+                mesh=add_mesh(build_channel_mesh(channel)),
+            ),
+        )
     _check_finite(scene)
     return scene
 
 
 def _check_finite(scene: Scene) -> None:
-    import numpy as np
-
-    finite_mesh = [bool(np.isfinite(m.positions).all()) for m in scene.meshes]
+    finite_mesh = [all(map(math.isfinite, flat(m.positions))) for m in scene.meshes]
     for node in scene.nodes:
         if not (
             all(map(math.isfinite, node.translation))

@@ -9,8 +9,10 @@ from __future__ import annotations
 import functools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from codeforest.geometry import Mesh
 from codeforest.pipeline import analyze, build_scene
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,3 +44,18 @@ def annotations():
 @pytest.fixture
 def two_classes_scene():
     return scene("two_classes")
+
+
+def vec3(view) -> np.ndarray:
+    """A mesh's positions or normals as a numpy float32 (n, 3) array."""
+    return np.frombuffer(view, np.float32).reshape(-1, 3)
+
+
+def literal_mesh(positions, normals, indices, material: int) -> Mesh:
+    """A mesh from literal rows, stored as the builders store one."""
+    def view(values, dtype):
+        array = np.asarray(values, dtype)
+        return memoryview(array.tobytes()).cast(array.dtype.char, array.shape)
+
+    return Mesh(view(positions, np.float32), view(normals, np.float32),
+                view(indices, np.uint32), material)

@@ -228,6 +228,30 @@ def tree_island_gaps(layout, package_of: list[int]) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# Mesh arrays, by numpy.
+
+def mesh_arrays(verts, norms, tris):
+    """Positions, unit normals and indices as numpy builds them.
+
+    Positions and normals are float32 (n, 3), normalised in float64
+    with a zero length taken as 1; indices are one flat uint32 run. A
+    value past the float32 range becomes an infinity, as in any cast.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = np.asarray(verts, dtype=np.float64)
+        normals = np.asarray(norms, dtype=np.float64)
+        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+        normals = normals / np.where(lengths == 0.0, 1.0, lengths)
+        return (
+            positions.astype(np.float32),
+            normals.astype(np.float32),
+            np.asarray(tris, dtype=np.uint32).reshape(-1),
+        )
+
+
+# ---------------------------------------------------------------------------
 # glTF structural validation, straight off the JSON document.
 
 _COMP_SIZE = {5126: 4, 5125: 4}

@@ -1,15 +1,15 @@
 """Mesh builders, tree sizing and scene assembly."""
 
-import copy
 import dataclasses
 import functools
 import math
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from codeforest.errors import CodeforestError, DegenerateSegment, InheritanceCycle
@@ -25,15 +25,18 @@ from codeforest.geometry import (
     build_channel_mesh,
     build_island_mesh,
     build_tree_parts,
+    bounds,
     default_palette,
+    flat,
     tree_dimensions,
     world_transforms,
 )
+from codeforest.geometry import _as_mesh
 from codeforest.config import Config, parse_config
 from codeforest.layout import ChannelPath, IslandLayout
 from codeforest.model import ClassMetrics
 from codeforest.pipeline import analyze, build_scene
-from conftest import CORPUS_NAMES, FIXTURES, corpus, scene
+from conftest import CORPUS_NAMES, FIXTURES, corpus, scene, vec3
 import oracles
 import synth
 
@@ -63,15 +66,21 @@ def island(radius=6.0, tiers=1):
 
 
 def check_mesh(mesh):
-    assert mesh.positions.shape == mesh.normals.shape
-    assert mesh.positions.dtype == np.float32
-    assert mesh.indices.dtype == np.uint32
-    assert mesh.indices.shape[0] % 3 == 0
-    assert np.isfinite(mesh.positions).all()
-    if mesh.indices.size:
-        assert int(mesh.indices.max()) < mesh.vertex_count
-    lengths = np.linalg.norm(mesh.normals.astype(np.float64), axis=1)
+    assert mesh.positions.shape == mesh.normals.shape == (mesh.vertex_count, 3)
+    assert mesh.positions.format == mesh.normals.format == "f"
+    assert mesh.indices.format == "I"
+    assert mesh.positions.itemsize == mesh.indices.itemsize == 4
+    assert len(mesh.indices) % 3 == 0
+    assert mesh.indices.ndim == 1
+    assert np.isfinite(vec3(mesh.positions)).all()
+    if len(mesh.indices):
+        assert max(mesh.indices.tolist()) < mesh.vertex_count
+    lengths = np.linalg.norm(vec3(mesh.normals).astype(np.float64), axis=1)
     assert np.abs(lengths - 1.0).max() <= 1e-6
+    # repr tells -0.0 from 0.0 and shows every bit of the value.
+    lo, hi = bounds(mesh)
+    assert list(map(repr, lo)) == list(map(repr, vec3(mesh.positions).min(axis=0).tolist()))
+    assert list(map(repr, hi)) == list(map(repr, vec3(mesh.positions).max(axis=0).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +101,15 @@ def test_island_vertex_formula_general():
 
 def test_two_tier_island_heights():
     mesh = build_island_mesh(island(tiers=2), segments=8)
-    ys = mesh.positions[:, 1]
+    ys = vec3(mesh.positions)[:, 1]
     assert float(ys.max()) == 1.0  # summit cap at the top tier height
     assert float(ys.min()) == 0.0  # shore tier at the bottom height
 
 
 def test_island_radius_is_respected():
     mesh = build_island_mesh(island(radius=6.0), segments=16)
-    r = np.hypot(mesh.positions[:, 0], mesh.positions[:, 2])
+    positions = vec3(mesh.positions)
+    r = np.hypot(positions[:, 0], positions[:, 2])
     assert float(r.max()) == pytest.approx(6.0)
 
 
@@ -133,12 +143,12 @@ def test_four_point_channel_has_six_triangles():
 
 def test_channel_normals_point_up():
     mesh = build_channel_mesh(channel((0, 1, 0), (4, 0, 0)))
-    assert np.allclose(mesh.normals, [0.0, 1.0, 0.0])
+    assert np.allclose(vec3(mesh.normals), [0.0, 1.0, 0.0])
 
 
 def test_channel_ribbon_width():
     mesh = build_channel_mesh(channel((0, 0, 0), (4, 0, 0)))
-    z = mesh.positions[:, 2]
+    z = vec3(mesh.positions)[:, 2]
     assert float(z.max() - z.min()) == pytest.approx(CHANNEL_WIDTH)
 
 
@@ -150,9 +160,54 @@ def test_zero_length_channel_raises():
 def test_channel_origin_shift():
     base = build_channel_mesh(channel((2, 1, 3), (6, 0, 3)))
     shifted = build_channel_mesh(channel((2, 1, 3), (6, 0, 3)), origin=(2.0, 3.0))
-    assert np.allclose(shifted.positions[:, 0], base.positions[:, 0] - 2.0)
-    assert np.allclose(shifted.positions[:, 2], base.positions[:, 2] - 3.0)
-    assert np.allclose(shifted.positions[:, 1], base.positions[:, 1])
+    shifted, base = vec3(shifted.positions), vec3(base.positions)
+    assert np.allclose(shifted[:, 0], base[:, 0] - 2.0)
+    assert np.allclose(shifted[:, 2], base[:, 2] - 3.0)
+    assert np.allclose(shifted[:, 1], base[:, 1])
+
+
+# ---------------------------------------------------------------------------
+# Mesh arrays against the numpy formula.
+
+_F32_MAX = float(np.finfo(np.float32).max)
+# The smallest magnitude a float32 cast rounds to infinity: half an ulp
+# past the largest float32.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+_COMPONENT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.0, 2.0),
+    st.floats(-1e-36, 1e-36),  # float32 subnormals and below
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-45, -7e-46, _F32_MAX,
+                     math.nextafter(_F32_OVERFLOW, 0.0), _F32_OVERFLOW,
+                     -1e39, 1e300]),
+)
+_TRIPLE = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT)
+_NORMAL = st.one_of(st.just((0.0, 0.0, 0.0)), st.just((-0.0, 0.0, -0.0)), _TRIPLE)
+_INDEX = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_TRIPLE, _NORMAL), min_size=1, max_size=10),
+       tris=st.lists(st.tuples(_INDEX, _INDEX, _INDEX), max_size=6))
+@example(rows=[((1e-40, _F32_OVERFLOW, -1e39), (0.0, 0.0, 0.0)),
+               ((_F32_MAX, -7e-46, 2.5), (1e-300, 0.0, -1e-300)),
+               ((0.0, -0.0, 1.0), (3.0, 4.0, 1e200))],
+         tris=[(0, 1, 2)])
+def test_mesh_arrays_match_the_numpy_formula(rows, tris):
+    verts = [v for v, _ in rows]
+    norms = [n for _, n in rows]
+    mesh = _as_mesh(verts, norms, tris, 5)
+    positions, normals, indices = oracles.mesh_arrays(verts, norms, tris)
+    assert mesh.positions.tobytes() == positions.tobytes()
+    assert mesh.normals.tobytes() == normals.tobytes()
+    assert mesh.indices.tobytes() == indices.tobytes()
+    assert mesh.positions.shape == mesh.normals.shape == positions.shape
+    assert mesh.indices.shape == indices.shape
+    assert (mesh.vertex_count, mesh.triangle_count, mesh.material) == (len(rows), len(tris), 5)
+    # Past the float32 range, and only there, a coordinate becomes inf.
+    past = [abs(v) >= _F32_OVERFLOW for v in chain.from_iterable(verts)]
+    assert [math.isinf(v) for v in flat(mesh.positions)] == past
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +419,20 @@ def test_default_palette_has_eight_slots():
 # ---------------------------------------------------------------------------
 # Mesh sharing.
 
+def _copy(view):
+    return memoryview(view.tobytes()).cast(view.format, view.shape)
+
+
 def unshared(s):
-    """The scene with a private deep copy of its mesh on every mesh node."""
+    """The scene with a private copy of its mesh on every mesh node."""
     nodes, meshes = [], []
     for node in s.nodes:
         if node.mesh is not None:
-            meshes.append(copy.deepcopy(s.meshes[node.mesh]))
+            mesh = s.meshes[node.mesh]
+            meshes.append(dataclasses.replace(
+                mesh, positions=_copy(mesh.positions), normals=_copy(mesh.normals),
+                indices=_copy(mesh.indices),
+            ))
             node = dataclasses.replace(node, mesh=len(meshes) - 1)
         nodes.append(node)
     return Scene(nodes, meshes, s.materials)
@@ -413,12 +476,20 @@ def test_leaves_and_equal_canopies_share_meshes():
 
 
 def test_shared_mesh_arrays_are_read_only():
-    s = scene("two_classes")
-    leaf = next(n for n in s.nodes if n.name.startswith("leaf:"))
-    mesh = s.meshes[leaf.mesh]
-    for array in (mesh.positions, mesh.normals, mesh.indices):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    # Every mesh, shared or not: islands and channels included.
+    kinds = set()
+    for name in CORPUS_NAMES:
+        s = scene(name)
+        kinds.update(n.name.split(":")[0] for n in s.nodes if n.mesh is not None)
+        for mesh in s.meshes:
+            for array in (mesh.positions, mesh.normals):
+                assert array.readonly
+                with pytest.raises(TypeError):
+                    array[0, 0] = 0.0
+            assert mesh.indices.readonly
+            with pytest.raises(TypeError):
+                mesh.indices[0] = 0
+    assert kinds == {"island", "trunk", "canopy", "leaf", "channel"}
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +533,7 @@ def test_random_valid_configs_give_sound_scenes(seed, text):
     except CodeforestError:
         return
     assert np.isfinite(world_transforms(sc)).all()
-    assert all(np.isfinite(m.positions).all() for m in sc.meshes)
+    assert all(np.isfinite(vec3(m.positions)).all() for m in sc.meshes)
     for child in sc.nodes[sc.root].children:
         island = sc.nodes[child]
         if not island.name.startswith("island:"):
@@ -475,5 +546,5 @@ def test_random_valid_configs_give_sound_scenes(seed, text):
         assert oracles.min_pair_distance(trunks) >= cfg.s_min - 1e-9
     for node in sc.nodes:
         if node.name.startswith("channel:"):
-            ys = sc.meshes[node.mesh].positions[::2, 1]  # one vertex pair per point
+            ys = vec3(sc.meshes[node.mesh].positions)[::2, 1]  # one vertex pair per point
             assert (np.diff(ys) <= 0.0).all(), node.name

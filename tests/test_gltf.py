@@ -3,14 +3,13 @@
 import base64
 import json
 
-import numpy as np
 import pytest
 
 from codeforest.errors import SceneTooLarge
 from codeforest.exporters.gltf import build_gltf, export_gltf
 from codeforest.geometry import Mesh, Scene, SceneNode, default_palette
 
-from conftest import CORPUS_NAMES, scene
+from conftest import CORPUS_NAMES, scene, vec3
 from oracles import check_gltf, gltf_reachable_nodes
 
 FULL_KEYS = [
@@ -88,7 +87,7 @@ def test_position_min_max_match_float32_data():
     doc = build_gltf(built)
     for i, mesh in enumerate(built.meshes):
         acc = doc["accessors"][3 * i]
-        f32 = mesh.positions.astype(np.float32)
+        f32 = vec3(mesh.positions)
         assert acc["min"] == [float(v) for v in f32.min(axis=0)]
         assert acc["max"] == [float(v) for v in f32.max(axis=0)]
         assert acc["count"] == mesh.vertex_count
@@ -132,9 +131,10 @@ def test_export_writes_pretty_json(tmp_path):
 
 
 def test_oversized_mesh_rejected_before_buffering():
-    # A broadcast view fakes 2**32 + 2 vertices without allocating them.
-    huge = np.broadcast_to(np.zeros(3, dtype=np.float32), (2**32 + 2, 3))
-    mesh = Mesh(huge, huge, np.zeros(3, dtype=np.uint32), material=0)
+    # Ranges fake 2**32 + 2 vertices without allocating them; a range
+    # has no bytes to buffer, so reaching the buffer raises otherwise.
+    huge = range(2**32 + 2)
+    mesh = Mesh(huge, huge, range(3), material=0)
     sc = Scene([SceneNode("forest", mesh=0)], [mesh], default_palette())
     with pytest.raises(SceneTooLarge):
         build_gltf(sc)

@@ -3,13 +3,12 @@
 import re
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from codeforest.exporters.mel import export_mel, mel_text
-from codeforest.geometry import Mesh, Scene, SceneNode, default_palette
+from codeforest.geometry import Scene, SceneNode, default_palette
 
-from conftest import CORPUS_NAMES, scene
+from conftest import CORPUS_NAMES, literal_mesh, scene, vec3
 from oracles import mel_creations, mel_names
 
 _NUM_TRIPLE = r"-p (-?\d+\.\d+) (-?\d+\.\d+) (-?\d+\.\d+)"
@@ -59,10 +58,10 @@ def test_names_sanitized_and_unique():
 
 
 def test_name_collisions_get_numeric_suffixes():
-    mesh = Mesh(
-        positions=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.float32),
-        normals=np.array([[0, 1, 0]] * 3, dtype=np.float32),
-        indices=np.array([0, 1, 2], dtype=np.uint32),
+    mesh = literal_mesh(
+        positions=[[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+        normals=[[0, 1, 0]] * 3,
+        indices=[0, 1, 2],
         material=1,
     )
     nodes = [
@@ -97,8 +96,9 @@ def test_channel_outline_points_match_ribbon_edges():
     (facet_line,) = [ln for ln in text.splitlines() if "polyCreateFacet" in ln]
     points = re.findall(_NUM_TRIPLE, facet_line)
     half = mesh.vertex_count // 2
-    expected = [mesh.positions[2 * i] for i in range(half)]
-    expected += [mesh.positions[2 * i + 1] for i in range(half - 1, -1, -1)]
+    positions = vec3(mesh.positions)
+    expected = [positions[2 * i] for i in range(half)]
+    expected += [positions[2 * i + 1] for i in range(half - 1, -1, -1)]
     assert len(points) == len(expected)
     for got, want in zip(points, expected):
         assert [float(v) for v in got] == pytest.approx(
@@ -114,8 +114,8 @@ def test_island_cone_and_sphere_sizes():
     island_mesh = built.meshes[[n for n in built.nodes if n.name == "island:"][0].mesh]
     r = float(re.search(r"-r (-?\d+\.\d+)", cone).group(1))
     h = float(re.search(r"-h (-?\d+\.\d+)", cone).group(1))
-    xs = island_mesh.positions[:, 0]
-    ys = island_mesh.positions[:, 1]
+    xs = vec3(island_mesh.positions)[:, 0]
+    ys = vec3(island_mesh.positions)[:, 1]
     assert r == pytest.approx(float(xs.max() - xs.min()) / 2.0, abs=1e-6)
     assert h == pytest.approx(max(float(ys.max() - ys.min()), 0.1), abs=1e-6)
     # spheres take their radius from the vertical extent
@@ -128,10 +128,10 @@ def test_island_cone_and_sphere_sizes():
 
 
 def test_flat_island_keeps_minimum_height():
-    mesh = Mesh(
-        positions=np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1]], dtype=np.float32),
-        normals=np.array([[0, 1, 0]] * 3, dtype=np.float32),
-        indices=np.array([0, 1, 2], dtype=np.uint32),
+    mesh = literal_mesh(
+        positions=[[0, 0, 0], [1, 0, 0], [0, 0, 1]],
+        normals=[[0, 1, 0]] * 3,
+        indices=[0, 1, 2],
         material=0,
     )
     sc = Scene(

@@ -1,27 +1,25 @@
 """Tests for the Wavefront OBJ/MTL exporter."""
 
-import numpy as np
 import pytest
 
 from codeforest.exporters.obj import export_obj, mtl_text, obj_text
 from codeforest.geometry import (
     Material,
-    Mesh,
     Scene,
     SceneNode,
     default_palette,
     world_transforms,
 )
 
-from conftest import CORPUS_NAMES, scene
+from conftest import CORPUS_NAMES, literal_mesh, scene, vec3
 from oracles import read_obj
 
 
 def triangle_scene() -> Scene:
-    mesh = Mesh(
-        positions=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.float32),
-        normals=np.array([[0, 1, 0]] * 3, dtype=np.float32),
-        indices=np.array([0, 1, 2], dtype=np.uint32),
+    mesh = literal_mesh(
+        positions=[[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+        normals=[[0, 1, 0]] * 3,
+        indices=[0, 1, 2],
         material=0,
     )
     nodes = [
@@ -96,7 +94,7 @@ def test_vertices_are_world_baked():
         if node.mesh is None:
             continue
         tx, ty, tz = transforms[idx]
-        for x, y, z in built.meshes[node.mesh].positions:
+        for x, y, z in vec3(built.meshes[node.mesh].positions):
             expected.append((tx + float(x), ty + float(y), tz + float(z)))
     assert len(verts) == len(expected)
     for got, want in zip(verts, expected):

@@ -1,4 +1,5 @@
-"""Start-up cost: importing the CLI and ``analyze`` never load numpy.
+"""codeforest never loads numpy: not on import, not in ``analyze``,
+not in a render to any format.
 
 Each check runs in a fresh interpreter, as the ``codeforest`` command
 does, and reads ``sys.modules`` at its end.
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import FIXTURES
 
@@ -46,8 +49,9 @@ def test_analyze_leaves_numpy_out(tmp_path):
     assert report.is_file()
 
 
-def test_render_loads_numpy(tmp_path):
-    out = tmp_path / "forest.gltf"
-    assert _numpy_loaded(_RUN_CLI, "render", str(FIXTURES / "calls"),
-                         "-o", str(out), "--format", "gltf")
+@pytest.mark.parametrize("fmt", ["gltf", "obj", "mel"])
+def test_render_leaves_numpy_out(fmt, tmp_path):
+    out = tmp_path / f"forest.{fmt}"
+    assert not _numpy_loaded(_RUN_CLI, "render", str(FIXTURES / "calls"),
+                             "-o", str(out), "--format", fmt)
     assert out.is_file()
