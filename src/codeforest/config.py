@@ -75,7 +75,11 @@ def parse_config(text: str, file_id: str = "<config>") -> Config:
 
 def load_config(path: str | Path) -> Config:
     p = Path(path)
-    return parse_config(p.read_text(encoding="utf-8"), file_id=str(p))
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigSyntaxError(str(p), f"invalid UTF-8 at byte offset {exc.start}") from None
+    return parse_config(text, file_id=str(p))
 
 
 def _apply(cfg: Config, key: str, value: str, where: str) -> None:

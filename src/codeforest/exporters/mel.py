@@ -35,6 +35,7 @@ def _sanitize(name: str, used: dict[str, int]) -> str:
 def mel_text(scene: Scene) -> str:
     transforms = world_transforms(scene)
     used: dict[str, int] = {}
+    boxes: dict[int, tuple[list[float], list[float]]] = {}  # by mesh index
     lines: list[str] = []
     for idx, node in enumerate(scene.nodes):
         if node.mesh is None:
@@ -55,7 +56,10 @@ def mel_text(scene: Scene) -> str:
 
         # Rounding is monotone, so the bounds of the moved vertices are
         # the moved bounds.
-        (x0, y0, z0), (x1, y1, z1) = bounds(mesh)
+        box = boxes.get(node.mesh)
+        if box is None:
+            box = boxes[node.mesh] = bounds(mesh)
+        (x0, y0, z0), (x1, y1, z1) = box
         lo = (x0 + tx, y0 + ty, z0 + tz)
         hi = (x1 + tx, y1 + ty, z1 + tz)
         radius = max(hi[0] - lo[0], hi[2] - lo[2]) / 2.0

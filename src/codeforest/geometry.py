@@ -223,8 +223,8 @@ def build_island_mesh(island: IslandLayout, segments: int) -> Mesh:
     """
     if segments < 8:
         raise ValueError("island tessellation needs at least 8 segments")
-    tiers = island.layer_hi - island.layer_lo + 1
     heights = island.tier_heights
+    tiers = len(heights)
     rings = island_rings(island.radius, tiers)
 
     verts: list[tuple[float, float, float]] = []

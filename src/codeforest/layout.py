@@ -66,15 +66,13 @@ class IslandLayout:
     center: tuple[float, float]  # (x, z)
     radius: float
     layer_lo: int  # lowest layer number present = summit
-    layer_hi: int  # highest layer number present = shore
-    tier_heights: list[float]  # y per layer, index 0 = layer_lo
+    tier_heights: list[float]  # y per layer, index 0 = layer_lo, last = shore
 
 
 @dataclass
 class TreePlacement:
     class_index: int
     position: tuple[float, float]  # (x, z)
-    layer: int
     trunk_base_y: float
 
 
@@ -86,7 +84,6 @@ class ChannelPath:
 
 @dataclass
 class ForestLayout:
-    global_max_layer: int
     islands: list[IslandLayout]
     trees: list[TreePlacement]
     channels: list[ChannelPath]
@@ -212,7 +209,6 @@ def place_islands(
                 center=center,
                 radius=radius,
                 layer_lo=lo,
-                layer_hi=hi,
                 tier_heights=[(gmax - k) * params.tier_drop for k in range(lo, hi + 1)],
             )
         )
@@ -269,22 +265,19 @@ def place_trees(
     model: CodeModel,
     layers: list[int],
     params: Config,
-    global_max_layer: int,
 ) -> list[TreePlacement]:
     """Position one tree per class on the island's terraces."""
     pkg = model.packages[island.package_index]
     members = sorted(pkg.class_indices, key=lambda i: model.classes[i].name)
     cx, cz = island.center
-    height_of = lambda k: (global_max_layer - k) * params.tier_drop
+    height_of = lambda k: island.tier_heights[k - island.layer_lo]
 
     if len(members) == 1:
         # A lone tree sits exactly at the summit centre, unjittered.
         only = members[0]
-        return [
-            TreePlacement(only, (cx, cz), layers[only], height_of(layers[only]))
-        ]
+        return [TreePlacement(only, (cx, cz), height_of(layers[only]))]
 
-    tiers = island.layer_hi - island.layer_lo + 1
+    tiers = len(island.tier_heights)
     rings = island_rings(island.radius, tiers)
     pad = _EDGE_PAD * island.radius / tiers
 
@@ -318,12 +311,7 @@ def place_trees(
 
     rel = _enforce_separation(rel, island.radius, params.s_min, pkg_name)
     return [
-        TreePlacement(
-            idx,
-            (cx + rel[idx][0], cz + rel[idx][1]),
-            layers[idx],
-            height_of(layers[idx]),
-        )
+        TreePlacement(idx, (cx + rel[idx][0], cz + rel[idx][1]), height_of(layers[idx]))
         for idx in members
     ]
 
@@ -399,7 +387,6 @@ def route_channels(
     layers: list[int],
     trees: list[TreePlacement],
     params: Config,
-    global_max_layer: int,
 ) -> list[ChannelPath]:
     """One downhill polyline per resolved inheritance edge.
 
@@ -410,7 +397,8 @@ def route_channels(
     is always strictly lower and y never increases along a path.
     """
     by_class = {t.class_index: t for t in trees}
-    height_of = lambda k: (global_max_layer - k) * params.tier_drop
+    gmax = max(layers, default=0)
+    height_of = lambda k: (gmax - k) * params.tier_drop
     channels = []
     for child, parent in model.inheritance_edges:
         tp = by_class[parent]
@@ -438,11 +426,10 @@ def route_channels(
 def build_layout(model: CodeModel, params: Config) -> ForestLayout:
     """Full layout pass: layers, islands, trees, channels."""
     layers = compute_layers(model)
-    gmax = max(layers, default=0)
     islands = place_islands(model, layers, params)
     trees: list[TreePlacement] = []
     for island in islands:
-        trees.extend(place_trees(island, model, layers, params, gmax))
+        trees.extend(place_trees(island, model, layers, params))
     trees.sort(key=lambda t: t.class_index)
-    channels = route_channels(model, layers, trees, params, gmax)
-    return ForestLayout(gmax, islands, trees, channels)
+    channels = route_channels(model, layers, trees, params)
+    return ForestLayout(islands, trees, channels)

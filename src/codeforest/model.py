@@ -250,14 +250,14 @@ def classify_method(method: MethodDecl, class_simple_name: str) -> str:
         return KIND_CONSTRUCTOR
     if (
         (method.name.startswith("get") or method.name.startswith("is"))
-        and method.param_count == 0
+        and not method.has_params
         and method.return_type not in ("", "void")
         and not method.writes_fields
     ):
         return KIND_ACCESSOR
     if (
         method.name.startswith("set")
-        and method.param_count >= 1
+        and method.has_params
         and method.writes_fields
     ):
         return KIND_MUTATOR

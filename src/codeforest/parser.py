@@ -8,7 +8,7 @@ pulls out the structure later stages care about:
   ``Outer.Inner`` names (record components become fields; ``sealed``
   and ``non-sealed`` are modifiers),
 * field declarations (name plus declared type as written),
-* method and constructor declarations with physical line counts,
+* method and constructor declarations,
 * per-body field reads, field writes and call sites.
 
 Method bodies are scanned once the class's field list is complete. In
@@ -39,9 +39,9 @@ inheritance participation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import compress
-from pathlib import Path
 
 from .errors import (
     CodeforestError,
@@ -104,7 +104,6 @@ _PAD = 2
 class FieldDecl:
     name: str
     declared_type: str
-    span: Span
 
 
 @dataclass
@@ -112,18 +111,13 @@ class CallSite:
     callee_name: str
     receiver_kind: str  # RECEIVER_THIS, RECEIVER_NAMED or RECEIVER_OTHER
     receiver_name: str | None  # only for RECEIVER_NAMED
-    arg_count_hint: int
-    span: Span
 
 
 @dataclass
 class MethodDecl:
     name: str
-    param_count: int
+    has_params: bool
     return_type: str  # compact source text; "" for constructors
-    span: Span
-    body_span: Span | None  # None when the method has no body
-    loc: int
     reads_fields: set[str]
     writes_fields: set[str]
     call_sites: list[CallSite]
@@ -134,8 +128,6 @@ class ClassDecl:
     name: str  # nested classes flattened as Outer.Inner
     package_name: str  # "" for the default package
     super_name: str | None
-    is_interface: bool
-    is_abstract: bool
     fields: list[FieldDecl]
     methods: list[MethodDecl]
     span: Span
@@ -158,37 +150,16 @@ class CorpusParse:
     warnings: list[str]
 
 
-def _count_items(texts, partner, open_idx: int) -> int:
-    """Count the top-level items of the group opened at ``texts[open_idx]``.
-
-    That is the top-level commas plus one, or 0 for an empty group.
-    """
-    close = partner[open_idx]
-    commas = 0
-    saw_item = False
-    j = open_idx + 1
-    while j < close:
-        text = texts[j]
-        if text == ",":
-            commas += 1
-        else:
-            saw_item = True
-            if text in _OPENERS:
-                j = partner[j]
-        j += 1
-    return commas + 1 if saw_item or commas else 0
-
-
 class _Parser:
     """Cursor over the significant tokens of one compilation unit.
 
     ``kinds`` and ``texts`` hold the significant tokens alone, ``index``
     the row of each in the unit's ``Tokens`` table, which builds a
-    ``Span`` for a declaration, a call site or an error. Past the last
-    token, ``_PAD`` empty entries let a lookahead read ``""``. ``partner``
-    is the unit's bracket table. Every scan moves either one token at a
-    time or from an opener past its partner, and stops at the closer of
-    the group it is in, so no scan leaves the group it started in.
+    ``Span`` only for a class or an error. Past the last token, ``_PAD``
+    empty entries let a lookahead read ``""``. ``partner`` is the unit's
+    bracket table. Every scan moves either one token at a time or from an
+    opener past its partner, and stops at the closer of the group it is
+    in, so no scan leaves the group it started in.
 
     A keyword's text is only ever a keyword's, and ``(`` or ``=`` only
     punctuation, so a test on such a text needs no test on the kind.
@@ -252,11 +223,9 @@ class _Parser:
 
     # -- skipping helpers ----------------------------------------------------
 
-    def skip_group(self) -> int:
-        """Jump past the group opened at the cursor; return its closer's index."""
-        close = self.partner[self.pos]
-        self.pos = close + 1
-        return close
+    def skip_group(self) -> None:
+        """Jump past the group opened at the cursor."""
+        self.pos = self.partner[self.pos] + 1
 
     def skip_until(self, stops) -> None:
         """Walk to the first token in ``stops`` or closer, jumping over groups."""
@@ -319,7 +288,7 @@ class _Parser:
                 self.skip_until((";",))
                 self.accept(";")
                 continue
-            start, is_abstract, is_annotation_decl = self.collect_modifiers()
+            start, is_annotation_decl = self.collect_modifiers()
             if self.done():
                 break
             text = texts[self.pos]
@@ -327,7 +296,7 @@ class _Parser:
                 self.skip_declaration()
                 continue
             if text in _TYPE_WORDS and self.at_type_declaration():
-                self.parse_class(package, "", start, is_abstract, out)
+                self.parse_class(package, "", start, out)
                 continue
             # Not a declaration this subset models: drop one token, or a
             # whole block so we never descend into foreign braces.
@@ -340,24 +309,21 @@ class _Parser:
     def collect_modifiers(self):
         """Consume modifiers/annotations; flag ``@interface`` declarations.
 
-        Returns the index of the first token consumed (None if none was),
-        whether ``abstract`` was among them, and the flag.
+        Returns the index of the first token consumed (None if none was)
+        and the flag.
         """
         texts = self.texts
         start: int | None = None
-        is_abstract = False
         while not self.done():
             pos = self.pos
             text = texts[pos]
             if text in _MODIFIERS:
                 self.pos += 1
-                if text == "abstract":
-                    is_abstract = True
             elif text in ("sealed", "non") and (width := self.sealed_modifier_width()):
                 self.pos += width
             elif text == "@":
                 if texts[pos + 1] == "interface":
-                    return (pos if start is None else start), is_abstract, True
+                    return (pos if start is None else start), True
                 self.pos += 1
                 self.read_type_ref()
                 if self.at("("):
@@ -369,7 +335,7 @@ class _Parser:
                 break
             if start is None:
                 start = pos
-        return start, is_abstract, False
+        return start, False
 
     def sealed_modifier_width(self) -> int:
         """Tokens of a ``sealed`` or ``non-sealed`` modifier at the cursor, or 0.
@@ -431,7 +397,6 @@ class _Parser:
         package: str,
         prefix: str,
         start: int | None,
-        is_abstract: bool,
         out: list[ClassDecl],
     ) -> None:
         texts = self.texts
@@ -487,8 +452,6 @@ class _Parser:
                 name=name,
                 package_name=package,
                 super_name=super_name,
-                is_interface=texts[kw] == "interface",
-                is_abstract=is_abstract,
                 fields=fields,
                 methods=methods,
                 span=self.span(start, close),
@@ -502,7 +465,7 @@ class _Parser:
         close = self.partner[self.pos]
         self.pos += 1
         while self.pos < close:
-            start, _, _ = self.collect_modifiers()
+            self.collect_modifiers()
             head = self.pos
             while self.pos < close and not self.at(","):
                 if self.at("<"):
@@ -511,10 +474,7 @@ class _Parser:
                     self.pos += 1
             name = self.pos - 1
             if name > head and self.kinds[name] == KIND_IDENTIFIER:
-                fields.append(
-                    FieldDecl(texts[name], "".join(texts[head:name]),
-                              self.span(head if start is None else start, name))
-                )
+                fields.append(FieldDecl(texts[name], "".join(texts[head:name])))
             self.accept(",")
         self.pos = close + 1
 
@@ -551,21 +511,21 @@ class _Parser:
         while self.pos < close:
             if self.accept(";"):
                 continue
-            start, is_abstract, is_annotation_decl = self.collect_modifiers()
+            start, is_annotation_decl = self.collect_modifiers()
             text = texts[self.pos]
             if is_annotation_decl or text == "enum":
                 self.skip_declaration()
             elif text in _TYPE_WORDS and self.at_type_declaration():
-                self.parse_class(package, class_name + ".", start, is_abstract, nested)
+                self.parse_class(package, class_name + ".", start, nested)
             elif text == "{":
                 # Instance or static initializer block.
                 self.skip_group()
             else:
-                self.parse_member(start, fields, methods, bodies)
+                self.parse_member(fields, methods, bodies)
         self.pos = close + 1
         return close
 
-    def parse_member(self, start: int | None, fields, methods, bodies) -> None:
+    def parse_member(self, fields, methods, bodies) -> None:
         """Parse one field or method declaration after its modifiers.
 
         Its head (modifiers stripped) is ``texts[head:end]``, the tokens
@@ -580,17 +540,15 @@ class _Parser:
                 self.pos += 1
         if text == "}":
             return
-        if start is None:
-            start = head
         if text == "(":
-            self.finish_method(start, head, self.pos, methods, bodies)
+            self.finish_method(head, self.pos, methods, bodies)
         elif text == "{":
             # A stray block after tokens we did not understand.
             self.skip_group()
         else:
-            self.finish_fields(start, head, self.pos, fields)
+            self.finish_fields(head, self.pos, fields)
 
-    def finish_method(self, start: int, head: int, end: int, methods, bodies) -> None:
+    def finish_method(self, head: int, end: int, methods, bodies) -> None:
         name = end - 1
         if name < head or self.kinds[name] != KIND_IDENTIFIER:
             # Not a method declaration we model; drop the paren group.
@@ -600,34 +558,24 @@ class _Parser:
             else:
                 self.accept(";")
             return
-        param_count = _count_items(self.texts, self.partner, self.pos)
-        self.skip_group()
-        self.skip_until(("{", ";"))  # throws clause and anything else before the body
-        body = self.pos if self.at("{") else None
-        if body is not None:
-            last = self.skip_group()
-        elif self.at(";"):
-            last = self.pos
-            self.pos += 1
-        else:
-            last = name
-        span = self.span(start, last)
         method = MethodDecl(
             name=self.texts[name],
-            param_count=param_count,
+            has_params=self.partner[end] > end + 1,
             return_type="".join(self.texts[head:name]),
-            span=span,
-            body_span=None if body is None else self.span(body, last),
-            loc=span.line_end - span.line_start + 1,
             reads_fields=set(),
             writes_fields=set(),
             call_sites=[],
         )
         methods.append(method)
-        if body is not None:
-            bodies.append((method, body))
+        self.skip_group()
+        self.skip_until(("{", ";"))  # throws clause and anything else before the body
+        if self.at("{"):
+            bodies.append((method, self.pos))
+            self.skip_group()
+        else:
+            self.accept(";")
 
-    def finish_fields(self, start: int, head: int, end: int, fields: list[FieldDecl]) -> None:
+    def finish_fields(self, head: int, end: int, fields: list[FieldDecl]) -> None:
         """Parse ``type a = init, b, c;`` declarator lists."""
         texts = self.texts
         if end - head < 2 or self.kinds[end - 1] != KIND_IDENTIFIER:
@@ -651,10 +599,7 @@ class _Parser:
                 self.pos += 1
         self.accept(";")
         for name in names:
-            fields.append(
-                FieldDecl(name=texts[name], declared_type=declared_type,
-                          span=self.span(start, name))
-            )
+            fields.append(FieldDecl(texts[name], declared_type))
 
     # -- method bodies -----------------------------------------------------------
 
@@ -729,13 +674,7 @@ class _Parser:
                 receiver_name = texts[owner]
             elif texts[owner] != "this":
                 receiver_kind = RECEIVER_OTHER
-        return CallSite(
-            texts[paren - 1],
-            receiver_kind,
-            receiver_name,
-            _count_items(texts, self.partner, paren),
-            self.span(paren - 1, self.partner[paren]),
-        )
+        return CallSite(texts[paren - 1], receiver_kind, receiver_name)
 
 
 def parse_unit(tokens: Tokens) -> list[ClassDecl]:
@@ -750,31 +689,36 @@ def parse_corpus(root) -> CorpusParse:
     """Parse every ``*.java`` file under ``root``.
 
     Files are visited in byte order of their corpus-relative posix
-    paths, so the result does not depend on filesystem enumeration
-    order. Files that fail to tokenize or parse are reported in
-    ``failures`` and excluded; an empty corpus is a warning, not an
-    error.
+    paths (``os.fsencode``, so a name that is not valid UTF-8 sorts by
+    its raw bytes), so the result does not depend on filesystem
+    enumeration order. Symlinked files are read, symlinked directories
+    are not entered, and anything that is not a regular file (a broken
+    link, a directory named ``X.java``) is skipped. Files that fail to
+    read, tokenize or parse are reported in ``failures`` and excluded;
+    an empty corpus is a warning, not an error.
     """
-    rootp = Path(root)
-    if not rootp.is_dir():
+    if not os.path.isdir(root):
         raise RootNotFound(str(root))
-    rels = sorted(
-        (
-            p.relative_to(rootp).as_posix()
-            for p in rootp.rglob("*.java")
-            if p.is_file()
-        ),
-        key=lambda r: r.encode("utf-8"),
-    )
+    paths = []
+    for top, _, names in os.walk(root):
+        for name in names:
+            if name.endswith(".java"):
+                path = os.path.join(top, name)
+                if os.path.isfile(path):
+                    paths.append(path)
+    paths.sort(key=os.fsencode)
+    strip = len(os.path.join(root, ""))
 
     units: list[CorpusUnit] = []
     failures: list[tuple[str, str]] = []
-    for rel in rels:
+    for path in paths:
+        rel = path[strip:]
         try:
-            data = (rootp / rel).read_bytes()
+            with open(path, "rb") as f:
+                data = f.read()
             units.append(CorpusUnit(rel, parse_unit(tokenize(data, rel))))
         except (CodeforestError, OSError) as exc:
             failures.append((rel, f"{type(exc).__name__}: {exc}"))
 
-    warnings = [] if rels else [f"no .java files under {root}"]
+    warnings = [] if paths else [f"no .java files under {root}"]
     return CorpusParse(units, failures, warnings)

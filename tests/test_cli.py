@@ -138,6 +138,19 @@ def test_malformed_config_line_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value'\n"
 
 
+def test_non_utf8_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "render.cfg"
+    data = b"seed = 1\n# caf\xe9\n"
+    cfg.write_bytes(data)
+    out = tmp_path / "x.gltf"
+    rc = main(["render", TWO_CLASSES, "-o", str(out), "--format", "gltf",
+               "--config", str(cfg)])
+    assert rc == 2
+    offset = data.index(b"\xe9")
+    assert capsys.readouterr().err == f"error: {cfg}: invalid UTF-8 at byte offset {offset}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["s_min = nan", "h1 = inf", "tier_drop = inf"])
 def test_non_finite_config_value_exits_two(tmp_path, capsys, line):
     # nan once crashed the hex-slot count; inf wrote NaN/Infinity into the glTF.

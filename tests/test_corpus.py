@@ -1,5 +1,6 @@
 """Corpus walking: ordering and per-file failure isolation."""
 
+import os
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeforest import errors
+from codeforest import errors, parser
 from codeforest.errors import CodeforestError, RootNotFound
 from codeforest.lexer import tokenize
 from codeforest.parser import parse_corpus, parse_unit
@@ -55,6 +56,62 @@ def test_non_utf8_file_is_a_failure_not_a_crash(tmp_path):
     assert "NonUtf8Input" in detail
 
 
+def test_non_utf8_file_name_sorts_by_its_bytes(tmp_path):
+    write(tmp_path, "N\ue000.java", "class P { }")
+    try:
+        with open(os.path.join(os.fsencode(tmp_path), b"N\xff.java"), "wb") as f:
+            f.write(b"class Q { }")
+    except OSError:
+        pytest.skip("the filesystem refuses a name that is not UTF-8")
+    result = parse_corpus(tmp_path)
+    # As text, the escaped byte (U+DCFF) sorts before U+E000; as bytes,
+    # 0xFF sorts after its UTF-8 lead byte 0xEE.
+    assert [u.path for u in result.units] == ["N\ue000.java", "N\udcff.java"]
+    assert result.failures == []
+
+
+def test_symlinks_and_non_files(tmp_path):
+    root = tmp_path / "src"
+    write(tmp_path, "ext/T.java", "class T { }")
+    write(root, "A.java", "class A { }")
+    write(root, "Dir.java/Inner.java", "class Inner { }")
+    (root / "Link.java").symlink_to(tmp_path / "ext" / "T.java")
+    (root / "linked").symlink_to(tmp_path / "ext", target_is_directory=True)
+    (root / "Gone.java").symlink_to(tmp_path / "missing.java")
+    result = parse_corpus(root)
+    # The linked file is read; the linked directory is not entered; the
+    # broken link and the directory named like a source are skipped.
+    assert [u.path for u in result.units] == ["A.java", "Dir.java/Inner.java", "Link.java"]
+    assert result.failures == []
+
+
+def test_unreadable_file_is_one_failure(tmp_path, monkeypatch):
+    write(tmp_path, "A.java", "class A { }")
+    write(tmp_path, "Locked.java", "class Locked { }")
+    write(tmp_path, "Z.java", "class Z { }")
+
+    def locked_open(path, *args):
+        if path.endswith("Locked.java"):
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, *args)
+
+    monkeypatch.setattr(parser, "open", locked_open, raising=False)
+    result = parse_corpus(tmp_path)
+    assert [u.path for u in result.units] == ["A.java", "Z.java"]
+    ((path, detail),) = result.failures
+    assert path == "Locked.java"
+    assert detail.startswith("PermissionError: ")
+
+
+@pytest.mark.parametrize("root", [".", "./", "src", "src/", "src//"])
+def test_paths_are_relative_to_any_spelling_of_the_root(tmp_path, monkeypatch, root):
+    write(tmp_path, "src/p/K.java", "class K { }")
+    monkeypatch.chdir(tmp_path)
+    result = parse_corpus(root)
+    expected = "p/K.java" if root.startswith("src") else "src/p/K.java"
+    assert [u.path for u in result.units] == [expected]
+
+
 def test_empty_corpus_warns(tmp_path):
     result = parse_corpus(tmp_path)
     assert result.units == []
@@ -92,7 +149,7 @@ def test_text_block_file_parses_without_failures(tmp_path):
     assert result.failures == []
     (unit,) = result.units
     (cls,) = unit.classes
-    assert [(m.name, m.loc) for m in cls.methods] == [("html", 6), ("size", 1)]
+    assert [m.name for m in cls.methods] == ["html", "size"]
     assert cls.methods[0].call_sites == []
 
 

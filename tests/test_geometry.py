@@ -60,7 +60,6 @@ def island(radius=6.0, tiers=1):
         center=(0.0, 0.0),
         radius=radius,
         layer_lo=0,
-        layer_hi=tiers - 1,
         tier_heights=[float(tiers - 1 - u) for u in range(tiers)],
     )
 

@@ -145,9 +145,9 @@ def test_island_and_tree_work_grows_near_linearly(monkeypatch):
     def tree_work(n):
         # One tier, roomy enough that no pair is close: every tree is
         # checked, none stops the scan early.
-        island = IslandLayout(0, (0.0, 0.0), 2.5 * math.sqrt(n), 0, 0, [0.0])
+        island = IslandLayout(0, (0.0, 0.0), 2.5 * math.sqrt(n), 0, [0.0])
         counts.update(queries=0, tests=0)
-        place_trees(island, packages_of([n]), [0] * n, params, 0)
+        place_trees(island, packages_of([n]), [0] * n, params)
         assert counts["queries"] == n
         return dict(counts)
 

@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+from codeforest import geometry
+from codeforest.exporters import mel
 from codeforest.exporters.mel import export_mel, mel_text
 from codeforest.geometry import Scene, SceneNode, default_palette
 
@@ -45,6 +47,26 @@ def test_one_creation_and_rename_per_mesh_node(name):
     mesh_nodes = [n for n in built.nodes if n.mesh is not None]
     assert len(mel_creations(text)) == len(mesh_nodes)
     assert len(mel_names(text)) == len(mesh_nodes)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_bounds_are_taken_once_per_mesh(monkeypatch, name):
+    # Leaves of one kind share a mesh; their bounds are computed once.
+    built = scene(name)
+    calls = []
+
+    def counting_bounds(mesh):
+        calls.append(mesh)
+        return geometry.bounds(mesh)
+
+    monkeypatch.setattr(mel, "bounds", counting_bounds)
+    mel_text(built)
+    meshes = [
+        n.mesh for n in built.nodes
+        if n.mesh is not None and not n.name.startswith("channel:")
+    ]
+    assert len(set(meshes)) < len(meshes)
+    assert len(calls) == len(set(meshes))
 
 
 def test_names_sanitized_and_unique():

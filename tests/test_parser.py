@@ -37,12 +37,11 @@ def test_useraaa_declarations():
     assert cls.name == "Useraaa"
     assert cls.package_name == ""
     assert cls.super_name is None
-    assert not cls.is_interface
     assert [(f.name, f.declared_type) for f in cls.fields] == [("email", "String")]
-    assert [(m.name, m.param_count, m.return_type) for m in cls.methods] == [
-        ("getEmail", 0, "String"),
-        ("setEmail", 1, "void"),
-        ("notify", 1, "void"),
+    assert [(m.name, m.has_params, m.return_type) for m in cls.methods] == [
+        ("getEmail", False, "String"),
+        ("setEmail", True, "void"),
+        ("notify", True, "void"),
     ]
     get_email, set_email, notify = cls.methods
     assert get_email.reads_fields == {"email"} and not get_email.writes_fields
@@ -84,32 +83,33 @@ def test_modifiers_and_annotations():
         }
         """
     )
-    assert cls.is_abstract
     assert [f.name for f in cls.fields] == ["MAX"]
     (run,) = cls.methods
     assert run.name == "run"
-    assert run.body_span is None
 
 
 def test_constructor_has_empty_return_type():
     (cls,) = parse("class Engine { public Engine(int n) { } }")
     (ctor,) = cls.methods
-    assert (ctor.name, ctor.return_type, ctor.param_count) == ("Engine", "", 1)
+    assert (ctor.name, ctor.return_type, ctor.has_params) == ("Engine", "", True)
 
 
 @pytest.mark.parametrize(
-    "params,count",
+    "params,has_params",
     [
-        ("", 0),
-        ("int a", 1),
-        ("int a, String b, double c", 3),
-        ("int[] xs", 1),
-        ("String... parts", 1),
+        ("", False),
+        ("/* none */", False),
+        ("int a", True),
+        ("int a, String b, double c", True),
+        ("int[] xs", True),
+        ("String... parts", True),
+        ("Map<K, V> m", True),
+        ("List<? extends Map<A,B>> x, int... y", True),
     ],
 )
-def test_param_counts(params, count):
+def test_has_params(params, has_params):
     (cls,) = parse(f"class P {{ void m({params}) {{ }} }}")
-    assert cls.methods[0].param_count == count
+    assert cls.methods[0].has_params is has_params
 
 
 def test_multi_declarator_field():
@@ -132,15 +132,12 @@ def test_generic_field_type_is_compacted():
 def test_generic_method_parses():
     (cls,) = parse("class G { public <T> T pick(T a) { return a; } }")
     (m,) = cls.methods
-    assert (m.name, m.param_count) == ("pick", 1)
+    assert (m.name, m.has_params) == ("pick", True)
 
 
 def test_interface_members_have_no_bodies():
     (cls,) = parse("interface Draw { void draw(); int size(); }")
-    assert cls.is_interface
     assert [m.name for m in cls.methods] == ["draw", "size"]
-    assert all(m.body_span is None for m in cls.methods)
-    assert all(m.loc >= 1 for m in cls.methods)
 
 
 def test_nested_class_is_flattened_after_its_owner():
@@ -295,20 +292,6 @@ def test_string_receiver_is_other():
     assert site_tuples(s) == [("length", RECEIVER_OTHER, None)]
 
 
-@pytest.mark.parametrize(
-    "args,hint",
-    [("", 0), ("a", 1), ("a, b", 2), ("g(x, y), h", 2), ('"a,b"', 1)],
-)
-def test_argument_count_hints(args, hint):
-    s = scan(f"{{ m({args}); }}", [])
-    assert s.call_sites[0].arg_count_hint == hint
-
-
-def test_body_loc_spans_braces():
-    s = scan("{\n a();\n}", [])
-    assert s.body_span.line_end - s.body_span.line_start + 1 == 3
-
-
 def test_unicode_identifiers_are_fields_and_names():
     (cls,) = parse("class K { int größe; void setGröße(int v) { größe = v; } }")
     assert [f.name for f in cls.fields] == ["größe"]
@@ -336,7 +319,6 @@ def test_nested_record_is_a_class_not_a_method():
     (twice,) = rec.methods
     assert twice.name == "twice" and twice.reads_fields == {"x"}
     assert rec.super_name == "Comparable"
-    assert not rec.is_interface
 
 
 def test_record_compact_constructor_is_not_a_method():
@@ -363,11 +345,10 @@ def test_sealed_and_non_sealed_are_modifiers():
         "}\n"
     )
     assert [c.name for c in classes] == ["A", "A.N", "A.F", "A.S"]
-    a, n, _, s = classes
+    a, n, _, _ = classes
     assert [f.name for f in a.fields] == ["sealed", "non", "x"]
     assert a.span.line_start == 1 and a.methods == []
     assert n.super_name == "A" and [m.name for m in n.methods] == ["n"]
-    assert s.is_interface
 
 
 def test_spaced_non_sealed_is_not_a_modifier():
@@ -498,7 +479,8 @@ def test_class_header_at_end_of_file_raises():
 
 
 # ---------------------------------------------------------------------------
-# The parse path builds no token objects, and its spans count bytes.
+# The parse path builds no token objects and a span only per class, and
+# its spans count bytes.
 
 def test_parse_corpus_builds_no_token(monkeypatch):
     built = []
@@ -515,6 +497,23 @@ def test_parse_corpus_builds_no_token(monkeypatch):
     assert len(built) == 4
 
 
+def test_parse_corpus_builds_one_span_per_class(monkeypatch):
+    # Members and call sites carry no span; only a class (for its line
+    # count) and an error need one.
+    built = []
+    span = lexer.Tokens.span
+
+    def counting_span(self, a, b):
+        built.append((a, b))
+        return span(self, a, b)
+
+    monkeypatch.setattr(lexer.Tokens, "span", counting_span)
+    result = parse_corpus(FIXTURES / "jfreechart_annotations")
+    classes = sum(len(unit.classes) for unit in result.units)
+    assert classes == 15 and not result.failures
+    assert len(built) == classes
+
+
 def test_spans_count_bytes_after_non_ascii_text():
     data = (
         "// é\n"
@@ -524,17 +523,6 @@ def test_spans_count_bytes_after_non_ascii_text():
         "}\n"
     ).encode()
     (cls,) = parse_unit(tokenize(data, "f"))
-    (field,) = cls.fields
-    (method,) = cls.methods
-    (call,) = method.call_sites
     assert cls.name == "Café"
     assert (cls.span.byte_start, cls.span.byte_end) == (data.index(b"class"), len(data) - 1)
     assert (cls.span.line_start, cls.span.line_end) == (3, 5)
-    assert (field.span.byte_start, field.span.byte_end) == (
-        data.index(b"String"), data.index(b"s =") + 1)
-    start = data.index(b"void")
-    assert (method.span.byte_start, method.span.byte_end) == (start, data.index(b"}", start) + 1)
-    assert (method.span.line_start, method.span.line_end) == (4, 4)
-    assert (call.span.byte_start, call.span.byte_end) == (
-        data.index(b"run"), data.index(b"run") + len(b"run()"))
-    assert (call.span.line_start, call.span.line_end) == (4, 4)
