@@ -53,10 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_warnings(info: pipeline.CorpusInfo) -> None:
-    for path, message in info.failures:
-        print(f"warning: {path}: {message}", file=sys.stderr)
-    for message in info.warnings:
-        print(f"warning: {message}", file=sys.stderr)
+    lines = [f"{path}: {message}" for path, message in info.failures] + info.warnings
+    for line in lines:
+        # A path that is not valid UTF-8 holds surrogate escapes; show its
+        # bytes as \xNN, as a user would type them.
+        line = line.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+        print(f"warning: {line}", file=sys.stderr)
 
 
 def _run_analyze(args) -> int:

@@ -423,6 +423,43 @@ def read_obj(text: str):
     return objects, verts, normals, faces
 
 
+def obj_text_per_corner(scene, mtl_name: str | None = None) -> str:
+    """The OBJ writer as it was before corner strings were formatted once
+    per vertex: every face corner's vertex number is formatted twice, and
+    only the ``vn`` block is kept per mesh. The exporter must match it
+    byte for byte."""
+    from itertools import chain, cycle
+    from operator import add
+
+    from codeforest.geometry import flat, world_transforms
+
+    transforms = world_transforms(scene)
+    chunks = []
+    if mtl_name is not None:
+        chunks.append(f"mtllib {mtl_name}\n")
+    normal_blocks: dict[int, str] = {}  # by mesh index
+    offset = 1
+    for idx, node in enumerate(scene.nodes):
+        if node.mesh is None:
+            continue
+        mesh = scene.meshes[node.mesh]
+        n = mesh.vertex_count
+        chunks.append(f"o {node.name}\nusemtl {scene.materials[mesh.material].name}\n")
+        world = map(add, flat(mesh.positions).tolist(), cycle(transforms[idx]))
+        chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world))
+        normals = normal_blocks.get(node.mesh)
+        if normals is None:
+            normals = normal_blocks[node.mesh] = (
+                "vn %.6f %.6f %.6f\n" * n % tuple(flat(mesh.normals).tolist())
+            )
+        chunks.append(normals)
+        corners = [i + offset for i in mesh.indices.tolist()]
+        chunks.append("f %d//%d %d//%d %d//%d\n" * mesh.triangle_count
+                      % tuple(chain.from_iterable(zip(corners, corners))))
+        offset += n
+    return "".join(chunks) or "\n"
+
+
 # ---------------------------------------------------------------------------
 # MEL scraping.
 

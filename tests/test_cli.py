@@ -1,6 +1,7 @@
 """Tests for the codeforest command line interface."""
 
 import json
+import os
 import signal
 import warnings
 from contextlib import contextmanager
@@ -286,3 +287,20 @@ def test_parse_failure_warns_and_continues(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == "classes=1 methods=1 loc=1 inheritance=0\n"
     assert "Bad.java" in out.err and out.err.startswith("warning:")
+
+
+@pytest.mark.parametrize("command", ["analyze", "render"])
+def test_non_utf8_path_is_warned_as_its_bytes(tmp_path, command, capsys):
+    root = tmp_path / "src"
+    (root / "p").mkdir(parents=True)
+    (root / "p" / "Good.java").write_text("package p;\npublic class Good {}\n",
+                                          encoding="utf-8")
+    with open(os.fsencode(root / "p") + b"/Bad\xe9.java", "wb") as bad:
+        bad.write(b"class { }\n")
+    argv = [command, str(root)]
+    if command == "render":
+        argv += ["-o", str(tmp_path / "forest.obj"), "--format", "obj"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert "p/Bad\\xe9.java" in err
+    assert "\\udc" not in err and "\udce9" not in err

@@ -1,10 +1,17 @@
 """Tests for the Wavefront OBJ/MTL exporter."""
 
-import pytest
+import tracemalloc
+from array import array
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from codeforest.exporters import obj as obj_module
 from codeforest.exporters.obj import export_obj, mtl_text, obj_text
 from codeforest.geometry import (
     Material,
+    Mesh,
     Scene,
     SceneNode,
     default_palette,
@@ -12,7 +19,7 @@ from codeforest.geometry import (
 )
 
 from conftest import CORPUS_NAMES, literal_mesh, scene, vec3
-from oracles import read_obj
+from oracles import obj_text_per_corner, read_obj
 
 
 def triangle_scene() -> Scene:
@@ -119,3 +126,119 @@ def test_export_writes_sibling_mtl(tmp_path):
     text = obj_path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "mtllib forest.mtl"
     assert mtl_path.read_text(encoding="utf-8") == mtl_text(scene("two_classes"))
+
+
+def _mesh(positions, normals, indices, material=0) -> Mesh:
+    """A mesh from flat x, y, z runs and a flat index run."""
+    def vec3_view(values):
+        return memoryview(array("f", values).tobytes()).cast("f", (len(values) // 3, 3))
+
+    return Mesh(vec3_view(positions), vec3_view(normals),
+                memoryview(array("I", indices).tobytes()).cast("I"), material)
+
+
+def _no_triangles() -> Mesh:
+    """Two vertices and ``indices=memoryview(b"").cast("I")``."""
+    return _mesh([0.0, 1.0, 2.0] * 2, [0.0, 1.0, 0.0] * 2, [])
+
+
+_FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _meshes(draw) -> Mesh:
+    n = draw(st.integers(1, 6))
+    positions = draw(st.lists(_FLOAT32, min_size=3 * n, max_size=3 * n))
+    normals = draw(st.lists(_FLOAT32, min_size=3 * n, max_size=3 * n))
+    t = draw(st.integers(0, 5))
+    indices = draw(st.lists(st.integers(0, n - 1), min_size=3 * t, max_size=3 * t))
+    return _mesh(positions, normals, indices, draw(st.integers(0, 7)))
+
+
+@st.composite
+def _scenes(draw) -> Scene:
+    """A node tree over a few meshes: some shared, some used once, some
+    nodes without a mesh, translations negative and large."""
+    meshes = draw(st.lists(_meshes(), min_size=1, max_size=4))
+    offsets = st.floats(-1e9, 1e9, allow_nan=False)
+    nodes = [SceneNode(draw(st.text(max_size=4)))]
+    for i in range(1, draw(st.integers(1, 10)) + 1):
+        nodes.append(SceneNode(
+            draw(st.text(min_size=1, max_size=6)),
+            translation=draw(st.tuples(offsets, offsets, offsets)),
+            mesh=draw(st.none() | st.integers(0, len(meshes) - 1)),
+        ))
+        nodes[draw(st.integers(0, i - 1))].children.append(i)
+    return Scene(nodes, meshes, default_palette())
+
+
+def _zero_triangle_scene() -> Scene:
+    """A mesh without triangles that two nodes share, another that one
+    node uses, and a one-triangle node between them."""
+    tri = triangle_scene().meshes[0]
+    nodes = [
+        SceneNode("forest", children=[1, 2, 3, 4]),
+        SceneNode("leaf:ä", translation=(-3.5, 2e8, 0.25), mesh=1),
+        SceneNode("tri", translation=(1.0, 2.0, 3.0), mesh=0),
+        SceneNode("leaf:方法", mesh=1),
+        SceneNode("once", mesh=2),
+    ]
+    return Scene(nodes, [tri, _no_triangles(), _no_triangles()], default_palette())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenes(), st.none() | st.text(max_size=8))
+@example(_zero_triangle_scene(), "forest.mtl")
+def test_obj_text_equals_the_per_corner_writer(built, mtl_name):
+    assert obj_text(built, mtl_name) == obj_text_per_corner(built, mtl_name)
+
+
+def test_zero_triangle_mesh_writes_no_faces():
+    text = obj_text(_zero_triangle_scene())
+    assert text == obj_text_per_corner(_zero_triangle_scene())
+    objects, verts, _, faces = read_obj(text)
+    assert [(name, count) for name, _, count in objects] == [
+        ("leaf:ä", 0), ("tri", 1), ("leaf:方法", 0), ("once", 0)]
+    assert len(verts) == 9
+    assert faces == [((3, 3), (4, 4), (5, 5))]
+
+
+def _slice_crossing_scene(pad: int) -> Scene:
+    """Three triangle nodes: an ASCII name of ``pad`` characters, a
+    non-ASCII name, and a long tail name that takes the text past
+    two slices."""
+    tri = triangle_scene().meshes[0]
+    names = ["p" * pad, "leaf:ÄÖÜ.方法", "t" * (2 * obj_module._WRITE_SLICE)]
+    nodes = [SceneNode("forest", children=[1, 2, 3])]
+    nodes += [SceneNode(name, mesh=0) for name in names]
+    return Scene(nodes, [tri], default_palette())
+
+
+def test_export_bytes_equal_the_text_across_slices(tmp_path):
+    special = "leaf:ÄÖÜ.方法"
+    boundary = obj_module._WRITE_SLICE
+    start = obj_text(_slice_crossing_scene(0), "forest.mtl").index(special)
+    built = _slice_crossing_scene(boundary - 3 - start)
+    text = obj_text(built, "forest.mtl")
+    assert text.index(special) < boundary < text.index(special) + len(special)
+    assert len(text.encode("utf-8")) > 2 * boundary
+    obj_path, _ = export_obj(built, tmp_path / "forest.obj")
+    assert obj_path.read_bytes() == text.encode("utf-8")
+
+
+def test_export_never_holds_the_whole_text_encoded(tmp_path, monkeypatch):
+    text = "v 1.000000 2.000000 3.000000\n" * (8 * obj_module._WRITE_SLICE // 29)
+    monkeypatch.setattr(obj_module, "obj_text", lambda scene, mtl_name=None: text)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        obj_path, _ = export_obj(triangle_scene(), tmp_path / "forest.obj")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < len(text) // 2
+    assert obj_path.read_bytes() == text.encode("utf-8")
