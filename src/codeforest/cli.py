@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import config as config_module
 from . import pipeline
-from .errors import CodeforestError, NonPositiveValue
+from .errors import CodeforestError
 from .exporters import export_gltf, export_mel, export_obj, export_report
 
 
@@ -80,9 +80,7 @@ def _run_render(args) -> int:
     else:
         cfg = config_module.Config()
     if args.seed is not None:
-        if args.seed < 0:
-            raise NonPositiveValue("seed", args.seed, reason="must be non-negative")
-        cfg.seed = args.seed
+        config_module.apply_setting(cfg, "seed", str(args.seed), "--seed")
 
     info = pipeline.analyze(args.root)
     _print_warnings(info)

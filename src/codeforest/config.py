@@ -69,7 +69,7 @@ def parse_config(text: str, file_id: str = "<config>") -> Config:
         if "=" not in line:
             raise ConfigSyntaxError(f"{file_id}:{lineno}", "expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        _apply(cfg, key, value, f"{file_id}:{lineno}")
+        apply_setting(cfg, key, value, f"{file_id}:{lineno}")
     return cfg
 
 
@@ -82,7 +82,9 @@ def load_config(path: str | Path) -> Config:
     return parse_config(text, file_id=str(p))
 
 
-def _apply(cfg: Config, key: str, value: str, where: str) -> None:
+def apply_setting(cfg: Config, key: str, value: str, where: str) -> None:
+    """Check ``key = value`` and set it on ``cfg``; ``where`` names the
+    source in a syntax error."""
     if key.startswith("palette."):
         name = key[len("palette."):]
         if name not in _PALETTE_NAMES:

@@ -115,7 +115,7 @@ def build_gltf(scene: Scene) -> dict:
     doc: dict = {
         "asset": {"generator": "codeforest", "version": "2.0"},
         "scene": 0,
-        "scenes": [{"nodes": [scene.root]}],
+        "scenes": [{"nodes": [0]}],
         "nodes": nodes_json,
     }
     if meshes_json:

@@ -11,11 +11,11 @@ settings (``h0``, ``h1``, ``r0``, ``c``, ``canopy_coefficient``,
 
 A mesh holds read-only ``memoryview``s: float32 (n, 3) positions and
 normals, and a flat run of uint32 triangle indices. Meshes are shared
-by exact dimensions: within one ``assemble_scene`` call, trunks,
-canopies and leaves with the same dimensions, segment count and
-material get one ``Mesh`` whose index several nodes hold, so every leaf
-of a kind and every canopy of a given method count is built once.
-Islands and channels keep one mesh each.
+by index. Within one ``assemble_scene`` call, one table maps a tree
+part's build arguments (builder, dimensions, segment count, material)
+to its index in ``scene.meshes``, so every leaf of a kind and every
+canopy of a given method count is built once and held by several
+nodes. Islands and channels keep one mesh each.
 
 Nodes form a single tree rooted at ``forest`` with stable, unique
 names:
@@ -47,7 +47,6 @@ from .layout import (
     ChannelPath,
     ForestLayout,
     IslandLayout,
-    TreePlacement,
     island_rings,
 )
 from .model import (
@@ -62,6 +61,8 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .config import Config
 
 CANOPY_MIN_RADIUS = 0.4
@@ -142,13 +143,12 @@ class SceneNode:
 
 @dataclass
 class Scene:
+    """Nodes, the meshes they hold by index, and the palette; node 0 is
+    the root."""
+
     nodes: list[SceneNode]
     meshes: list[Mesh]
     materials: list[Material]
-
-    @property
-    def root(self) -> int:
-        return 0
 
 
 @dataclass
@@ -208,11 +208,6 @@ def _ring(radius: float, y: float, segments: int):
     return pts
 
 
-def _quad_up(a0, a1, b0, b1):
-    """Two up-facing triangles between inner edge (a) and outer edge (b)."""
-    return [(a0, b1, b0), (a0, a1, b1)]
-
-
 def build_island_mesh(island: IslandLayout, segments: int) -> Mesh:
     """Terraced island: one flat annulus per tier plus walls and a cap.
 
@@ -227,98 +222,50 @@ def build_island_mesh(island: IslandLayout, segments: int) -> Mesh:
     tiers = len(heights)
     rings = island_rings(island.radius, tiers)
 
+    # walls[u] is the normal ring of the wall from tier u down to tier
+    # u + 1: tier u's outer ring and tier u + 1's inner ring share it.
+    up = [(0.0, 1.0, 0.0)] * segments
+    wall_run = rings[0][0]  # horizontal run of every wall
+    walls = []
+    for u in range(tiers - 1):
+        drop = heights[u] - heights[u + 1]
+        slope = math.hypot(drop, wall_run)
+        walls.append(_ring(drop / slope, wall_run / slope, segments))
+    inner_norms, outer_norms = [up, *walls], [*walls, up]
+
+    # Ring r of the vertex list starts at r * segments: tier u's inner
+    # ring is ring 2u and its outer ring 2u + 1; the cap ring follows.
     verts: list[tuple[float, float, float]] = []
     norms: list[tuple[float, float, float]] = []
-    inner_base: list[int] = []
-    outer_base: list[int] = []
-
-    wall_run = rings[0][0]  # horizontal run of every wall
     for u in range(tiers):
         inner_r, outer_r = rings[u]
-        y = heights[u]
-        inner_base.append(len(verts))
-        if u == 0:
-            inner_norm = [(0.0, 1.0, 0.0)] * segments
-        else:
-            drop = heights[u - 1] - heights[u]
-            slope = math.hypot(drop, wall_run)
-            nr, ny = drop / slope, wall_run / slope
-            inner_norm = [
-                (nr * math.cos(2.0 * math.pi * k / segments), ny,
-                 nr * math.sin(2.0 * math.pi * k / segments))
-                for k in range(segments)
-            ]
-        verts.extend(_ring(inner_r, y, segments))
-        norms.extend(inner_norm)
+        verts += _ring(inner_r, heights[u], segments) + _ring(outer_r, heights[u], segments)
+        norms += inner_norms[u] + outer_norms[u]
+    cap = len(verts)
+    verts += _ring(rings[0][0], heights[0], segments) + [(0.0, heights[0], 0.0)]
+    norms += up + [(0.0, 1.0, 0.0)]
+    center = cap + segments
 
-        outer_base.append(len(verts))
-        verts.extend(_ring(outer_r, y, segments))
-        if u == tiers - 1:
-            norms.extend([(0.0, 1.0, 0.0)] * segments)
-        else:
-            drop = heights[u] - heights[u + 1]
-            slope = math.hypot(drop, wall_run)
-            nr, ny = drop / slope, wall_run / slope
-            norms.extend(
-                (nr * math.cos(2.0 * math.pi * k / segments), ny,
-                 nr * math.sin(2.0 * math.pi * k / segments))
-                for k in range(segments)
-            )
-
-    cap_base = len(verts)
-    verts.extend(_ring(rings[0][0], heights[0], segments))
-    norms.extend([(0.0, 1.0, 0.0)] * segments)
-    center = len(verts)
-    verts.append((0.0, heights[0], 0.0))
-    norms.append((0.0, 1.0, 0.0))
-
-    tris: list[tuple[int, int, int]] = []
-    for k in range(segments):
-        k1 = (k + 1) % segments
-        tris.append((center, cap_base + k1, cap_base + k))
-    for u in range(tiers):
+    tris = [(center, cap + (k + 1) % segments, cap + k) for k in range(segments)]
+    # Up-facing quads from ring r to ring r + 1: every tier's flat
+    # annulus, then every wall.
+    for r in [*range(0, 2 * tiers, 2), *range(1, 2 * tiers - 1, 2)]:
+        lo, hi = r * segments, (r + 1) * segments
         for k in range(segments):
             k1 = (k + 1) % segments
-            tris.extend(
-                _quad_up(inner_base[u] + k, inner_base[u] + k1,
-                         outer_base[u] + k, outer_base[u] + k1)
-            )
-    for u in range(tiers - 1):
-        for k in range(segments):
-            k1 = (k + 1) % segments
-            tris.extend(
-                _quad_up(outer_base[u] + k, outer_base[u] + k1,
-                         inner_base[u + 1] + k, inner_base[u + 1] + k1)
-            )
+            tris += [(lo + k, hi + k1, hi + k), (lo + k, lo + k1, hi + k1)]
     return _as_mesh(verts, norms, tris, MAT_ISLAND)
 
 
 def _cylinder(radius: float, height: float, segments: int, material: int) -> Mesh:
-    verts: list[tuple[float, float, float]] = []
-    norms: list[tuple[float, float, float]] = []
     bottom = _ring(radius, 0.0, segments)
     top = _ring(radius, height, segments)
-    side_norm = [
-        (math.cos(2.0 * math.pi * k / segments), 0.0,
-         math.sin(2.0 * math.pi * k / segments))
-        for k in range(segments)
-    ]
-    verts.extend(bottom)
-    norms.extend(side_norm)
-    verts.extend(top)
-    norms.extend(side_norm)
-    cap_top = len(verts)
-    verts.extend(top)
-    norms.extend([(0.0, 1.0, 0.0)] * segments)
-    c_top = len(verts)
-    verts.append((0.0, height, 0.0))
-    norms.append((0.0, 1.0, 0.0))
-    cap_bot = len(verts)
-    verts.extend(bottom)
-    norms.extend([(0.0, -1.0, 0.0)] * segments)
-    c_bot = len(verts)
-    verts.append((0.0, 0.0, 0.0))
-    norms.append((0.0, -1.0, 0.0))
+    side = _ring(1.0, 0.0, segments)
+    verts = bottom + top + top + [(0.0, height, 0.0)] + bottom + [(0.0, 0.0, 0.0)]
+    norms = (side + side + [(0.0, 1.0, 0.0)] * (segments + 1)
+             + [(0.0, -1.0, 0.0)] * (segments + 1))
+    cap_top, cap_bot = 2 * segments, 3 * segments + 1
+    c_top, c_bot = cap_top + segments, cap_bot + segments
 
     tris = []
     for k in range(segments):
@@ -417,54 +364,30 @@ def build_channel_mesh(path: ChannelPath, origin: tuple[float, float] = (0.0, 0.
     return _as_mesh(verts, norms, tris, MAT_WATER)
 
 
-def _shared(memo: dict, build, *args) -> Mesh:
-    """``build(*args)``, built once per distinct ``args`` in ``memo``.
-
-    The key is the exact arguments, so a shared mesh is bitwise the
-    mesh ``build`` gives for them. Sharing is safe because every mesh
-    is read-only from the moment it is built.
-    """
-    key = (build, *args)
-    mesh = memo.get(key)
-    if mesh is None:
-        mesh = memo[key] = build(*args)
-    return mesh
-
-
-@dataclass
-class ScenePart:
-    name: str
-    mesh: Mesh
-    translation: tuple[float, float, float]
-
-
 def build_tree_parts(
     qualified: str,
     labels: list[str],
     kinds: list[str],
     dims: TreeDims,
     segments: int,
-    memo: dict,
-) -> list[ScenePart]:
+    mesh: Callable[..., int],
+) -> list[SceneNode]:
     """Trunk, canopy and one leaf per method, in declaration order.
 
     Leaves sit on the canopy sphere along a golden-angle spiral; all
-    translations are local to the tree node at the trunk base. Meshes
-    come from ``memo`` (see ``_shared``), so parts of equal dimensions
-    share one.
+    translations are local to the tree node at the trunk base. Each
+    node's mesh index is ``mesh(build, *args)``, which in
+    ``assemble_scene`` builds ``build(*args)`` once per distinct
+    arguments, so parts of equal dimensions share one mesh.
     """
-    parts = [
-        ScenePart(f"trunk:{qualified}",
-                  _shared(memo, _cylinder, dims.trunk_radius, dims.trunk_height,
-                          segments, MAT_TRUNK),
-                  (0.0, 0.0, 0.0)),
-    ]
     cy = dims.trunk_height + CANOPY_LIFT * dims.canopy_radius
-    parts.append(
-        ScenePart(f"canopy:{qualified}",
-                  _shared(memo, _sphere, dims.canopy_radius, segments, MAT_CANOPY),
-                  (0.0, cy, 0.0))
-    )
+    nodes = [
+        SceneNode(f"trunk:{qualified}", (0.0, 0.0, 0.0),
+                  mesh(_cylinder, dims.trunk_radius, dims.trunk_height, segments,
+                       MAT_TRUNK)),
+        SceneNode(f"canopy:{qualified}", (0.0, cy, 0.0),
+                  mesh(_sphere, dims.canopy_radius, segments, MAT_CANOPY)),
+    ]
     n = len(labels)
     for i, (label, kind) in enumerate(zip(labels, kinds)):
         y = 1.0 - 2.0 * (i + 0.5) / n
@@ -475,13 +398,11 @@ def build_tree_parts(
             cy + dims.canopy_radius * y,
             dims.canopy_radius * r * math.sin(a),
         )
-        parts.append(
-            ScenePart(f"leaf:{qualified}.{label}",
-                      _shared(memo, _sphere, dims.leaf_radius, segments,
-                              _LEAF_MATERIAL[kind]),
-                      offset)
+        nodes.append(
+            SceneNode(f"leaf:{qualified}.{label}", offset,
+                      mesh(_sphere, dims.leaf_radius, segments, _LEAF_MATERIAL[kind]))
         )
-    return parts
+    return nodes
 
 
 def assemble_scene(
@@ -500,20 +421,29 @@ def assemble_scene(
     nodes: list[SceneNode] = [SceneNode("forest")]
     meshes: list[Mesh] = []
     scene = Scene(nodes, meshes, params.palette())
-    memo: dict = {}
-    mesh_index: dict[int, int] = {}  # id(mesh) -> index; `meshes` keeps the ids live
+    table: dict = {}  # (build, *args) -> index in meshes
+
+    def shared_mesh(build, *args) -> int:
+        """Index of ``build(*args)``, built on the first use of ``args``.
+
+        A shared mesh is bitwise the mesh ``build`` gives for its exact
+        arguments, and it is read-only from the moment it is built.
+        """
+        key = (build, *args)
+        idx = table.get(key)
+        if idx is None:
+            meshes.append(build(*args))
+            idx = table[key] = len(meshes) - 1
+        return idx
+
+    def own_mesh(mesh: Mesh) -> int:
+        meshes.append(mesh)
+        return len(meshes) - 1
 
     def add_node(parent: int, node: SceneNode) -> int:
         nodes.append(node)
         idx = len(nodes) - 1
         nodes[parent].children.append(idx)
-        return idx
-
-    def add_mesh(mesh: Mesh) -> int:
-        idx = mesh_index.get(id(mesh))
-        if idx is None:
-            meshes.append(mesh)
-            idx = mesh_index[id(mesh)] = len(meshes) - 1
         return idx
 
     max_fan_out = max((cm.fan_out for cm in class_metrics), default=0)
@@ -538,7 +468,7 @@ def assemble_scene(
             SceneNode(
                 f"island:{pkg.name}",
                 translation=(island.center[0], 0.0, island.center[1]),
-                mesh=add_mesh(build_island_mesh(island, params.segments)),
+                mesh=own_mesh(build_island_mesh(island, params.segments)),
             ),
         )
         for class_index in pkg.class_indices:
@@ -558,22 +488,15 @@ def assemble_scene(
                     ),
                 ),
             )
-            for part in build_tree_parts(
-                qualified, method_labels(cls), kinds, dims, params.segments, memo
-            ):
-                add_node(
-                    tree_node,
-                    SceneNode(part.name, translation=part.translation,
-                              mesh=add_mesh(part.mesh)),
-                )
+            for part in build_tree_parts(qualified, method_labels(cls), kinds, dims,
+                                         params.segments, shared_mesh):
+                add_node(tree_node, part)
         for channel in local_channels.get(island.package_index, ()):
             add_node(
                 island_node,
                 SceneNode(
                     _channel_name(model, channel, channel_names),
-                    mesh=add_mesh(
-                        build_channel_mesh(channel, origin=island.center)
-                    ),
+                    mesh=own_mesh(build_channel_mesh(channel, origin=island.center)),
                 ),
             )
     for channel in cross_channels:
@@ -581,7 +504,7 @@ def assemble_scene(
             0,
             SceneNode(
                 _channel_name(model, channel, channel_names),
-                mesh=add_mesh(build_channel_mesh(channel)),
+                mesh=own_mesh(build_channel_mesh(channel)),
             ),
         )
     _check_finite(scene)
@@ -609,7 +532,7 @@ def _channel_name(model: CodeModel, channel: ChannelPath, used: dict[str, int]) 
 def world_transforms(scene: Scene) -> list[tuple[float, float, float]]:
     """Per node: world translation (tx, ty, tz), by scene walk."""
     out: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * len(scene.nodes)
-    stack = [(scene.root, (0.0, 0.0, 0.0))]
+    stack = [(0, (0.0, 0.0, 0.0))]
     while stack:
         idx, base = stack.pop()
         node = scene.nodes[idx]

@@ -18,9 +18,11 @@ Within an annulus, trees step around a golden-angle spiral in class
 name order from a seed-derived start angle, perturbed by jitter of at
 most ``0.25 * s_min``. If that leaves two trunks closer than
 ``s_min``, positions are scaled radially outward, and as a last resort
-re-gridded hexagonally (nearest slots to the centre go to the lowest
-layers), so the separation invariant holds for any corpus that
-physically fits its island.
+re-gridded hexagonally, so the separation invariant holds for any
+corpus that physically fits its island. The re-grid deals its slots,
+nearest to the centre first, in class-index order whatever the layer,
+so a re-gridded tree may stand on another layer's terrace, its trunk
+base even below the ground there.
 
 Island placement and the tree separation check cost about n log n,
 not n², and make the same decisions, float for float, as the all-pairs

@@ -243,7 +243,7 @@ def test_negative_seed_exits_two(tmp_path, capsys):
     rc = main(["render", TWO_CLASSES, "-o", str(tmp_path / "x.gltf"),
                "--format", "gltf", "--seed", "-1"])
     assert rc == 2
-    assert "seed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: config key seed must be non-negative, got -1\n"
 
 
 def test_seed_flag_moves_trees(tmp_path, capsys):

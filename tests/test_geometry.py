@@ -32,6 +32,7 @@ from codeforest.geometry import (
     world_transforms,
 )
 from codeforest.geometry import _as_mesh
+from codeforest import geometry
 from codeforest.config import Config, parse_config
 from codeforest.layout import ChannelPath, IslandLayout
 from codeforest.model import ClassMetrics
@@ -250,11 +251,19 @@ def test_canopy_radius_floor():
 # ---------------------------------------------------------------------------
 # Tree parts.
 
-def make_parts(methods=3, kinds=None, loc=10):
+def make_parts(methods=3, kinds=None, loc=10, meshes=None):
+    """The tree parts of one class; each builds its own mesh into
+    ``meshes``, and a node's mesh is its index there."""
     dims = tree_dimensions(metrics(loc=loc, methods=methods), 0, Config())
     labels = [f"m{i}" for i in range(methods)]
     kinds = kinds or ["other"] * methods
-    return build_tree_parts("pkg.K", labels, kinds, dims, 12, {}), dims
+    meshes = [] if meshes is None else meshes
+
+    def mesh(build, *args):
+        meshes.append(build(*args))
+        return len(meshes) - 1
+
+    return build_tree_parts("pkg.K", labels, kinds, dims, 12, mesh), dims
 
 
 def test_tree_part_names_and_order():
@@ -286,10 +295,11 @@ def test_zero_method_class_has_no_leaves():
 
 
 def test_leaf_materials_follow_kinds():
+    meshes = []
     parts, _ = make_parts(
-        4, kinds=["constructor", "accessor", "mutator", "other"]
+        4, kinds=["constructor", "accessor", "mutator", "other"], meshes=meshes
     )
-    mats = [p.mesh.material for p in parts[2:]]
+    mats = [meshes[p.mesh].material for p in parts[2:]]
     assert mats == [6, 4, 5, 7]
 
 
@@ -474,6 +484,44 @@ def test_leaves_and_equal_canopies_share_meshes():
     assert len(set(map(id, s.meshes))) == len(s.meshes)
 
 
+def test_each_distinct_mesh_is_built_once_per_scene(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        build = getattr(geometry, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, wrapper)
+
+    for name in ("_cylinder", "_sphere", "build_island_mesh", "build_channel_mesh"):
+        counted(name)
+    info = corpus("jfreechart_annotations")
+    s = build_scene(info)
+    by_role = {}
+    for node in s.nodes:
+        if node.mesh is not None:
+            by_role.setdefault(node.name.split(":")[0], []).append(s.meshes[node.mesh])
+
+    def distinct(*roles):
+        return len({(m.positions.tobytes(), m.normals.tobytes(), m.indices.tobytes(),
+                     m.material) for role in roles for m in by_role[role]})
+
+    built = {
+        "_cylinder": distinct("trunk"),
+        "_sphere": distinct("canopy", "leaf"),
+        "build_island_mesh": len(by_role["island"]),
+        "build_channel_mesh": len(by_role["channel"]),
+    }
+    assert calls == built
+    assert len(s.meshes) == sum(built.values())
+    # Sharing holds within one call: a second scene builds its own meshes.
+    build_scene(info)
+    assert calls == {name: 2 * count for name, count in built.items()}
+
+
 def test_shared_mesh_arrays_are_read_only():
     # Every mesh, shared or not: islands and channels included.
     kinds = set()
@@ -533,7 +581,7 @@ def test_random_valid_configs_give_sound_scenes(seed, text):
         return
     assert np.isfinite(world_transforms(sc)).all()
     assert all(np.isfinite(vec3(m.positions)).all() for m in sc.meshes)
-    for child in sc.nodes[sc.root].children:
+    for child in sc.nodes[0].children:
         island = sc.nodes[child]
         if not island.name.startswith("island:"):
             continue
