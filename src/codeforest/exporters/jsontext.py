@@ -1,4 +1,4 @@
-"""Indented JSON text for the glTF document and the metrics report.
+"""Indented JSON text for the metrics report and the glTF's short values.
 
 ``json_text(value)`` is byte-equal to ``json.dumps(value, indent=2)``
 for a value made of dicts with str keys, lists, str, int, float, bool
@@ -9,7 +9,9 @@ all floats or all ints is written with one ``join``.
 
 ``float_text`` formats every float. The default, ``json_float``, is
 ``float.__repr__`` with json's ``NaN`` and ``Infinity`` spelling; the
-report passes ``"%.4f".__mod__``.
+report passes ``"%.4f".__mod__``. The glTF writer (``gltf.gltf_text``)
+writes its four long arrays through fixed per-record templates, using
+``json_float`` for their floats, and this writer for the rest.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ node's world-space bounds, then a ``rename`` and an absolute ``move``.
 
 The stand-ins approximate the real geometry (a terraced island becomes
 a cone); exact meshes belong to the glTF and OBJ writers. Names keep
-only letters and digits, everything else becomes ``_``, with ``_2``,
-``_3`` suffixes on collisions.
+only letters and digits, everything else becomes ``_``; a name already
+written takes the smallest free ``_2``, ``_3``, ... suffix, so no two
+nodes share a name even where a suffixed name equals another's base.
 """
 
 from __future__ import annotations
@@ -23,13 +24,22 @@ from pathlib import Path
 from ..geometry import Scene, bounds, world_transforms
 
 _MIN_HEIGHT = 0.1
+_UNSAFE = re.compile(r"[^A-Za-z0-9]")
 
 
 def _sanitize(name: str, used: dict[str, int]) -> str:
-    base = re.sub(r"[^A-Za-z0-9]", "_", name)
-    n = used.get(base, 0) + 1
-    used[base] = n
-    return base if n == 1 else f"{base}_{n}"
+    """A fresh name for ``name``; ``used`` maps every name returned so
+    far to the last suffix handed out with it as the base."""
+    base = candidate = _UNSAFE.sub("_", name)
+    # Names are only added, so a base's smallest free suffix never
+    # falls: the search resumes where the last one stopped.
+    k = used.get(base, 1)
+    while candidate in used:
+        k += 1
+        candidate = f"{base}_{k}"
+    used[candidate] = 1
+    used[base] = k
+    return candidate
 
 
 def mel_text(scene: Scene) -> str:

@@ -2,14 +2,17 @@
 
 import base64
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
 
 from codeforest.errors import SceneTooLarge
-from codeforest.exporters.gltf import build_gltf, export_gltf
+from codeforest.exporters import gltf as gltf_module
+from codeforest.exporters.gltf import build_gltf, export_gltf, gltf_text
 from codeforest.geometry import Mesh, Scene, SceneNode, default_palette
 
-from conftest import CORPUS_NAMES, scene, vec3
+from conftest import CORPUS_NAMES, flat_mesh, random_scenes, scene, vec3
 from oracles import check_gltf, gltf_reachable_nodes
 
 FULL_KEYS = [
@@ -128,6 +131,53 @@ def test_export_writes_pretty_json(tmp_path):
     assert text.endswith("}\n")
     assert json.loads(text) == build_gltf(scene("two_classes"))
     assert text == json.dumps(build_gltf(scene("two_classes")), indent=2) + "\n"
+
+
+def test_export_looks_up_build_gltf_when_called(tmp_path, monkeypatch):
+    # The benchmark's trace wraps this module attribute for its
+    # exporters.gltf.build span; a call bound at import time bypasses it.
+    doc = build_gltf(empty_scene())
+    doc["nodes"] = [{"name": "patched", "translation": [1.0, -0.0, 2.5]}]
+    monkeypatch.setattr(gltf_module, "build_gltf", lambda built: doc)
+    path = tmp_path / "out.gltf"
+    export_gltf(scene("two_classes"), path)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
+
+def _odd_scene() -> Scene:
+    """Every node shape, a mesh without triangles, a root named with
+    quotes, a backslash and a control character, and translations
+    that are zero, ``-0.0`` or not finite."""
+    tri = flat_mesh([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                    [0.0, 1.0, 0.0] * 3, [0, 1, 2])
+    bare = flat_mesh([-0.0, 1.0, 2.0] * 2, [0.0, 1.0, 0.0] * 2, [], material=3)
+    nodes = [
+        SceneNode('f"o\\r\x01st', children=[1, 2, 3]),
+        SceneNode("leaf:方法", translation=(-0.0, 0.0, -0.0), mesh=1),
+        SceneNode("tree:\U0001f332", translation=(math.inf, -math.inf, math.nan),
+                  children=[5, 6]),
+        SceneNode("tri", translation=(1.0, 2.0, 3.0), mesh=0, children=[7]),
+        SceneNode("empty"),
+        SceneNode("x", translation=(0.5, 0.0, 0.0), mesh=0, children=[]),
+        SceneNode("y", translation=(1e-300, -1e300, 5e-324)),
+        SceneNode("z", mesh=1, children=[4]),
+    ]
+    return Scene(nodes, [tri, bare], default_palette())
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_scenes())
+@example(_odd_scene())
+@example(empty_scene())
+def test_gltf_text_equals_json_dumps(built):
+    doc = build_gltf(built)
+    assert gltf_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_gltf_text_equals_json_dumps_on_fixtures(name):
+    doc = build_gltf(scene(name))
+    assert gltf_text(doc) == json.dumps(doc, indent=2)
 
 
 def test_oversized_mesh_rejected_before_buffering():

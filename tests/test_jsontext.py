@@ -1,4 +1,4 @@
-"""Tests for the indenting JSON writer behind the glTF and the report."""
+"""Tests for the indenting JSON writer behind the report and the glTF's short values."""
 
 import json
 import math
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from codeforest.exporters.jsontext import json_float, json_text
 
-# Quotes, backslashes, controls, non-ASCII and an astral character
-# (written as a surrogate pair), besides any other text.
-_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té ퟿\U0001f332')) | st.text()
+from conftest import texts
+
+_TEXT = texts()
 _FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, 1e308, -1e308, math.inf, -math.inf, math.nan])
 _SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
 _VALUES = st.recursive(

@@ -9,6 +9,7 @@ from codeforest import geometry
 from codeforest.exporters import mel
 from codeforest.exporters.mel import export_mel, mel_text
 from codeforest.geometry import Scene, SceneNode, default_palette
+from codeforest.pipeline import analyze, build_scene
 
 from conftest import CORPUS_NAMES, literal_mesh, scene, vec3
 from oracles import mel_creations, mel_names
@@ -79,21 +80,37 @@ def test_names_sanitized_and_unique():
         assert re.fullmatch(r"[A-Za-z0-9_]+", n)
 
 
-def test_name_collisions_get_numeric_suffixes():
+def _mel_names_of(*names: str) -> list[str]:
     mesh = literal_mesh(
         positions=[[0, 0, 0], [1, 0, 0], [0, 1, 0]],
         normals=[[0, 1, 0]] * 3,
         indices=[0, 1, 2],
         material=1,
     )
-    nodes = [
-        SceneNode("forest", children=[1, 2, 3]),
-        SceneNode("trunk:a.b", mesh=0),
-        SceneNode("trunk:a:b", mesh=0),
-        SceneNode("trunk:a_b", mesh=0),
-    ]
-    names = mel_names(mel_text(Scene(nodes, [mesh], default_palette())))
+    nodes = [SceneNode("forest", children=list(range(1, len(names) + 1)))]
+    nodes += [SceneNode(name, mesh=0) for name in names]
+    return mel_names(mel_text(Scene(nodes, [mesh], default_palette())))
+
+
+def test_name_collisions_get_numeric_suffixes():
+    names = _mel_names_of("trunk:a.b", "trunk:a:b", "trunk:a_b")
     assert names == ["trunk_a_b", "trunk_a_b_2", "trunk_a_b_3"]
+
+
+def test_suffixed_name_never_repeats_a_later_base():
+    names = _mel_names_of("trunk:a.b", "trunk:a_b", "trunk:a_b_2", "trunk:a:b")
+    assert names == ["trunk_a_b", "trunk_a_b_2", "trunk_a_b_2_2", "trunk_a_b_3"]
+
+
+def test_java_names_that_sanitize_alike_stay_unique(tmp_path):
+    (tmp_path / "A.java").write_text(
+        "package p; class A { void x_y() {} void x_y_2() {} } "
+        "class A_x { void y() {} }",
+        encoding="utf-8",
+    )
+    names = mel_names(mel_text(build_scene(analyze(tmp_path))))
+    assert len(set(names)) == len(names)
+    assert names[-1] == "leaf_p_A_x_y_3"
 
 
 def test_channels_are_traced_in_place():

@@ -1,7 +1,6 @@
 """Tests for the Wavefront OBJ/MTL exporter."""
 
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +17,7 @@ from codeforest.geometry import (
     world_transforms,
 )
 
-from conftest import CORPUS_NAMES, literal_mesh, scene, vec3
+from conftest import CORPUS_NAMES, flat_mesh, literal_mesh, random_scenes, scene, vec3
 from oracles import obj_text_per_corner, read_obj
 
 
@@ -128,48 +127,9 @@ def test_export_writes_sibling_mtl(tmp_path):
     assert mtl_path.read_text(encoding="utf-8") == mtl_text(scene("two_classes"))
 
 
-def _mesh(positions, normals, indices, material=0) -> Mesh:
-    """A mesh from flat x, y, z runs and a flat index run."""
-    def vec3_view(values):
-        return memoryview(array("f", values).tobytes()).cast("f", (len(values) // 3, 3))
-
-    return Mesh(vec3_view(positions), vec3_view(normals),
-                memoryview(array("I", indices).tobytes()).cast("I"), material)
-
-
 def _no_triangles() -> Mesh:
     """Two vertices and ``indices=memoryview(b"").cast("I")``."""
-    return _mesh([0.0, 1.0, 2.0] * 2, [0.0, 1.0, 0.0] * 2, [])
-
-
-_FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _meshes(draw) -> Mesh:
-    n = draw(st.integers(1, 6))
-    positions = draw(st.lists(_FLOAT32, min_size=3 * n, max_size=3 * n))
-    normals = draw(st.lists(_FLOAT32, min_size=3 * n, max_size=3 * n))
-    t = draw(st.integers(0, 5))
-    indices = draw(st.lists(st.integers(0, n - 1), min_size=3 * t, max_size=3 * t))
-    return _mesh(positions, normals, indices, draw(st.integers(0, 7)))
-
-
-@st.composite
-def _scenes(draw) -> Scene:
-    """A node tree over a few meshes: some shared, some used once, some
-    nodes without a mesh, translations negative and large."""
-    meshes = draw(st.lists(_meshes(), min_size=1, max_size=4))
-    offsets = st.floats(-1e9, 1e9, allow_nan=False)
-    nodes = [SceneNode(draw(st.text(max_size=4)))]
-    for i in range(1, draw(st.integers(1, 10)) + 1):
-        nodes.append(SceneNode(
-            draw(st.text(min_size=1, max_size=6)),
-            translation=draw(st.tuples(offsets, offsets, offsets)),
-            mesh=draw(st.none() | st.integers(0, len(meshes) - 1)),
-        ))
-        nodes[draw(st.integers(0, i - 1))].children.append(i)
-    return Scene(nodes, meshes, default_palette())
+    return flat_mesh([0.0, 1.0, 2.0] * 2, [0.0, 1.0, 0.0] * 2, [])
 
 
 def _zero_triangle_scene() -> Scene:
@@ -187,7 +147,7 @@ def _zero_triangle_scene() -> Scene:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_scenes(), st.none() | st.text(max_size=8))
+@given(random_scenes(), st.none() | st.text(max_size=8))
 @example(_zero_triangle_scene(), "forest.mtl")
 def test_obj_text_equals_the_per_corner_writer(built, mtl_name):
     assert obj_text(built, mtl_name) == obj_text_per_corner(built, mtl_name)
