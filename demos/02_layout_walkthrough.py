@@ -13,7 +13,8 @@ import tempfile
 from pathlib import Path
 
 from codeforest.config import Config
-from codeforest.pipeline import analyze, layout_corpus
+from codeforest.layout import build_layout
+from codeforest.pipeline import analyze
 
 CLASS_TEMPLATE = """\
 package {pkg};
@@ -55,7 +56,7 @@ with tempfile.TemporaryDirectory() as tmp:
     root = Path(tmp)
     build(root)
     info = analyze(root)
-    layout = layout_corpus(info)
+    layout = build_layout(info.model, Config())
 
     model = info.model
 
@@ -91,7 +92,7 @@ with tempfile.TemporaryDirectory() as tmp:
     # island is the exception: its separation repair ends on a fixed
     # grid, so those trees ignore the seed. The roomy yard island keeps
     # its seeded scatter.
-    reseeded = layout_corpus(info, Config(seed=9))
+    reseeded = build_layout(info.model, Config(seed=9))
     print("\nseed 0 vs seed 9")
     for before, after in zip(layout.trees, reseeded.trees):
         q = model.qualified_name(before.class_index)

@@ -72,8 +72,10 @@ with tempfile.TemporaryDirectory() as tmp:
         print(f"  {path.name}: {path.stat().st_size} bytes")
 
     # glTF: one JSON document, geometry base64-embedded, ready for any
-    # glTF viewer or Blender's importer. Nodes with equal geometry, such
-    # as leaves of the same kind, share one glTF mesh.
+    # glTF viewer or Blender's importer. Every distinct mesh is stored
+    # once: nodes with equal geometry, such as leaves of the same kind,
+    # islands of equal size or channels of equal shape, share one glTF
+    # mesh.
     doc = json.loads((out / "forest.gltf").read_text(encoding="utf-8"))
     print("\nforest.gltf")
     print(f"    generator={doc['asset']['generator']} "

@@ -33,7 +33,7 @@ from .model import (
     resolve_inheritance,
 )
 from .parser import parse_corpus
-from .pipeline import CorpusInfo, analyze, build_scene, layout_corpus
+from .pipeline import CorpusInfo, analyze, build_scene
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "build_scene",
     "compute_metrics",
     "default_palette",
-    "layout_corpus",
     "load_config",
     "parse_config",
     "parse_corpus",

@@ -15,10 +15,12 @@ twice, and a vertex is a corner of about four triangles. So each
 node's ``k//k`` corner strings are formatted once per vertex, by one
 ``%`` over the node's vertex numbers, and a mesh's ``f`` block is a
 ``"f %s %s %s\\n" * t`` template filled with those strings through an
-``itemgetter`` over the mesh's indices. The ``vn`` block, the template
-and the getter are kept only for a mesh that more than one node uses
-(leaves, trunks, canopies); an island or a channel is used once, and
-keeping its pieces would hold memory for nothing.
+``itemgetter`` over the mesh's indices. The scene stores every mesh
+once per distinct content, islands and channels included, so any mesh
+may be used by several nodes. The ``vn`` block, the template and the
+getter are kept only for a mesh that more than one node uses; a mesh
+used once, as most trunks and many channels are, would hold memory for
+nothing.
 
 The file is written in ``_WRITE_SLICE``-character slices, so at most
 one slice is ever encoded at a time: encoding the whole text at once

@@ -11,11 +11,14 @@ settings (``h0``, ``h1``, ``r0``, ``c``, ``canopy_coefficient``,
 
 A mesh holds read-only ``memoryview``s: float32 (n, 3) positions and
 normals, and a flat run of uint32 triangle indices. Meshes are shared
-by index. Within one ``assemble_scene`` call, one table maps a tree
-part's build arguments (builder, dimensions, segment count, material)
-to its index in ``scene.meshes``, so every leaf of a kind and every
-canopy of a given method count is built once and held by several
-nodes. Islands and channels keep one mesh each.
+by index: every mesh, islands and channels included, is stored once per
+distinct content. Within one ``assemble_scene`` call, one table maps
+each mesh's build arguments (builder, dimensions, segment count,
+material, or an island's radius and tier heights, or a channel's
+polyline and origin) and each mesh's content to its index in
+``scene.meshes``, so every leaf of a kind, every canopy of a given
+method count, and every island or channel of equal shape is built once
+and held by several nodes.
 
 Nodes form a single tree rooted at ``forest`` with stable, unique
 names:
@@ -42,13 +45,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateSegment, GeometryOverflow
-from .layout import (
-    GOLDEN_ANGLE,
-    ChannelPath,
-    ForestLayout,
-    IslandLayout,
-    island_rings,
-)
+from .layout import GOLDEN_ANGLE, ChannelPath, ForestLayout, island_rings
 from .model import (
     KIND_ACCESSOR,
     KIND_CONSTRUCTOR,
@@ -208,7 +205,9 @@ def _ring(radius: float, y: float, segments: int):
     return pts
 
 
-def build_island_mesh(island: IslandLayout, segments: int) -> Mesh:
+def build_island_mesh(
+    radius: float, tier_heights: tuple[float, ...], segments: int
+) -> Mesh:
     """Terraced island: one flat annulus per tier plus walls and a cap.
 
     Vertex count is ``segments * 2 * tiers + segments + 1``: an inner
@@ -218,9 +217,8 @@ def build_island_mesh(island: IslandLayout, segments: int) -> Mesh:
     """
     if segments < 8:
         raise ValueError("island tessellation needs at least 8 segments")
-    heights = island.tier_heights
-    tiers = len(heights)
-    rings = island_rings(island.radius, tiers)
+    tiers = len(tier_heights)
+    rings = island_rings(radius, tiers)
 
     # walls[u] is the normal ring of the wall from tier u down to tier
     # u + 1: tier u's outer ring and tier u + 1's inner ring share it.
@@ -228,7 +226,7 @@ def build_island_mesh(island: IslandLayout, segments: int) -> Mesh:
     wall_run = rings[0][0]  # horizontal run of every wall
     walls = []
     for u in range(tiers - 1):
-        drop = heights[u] - heights[u + 1]
+        drop = tier_heights[u] - tier_heights[u + 1]
         slope = math.hypot(drop, wall_run)
         walls.append(_ring(drop / slope, wall_run / slope, segments))
     inner_norms, outer_norms = [up, *walls], [*walls, up]
@@ -237,12 +235,12 @@ def build_island_mesh(island: IslandLayout, segments: int) -> Mesh:
     # ring is ring 2u and its outer ring 2u + 1; the cap ring follows.
     verts: list[tuple[float, float, float]] = []
     norms: list[tuple[float, float, float]] = []
-    for u in range(tiers):
+    for u, y in enumerate(tier_heights):
         inner_r, outer_r = rings[u]
-        verts += _ring(inner_r, heights[u], segments) + _ring(outer_r, heights[u], segments)
+        verts += _ring(inner_r, y, segments) + _ring(outer_r, y, segments)
         norms += inner_norms[u] + outer_norms[u]
     cap = len(verts)
-    verts += _ring(rings[0][0], heights[0], segments) + [(0.0, heights[0], 0.0)]
+    verts += _ring(rings[0][0], tier_heights[0], segments) + [(0.0, tier_heights[0], 0.0)]
     norms += up + [(0.0, 1.0, 0.0)]
     center = cap + segments
 
@@ -308,14 +306,16 @@ def _sphere(radius: float, segments: int, material: int) -> Mesh:
     return _as_mesh(verts, norms, tris, material)
 
 
-def build_channel_mesh(path: ChannelPath, origin: tuple[float, float] = (0.0, 0.0)) -> Mesh:
-    """Flat water ribbon ``CHANNEL_WIDTH`` wide along the polyline, two
-    triangles per segment.
+def build_channel_mesh(
+    pts: tuple[tuple[float, float, float], ...],
+    origin: tuple[float, float] = (0.0, 0.0),
+) -> Mesh:
+    """Flat water ribbon ``CHANNEL_WIDTH`` wide along the polyline
+    ``pts``, two triangles per segment.
 
     ``origin`` shifts the mesh into a parent node's local frame.
     Raises DegenerateSegment when consecutive points coincide.
     """
-    pts = path.polyline
     if len(pts) < 2:
         raise DegenerateSegment(0)
     for i in range(len(pts) - 1):
@@ -413,32 +413,38 @@ def assemble_scene(
 ) -> Scene:
     """Build the full node tree for a laid-out corpus.
 
-    ``scene.meshes`` lists each distinct mesh once, in first-use order;
-    tree parts of equal dimensions hold the same mesh index. Raises
-    ``GeometryOverflow`` if a node translation or a mesh position is
-    not finite.
+    ``scene.meshes`` lists each distinct mesh once, in first-use order:
+    no two hold equal positions, normals, indices and material, and
+    every node whose mesh has that content, island and channel nodes
+    included, holds the same mesh index. Raises ``GeometryOverflow`` if
+    a node translation or a mesh position is not finite.
     """
     nodes: list[SceneNode] = [SceneNode("forest")]
     meshes: list[Mesh] = []
     scene = Scene(nodes, meshes, params.palette())
-    table: dict = {}  # (build, *args) -> index in meshes
+    # (build, *args) and (positions, normals, indices, material) bytes
+    # -> index in meshes; the first item, a function or bytes, keeps
+    # the two kinds of key apart.
+    table: dict = {}
 
-    def shared_mesh(build, *args) -> int:
-        """Index of ``build(*args)``, built on the first use of ``args``.
+    def mesh(build, *args) -> int:
+        """Index of ``build(*args)``: built on the first use of
+        ``args``, and appended only if no earlier mesh has its content.
 
-        A shared mesh is bitwise the mesh ``build`` gives for its exact
-        arguments, and it is read-only from the moment it is built.
+        A stored mesh is bitwise the mesh ``build`` gives for the
+        arguments it was first built from, and it is read-only from the
+        moment it is built.
         """
         key = (build, *args)
         idx = table.get(key)
         if idx is None:
-            meshes.append(build(*args))
-            idx = table[key] = len(meshes) - 1
+            m = build(*args)
+            content = (m.positions.tobytes(), m.normals.tobytes(),
+                       m.indices.tobytes(), m.material)
+            idx = table[key] = table.setdefault(content, len(meshes))
+            if idx == len(meshes):
+                meshes.append(m)
         return idx
-
-    def own_mesh(mesh: Mesh) -> int:
-        meshes.append(mesh)
-        return len(meshes) - 1
 
     def add_node(parent: int, node: SceneNode) -> int:
         nodes.append(node)
@@ -468,7 +474,8 @@ def assemble_scene(
             SceneNode(
                 f"island:{pkg.name}",
                 translation=(island.center[0], 0.0, island.center[1]),
-                mesh=own_mesh(build_island_mesh(island, params.segments)),
+                mesh=mesh(build_island_mesh, island.radius,
+                          tuple(island.tier_heights), params.segments),
             ),
         )
         for class_index in pkg.class_indices:
@@ -489,14 +496,14 @@ def assemble_scene(
                 ),
             )
             for part in build_tree_parts(qualified, method_labels(cls), kinds, dims,
-                                         params.segments, shared_mesh):
+                                         params.segments, mesh):
                 add_node(tree_node, part)
         for channel in local_channels.get(island.package_index, ()):
             add_node(
                 island_node,
                 SceneNode(
                     _channel_name(model, channel, channel_names),
-                    mesh=own_mesh(build_channel_mesh(channel, origin=island.center)),
+                    mesh=mesh(build_channel_mesh, tuple(channel.polyline), island.center),
                 ),
             )
     for channel in cross_channels:
@@ -504,7 +511,7 @@ def assemble_scene(
             0,
             SceneNode(
                 _channel_name(model, channel, channel_names),
-                mesh=own_mesh(build_channel_mesh(channel)),
+                mesh=mesh(build_channel_mesh, tuple(channel.polyline)),
             ),
         )
     _check_finite(scene)

@@ -694,23 +694,28 @@ def parse_corpus(root) -> CorpusParse:
     enumeration order. Symlinked files are read, symlinked directories
     are not entered, and anything that is not a regular file (a broken
     link, a directory named ``X.java``) is skipped. Files that fail to
-    read, tokenize or parse are reported in ``failures`` and excluded;
-    an empty corpus is a warning, not an error.
+    read, tokenize or parse, and directories that cannot be listed, are
+    reported in ``failures`` (in the same byte order) and excluded; an
+    empty corpus is a warning, not an error.
     """
     if not os.path.isdir(root):
         raise RootNotFound(str(root))
+    strip = len(os.path.join(root, ""))
+    failures: list[tuple[str, str]] = []
+
+    def unlisted(exc: OSError) -> None:
+        failures.append((exc.filename[strip:] or ".", f"{type(exc).__name__}: {exc}"))
+
     paths = []
-    for top, _, names in os.walk(root):
+    for top, _, names in os.walk(root, onerror=unlisted):
         for name in names:
             if name.endswith(".java"):
                 path = os.path.join(top, name)
                 if os.path.isfile(path):
                     paths.append(path)
     paths.sort(key=os.fsencode)
-    strip = len(os.path.join(root, ""))
 
     units: list[CorpusUnit] = []
-    failures: list[tuple[str, str]] = []
     for path in paths:
         rel = path[strip:]
         try:
@@ -720,5 +725,6 @@ def parse_corpus(root) -> CorpusParse:
         except (CodeforestError, OSError) as exc:
             failures.append((rel, f"{type(exc).__name__}: {exc}"))
 
+    failures.sort(key=lambda failure: os.fsencode(failure[0]))
     warnings = [] if paths else [f"no .java files under {root}"]
     return CorpusParse(units, failures, warnings)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .config import Config
 from .geometry import Scene, assemble_scene
-from .layout import ForestLayout, build_layout
+from .layout import build_layout
 from .model import (
     ClassMetrics,
     CodeModel,
@@ -58,12 +58,7 @@ def analyze(root: str | Path) -> CorpusInfo:
     )
 
 
-def layout_corpus(info: CorpusInfo, config: Config | None = None) -> ForestLayout:
-    cfg = config if config is not None else Config()
-    return build_layout(info.model, cfg)
-
-
 def build_scene(info: CorpusInfo, config: Config | None = None) -> Scene:
     """Lay out the corpus and assemble the full scene graph."""
     cfg = config if config is not None else Config()
-    return assemble_scene(info.model, info.class_metrics, layout_corpus(info, cfg), cfg)
+    return assemble_scene(info.model, info.class_metrics, build_layout(info.model, cfg), cfg)

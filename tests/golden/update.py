@@ -16,6 +16,9 @@ the committed ``sha256.json``. A change that moves output bytes on
 purpose regenerates the file in the same commit:
 
     python tests/golden/update.py
+
+Before it rewrites the file, the script prints the ``corpus/command``
+entries that moved against the committed manifest.
 """
 
 from __future__ import annotations
@@ -148,9 +151,22 @@ def compute_manifest(tmp: Path) -> dict:
     return json.loads(text)
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """The ``corpus/command`` entries whose record differs between the
+    two manifests, including any that only one of them has."""
+    return [
+        f"{corpus}/{command}"
+        for corpus in sorted(old.keys() | new.keys())
+        for command in sorted(old.get(corpus, {}).keys() | new.get(corpus, {}).keys())
+        if old.get(corpus, {}).get(command) != new.get(corpus, {}).get(command)
+    ]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         manifest = compute_manifest(Path(tmp))
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    print("moved: " + (", ".join(moved(old, manifest)) or "nothing"))
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST.relative_to(REPO)} ({len(manifest)} corpora)")
     return 0

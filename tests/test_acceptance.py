@@ -16,8 +16,9 @@ import pytest
 from codeforest.cli import main
 from codeforest.exporters.gltf import build_gltf
 from codeforest.config import Config
+from codeforest.layout import build_layout
 from codeforest.model import classify_method
-from codeforest.pipeline import analyze, build_scene, layout_corpus
+from codeforest.pipeline import analyze, build_scene
 
 import oracles
 import synth
@@ -64,7 +65,7 @@ def synth_runs(tmp_path_factory):
         expect = synth.generate(seed, root)
         info = analyze(root)
         assert not info.failures, (seed, info.failures)
-        runs.append((seed, expect, info, layout_corpus(info)))
+        runs.append((seed, expect, info, build_layout(info.model, Config())))
     return runs
 
 

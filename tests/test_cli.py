@@ -289,6 +289,25 @@ def test_parse_failure_warns_and_continues(tmp_path, capsys):
     assert "Bad.java" in out.err and out.err.startswith("warning:")
 
 
+def test_unlistable_directory_warns_and_continues(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "src"
+    for pkg in ("a", "b"):
+        (root / pkg).mkdir(parents=True)
+        (root / pkg / f"{pkg.upper()}.java").write_text(f"class {pkg.upper()} {{ }}\n")
+    scandir = os.scandir
+
+    def locked_scandir(path="."):
+        if os.fspath(path) == str(root / "b"):
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", locked_scandir)
+    assert main(["analyze", str(root)]) == 0
+    out = capsys.readouterr()
+    assert out.out == "classes=1 methods=0 loc=1 inheritance=0\n"
+    assert out.err.startswith("warning: b: PermissionError: ")
+
+
 @pytest.mark.parametrize("command", ["analyze", "render"])
 def test_non_utf8_path_is_warned_as_its_bytes(tmp_path, command, capsys):
     root = tmp_path / "src"

@@ -103,6 +103,40 @@ def test_unreadable_file_is_one_failure(tmp_path, monkeypatch):
     assert detail.startswith("PermissionError: ")
 
 
+def test_unlistable_directory_is_one_failure(tmp_path, monkeypatch):
+    for rel in ("a/A.java", "b/B.java", "b/c/C.java", "d/D.java"):
+        write(tmp_path, rel, "class K { }")
+    locked = str(tmp_path / "b")
+    scandir = os.scandir
+
+    def locked_scandir(path="."):
+        if os.fspath(path) == locked:
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", locked_scandir)
+    result = parse_corpus(tmp_path)
+    assert [u.path for u in result.units] == ["a/A.java", "d/D.java"]
+    assert result.failures == [("b", f"PermissionError: [Errno 13] Permission denied: '{locked}'")]
+    assert result.warnings == []
+
+
+def test_unlistable_root_is_one_failure(tmp_path, monkeypatch):
+    write(tmp_path, "A.java", "class A { }")
+    scandir = os.scandir
+
+    def locked_scandir(path="."):
+        if os.fspath(path) == str(tmp_path):
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", locked_scandir)
+    result = parse_corpus(tmp_path)
+    assert result.units == []
+    ((path, detail),) = result.failures
+    assert (path, detail.split(":")[0]) == (".", "PermissionError")
+
+
 @pytest.mark.parametrize("root", [".", "./", "src", "src/", "src//"])
 def test_paths_are_relative_to_any_spelling_of_the_root(tmp_path, monkeypatch, root):
     write(tmp_path, "src/p/K.java", "class K { }")

@@ -34,7 +34,7 @@ from codeforest.geometry import (
 from codeforest.geometry import _as_mesh
 from codeforest import geometry
 from codeforest.config import Config, parse_config
-from codeforest.layout import ChannelPath, IslandLayout
+from codeforest.layout import build_layout
 from codeforest.model import ClassMetrics
 from codeforest.pipeline import analyze, build_scene
 from conftest import CORPUS_NAMES, FIXTURES, corpus, scene, vec3
@@ -56,13 +56,8 @@ def metrics(loc=10, methods=3, fan_out=0):
 
 
 def island(radius=6.0, tiers=1):
-    return IslandLayout(
-        package_index=0,
-        center=(0.0, 0.0),
-        radius=radius,
-        layer_lo=0,
-        tier_heights=[float(tiers - 1 - u) for u in range(tiers)],
-    )
+    """``build_island_mesh``'s radius and tier heights, shore at 0."""
+    return radius, tuple(float(tiers - 1 - u) for u in range(tiers))
 
 
 def check_mesh(mesh):
@@ -87,27 +82,27 @@ def check_mesh(mesh):
 # Island meshes.
 
 def test_single_tier_island_vertex_count():
-    mesh = build_island_mesh(island(), segments=8)
+    mesh = build_island_mesh(*island(), segments=8)
     assert mesh.vertex_count == 25  # 8 * 2 rings + 8 cap ring + 1 centre
     check_mesh(mesh)
 
 
 def test_island_vertex_formula_general():
     for segments, tiers in ((8, 1), (8, 2), (12, 3), (16, 4)):
-        mesh = build_island_mesh(island(tiers=tiers), segments=segments)
+        mesh = build_island_mesh(*island(tiers=tiers), segments=segments)
         assert mesh.vertex_count == segments * 2 * tiers + segments + 1
         check_mesh(mesh)
 
 
 def test_two_tier_island_heights():
-    mesh = build_island_mesh(island(tiers=2), segments=8)
+    mesh = build_island_mesh(*island(tiers=2), segments=8)
     ys = vec3(mesh.positions)[:, 1]
     assert float(ys.max()) == 1.0  # summit cap at the top tier height
     assert float(ys.min()) == 0.0  # shore tier at the bottom height
 
 
 def test_island_radius_is_respected():
-    mesh = build_island_mesh(island(radius=6.0), segments=16)
+    mesh = build_island_mesh(*island(radius=6.0), segments=16)
     positions = vec3(mesh.positions)
     r = np.hypot(positions[:, 0], positions[:, 2])
     assert float(r.max()) == pytest.approx(6.0)
@@ -115,14 +110,14 @@ def test_island_radius_is_respected():
 
 def test_island_needs_at_least_eight_segments():
     with pytest.raises(ValueError):
-        build_island_mesh(island(), segments=7)
+        build_island_mesh(*island(), segments=7)
 
 
 # ---------------------------------------------------------------------------
 # Channel meshes.
 
 def channel(*points):
-    return ChannelPath(edge=(0, 1), polyline=list(points))
+    return tuple(points)
 
 
 def test_two_point_channel_is_one_quad():
@@ -428,6 +423,20 @@ def test_default_palette_has_eight_slots():
 # ---------------------------------------------------------------------------
 # Mesh sharing.
 
+def content(mesh):
+    return (mesh.positions.tobytes(), mesh.normals.tobytes(), mesh.indices.tobytes(),
+            mesh.material)
+
+
+def assert_one_copy(s):
+    """No two meshes of ``s`` have equal positions, normals, indices and
+    material."""
+    first = {}
+    for i, mesh in enumerate(s.meshes):
+        j = first.setdefault(content(mesh), i)
+        assert j == i, f"meshes {j} and {i} of {len(s.meshes)} are content-equal"
+
+
 def _copy(view):
     return memoryview(view.tobytes()).cast(view.format, view.shape)
 
@@ -481,45 +490,54 @@ def test_leaves_and_equal_canopies_share_meshes():
     assert len(s.meshes) < len(mesh_nodes)
     leaf_meshes = {n.mesh for n in mesh_nodes if n.name.startswith("leaf:")}
     assert len(leaf_meshes) <= 4
-    assert len(set(map(id, s.meshes))) == len(s.meshes)
+    assert_one_copy(s)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_fixture_scenes_store_each_mesh_once(name):
+    assert_one_copy(scene(name))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_synth_scenes_store_each_mesh_once(seed, tmp_path):
+    assert_one_copy(synth_scene(seed, tmp_path))
 
 
 def test_each_distinct_mesh_is_built_once_per_scene(monkeypatch):
-    calls = {}
+    calls = []  # (builder, arguments, content of the mesh built)
 
     def counted(name):
         build = getattr(geometry, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return build(*args, **kwargs)
+        def wrapper(*args):
+            mesh = build(*args)
+            calls.append((name, args, content(mesh)))
+            return mesh
 
         monkeypatch.setattr(geometry, name, wrapper)
 
     for name in ("_cylinder", "_sphere", "build_island_mesh", "build_channel_mesh"):
         counted(name)
-    info = corpus("jfreechart_annotations")
-    s = build_scene(info)
-    by_role = {}
-    for node in s.nodes:
-        if node.mesh is not None:
-            by_role.setdefault(node.name.split(":")[0], []).append(s.meshes[node.mesh])
-
-    def distinct(*roles):
-        return len({(m.positions.tobytes(), m.normals.tobytes(), m.indices.tobytes(),
-                     m.material) for role in roles for m in by_role[role]})
-
-    built = {
-        "_cylinder": distinct("trunk"),
-        "_sphere": distinct("canopy", "leaf"),
-        "build_island_mesh": len(by_role["island"]),
-        "build_channel_mesh": len(by_role["channel"]),
-    }
-    assert calls == built
-    assert len(s.meshes) == sum(built.values())
-    # Sharing holds within one call: a second scene builds its own meshes.
-    build_scene(info)
-    assert calls == {name: 2 * count for name, count in built.items()}
+    # synth seed 0 has islands and channels of equal shape on several islands.
+    for info in (corpus("jfreechart_annotations"), synth_info(0)):
+        calls.clear()
+        s = build_scene(info)
+        # Each builder runs once per distinct argument list, islands and
+        # channels as tree parts do.
+        args = [(name, a) for name, a, _ in calls]
+        assert len(set(args)) == len(args)
+        layout, segments = build_layout(info.model, Config()), Config().segments
+        assert {a for name, a in args if name == "build_island_mesh"} == {
+            (i.radius, tuple(i.tier_heights), segments) for i in layout.islands}
+        assert {a[0] for name, a in args if name == "build_channel_mesh"} == {
+            tuple(c.polyline) for c in layout.channels}
+        # The scene keeps one mesh per distinct content built.
+        built = {c for _, _, c in calls}
+        assert len(s.meshes) == len(built)
+        assert {content(m) for m in s.meshes} == built
+        # Sharing holds within one call: a second scene builds its own meshes.
+        build_scene(info)
+        assert args * 2 == [(name, a) for name, a, _ in calls]
 
 
 def test_shared_mesh_arrays_are_read_only():
@@ -580,6 +598,7 @@ def test_random_valid_configs_give_sound_scenes(seed, text):
     except CodeforestError:
         return
     assert np.isfinite(world_transforms(sc)).all()
+    assert_one_copy(sc)
     assert all(np.isfinite(vec3(m.positions)).all() for m in sc.meshes)
     for child in sc.nodes[0].children:
         island = sc.nodes[child]

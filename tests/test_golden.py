@@ -9,20 +9,9 @@ output bytes on purpose regenerates it with
 
 import json
 
-from golden.update import MANIFEST, compute_manifest
-
-
-def _by_command(manifest: dict) -> dict:
-    return {
-        f"{corpus}/{command}": entry
-        for corpus, commands in manifest.items()
-        for command, entry in commands.items()
-    }
+from golden.update import MANIFEST, compute_manifest, moved
 
 
 def test_outputs_match_the_golden_manifest(tmp_path):
-    expected = _by_command(json.loads(MANIFEST.read_text()))
-    actual = _by_command(compute_manifest(tmp_path))
-    moved = sorted(k for k in expected.keys() | actual.keys()
-                   if expected.get(k) != actual.get(k))
-    assert not moved, f"output moved for {moved}; see tests/golden/update.py"
+    entries = moved(json.loads(MANIFEST.read_text()), compute_manifest(tmp_path))
+    assert not entries, f"output moved for {entries}; see tests/golden/update.py"

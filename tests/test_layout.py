@@ -28,7 +28,6 @@ from codeforest.model import (
     resolve_inheritance,
 )
 from codeforest.parser import CorpusUnit, parse_unit
-from codeforest.pipeline import layout_corpus
 from conftest import CORPUS_NAMES, corpus
 
 
@@ -80,16 +79,16 @@ def count_grid_work(monkeypatch, limit=None):
 
 def test_island_radius_formula():
     info = corpus("calls")  # one package, three classes
-    (island,) = layout_corpus(info).islands
+    (island,) = build_layout(info.model, Config()).islands
     assert island.radius == pytest.approx(max(1.5 * math.sqrt(3), 2 * 2.0))
 
     info15 = corpus("jfreechart_annotations")
-    (island15,) = layout_corpus(info15).islands
+    (island15,) = build_layout(info15.model, Config()).islands
     assert island15.radius == pytest.approx(1.5 * math.sqrt(15))
 
 
 def test_first_island_sits_at_origin():
-    layout = layout_corpus(corpus("multipkg"))
+    layout = build_layout(corpus("multipkg").model, Config())
     assert layout.islands[0].center == (0.0, 0.0)
 
 
@@ -171,7 +170,7 @@ def test_a_large_base_radius_skips_the_points_the_origin_island_blocks(monkeypat
 def test_tier_heights_are_global():
     # Parent and child live on different islands; heights still step
     # down by tier_drop from the corpus-wide deepest layer.
-    layout = layout_corpus(corpus("multipkg"))
+    layout = build_layout(corpus("multipkg").model, Config())
     base_island, ext_island = layout.islands
     assert base_island.tier_heights == [1.0]
     assert ext_island.tier_heights == [0.0]
@@ -188,18 +187,18 @@ def test_island_rings_example():
 # Trees.
 
 def test_single_tree_island_centres_exactly():
-    layout = layout_corpus(corpus("multipkg"))
+    layout = build_layout(corpus("multipkg").model, Config())
     for island, tree in zip(layout.islands, layout.trees):
         assert tree.position == island.center
 
 
 def test_trees_sorted_by_class_index():
-    layout = layout_corpus(corpus("jfreechart_annotations"))
+    layout = build_layout(corpus("jfreechart_annotations").model, Config())
     assert [t.class_index for t in layout.trees] == list(range(15))
 
 
 def test_two_classes_trunk_heights(two_classes):
-    layout = layout_corpus(two_classes)
+    layout = build_layout(two_classes.model, Config())
     model = two_classes.model
     y = {model.classes[t.class_index].name: t.trunk_base_y for t in layout.trees}
     assert y == {"Useraaa": 1.0, "Ownerbbb": 0.0}
@@ -281,12 +280,12 @@ def test_too_close_matches_the_all_pairs_scan(case):
 def test_channel_count_matches_resolved_edges():
     for name in CORPUS_NAMES:
         info = corpus(name)
-        layout = layout_corpus(info)
+        layout = build_layout(info.model, Config())
         assert len(layout.channels) == len(info.model.inheritance_edges)
 
 
 def test_two_classes_channel_shape(two_classes):
-    layout = layout_corpus(two_classes)
+    layout = build_layout(two_classes.model, Config())
     model = two_classes.model
     (channel,) = layout.channels
     owner = [c.name for c in model.classes].index("Ownerbbb")
@@ -312,7 +311,7 @@ def test_two_classes_channel_shape(two_classes):
 
 
 def test_cross_island_channel_is_straight():
-    layout = layout_corpus(corpus("multipkg"))
+    layout = build_layout(corpus("multipkg").model, Config())
     (channel,) = layout.channels
     assert len(channel.polyline) == 2
     assert channel.polyline[0][1] == 1.0
@@ -321,7 +320,7 @@ def test_cross_island_channel_is_straight():
 
 def test_channels_never_rise():
     for name in CORPUS_NAMES:
-        layout = layout_corpus(corpus(name))
+        layout = build_layout(corpus(name).model, Config())
         if layout.channels:
             assert oracles.worst_channel_rise(layout) <= 1e-12
 
