@@ -93,9 +93,9 @@ for key, value in info.totals.items():
 # fan_in/fan_out count resolved call edges, and cohesion is the share
 # of non-constructor method pairs that touch a common field.
 print("\nclasses")
-for cls, cm in zip(info.model.classes, info.class_metrics):
+for i, cm in enumerate(info.class_metrics):
     print(
-        f"  {info.model.qualified_name(cm.class_index)}: "
+        f"  {info.model.qualified_name(i)}: "
         f"{cm.method_count} methods, {cm.loc} loc, depth {cm.depth}, "
         f"fan_in {cm.fan_in}, fan_out {cm.fan_out}, "
         f"cohesion {cm.cohesion:.4f}"

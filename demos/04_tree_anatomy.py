@@ -22,7 +22,6 @@ PARAMS = Config()
 
 def metrics(loc=50, methods=6, fan_out=0) -> ClassMetrics:
     return ClassMetrics(
-        class_index=0,
         method_count=methods,
         loc=loc,
         depth=0,

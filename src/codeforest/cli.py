@@ -14,7 +14,8 @@ format; the obj format writes a sibling ``.mtl``.
 Exit codes: 0 on success (including an empty corpus, which only warns),
 1 for model-level failures such as inheritance cycles or duplicate
 classes, 2 for usage errors: bad arguments, missing root, unknown
-format, an invalid config, or one whose sizes overflow the geometry. Per-file parse failures are warnings on
+format, an invalid config, or one whose sizes overflow the geometry, and
+an OBJ output named ``*.mtl``. Per-file parse failures are warnings on
 stderr and do not stop the run.
 """
 

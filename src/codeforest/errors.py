@@ -4,8 +4,9 @@ Every error carries enough context to point a user at the offending
 input: lexer and parser errors hold a source span, corpus errors hold
 paths, model errors hold the class names involved. ``exit_code`` is
 the CLI's exit status for the error: 2 for usage errors (a missing
-root, an invalid config, a config whose sizes overflow the geometry),
-1 for everything else.
+root, an invalid config, a config whose sizes overflow the geometry,
+an OBJ output path that its own material file would overwrite), 1 for
+everything else.
 """
 
 from __future__ import annotations
@@ -139,6 +140,17 @@ class SceneTooLarge(CodeforestError):
     def __init__(self, count: int):
         self.count = count
         super().__init__(f"accessor count {count} exceeds glTF limits")
+
+
+class OutputIsMaterialFile(CodeforestError):
+    """An OBJ output path ends in ``.mtl``, so its sibling material file
+    would overwrite it."""
+
+    exit_code = 2
+
+    def __init__(self, path: str):
+        self.path = path
+        super().__init__(f"{path}: the OBJ output would be overwritten by its own .mtl file")
 
 
 class UnknownKey(CodeforestError):

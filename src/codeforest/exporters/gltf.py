@@ -3,34 +3,33 @@
 Produces a single self-contained ``.gltf`` JSON file: all vertex and
 index data live in one buffer embedded as a base64 data URI. Every
 distinct mesh of the scene gets three accessors (POSITION, NORMAL,
-indices), each backed by its own buffer view; nodes that share a mesh
-reference the same glTF mesh. A view holds one mesh array's bytes as
-they are: float32 VEC3 positions and normals, uint32 indices. POSITION
-accessors carry exact component-wise min/max (``geometry.bounds``).
-All chunks are multiples of four bytes, so views need no padding.
+indices), each backed by its own buffer view, so accessor ``k`` uses
+view ``k``; nodes that share a mesh reference the same glTF mesh. A
+view holds one mesh array's bytes as they are: float32 VEC3 positions
+and normals, uint32 indices. POSITION accessors carry exact
+component-wise min/max (``geometry.bounds``). All chunks are multiples
+of four bytes, so views need no padding.
 
 Nodes keep their scene names; a translation is emitted only when it
 differs from the default, matching the glTF schema's minItems rules
 (empty top-level arrays are omitted entirely).
 
-The file is the text of ``json.dumps(doc, indent=2)`` plus a newline,
-written by ``gltf_text`` rather than by json's pure-Python indenting
-encoder. The four long arrays (nodes, meshes, accessors, buffer views)
-hold records of a few fixed shapes, so each record is written through
-one ``%`` template picked by its shape; the short top-level values go
-through the generic ``jsontext.json_text``.
+``build_gltf`` writes the document's text straight from the scene, laid
+out exactly as ``json.dumps(doc, indent=2)`` lays it out, without
+building the document first: each record is one ``%`` template filled
+from a mesh, node or material. A node row is its name plus whichever of
+``mesh``, ``translation`` and ``children`` it has, in that order.
 """
 
 from __future__ import annotations
 
 import base64
-from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
+from math import inf
 from pathlib import Path
 
 from ..errors import SceneTooLarge
 from ..geometry import Scene, bounds
-from .jsontext import json_float, json_text
 
 _ARRAY_BUFFER = 34962
 _ELEMENT_ARRAY_BUFFER = 34963
@@ -38,146 +37,21 @@ _FLOAT = 5126
 _UNSIGNED_INT = 5125
 _MAX_COUNT = 0xFFFFFFFF
 
-
-def build_gltf(scene: Scene) -> dict:
-    """Assemble the glTF document as a plain dict (JSON-ready)."""
-    buffer = bytearray()
-    buffer_views: list[dict] = []
-    accessors: list[dict] = []
-    meshes_json: list[dict] = []
-
-    def add_view(data: bytes, target: int) -> int:
-        buffer_views.append(
-            {
-                "buffer": 0,
-                "byteOffset": len(buffer),
-                "byteLength": len(data),
-                "target": target,
-            }
-        )
-        buffer.extend(data)
-        return len(buffer_views) - 1
-
-    for mesh in scene.meshes:
-        vertex_count = mesh.vertex_count
-        index_count = len(mesh.indices)
-        if vertex_count > _MAX_COUNT or index_count > _MAX_COUNT:
-            raise SceneTooLarge(max(vertex_count, index_count))
-        lo, hi = bounds(mesh)
-        accessors.append(
-            {
-                "bufferView": add_view(mesh.positions.tobytes(), _ARRAY_BUFFER),
-                "componentType": _FLOAT,
-                "count": vertex_count,
-                "type": "VEC3",
-                "min": lo,
-                "max": hi,
-            }
-        )
-        position_accessor = len(accessors) - 1
-        accessors.append(
-            {
-                "bufferView": add_view(mesh.normals.tobytes(), _ARRAY_BUFFER),
-                "componentType": _FLOAT,
-                "count": vertex_count,
-                "type": "VEC3",
-            }
-        )
-        accessors.append(
-            {
-                "bufferView": add_view(mesh.indices.tobytes(), _ELEMENT_ARRAY_BUFFER),
-                "componentType": _UNSIGNED_INT,
-                "count": index_count,
-                "type": "SCALAR",
-            }
-        )
-        meshes_json.append(
-            {
-                "primitives": [
-                    {
-                        "attributes": {
-                            "POSITION": position_accessor,
-                            "NORMAL": position_accessor + 1,
-                        },
-                        "indices": position_accessor + 2,
-                        "material": mesh.material,
-                    }
-                ]
-            }
-        )
-
-    nodes_json = []
-    for node in scene.nodes:
-        entry: dict = {"name": node.name}
-        if node.mesh is not None:
-            entry["mesh"] = node.mesh
-        if node.translation != (0.0, 0.0, 0.0):
-            entry["translation"] = [float(v) for v in node.translation]
-        if node.children:
-            entry["children"] = list(node.children)
-        nodes_json.append(entry)
-
-    doc: dict = {
-        "asset": {"generator": "codeforest", "version": "2.0"},
-        "scene": 0,
-        "scenes": [{"nodes": [0]}],
-        "nodes": nodes_json,
-    }
-    if meshes_json:
-        doc["meshes"] = meshes_json
-        doc["materials"] = [_material_json(m) for m in scene.materials]
-        doc["accessors"] = accessors
-        doc["bufferViews"] = buffer_views
-        doc["buffers"] = [
-            {
-                "byteLength": len(buffer),
-                "uri": "data:application/octet-stream;base64,"
-                + base64.b64encode(bytes(buffer)).decode("ascii"),
-            }
-        ]
-    return doc
-
-
-def _material_json(material) -> dict:
-    entry = {
-        "name": material.name,
-        "pbrMetallicRoughness": {
-            "baseColorFactor": [float(c) for c in material.base_color],
-            "metallicFactor": 0.0,
-            "roughnessFactor": 1.0,
-        },
-    }
-    if material.base_color[3] < 1.0:
-        entry["alphaMode"] = "BLEND"
-    return entry
-
-
 # Records sit at depth 2 of the document: four spaces before the brace,
 # six before a key, eight before a list item.
 _ITEM = ",\n        "
+_ROW = ",\n    "
 
-_NODE_FIELDS = {
-    "mesh": ',\n      "mesh": %d',
-    "translation": ',\n      "translation": [\n        %s,\n        %s,\n        %s\n      ]',
-    "children": ',\n      "children": [\n        %s\n      ]',
-}
+_TRANSLATION = ',\n      "translation": [\n        %s,\n        %s,\n        %s\n      ]'
 
-# One template per node shape, keyed by the node's keys after "name".
-_NODE = {
-    keys: '{\n      "name": %s' + "".join(map(_NODE_FIELDS.get, keys)) + "\n    }"
-    for n in range(len(_NODE_FIELDS) + 1)
-    for keys in combinations(_NODE_FIELDS, n)
-}
-
-_ACCESSOR = (
-    '{\n      "bufferView": %d,\n      "componentType": %d,\n      "count": %d,'
-    '\n      "type": %s'
-)
-_PLAIN_ACCESSOR = _ACCESSOR + "\n    }"
-_BOUNDED_ACCESSOR = _ACCESSOR + (
-    ',\n      "min": [\n        %s,\n        %s,\n        %s\n      ],'
+_ACCESSOR = '{\n      "bufferView": %d,\n      "componentType": %d,\n      "count": %d'
+_POSITION = _ACCESSOR + (
+    ',\n      "type": "VEC3",'
+    '\n      "min": [\n        %s,\n        %s,\n        %s\n      ],'
     '\n      "max": [\n        %s,\n        %s,\n        %s\n      ]\n    }'
 )
+_NORMAL = _ACCESSOR + ',\n      "type": "VEC3"\n    }'
+_INDICES = _ACCESSOR + ',\n      "type": "SCALAR"\n    }'
 
 _MESH = (
     '{\n      "primitives": [\n        {\n          "attributes": {'
@@ -186,79 +60,97 @@ _MESH = (
 )
 
 _VIEW = (
-    '{\n      "buffer": %d,\n      "byteOffset": %d,\n      "byteLength": %d,'
+    '{\n      "buffer": 0,\n      "byteOffset": %d,\n      "byteLength": %d,'
     '\n      "target": %d\n    }'
 )
 
+_MATERIAL = (
+    '{\n      "name": %s,\n      "pbrMetallicRoughness": {\n        "baseColorFactor": ['
+    '\n          %s,\n          %s,\n          %s,\n          %s\n        ],'
+    '\n        "metallicFactor": 0.0,\n        "roughnessFactor": 1.0\n      }'
+)
 
-def _node_rows(nodes: list[dict]) -> list[str]:
-    rows = []
-    for node in nodes:
-        args = [_quote(node["name"])]
-        mesh = node.get("mesh")
-        if mesh is not None:
-            args.append(mesh)
-        translation = node.get("translation")
-        if translation is not None:
-            args += map(json_float, translation)
-        children = node.get("children")
-        if children is not None:
-            args.append(_ITEM.join(map(int.__repr__, children)))
-        rows.append(_NODE[tuple(node)[1:]] % tuple(args))
-    return rows
+_DOCUMENT = (
+    '{\n  "asset": {\n    "generator": "codeforest",\n    "version": "2.0"\n  },'
+    '\n  "scene": 0,\n  "scenes": [\n    {\n      "nodes": [\n        0\n      ]\n    }\n  ],'
+    '\n  "nodes": [\n    %s\n  ]%s\n}'
+)
 
-
-def _accessor_rows(accessors: list[dict]) -> list[str]:
-    rows = []
-    for acc in accessors:
-        if "min" in acc:
-            rows.append(_BOUNDED_ACCESSOR % (
-                acc["bufferView"], acc["componentType"], acc["count"],
-                _quote(acc["type"]), *map(json_float, acc["min"]),
-                *map(json_float, acc["max"])))
-        else:
-            rows.append(_PLAIN_ACCESSOR % (
-                acc["bufferView"], acc["componentType"], acc["count"],
-                _quote(acc["type"])))
-    return rows
+_BUFFERS = (
+    ',\n  "meshes": [\n    %s\n  ],\n  "materials": [\n    %s\n  ],'
+    '\n  "accessors": [\n    %s\n  ],\n  "bufferViews": [\n    %s\n  ],'
+    '\n  "buffers": [\n    {\n      "byteLength": %d,'
+    '\n      "uri": "data:application/octet-stream;base64,%s"\n    }\n  ]'
+)
 
 
-def _mesh_rows(meshes: list[dict]) -> list[str]:
-    rows = []
-    for mesh in meshes:
-        (primitive,) = mesh["primitives"]
-        attributes = primitive["attributes"]
-        rows.append(_MESH % (attributes["POSITION"], attributes["NORMAL"],
-                             primitive["indices"], primitive["material"]))
-    return rows
+def json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if value != value:
+        return "NaN"
+    if value == inf:
+        return "Infinity"
+    if value == -inf:
+        return "-Infinity"
+    return float.__repr__(value)
 
 
-def _view_rows(views: list[dict]) -> list[str]:
-    return [_VIEW % (view["buffer"], view["byteOffset"], view["byteLength"],
-                     view["target"]) for view in views]
+def build_gltf(scene: Scene) -> str:
+    """The glTF document's text, as ``json.dumps(doc, indent=2)`` writes
+    it, without a trailing newline."""
+    nodes = []
+    for node in scene.nodes:
+        row = '{\n      "name": ' + _quote(node.name)
+        if node.mesh is not None:
+            row += ',\n      "mesh": %d' % node.mesh
+        if node.translation != (0.0, 0.0, 0.0):
+            row += _TRANSLATION % tuple(json_float(float(v)) for v in node.translation)
+        if node.children:
+            row += ',\n      "children": [\n        %s\n      ]' % _ITEM.join(
+                map(int.__repr__, node.children))
+        nodes.append(row + "\n    }")
+    if not scene.meshes:
+        return _DOCUMENT % (_ROW.join(nodes), "")
 
+    chunks: list[bytes] = []
+    views: list[str] = []
+    accessors: list[str] = []
+    meshes: list[str] = []
+    offset = 0
+    for mesh in scene.meshes:
+        vertex_count = mesh.vertex_count
+        index_count = len(mesh.indices)
+        if vertex_count > _MAX_COUNT or index_count > _MAX_COUNT:
+            raise SceneTooLarge(max(vertex_count, index_count))
+        lo, hi = bounds(mesh)
+        k = len(accessors)
+        accessors += (
+            _POSITION % (k, _FLOAT, vertex_count, *map(json_float, lo), *map(json_float, hi)),
+            _NORMAL % (k + 1, _FLOAT, vertex_count),
+            _INDICES % (k + 2, _UNSIGNED_INT, index_count),
+        )
+        meshes.append(_MESH % (k, k + 1, k + 2, mesh.material))
+        for data, target in ((mesh.positions.tobytes(), _ARRAY_BUFFER),
+                             (mesh.normals.tobytes(), _ARRAY_BUFFER),
+                             (mesh.indices.tobytes(), _ELEMENT_ARRAY_BUFFER)):
+            views.append(_VIEW % (offset, len(data), target))
+            chunks.append(data)
+            offset += len(data)
 
-_RECORDS = {
-    "nodes": _node_rows,
-    "meshes": _mesh_rows,
-    "accessors": _accessor_rows,
-    "bufferViews": _view_rows,
-}
+    materials = []
+    for material in scene.materials:
+        color = material.base_color
+        row = _MATERIAL % (_quote(material.name), *(json_float(float(c)) for c in color))
+        if color[3] < 1.0:
+            row += ',\n      "alphaMode": "BLEND"'
+        materials.append(row + "\n    }")
 
-
-def gltf_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` for a document ``build_gltf`` made."""
-    rows = []
-    for key, value in doc.items():
-        records = _RECORDS.get(key)
-        if records is None:
-            # JSON strings hold no raw newline, so this only indents.
-            text = json_text(value).replace("\n", "\n  ")
-        else:
-            text = "[\n    " + ",\n    ".join(records(value)) + "\n  ]"
-        rows.append(_quote(key) + ": " + text)
-    return "{\n  " + ",\n  ".join(rows) + "\n}"
+    buffers = _BUFFERS % (
+        _ROW.join(meshes), _ROW.join(materials), _ROW.join(accessors), _ROW.join(views),
+        offset, base64.b64encode(b"".join(chunks)).decode("ascii"),
+    )
+    return _DOCUMENT % (_ROW.join(nodes), buffers)
 
 
 def export_gltf(scene: Scene, path: str | Path) -> None:
-    Path(path).write_text(gltf_text(build_gltf(scene)) + "\n", encoding="utf-8")
+    Path(path).write_text(build_gltf(scene) + "\n", encoding="utf-8")

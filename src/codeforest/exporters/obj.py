@@ -34,6 +34,7 @@ from itertools import chain, cycle
 from operator import add, itemgetter
 from pathlib import Path
 
+from ..errors import OutputIsMaterialFile
 from ..geometry import Scene, flat, world_transforms
 
 _WRITE_SLICE = 1 << 20
@@ -90,9 +91,15 @@ def mtl_text(scene: Scene) -> str:
 
 
 def export_obj(scene: Scene, path: str | Path) -> tuple[Path, Path]:
-    """Write ``<path>`` and a sibling ``.mtl`` with the same stem."""
+    """Write ``<path>`` and a sibling ``.mtl`` with the same stem.
+
+    Raises ``OutputIsMaterialFile``, writing nothing, when ``path`` is
+    that ``.mtl`` file itself.
+    """
     obj_path = Path(path)
     mtl_path = obj_path.with_suffix(".mtl")
+    if mtl_path == obj_path:
+        raise OutputIsMaterialFile(str(obj_path))
     text = obj_text(scene, mtl_name=mtl_path.name)
     with open(obj_path, "w", encoding="utf-8") as out:
         for start in range(0, len(text), _WRITE_SLICE):

@@ -72,7 +72,6 @@ class CodeModel:
 
 @dataclass
 class ClassMetrics:
-    class_index: int
     method_count: int
     loc: int
     depth: int
@@ -84,7 +83,6 @@ class ClassMetrics:
 
 @dataclass
 class PackageMetrics:
-    package_index: int
     class_count: int
     method_count: int
     loc: int
@@ -306,7 +304,6 @@ def compute_metrics(model: CodeModel) -> tuple[list[ClassMetrics], list[PackageM
             histogram[classify_method(m, cls.simple_name)] += 1
         class_metrics.append(
             ClassMetrics(
-                class_index=idx,
                 method_count=len(cls.methods),
                 loc=cls.span.line_end - cls.span.line_start + 1,
                 depth=layers[idx],
@@ -325,7 +322,6 @@ def compute_metrics(model: CodeModel) -> tuple[list[ClassMetrics], list[PackageM
     for p, pkg in enumerate(model.packages):
         package_metrics.append(
             PackageMetrics(
-                package_index=p,
                 class_count=len(pkg.class_indices),
                 method_count=sum(class_metrics[i].method_count for i in pkg.class_indices),
                 loc=sum(class_metrics[i].loc for i in pkg.class_indices),

@@ -17,6 +17,8 @@ import base64
 import math
 import re
 import struct
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable
 
 JAVA_KEYWORDS = frozenset(
     """
@@ -566,3 +568,248 @@ def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
         tokens.append(Token(kind, chunk, Span(file_id, first, last, byte, end)))
         byte = end
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# The glTF and the report as documents, and a generic indented JSON writer.
+# ``json.dumps(gltf_doc(s), indent=2)`` and
+# ``json_text(report_doc(info), float_text="%.4f".__mod__)`` are the texts
+# the template writers must produce.
+
+_GLTF_ARRAY_BUFFER = 34962
+_GLTF_ELEMENT_ARRAY_BUFFER = 34963
+_GLTF_FLOAT = 5126
+_GLTF_UNSIGNED_INT = 5125
+_GLTF_MAX_COUNT = 0xFFFFFFFF
+
+
+def gltf_doc(scene) -> dict:
+    """The glTF document as a plain dict (JSON-ready)."""
+    from codeforest.errors import SceneTooLarge
+    from codeforest.geometry import bounds
+
+    buffer = bytearray()
+    buffer_views: list[dict] = []
+    accessors: list[dict] = []
+    meshes_json: list[dict] = []
+
+    def add_view(data: bytes, target: int) -> int:
+        buffer_views.append(
+            {
+                "buffer": 0,
+                "byteOffset": len(buffer),
+                "byteLength": len(data),
+                "target": target,
+            }
+        )
+        buffer.extend(data)
+        return len(buffer_views) - 1
+
+    for mesh in scene.meshes:
+        vertex_count = mesh.vertex_count
+        index_count = len(mesh.indices)
+        if vertex_count > _GLTF_MAX_COUNT or index_count > _GLTF_MAX_COUNT:
+            raise SceneTooLarge(max(vertex_count, index_count))
+        lo, hi = bounds(mesh)
+        accessors.append(
+            {
+                "bufferView": add_view(mesh.positions.tobytes(), _GLTF_ARRAY_BUFFER),
+                "componentType": _GLTF_FLOAT,
+                "count": vertex_count,
+                "type": "VEC3",
+                "min": lo,
+                "max": hi,
+            }
+        )
+        position_accessor = len(accessors) - 1
+        accessors.append(
+            {
+                "bufferView": add_view(mesh.normals.tobytes(), _GLTF_ARRAY_BUFFER),
+                "componentType": _GLTF_FLOAT,
+                "count": vertex_count,
+                "type": "VEC3",
+            }
+        )
+        accessors.append(
+            {
+                "bufferView": add_view(mesh.indices.tobytes(), _GLTF_ELEMENT_ARRAY_BUFFER),
+                "componentType": _GLTF_UNSIGNED_INT,
+                "count": index_count,
+                "type": "SCALAR",
+            }
+        )
+        meshes_json.append(
+            {
+                "primitives": [
+                    {
+                        "attributes": {
+                            "POSITION": position_accessor,
+                            "NORMAL": position_accessor + 1,
+                        },
+                        "indices": position_accessor + 2,
+                        "material": mesh.material,
+                    }
+                ]
+            }
+        )
+
+    nodes_json = []
+    for node in scene.nodes:
+        entry: dict = {"name": node.name}
+        if node.mesh is not None:
+            entry["mesh"] = node.mesh
+        if node.translation != (0.0, 0.0, 0.0):
+            entry["translation"] = [float(v) for v in node.translation]
+        if node.children:
+            entry["children"] = list(node.children)
+        nodes_json.append(entry)
+
+    doc: dict = {
+        "asset": {"generator": "codeforest", "version": "2.0"},
+        "scene": 0,
+        "scenes": [{"nodes": [0]}],
+        "nodes": nodes_json,
+    }
+    if meshes_json:
+        doc["meshes"] = meshes_json
+        doc["materials"] = [_gltf_material(m) for m in scene.materials]
+        doc["accessors"] = accessors
+        doc["bufferViews"] = buffer_views
+        doc["buffers"] = [
+            {
+                "byteLength": len(buffer),
+                "uri": "data:application/octet-stream;base64,"
+                + base64.b64encode(bytes(buffer)).decode("ascii"),
+            }
+        ]
+    return doc
+
+
+def _gltf_material(material) -> dict:
+    entry = {
+        "name": material.name,
+        "pbrMetallicRoughness": {
+            "baseColorFactor": [float(c) for c in material.base_color],
+            "metallicFactor": 0.0,
+            "roughnessFactor": 1.0,
+        },
+    }
+    if material.base_color[3] < 1.0:
+        entry["alphaMode"] = "BLEND"
+    return entry
+
+
+def report_doc(info) -> dict:
+    """The metrics report as a plain dict (JSON-ready)."""
+    from codeforest.model import METHOD_KINDS, method_labels
+
+    model = info.model
+    classes = []
+    for i, cls in enumerate(model.classes):
+        cm = info.class_metrics[i]
+        classes.append(
+            {
+                "package": cls.package_name,
+                "name": cls.name,
+                "method_count": cm.method_count,
+                "loc": cm.loc,
+                "depth": cm.depth,
+                "fan_in": cm.fan_in,
+                "fan_out": cm.fan_out,
+                "cohesion": float(cm.cohesion),
+                "kind_histogram": {
+                    kind: cm.kind_histogram.get(kind, 0) for kind in METHOD_KINDS
+                },
+            }
+        )
+    packages = []
+    for p, pm in enumerate(info.package_metrics):
+        packages.append(
+            {
+                "name": model.packages[p].name,
+                "classes": pm.class_count,
+                "methods": pm.method_count,
+                "loc": pm.loc,
+                "inheritance_edges": pm.inheritance_edge_count,
+            }
+        )
+    labels = [method_labels(cls) for cls in model.classes]
+
+    def method_name(method_id) -> str:
+        class_index, method_index = method_id
+        return f"{model.qualified_name(class_index)}.{labels[class_index][method_index]}"
+
+    return {
+        "corpus": {"root": info.root, "files": info.files},
+        "totals": info.totals,
+        "packages": packages,
+        "classes": classes,
+        "inheritance_edges": [
+            {
+                "child": model.qualified_name(child),
+                "parent": model.qualified_name(parent),
+            }
+            for child, parent in model.inheritance_edges
+        ],
+        "call_edges": [
+            {
+                "caller": method_name(edge.caller),
+                "callee": method_name(edge.callee),
+                "count": edge.count,
+            }
+            for edge in model.call_edges
+        ],
+        "unresolved_supers": [
+            {"class": model.qualified_name(class_index), "written": written}
+            for class_index, written in model.unresolved_supers
+        ],
+    }
+
+
+def json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def json_text(value, float_text: Callable[[float], str] = json_float) -> str:
+    """``value`` as JSON text, two spaces per level, no trailing newline."""
+
+    def encode(value, newline: str) -> str:
+        kind = type(value)
+        if kind is str:
+            return _quote(value)
+        if kind is float:
+            return float_text(value)
+        if kind is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        inner = newline + "  "
+        if kind is dict:
+            if not value:
+                return "{}"
+            rows = [_quote(key) + ": " + encode(item, inner) for key, item in value.items()]
+            return "{" + inner + ("," + inner).join(rows) + newline + "}"
+        if kind is list:
+            if not value:
+                return "[]"
+            if all(type(item) is float for item in value):
+                rows = map(float_text, value)
+            elif all(type(item) is int for item in value):
+                rows = map(int.__repr__, value)
+            else:
+                rows = [encode(item, inner) for item in value]
+            return "[" + inner + ("," + inner).join(rows) + newline + "]"
+        raise TypeError(f"{kind.__name__} is not JSON serializable here")
+
+    return encode(value, "\n")

@@ -6,6 +6,7 @@ checks lean on the independent oracles in oracles.py and the planned
 expectations from synth.py rather than on the library's own numbers.
 """
 
+import json
 from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
@@ -175,7 +176,7 @@ def test_criterion_5_gltf_documents_validate():
     with criterion("criterion 5: exported glTF passes the independent "
                    "structural check on every fixture"):
         for name in CORPUS_NAMES:
-            problems = oracles.check_gltf(build_gltf(scene(name)))
+            problems = oracles.check_gltf(json.loads(build_gltf(scene(name))))
             assert problems == [], (name, problems)
 
 

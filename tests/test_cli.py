@@ -93,6 +93,15 @@ def test_render_obj_writes_mtl_too(tmp_path, capsys):
     assert out.read_text(encoding="utf-8").splitlines()[0] == "mtllib forest.mtl"
 
 
+def test_render_obj_named_mtl_exits_two_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "x.mtl"
+    assert main(["render", TWO_CLASSES, "-o", str(out), "--format", "obj"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_render_mel(tmp_path, capsys):
     out = tmp_path / "forest.mel"
     assert main(["render", TWO_CLASSES, "-o", str(out), "--format", "mel"]) == 0

@@ -44,7 +44,6 @@ import synth
 
 def metrics(loc=10, methods=3, fan_out=0):
     return ClassMetrics(
-        class_index=0,
         method_count=methods,
         loc=loc,
         depth=0,

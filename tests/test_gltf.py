@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 
 from codeforest.errors import SceneTooLarge
 from codeforest.exporters import gltf as gltf_module
-from codeforest.exporters.gltf import build_gltf, export_gltf, gltf_text
+from codeforest.exporters.gltf import build_gltf, export_gltf, json_float
 from codeforest.geometry import Mesh, Scene, SceneNode, default_palette
 
 from conftest import CORPUS_NAMES, flat_mesh, random_scenes, scene, vec3
-from oracles import check_gltf, gltf_reachable_nodes
+from oracles import check_gltf, gltf_doc, gltf_reachable_nodes
 
 FULL_KEYS = [
     "asset",
@@ -32,20 +32,24 @@ def empty_scene() -> Scene:
     return Scene([SceneNode("forest")], [], default_palette())
 
 
+def document(built: Scene) -> dict:
+    return json.loads(build_gltf(built))
+
+
 def test_top_level_key_order():
-    doc = build_gltf(scene("two_classes"))
+    doc = document(scene("two_classes"))
     assert list(doc) == FULL_KEYS
 
 
 def test_asset_block():
-    doc = build_gltf(scene("two_classes"))
+    doc = document(scene("two_classes"))
     assert doc["asset"] == {"generator": "codeforest", "version": "2.0"}
     assert doc["scene"] == 0
     assert doc["scenes"] == [{"nodes": [0]}]
 
 
 def test_empty_scene_omits_buffer_keys():
-    doc = build_gltf(empty_scene())
+    doc = document(empty_scene())
     assert list(doc) == ["asset", "scene", "scenes", "nodes"]
     assert doc["nodes"] == [{"name": "forest"}]
     assert check_gltf(doc) == []
@@ -53,11 +57,11 @@ def test_empty_scene_omits_buffer_keys():
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_structural_check_passes(name):
-    assert check_gltf(build_gltf(scene(name))) == []
+    assert check_gltf(document(scene(name))) == []
 
 
 def test_every_node_reachable_from_root():
-    doc = build_gltf(build := scene("two_classes"))
+    doc = document(build := scene("two_classes"))
     assert len(doc["nodes"]) == len(build.nodes) == 14
     assert gltf_reachable_nodes(doc) == 14
 
@@ -66,7 +70,7 @@ def test_default_transform_keys_omitted():
     sc = empty_scene()
     sc.nodes[0].children.append(1)
     sc.nodes.append(SceneNode("offset", translation=(1.0, 2.0, 3.0)))
-    doc = build_gltf(sc)
+    doc = document(sc)
     root, offset = doc["nodes"]
     assert "translation" not in root
     assert root["children"] == [1]
@@ -77,7 +81,7 @@ def test_default_transform_keys_omitted():
 
 def test_primitive_wiring_follows_mesh_order():
     built = scene("calls")
-    doc = build_gltf(built)
+    doc = document(built)
     for i, (mesh, entry) in enumerate(zip(built.meshes, doc["meshes"])):
         (prim,) = entry["primitives"]
         assert prim["attributes"] == {"POSITION": 3 * i, "NORMAL": 3 * i + 1}
@@ -87,7 +91,7 @@ def test_primitive_wiring_follows_mesh_order():
 
 def test_position_min_max_match_float32_data():
     built = scene("two_classes")
-    doc = build_gltf(built)
+    doc = document(built)
     for i, mesh in enumerate(built.meshes):
         acc = doc["accessors"][3 * i]
         f32 = vec3(mesh.positions)
@@ -99,7 +103,7 @@ def test_position_min_max_match_float32_data():
 
 
 def test_translucent_material_marked_blend():
-    doc = build_gltf(scene("two_classes"))
+    doc = document(scene("two_classes"))
     materials = doc["materials"]
     names = [m["name"] for m in materials]
     assert names == [m.name for m in default_palette()]
@@ -111,7 +115,7 @@ def test_translucent_material_marked_blend():
 
 
 def test_single_embedded_buffer():
-    doc = build_gltf(scene("calls"))
+    doc = document(scene("calls"))
     (buf,) = doc["buffers"]
     prefix = "data:application/octet-stream;base64,"
     assert buf["uri"].startswith(prefix)
@@ -129,19 +133,18 @@ def test_export_writes_pretty_json(tmp_path):
     export_gltf(scene("two_classes"), path)
     text = path.read_text(encoding="utf-8")
     assert text.endswith("}\n")
-    assert json.loads(text) == build_gltf(scene("two_classes"))
-    assert text == json.dumps(build_gltf(scene("two_classes")), indent=2) + "\n"
+    assert json.loads(text) == gltf_doc(scene("two_classes"))
+    assert text == json.dumps(gltf_doc(scene("two_classes")), indent=2) + "\n"
 
 
 def test_export_looks_up_build_gltf_when_called(tmp_path, monkeypatch):
     # The benchmark's trace wraps this module attribute for its
     # exporters.gltf.build span; a call bound at import time bypasses it.
-    doc = build_gltf(empty_scene())
-    doc["nodes"] = [{"name": "patched", "translation": [1.0, -0.0, 2.5]}]
-    monkeypatch.setattr(gltf_module, "build_gltf", lambda built: doc)
+    text = build_gltf(empty_scene()).replace('"forest"', '"patched"')
+    monkeypatch.setattr(gltf_module, "build_gltf", lambda built: text)
     path = tmp_path / "out.gltf"
     export_gltf(scene("two_classes"), path)
-    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == text + "\n"
 
 
 def _odd_scene() -> Scene:
@@ -170,14 +173,17 @@ def _odd_scene() -> Scene:
 @example(_odd_scene())
 @example(empty_scene())
 def test_gltf_text_equals_json_dumps(built):
-    doc = build_gltf(built)
-    assert gltf_text(doc) == json.dumps(doc, indent=2)
+    assert build_gltf(built) == json.dumps(gltf_doc(built), indent=2)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_gltf_text_equals_json_dumps_on_fixtures(name):
-    doc = build_gltf(scene(name))
-    assert gltf_text(doc) == json.dumps(doc, indent=2)
+    assert build_gltf(scene(name)) == json.dumps(gltf_doc(scene(name)), indent=2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0, 1e308, 0.1])
+def test_gltf_json_float_spells_like_json(value):
+    assert json_float(value) == json.dumps(value)
 
 
 def test_oversized_mesh_rejected_before_buffering():
@@ -191,6 +197,4 @@ def test_oversized_mesh_rejected_before_buffering():
 
 
 def test_document_is_deterministic():
-    a = json.dumps(build_gltf(scene("multipkg")))
-    b = json.dumps(build_gltf(scene("multipkg")))
-    assert a == b
+    assert build_gltf(scene("multipkg")) == build_gltf(scene("multipkg"))

@@ -1,9 +1,11 @@
-"""Every import in ``src/codeforest`` is used.
+"""Every import and every private module-level name in ``src/codeforest``
+is used.
 
-A stand-in for a linter's unused-import check, written with ``ast``. A
-name counts as used when the module reads it anywhere (annotations
+A stand-in for a linter's unused-name checks, written with ``ast``. An
+import counts as used when the module reads it anywhere (annotations
 included) or lists it in ``__all__``; ``from __future__`` imports are
-directives, not names.
+directives, not names. A module-level ``_name`` (assigned, or a
+function or class) counts as used when its own module reads it.
 """
 
 import ast
@@ -50,3 +52,42 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
+def test_the_check_finds_an_unread_private_name():
+    source = (
+        "_A, _B = 1, 2\n"
+        "_C: int = _A\n"
+        "__all__ = []\n"
+        "def _f():\n"
+        "    _local = 3\n"
+        "    return _C\n"
+        "class _K:\n"
+        "    _attr = 1\n"
+        "print(_f())\n"
+    )
+    assert unread_private_names(source) == ["line 1: _B", "line 7: _K"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -1,4 +1,5 @@
-"""Tests for the indenting JSON writer behind the report and the glTF's short values."""
+"""Tests for the generic indenting JSON writer that the report's property checks
+``report_text`` against (``oracles.json_text``)."""
 
 import json
 import math
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codeforest.exporters.jsontext import json_float, json_text
-
 from conftest import texts
+from oracles import json_float, json_text
 
 _TEXT = texts()
 _FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, 1e308, -1e308, math.inf, -math.inf, math.nan])

@@ -351,8 +351,8 @@ def test_calls_fixture_edges():
         CallEdge((engine, 1), (cache, 0), 1),   # lookup -> fetch
         CallEdge((engine, 1), (engine, 2), 1),  # lookup -> record
     ]
-    fan = {model.classes[cm.class_index].name: (cm.fan_in, cm.fan_out)
-           for cm in info.class_metrics}
+    fan = {model.classes[i].name: (cm.fan_in, cm.fan_out)
+           for i, cm in enumerate(info.class_metrics)}
     assert fan == {"Audit": (0, 2), "Cache": (1, 0), "Engine": (3, 2)}
 
 
@@ -431,7 +431,7 @@ def test_nested_fixture_classes_and_loc():
     info = corpus("nested")
     model = info.model
     assert qnames(model) == ["box.Outer", "box.Outer.Inner"]
-    loc = {model.classes[cm.class_index].name: cm.loc for cm in info.class_metrics}
+    loc = {model.classes[i].name: cm.loc for i, cm in enumerate(info.class_metrics)}
     assert loc == {"Outer": 15, "Outer.Inner": 7}
 
 
@@ -445,8 +445,8 @@ def test_package_metrics_aggregate_member_classes():
 
 def test_package_edge_count_follows_the_child():
     info = corpus("multipkg")
-    by_name = {info.model.packages[pm.package_index].name: pm
-               for pm in info.package_metrics}
+    by_name = {info.model.packages[p].name: pm
+               for p, pm in enumerate(info.package_metrics)}
     assert by_name["base"].inheritance_edge_count == 0
     assert by_name["ext"].inheritance_edge_count == 1
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from codeforest.errors import OutputIsMaterialFile
 from codeforest.exporters import obj as obj_module
 from codeforest.exporters.obj import export_obj, mtl_text, obj_text
 from codeforest.geometry import (
@@ -125,6 +126,14 @@ def test_export_writes_sibling_mtl(tmp_path):
     text = obj_path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "mtllib forest.mtl"
     assert mtl_path.read_text(encoding="utf-8") == mtl_text(scene("two_classes"))
+
+
+def test_export_refuses_a_path_that_is_its_own_mtl(tmp_path):
+    with pytest.raises(OutputIsMaterialFile) as caught:
+        export_obj(scene("two_classes"), tmp_path / "forest.mtl")
+    assert caught.value.exit_code == 2
+    assert str(tmp_path / "forest.mtl") in str(caught.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _no_triangles() -> Mesh:
