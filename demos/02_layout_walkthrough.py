@@ -61,8 +61,9 @@ with tempfile.TemporaryDirectory() as tmp:
     model = info.model
 
     # Islands sit on a golden-angle spiral, first one at the origin.
-    # Radius grows with the square root of the class count so area
-    # tracks population.
+    # Each is as wide as its terraces need: every tier gets rows of
+    # trees s_min apart and a flat band around them. Small islands
+    # widen to the floor 1.5 * sqrt(class count), at least 2 * s_min.
     print("islands")
     for island in layout.islands:
         pkg = model.packages[island.package_index].name
@@ -71,7 +72,9 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # Trees stand on concentric tiers: the deeper a class sits in the
     # inheritance hierarchy, the lower its ground. Heights are global,
-    # so Thermometer (depth 2) is the valley floor everywhere.
+    # so Thermometer (depth 2) is the valley floor everywhere. The
+    # summit's first tree stands at its centre; the rest are dealt in
+    # name order, evenly around their tier's rows.
     print("\ntrees")
     for tree in layout.trees:
         q = model.qualified_name(tree.class_index)
@@ -87,11 +90,9 @@ with tempfile.TemporaryDirectory() as tmp:
         pts = " ".join(f"({p[0]:.2f},{p[1]:.2f},{p[2]:.2f})" for p in ch.polyline)
         print(f"  {names}: {pts}")
 
-    # Reseeding shuffles tree positions but never touches tier heights,
-    # island placement, or which channels exist. The crowded core
-    # island is the exception: its separation repair ends on a fixed
-    # grid, so those trees ignore the seed. The roomy yard island keeps
-    # its seeded scatter.
+    # Reseeding turns each tier's rows to a new start angle but never
+    # touches tier heights, island placement, or which channels exist.
+    # A tree alone at a summit's centre stays put.
     reseeded = build_layout(info.model, Config(seed=9))
     print("\nseed 0 vs seed 9")
     for before, after in zip(layout.trees, reseeded.trees):

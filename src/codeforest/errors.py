@@ -107,20 +107,6 @@ class DegenerateSegment(CodeforestError):
         super().__init__(f"degenerate channel segment at point {index}")
 
 
-class IslandTooSmall(CodeforestError):
-    """A package's island has no room for its trees at the configured separation."""
-
-    def __init__(self, package: str, trees: int, s_min: float, radius: float):
-        self.package = package
-        self.trees = trees
-        self.s_min = s_min
-        self.radius = radius
-        super().__init__(
-            f"package {package!r}: island of radius {radius} cannot hold "
-            f"{trees} trees at separation {s_min}"
-        )
-
-
 class GeometryOverflow(CodeforestError):
     """Config values so large that a size or coordinate overflows a float.
 

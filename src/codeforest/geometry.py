@@ -3,22 +3,24 @@
 Sizes encode metrics: trunk height grows with the log of class length,
 trunk girth with normalized outgoing calls, canopy radius with the
 square root of the method count, and each method contributes one leaf
-sphere colored by its kind. Islands are terraced cones built from the
-layout's tier heights; channels are flat water ribbons following the
-layout polylines. The sizing rules and the tessellation read their
-settings (``h0``, ``h1``, ``r0``, ``c``, ``canopy_coefficient``,
-``leaf_radius``, ``segments``) and the palette from ``Config``.
+sphere colored by its kind. Islands are terraced: the layout's flat
+bands at their tier heights, joined by walls; channels are flat water
+ribbons following the layout polylines. The sizing rules and the
+tessellation read their settings (``h0``, ``h1``, ``r0``, ``c``,
+``canopy_coefficient``, ``leaf_radius``, ``segments``) and the palette
+from ``Config``.
 
 A mesh holds read-only ``memoryview``s: float32 (n, 3) positions and
 normals, and a flat run of uint32 triangle indices. Meshes are shared
 by index: every mesh, islands and channels included, is stored once per
 distinct content. Within one ``assemble_scene`` call, one table maps
-each mesh's build arguments (builder, dimensions, segment count,
-material, or an island's radius and tier heights, or a channel's
-polyline and origin) and each mesh's content to its index in
-``scene.meshes``, so every leaf of a kind, every canopy of a given
-method count, and every island or channel of equal shape is built once
-and held by several nodes.
+each mesh's content, and the build arguments of each tree part
+(builder, dimensions, segment count, material) and island (bands, tier
+heights, segment count), to its index in ``scene.meshes``. So every
+leaf of a kind, every canopy of a given method count and every island
+of equal terraces is built once and held by several nodes. A channel's
+polyline is its own, so each channel is built and found by its content
+alone; channels of equal shape within their islands share one mesh.
 
 Nodes form a single tree rooted at ``forest`` with stable, unique
 names:
@@ -45,7 +47,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateSegment, GeometryOverflow
-from .layout import GOLDEN_ANGLE, ChannelPath, ForestLayout, island_rings
+from .layout import GOLDEN_ANGLE, ChannelPath, ForestLayout
 from .model import (
     KIND_ACCESSOR,
     KIND_CONSTRUCTOR,
@@ -206,48 +208,40 @@ def _ring(radius: float, y: float, segments: int):
 
 
 def build_island_mesh(
-    radius: float, tier_heights: tuple[float, ...], segments: int
+    bands: tuple[tuple[float, float], ...], tier_heights: tuple[float, ...], segments: int
 ) -> Mesh:
-    """Terraced island: one flat annulus per tier plus walls and a cap.
+    """Terraced island: a summit disc, then per lower tier a wall down
+    from the band above and its flat band.
 
-    Vertex count is ``segments * 2 * tiers + segments + 1``: an inner
-    and an outer ring per tier, plus the summit cap's own ring and
-    centre vertex. The cap sits at the first tier height; the base
-    ring is the outermost ring at the last tier height.
+    ``bands`` holds each tier's flat (inner, outer) radii, summit first;
+    a wall runs from one band's outer edge to the next band's inner
+    edge. Vertex count is ``segments * (2 * tiers - 1) + 1``: the
+    summit's outer ring, an inner and an outer ring per lower tier, and
+    the summit's centre.
     """
     if segments < 8:
         raise ValueError("island tessellation needs at least 8 segments")
-    tiers = len(tier_heights)
-    rings = island_rings(radius, tiers)
-
-    # walls[u] is the normal ring of the wall from tier u down to tier
-    # u + 1: tier u's outer ring and tier u + 1's inner ring share it.
+    # Ring r of the vertex list starts at r * segments: the summit's
+    # outer ring, then each lower tier's inner and outer ring. An edge
+    # ring's normal is that of the wall it bounds, so walls shade smooth.
     up = [(0.0, 1.0, 0.0)] * segments
-    wall_run = rings[0][0]  # horizontal run of every wall
-    walls = []
-    for u in range(tiers - 1):
-        drop = tier_heights[u] - tier_heights[u + 1]
-        slope = math.hypot(drop, wall_run)
-        walls.append(_ring(drop / slope, wall_run / slope, segments))
-    inner_norms, outer_norms = [up, *walls], [*walls, up]
+    verts = _ring(bands[0][1], tier_heights[0], segments)
+    norms = []
+    for u in range(1, len(bands)):
+        top, (inner, outer), y = bands[u - 1][1], bands[u], tier_heights[u]
+        drop, run = tier_heights[u - 1] - y, inner - top
+        slope = math.hypot(drop, run)
+        wall = _ring(drop / slope, run / slope, segments)
+        verts += _ring(inner, y, segments) + _ring(outer, y, segments)
+        norms += wall + wall
+    norms += up
+    center = len(verts)
+    verts.append((0.0, tier_heights[0], 0.0))
+    norms.append((0.0, 1.0, 0.0))
 
-    # Ring r of the vertex list starts at r * segments: tier u's inner
-    # ring is ring 2u and its outer ring 2u + 1; the cap ring follows.
-    verts: list[tuple[float, float, float]] = []
-    norms: list[tuple[float, float, float]] = []
-    for u, y in enumerate(tier_heights):
-        inner_r, outer_r = rings[u]
-        verts += _ring(inner_r, y, segments) + _ring(outer_r, y, segments)
-        norms += inner_norms[u] + outer_norms[u]
-    cap = len(verts)
-    verts += _ring(rings[0][0], tier_heights[0], segments) + [(0.0, tier_heights[0], 0.0)]
-    norms += up + [(0.0, 1.0, 0.0)]
-    center = cap + segments
-
-    tris = [(center, cap + (k + 1) % segments, cap + k) for k in range(segments)]
-    # Up-facing quads from ring r to ring r + 1: every tier's flat
-    # annulus, then every wall.
-    for r in [*range(0, 2 * tiers, 2), *range(1, 2 * tiers - 1, 2)]:
+    tris = [(center, (k + 1) % segments, k) for k in range(segments)]
+    # Up-facing quads from each ring to the next: walls and flat bands.
+    for r in range(2 * len(bands) - 2):
         lo, hi = r * segments, (r + 1) * segments
         for k in range(segments):
             k1 = (k + 1) % segments
@@ -427,23 +421,25 @@ def assemble_scene(
     # the two kinds of key apart.
     table: dict = {}
 
-    def mesh(build, *args) -> int:
-        """Index of ``build(*args)``: built on the first use of
-        ``args``, and appended only if no earlier mesh has its content.
+    def stored(m: Mesh) -> int:
+        """Index of the mesh with ``m``'s content, appending ``m`` if
+        no earlier mesh has it. A mesh is read-only from the moment it
+        is built."""
+        content = (m.positions.tobytes(), m.normals.tobytes(),
+                   m.indices.tobytes(), m.material)
+        idx = table.setdefault(content, len(meshes))
+        if idx == len(meshes):
+            meshes.append(m)
+        return idx
 
-        A stored mesh is bitwise the mesh ``build`` gives for the
-        arguments it was first built from, and it is read-only from the
-        moment it is built.
-        """
+    def mesh(build, *args) -> int:
+        """Index of ``build(*args)``, built on the first use of ``args``:
+        bitwise the mesh ``build`` gives for the arguments it was first
+        built from."""
         key = (build, *args)
         idx = table.get(key)
         if idx is None:
-            m = build(*args)
-            content = (m.positions.tobytes(), m.normals.tobytes(),
-                       m.indices.tobytes(), m.material)
-            idx = table[key] = table.setdefault(content, len(meshes))
-            if idx == len(meshes):
-                meshes.append(m)
+            idx = table[key] = stored(build(*args))
         return idx
 
     def add_node(parent: int, node: SceneNode) -> int:
@@ -474,7 +470,7 @@ def assemble_scene(
             SceneNode(
                 f"island:{pkg.name}",
                 translation=(island.center[0], 0.0, island.center[1]),
-                mesh=mesh(build_island_mesh, island.radius,
+                mesh=mesh(build_island_mesh, tuple(island.bands),
                           tuple(island.tier_heights), params.segments),
             ),
         )
@@ -503,7 +499,7 @@ def assemble_scene(
                 island_node,
                 SceneNode(
                     _channel_name(model, channel, channel_names),
-                    mesh=mesh(build_channel_mesh, tuple(channel.polyline), island.center),
+                    mesh=stored(build_channel_mesh(tuple(channel.polyline), island.center)),
                 ),
             )
     for channel in cross_channels:
@@ -511,7 +507,7 @@ def assemble_scene(
             0,
             SceneNode(
                 _channel_name(model, channel, channel_names),
-                mesh=mesh(build_channel_mesh, tuple(channel.polyline)),
+                mesh=stored(build_channel_mesh(tuple(channel.polyline))),
             ),
         )
     _check_finite(scene)

@@ -4,40 +4,39 @@ One island per package, one tree per class, one channel per resolved
 inheritance edge. All coordinates are pure functions of the model and
 the ``Config`` (``seed``, ``s_min``, ``tier_drop``,
 ``base_radius_per_class``, ``island_margin``), with no global random
-state: the only randomness is hash-derived jitter keyed on seed,
-package and class names.
+state: the only randomness is a hash-derived start angle per seed and
+layer.
 
 Vertical structure follows inheritance layers computed corpus-wide:
 layer ``k`` stands at ``(max_layer - k) * tier_drop``, so roots are
 always highest and every channel can run downhill, even between
 islands. Radially, an island is terraced: the lowest layer present on
-the island is its summit disc and deeper layers occupy concentric
-annuli further out and further down.
+the island is its summit disc and deeper layers occupy concentric flat
+bands further out and further down, joined by walls.
 
-Within an annulus, trees step around a golden-angle spiral in class
-name order from a seed-derived start angle, perturbed by jitter of at
-most ``0.25 * s_min``. If that leaves two trunks closer than
-``s_min``, positions are scaled radially outward, and as a last resort
-re-gridded hexagonally, so the separation invariant holds for any
-corpus that physically fits its island. The re-grid deals its slots,
-nearest to the centre first, in class-index order whatever the layer,
-so a re-gridded tree may stand on another layer's terrace, its trunk
-base even below the ground there.
+Each tier is sized for its own trees (``terraces``). Its trees stand
+on rows ``s_min`` apart, outward from the summit's centre, and a row
+holds as many as keep a chord of at least ``s_min``. Each band
+surrounds its rows by ``s_min / 2``, and a wall of fixed run joins it
+to the next, so any two trees, on one row, on neighbouring rows or on
+neighbouring tiers, are at least ``s_min`` apart by construction, and
+every tree stands on its own tier's band at its own height. The island
+radius is the shore band's outer edge, widened where needed to the
+floor ``max(base_radius_per_class * sqrt(n), 2 * s_min)``.
 
-Island placement and the tree separation check cost about n log n,
-not n², and make the same decisions, float for float, as the all-pairs
-scans they replace (the tests keep those scans as oracles). Islands sit
-on the first golden-angle spiral point that clears every placed island.
-Each spiral search resumes at the largest point taken by an island no
-wider than the new one: every earlier point was blocked for that
-island, and stays blocked for a wider one, because the clearance
-``need`` rounds monotonically in the radius. It also starts past the
-points that lie well inside the origin island's clearance, however
-many a large size puts there. Clearance and separation
-tests look only at a uniform grid's neighbouring cells (``_Grid``). A
-cell is at least as wide as the largest distance that can fail a test
-on one axis, and cells are numbered by monotone rounding, so no failing
-neighbour is skipped.
+Island placement costs about n log n, not n², and makes the same
+decisions, float for float, as the linear scan it replaces (the tests
+keep that scan as an oracle). Islands sit on the first golden-angle
+spiral point that clears every placed island. Each spiral search
+resumes at the largest point taken by an island no wider than the new
+one: every earlier point was blocked for that island, and stays blocked
+for a wider one, because the clearance ``need`` rounds monotonically in
+the radius. It also starts past the points that lie well inside the
+origin island's clearance, however many a large size puts there.
+Clearance tests look only at a uniform grid's neighbouring cells
+(``_Grid``). A cell is at least as wide as the largest distance that
+can fail a test on one axis, and cells are numbered by monotone
+rounding, so no failing neighbour is skipped.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import GeometryOverflow, IslandTooSmall
+from .errors import GeometryOverflow
 from .model import CodeModel, compute_layers
 
 if TYPE_CHECKING:
@@ -56,10 +55,8 @@ if TYPE_CHECKING:
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
-# Share of each tier's radial width spent on the sloped wall between
-# terraces; the rest is flat, plantable ground.
-_WALL_RUN = 0.3
-_EDGE_PAD = 0.08
+# Horizontal run of the wall between two bands, in units of s_min.
+_WALL_RUN = 0.5
 
 
 @dataclass
@@ -69,6 +66,7 @@ class IslandLayout:
     radius: float
     layer_lo: int  # lowest layer number present = summit
     tier_heights: list[float]  # y per layer, index 0 = layer_lo, last = shore
+    bands: list[tuple[float, float]]  # flat (inner, outer) radii per tier, likewise
 
 
 @dataclass
@@ -96,31 +94,55 @@ def _hash01(*parts) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
-def island_rings(radius: float, tiers: int) -> list[tuple[float, float]]:
-    """Flat-annulus (inner, outer) radii per tier, summit first.
+def terraces(
+    counts: list[int], s_min: float, name: str
+) -> tuple[list[tuple[float, float]], list[list[tuple[float, int]]]]:
+    """Flat bands and tree rows for tiers holding ``counts`` trees, summit first.
 
-    Tier ``u`` ends at ``radius * (u + 1) / tiers``; the first
-    ``_WALL_RUN`` share of each tier's width is the sloped wall coming
-    up from the next terrace out (for the summit: the cap disc).
+    Rows stand ``s_min`` apart, outward from the summit's centre. A row
+    of radius ``r`` holds as many trees as keep a chord of at least
+    ``s_min`` and is filled before the next one out. A band reaches
+    ``s_min / 2`` past its rows, and a wall of run ``_WALL_RUN *
+    s_min`` leads down to the next band. Returns the (inner, outer)
+    radii of each band (the summit's inner is 0) and each tier's rows
+    as (radius, trees) pairs; an empty tier gets one empty row. Raises
+    ``GeometryOverflow`` for island ``name`` at the first band edge
+    that is not finite.
     """
-    step = radius / tiers
-    rings = []
-    for u in range(tiers):
-        outer = step * (u + 1)
-        inner = step * u + _WALL_RUN * step
-        rings.append((inner, outer))
-    return rings
+    half = 0.5 * s_min
+    bands: list[tuple[float, float]] = []
+    rows: list[list[tuple[float, int]]] = []
+    for n in counts:
+        r = bands[-1][1] + _WALL_RUN * s_min + half if bands else 0.0
+        inner = r - half if bands else 0.0
+        tier_rows = []
+        while True:
+            outer = r + half
+            if not math.isfinite(outer):
+                raise GeometryOverflow(f"island {name!r}")
+            fit = math.floor(math.pi / math.asin(0.5 * (s_min / r))) if r else 1
+            tier_rows.append((r, min(fit, n)))
+            n -= fit
+            if n <= 0:
+                break
+            r += s_min
+        bands.append((inner, outer))
+        rows.append(tier_rows)
+    return bands, rows
 
 
 def place_islands(
     model: CodeModel, layers: list[int], params: Config
 ) -> list[IslandLayout]:
-    """Size islands from class counts and wind them onto a spiral.
+    """Terrace islands for their trees and wind them onto a spiral.
 
-    Islands appear in package-name order; the first sits at the
-    origin, each later one at the first point ``t = 1, 2, ...`` of a
-    golden-angle spiral that clears every placed island by at least
-    ``island_margin`` (``dx*dx + dz*dz >= need*need``). Raises
+    Each island's bands come from ``terraces`` over its per-layer tree
+    counts, and its radius is the larger of the shore band's outer edge
+    and ``max(base_radius_per_class * sqrt(n), 2 * s_min)``; only the
+    shore band widens to it. Islands appear in package-name order; the
+    first sits at the origin, each later one at the first point ``t =
+    1, 2, ...`` of a golden-angle spiral that clears every placed island
+    by at least ``island_margin`` (``dx*dx + dz*dz >= need*need``). Raises
     ``GeometryOverflow``, before any island is placed, for the first
     radius that is not finite, or whose squared clearance from an
     earlier island is not: the spiral could never clear it. It does so
@@ -153,21 +175,30 @@ def place_islands(
     gmax = max(layers, default=0)
     margin = params.island_margin
     gain = max(1.0, 0.5 * margin)
-    radii: list[float] = []
+    islands: list[IslandLayout] = []
     # The last t whose point the origin island surely blocks, per island.
     origin_blocks: list[int] = []
     widest = 0.0  # largest radius so far
-    for pkg in model.packages:
-        count = len(pkg.class_indices)
-        radius = max(params.base_radius_per_class * math.sqrt(count), 2.0 * params.s_min)
+    for p, pkg in enumerate(model.packages):
+        member_layers = [layers[i] for i in pkg.class_indices]
+        lo = min(member_layers)
+        counts = [0] * (max(member_layers) - lo + 1)
+        for k in member_layers:
+            counts[k - lo] += 1
+        bands, _ = terraces(counts, params.s_min, pkg.name)
+        # Only the shore band widens, to the floor the class count sets.
+        radius = max(bands[-1][1], 2.0 * params.s_min,
+                     params.base_radius_per_class * math.sqrt(len(member_layers)))
         reach = radius + widest + margin
-        if not math.isfinite(radius) or (radii and not math.isfinite(reach * reach)):
+        if not math.isfinite(radius) or (islands and not math.isfinite(reach * reach)):
             raise GeometryOverflow(f"island {pkg.name!r}")
-        blocked = _origin_blocks(radius + radii[0] + margin, gain) if radii else 0
+        blocked = _origin_blocks(radius + islands[0].radius + margin, gain) if islands else 0
         if blocked >= 2**53:
             raise GeometryOverflow(f"island {pkg.name!r}")
         widest = max(widest, radius)
-        radii.append(radius)
+        bands[-1] = (bands[-1][0], radius)
+        heights = [(gmax - k) * params.tier_drop for k in range(lo, lo + len(counts))]
+        islands.append(IslandLayout(p, (0.0, 0.0), radius, lo, heights, bands))
         origin_blocks.append(blocked)
 
     # A side of at least ``gain`` keeps every cell number small.
@@ -176,44 +207,32 @@ def place_islands(
     # taken by an island of that radius or less, so t ascends too.
     resume_r: list[float] = []
     resume_t: list[int] = []
-    islands: list[IslandLayout] = []
-    for p, (pkg, radius) in enumerate(zip(model.packages, radii)):
-        if islands:
-            at = bisect.bisect_right(resume_r, radius)
-            t = max(resume_t[at - 1] - 1 if at else 0, origin_blocks[p])
-            while True:
-                t += 1
-                r = gain * math.sqrt(t)
-                x = r * math.cos(t * GOLDEN_ANGLE)
-                z = r * math.sin(t * GOLDEN_ANGLE)
-                for cx, cz, other in grid.near(x, z):
-                    dx = x - cx
-                    dz = z - cz
-                    need = radius + other + margin
-                    if dx * dx + dz * dz < need * need:
-                        break
-                else:
+    if islands:
+        grid.add(0.0, 0.0, (0.0, 0.0, islands[0].radius))
+    for island, blocked in zip(islands[1:], origin_blocks[1:]):
+        radius = island.radius
+        at = bisect.bisect_right(resume_r, radius)
+        t = max(resume_t[at - 1] - 1 if at else 0, blocked)
+        while True:
+            t += 1
+            r = gain * math.sqrt(t)
+            x = r * math.cos(t * GOLDEN_ANGLE)
+            z = r * math.sin(t * GOLDEN_ANGLE)
+            for cx, cz, other in grid.near(x, z):
+                dx = x - cx
+                dz = z - cz
+                need = radius + other + margin
+                if dx * dx + dz * dz < need * need:
                     break
-            at = end = bisect.bisect_left(resume_r, radius)
-            while end < len(resume_t) and resume_t[end] <= t:
-                end += 1
-            resume_r[at:end] = [radius]
-            resume_t[at:end] = [t]
-            center = (x, z)
-        else:
-            center = (0.0, 0.0)
-        grid.add(*center, (*center, radius))
-        member_layers = [layers[i] for i in pkg.class_indices]
-        lo, hi = min(member_layers), max(member_layers)
-        islands.append(
-            IslandLayout(
-                package_index=p,
-                center=center,
-                radius=radius,
-                layer_lo=lo,
-                tier_heights=[(gmax - k) * params.tier_drop for k in range(lo, hi + 1)],
-            )
-        )
+            else:
+                break
+        at = end = bisect.bisect_left(resume_r, radius)
+        while end < len(resume_t) and resume_t[end] <= t:
+            end += 1
+        resume_r[at:end] = [radius]
+        resume_t[at:end] = [t]
+        island.center = (x, z)
+        grid.add(x, z, (x, z, radius))
     return islands
 
 
@@ -268,120 +287,30 @@ def place_trees(
     layers: list[int],
     params: Config,
 ) -> list[TreePlacement]:
-    """Position one tree per class on the island's terraces."""
-    pkg = model.packages[island.package_index]
-    members = sorted(pkg.class_indices, key=lambda i: model.classes[i].name)
-    cx, cz = island.center
-    height_of = lambda k: island.tier_heights[k - island.layer_lo]
+    """Deal each layer's trees, in name order, onto its tier's rows.
 
-    if len(members) == 1:
-        # A lone tree sits exactly at the summit centre, unjittered.
-        only = members[0]
-        return [TreePlacement(only, (cx, cz), height_of(layers[only]))]
-
-    tiers = len(island.tier_heights)
-    rings = island_rings(island.radius, tiers)
-    pad = _EDGE_PAD * island.radius / tiers
-
-    by_layer: dict[int, list[int]] = {}
-    for idx in members:
-        by_layer.setdefault(layers[idx], []).append(idx)
-
-    rel: dict[int, tuple[float, float]] = {}
-    pkg_name = pkg.name
-    for layer_k in sorted(by_layer):
-        group = by_layer[layer_k]
-        u = layer_k - island.layer_lo
-        inner, outer = rings[u]
-        lo_r = 0.0 if u == 0 else inner + pad
-        hi_r = max(outer - pad, lo_r + 1e-9)
-        start = 2.0 * math.pi * _hash01(params.seed, "theta0", pkg_name, layer_k)
-        n = len(group)
-        for i, class_index in enumerate(group):
-            if lo_r == 0.0:
-                r = hi_r * math.sqrt(i / n)
-            else:
-                r = lo_r + (hi_r - lo_r) * math.sqrt((i + 0.5) / n)
-            theta = start + i * GOLDEN_ANGLE
-            name = model.classes[class_index].name
-            jr = 0.25 * params.s_min * _hash01(params.seed, "jr", pkg_name, name)
-            jt = 2.0 * math.pi * _hash01(params.seed, "jt", pkg_name, name)
-            rel[class_index] = (
-                r * math.cos(theta) + jr * math.cos(jt),
-                r * math.sin(theta) + jr * math.sin(jt),
-            )
-
-    rel = _enforce_separation(rel, island.radius, params.s_min, pkg_name)
-    return [
-        TreePlacement(idx, (cx + rel[idx][0], cz + rel[idx][1]), height_of(layers[idx]))
-        for idx in members
-    ]
-
-
-def _too_close(points: list[tuple[float, float]], s_min: float) -> bool:
-    """Whether some two points are closer than ``s_min``.
-
-    Makes the all-pairs test ``math.hypot(dx, dz) < s_min``, but only
-    on the pairs a ``_Grid`` leaves, and stops at the first close one.
-    A close pair is less than ``s_min`` apart on each axis; the cell
-    side's ``1e-6`` slack covers the last bit of ``hypot``. A point
-    with a non-finite coordinate is close to nothing under that test,
-    so it is left out; the side grows with the points' extent, so no
-    cell number overflows.
+    A row of ``m`` trees spaces them ``2 * pi / m`` apart, the first at
+    the angle ``2 * pi * _hash01(seed, "theta0", layer)``. The angle
+    leaves the package out, so islands with equal tiers and counts get
+    equal rows and share their meshes.
     """
-    finite = [p for p in points if math.isfinite(p[0]) and math.isfinite(p[1])]
-    extent = max((abs(c) for p in finite for c in p), default=0.0)
-    grid = _Grid(max(s_min * (1.0 + 1e-6), extent * 2.0**-40))
-    for x, z in finite:
-        for px, pz in grid.near(x, z):
-            if math.hypot(x - px, z - pz) < s_min:
-                return True
-        grid.add(x, z, (x, z))
-    return False
-
-
-def _enforce_separation(
-    rel: dict[int, tuple[float, float]], radius: float, s_min: float, package: str
-) -> dict[int, tuple[float, float]]:
-    order = sorted(rel)
-    pts = [rel[i] for i in order]
-    if not _too_close(pts, s_min):
-        return rel
-
-    # First remedy: scale everything radially outward from the centre.
-    max_r = max(math.hypot(x, z) for x, z in pts) or 1e-9
-    factor = 1.0
-    while factor * 1.06 * max_r <= 0.96 * radius:
-        factor *= 1.06
-        scaled = [(x * factor, z * factor) for x, z in pts]
-        if not _too_close(scaled, s_min):
-            return dict(zip(order, scaled))
-
-    # Last resort: hexagonal slots, nearest-to-centre first. Their sort
-    # key squares coordinates up to the radius.
-    if not math.isfinite(radius * radius):
-        raise GeometryOverflow(f"island {package!r}")
-    slots = _hex_slots(radius * 0.95, s_min * 1.05)
-    if len(slots) < len(order):
-        slots = _hex_slots(radius * 0.97, s_min * 1.0005)
-    if len(slots) < len(order):
-        raise IslandTooSmall(package, len(order), s_min, radius)
-    return dict(zip(order, slots[: len(order)]))
-
-
-def _hex_slots(radius: float, spacing: float) -> list[tuple[float, float]]:
-    rows = int(radius / (spacing * math.sqrt(3.0) / 2.0)) + 1
-    cols = int(radius / spacing) + 1
-    out = []
-    for kz in range(-rows, rows + 1):
-        z = kz * spacing * math.sqrt(3.0) / 2.0
-        shift = 0.5 * spacing if kz % 2 else 0.0
-        for kx in range(-cols - 1, cols + 2):
-            x = kx * spacing + shift
-            if x * x + z * z <= radius * radius:
-                out.append((x, z))
-    out.sort(key=lambda p: (round(p[0] ** 2 + p[1] ** 2, 9), math.atan2(p[1], p[0])))
-    return out
+    pkg = model.packages[island.package_index]
+    by_tier: list[list[int]] = [[] for _ in island.tier_heights]
+    for idx in sorted(pkg.class_indices, key=lambda i: model.classes[i].name):
+        by_tier[layers[idx] - island.layer_lo].append(idx)
+    _, rows = terraces([len(group) for group in by_tier], params.s_min, pkg.name)
+    cx, cz = island.center
+    trees = []
+    for u, (group, tier_rows) in enumerate(zip(by_tier, rows)):
+        start = 2.0 * math.pi * _hash01(params.seed, "theta0", island.layer_lo + u)
+        dealt = iter(group)
+        for r, m in tier_rows:
+            for i in range(m):
+                theta = start + 2.0 * math.pi * i / m
+                trees.append(TreePlacement(
+                    next(dealt), (cx + r * math.cos(theta), cz + r * math.sin(theta)),
+                    island.tier_heights[u]))
+    return trees
 
 
 def route_channels(

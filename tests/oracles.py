@@ -229,6 +229,49 @@ def tree_island_gaps(layout, package_of: list[int]) -> list[float]:
     return gaps
 
 
+def terrace_faults(model, layers: list[int], layout, params) -> list[str]:
+    """Every way the layout's trees break the terraces, one line each.
+
+    An island's bands must rise from 0 without overlapping and end at
+    its radius. Then, for each trunk:
+
+    * (a) its base is its own layer's height, on the island too;
+    * (b) its centre lies in its own tier's flat band (the summit's:
+      within its outer edge);
+    * (c) no trunk on its island is closer than ``s_min``, up to a
+      relative 1e-9 for rounding;
+    * (d) it lies inside its island.
+    """
+    gmax = max(layers, default=0)
+    faults = []
+    for isl in layout.islands:
+        edges = [e for band in isl.bands for e in band]
+        if edges[0] != 0.0 or edges != sorted(edges) or edges[-1] != isl.radius:
+            faults.append(f"island {isl.package_index}: bands {isl.bands}")
+    island_by_pkg = {isl.package_index: isl for isl in layout.islands}
+    gaps = tree_island_gaps(layout, model.package_of)
+    by_pkg: dict[int, list] = {}
+    for tree, gap in zip(layout.trees, gaps):
+        k = layers[tree.class_index]
+        isl = island_by_pkg[model.package_of[tree.class_index]]
+        by_pkg.setdefault(isl.package_index, []).append(tree.position)
+        name = model.classes[tree.class_index].name
+        u = k - isl.layer_lo
+        if not tree.trunk_base_y == isl.tier_heights[u] == (gmax - k) * params.tier_drop:
+            faults.append(f"(a) {name}: base {tree.trunk_base_y} on layer {k}")
+        inner, outer = isl.bands[u]
+        d = math.hypot(tree.position[0] - isl.center[0], tree.position[1] - isl.center[1])
+        if not (u == 0 or inner <= d) or not d <= outer:
+            faults.append(f"(b) {name}: {d} from the centre, band {isl.bands[u]}")
+        if not gap > 0:
+            faults.append(f"(d) {name}: {gap} inside its island")
+    for p, points in by_pkg.items():
+        nearest = min_pair_distance(points)
+        if nearest < params.s_min * (1.0 - 1e-9):
+            faults.append(f"(c) island {p}: trunks {nearest} apart")
+    return faults
+
+
 # ---------------------------------------------------------------------------
 # Mesh arrays, by numpy.
 

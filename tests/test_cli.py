@@ -8,9 +8,13 @@ from contextlib import contextmanager
 
 import pytest
 
+import oracles
 from codeforest import pipeline
 from codeforest.cli import main
+from codeforest.config import load_config
 from codeforest.exporters.report import report_text
+from codeforest.layout import build_layout
+from codeforest.model import compute_layers
 
 from conftest import FIXTURES, corpus
 from oracles import check_gltf
@@ -60,19 +64,21 @@ def test_inheritance_cycle_exits_one(capsys):
     assert "loop.Alpha" in err and "loop.Beta" in err
 
 
-def test_island_too_small_for_its_trees_exits_one(tmp_path, capsys):
+def test_tight_spacing_widens_the_island_to_hold_its_trees(tmp_path, capsys):
+    # Fifteen trees at s_min = 10 on an island whose floor is 0.5 per
+    # sqrt(class): the terraces grow to hold them.
     cfg = tmp_path / "tight.cfg"
     cfg.write_text("s_min = 10\nbase_radius_per_class = 0.5\n", encoding="utf-8")
     out = tmp_path / "forest.gltf"
     argv = ["render", str(FIXTURES / "jfreechart_annotations"), "-o", str(out),
             "--format", "gltf", "--config", str(cfg)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err == (
-        "error: package 'org.jfree.chart.annotations': island of radius 20.0 "
-        "cannot hold 15 trees at separation 10.0\n"
-    )
-    assert not out.exists()
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert check_gltf(json.loads(out.read_text(encoding="utf-8"))) == []
+    model = corpus("jfreechart_annotations").model
+    params = load_config(cfg)
+    layout = build_layout(model, params)
+    assert oracles.terrace_faults(model, compute_layers(model), layout, params) == []
 
 
 def test_render_gltf(tmp_path, capsys):
@@ -210,8 +216,8 @@ def deadline(seconds):
         # Finite as a float64, infinite once cast to float32: the cast
         # must neither warn nor reach the file.
         ("calls", "h1 = 1e39", "node 'trunk:app.Audit'"),
-        # Hexagonal tree slots once squared coordinates past the float
-        # range in their sort key.
+        # The outer terraces' rows run past the float range, where a
+        # row's tree count would divide by zero.
         ("jfreechart_annotations",
          "base_radius_per_class = 4.6e307\ns_min = 8e307",
          "island 'org.jfree.chart.annotations'"),

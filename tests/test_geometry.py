@@ -55,8 +55,11 @@ def metrics(loc=10, methods=3, fan_out=0):
 
 
 def island(radius=6.0, tiers=1):
-    """``build_island_mesh``'s radius and tier heights, shore at 0."""
-    return radius, tuple(float(tiers - 1 - u) for u in range(tiers))
+    """``build_island_mesh``'s bands and tier heights: equal steps out
+    to ``radius``, each lower step's first third a wall, shore at 0."""
+    step = radius / tiers
+    bands = tuple((u and (u + 1 / 3) * step, (u + 1) * step) for u in range(tiers))
+    return bands, tuple(float(tiers - 1 - u) for u in range(tiers))
 
 
 def check_mesh(mesh):
@@ -82,14 +85,14 @@ def check_mesh(mesh):
 
 def test_single_tier_island_vertex_count():
     mesh = build_island_mesh(*island(), segments=8)
-    assert mesh.vertex_count == 25  # 8 * 2 rings + 8 cap ring + 1 centre
+    assert mesh.vertex_count == 9  # 8 on the summit's outer ring + 1 centre
     check_mesh(mesh)
 
 
 def test_island_vertex_formula_general():
     for segments, tiers in ((8, 1), (8, 2), (12, 3), (16, 4)):
         mesh = build_island_mesh(*island(tiers=tiers), segments=segments)
-        assert mesh.vertex_count == segments * 2 * tiers + segments + 1
+        assert mesh.vertex_count == segments * (2 * tiers - 1) + 1
         check_mesh(mesh)
 
 
@@ -105,6 +108,13 @@ def test_island_radius_is_respected():
     positions = vec3(mesh.positions)
     r = np.hypot(positions[:, 0], positions[:, 2])
     assert float(r.max()) == pytest.approx(6.0)
+
+
+def test_island_rings_lie_on_the_band_edges():
+    bands, heights = ((0.0, 1.0), (2.0, 3.5), (4.0, 9.0)), (2.0, 1.0, 0.0)
+    positions = vec3(build_island_mesh(bands, heights, segments=12).positions)
+    edges = {(round(float(np.hypot(x, z)), 5), float(y)) for x, y, z in positions}
+    assert edges == {(0.0, 2.0), (1.0, 2.0), (2.0, 1.0), (3.5, 1.0), (4.0, 0.0), (9.0, 0.0)}
 
 
 def test_island_needs_at_least_eight_segments():
@@ -527,7 +537,7 @@ def test_each_distinct_mesh_is_built_once_per_scene(monkeypatch):
         assert len(set(args)) == len(args)
         layout, segments = build_layout(info.model, Config()), Config().segments
         assert {a for name, a in args if name == "build_island_mesh"} == {
-            (i.radius, tuple(i.tier_heights), segments) for i in layout.islands}
+            (tuple(i.bands), tuple(i.tier_heights), segments) for i in layout.islands}
         assert {a[0] for name, a in args if name == "build_channel_mesh"} == {
             tuple(c.polyline) for c in layout.channels}
         # The scene keeps one mesh per distinct content built.

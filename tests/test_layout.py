@@ -11,16 +11,10 @@ from hypothesis import strategies as st
 import oracles
 from codeforest import layout as layout_mod
 from codeforest.config import Config
-from codeforest.layout import (
-    IslandLayout,
-    _too_close,
-    build_layout,
-    island_rings,
-    place_islands,
-    place_trees,
-)
+from codeforest.layout import build_layout, place_islands, place_trees, terraces
 from codeforest.lexer import tokenize
 from codeforest.model import (
+    CodeModel,
     PackageRecord,
     build_model,
     compute_layers,
@@ -28,7 +22,10 @@ from codeforest.model import (
     resolve_inheritance,
 )
 from codeforest.parser import CorpusUnit, parse_unit
+from codeforest.pipeline import analyze
 from conftest import CORPUS_NAMES, corpus
+from golden.update import BENCH_SEED, REPO, corpora
+import synth
 
 
 def make_model(*sources):
@@ -57,9 +54,9 @@ def packages_of(sizes):
 
 
 def count_grid_work(monkeypatch, limit=None):
-    """Count grid queries (spiral candidates, trees) and the clearance
-    or pair tests they lead to (items yielded). Past ``limit`` queries,
-    fail rather than run on."""
+    """Count grid queries (spiral candidates) and the clearance tests
+    they lead to (items yielded). Past ``limit`` queries, fail rather
+    than run on."""
     counts = {"queries": 0, "tests": 0}
     near = layout_mod._Grid.near
 
@@ -74,17 +71,42 @@ def count_grid_work(monkeypatch, limit=None):
     return counts
 
 
+def forest(sizes, parents, names=None):
+    """A model with one package per size, named in order, whose class
+    ``i`` extends class ``parents[i]`` (``None``: a root), in any
+    package."""
+    model = packages_of(sizes)
+    if names is not None:
+        model.classes = [SimpleNamespace(name=n) for n in names]
+    package_of = [p for p, pkg in enumerate(model.packages) for _ in pkg.class_indices]
+    edges = [(child, parent) for child, parent in enumerate(parents) if parent is not None]
+    return CodeModel(model.packages, model.classes, package_of, edges)
+
+
+def terrace_faults(model, params):
+    return oracles.terrace_faults(model, compute_layers(model), build_layout(model, params),
+                                  params)
+
+
 # ---------------------------------------------------------------------------
 # Islands.
 
 def test_island_radius_formula():
-    info = corpus("calls")  # one package, three classes
-    (island,) = build_layout(info.model, Config()).islands
-    assert island.radius == pytest.approx(max(1.5 * math.sqrt(3), 2 * 2.0))
+    # The larger of the shore band's outer edge and the floor
+    # max(1.5 * sqrt(n), 2 * s_min). calls has two roots on its summit
+    # (the centre and a row at s_min) and one child on the shore.
+    (island,) = build_layout(corpus("calls").model, Config()).islands
+    assert island.bands == [(0.0, 3.0), (4.0, 6.0)]
+    assert island.radius == 6.0
 
-    info15 = corpus("jfreechart_annotations")
-    (island15,) = build_layout(info15.model, Config()).islands
-    assert island15.radius == pytest.approx(1.5 * math.sqrt(15))
+    # One tree each: the summit's band (0, 1) widens to the floor, 4.0.
+    for island in build_layout(corpus("multipkg").model, Config()).islands:
+        assert island.bands == [(0.0, 4.0)] and island.radius == 4.0
+
+    (island15,) = build_layout(corpus("jfreechart_annotations").model,
+                               Config(base_radius_per_class=5.0)).islands
+    assert island15.radius == pytest.approx(5.0 * math.sqrt(15))
+    assert island15.bands[-1][1] == island15.radius
 
 
 def test_first_island_sits_at_origin():
@@ -127,10 +149,9 @@ def test_island_centres_match_the_linear_spiral_scan(sizes, s_min, island_margin
         assert island.center == oracles.spiral_slot(islands[:p], island.radius, params)
 
 
-def test_island_and_tree_work_grows_near_linearly(monkeypatch):
-    # Four times the packages (or trees on one island) must cost less
-    # than six times the spiral candidates and clearance tests (or pair
-    # tests); the linear scans grew about 16x.
+def test_island_work_grows_near_linearly(monkeypatch):
+    # Four times the packages must cost less than six times the spiral
+    # candidates and clearance tests; the linear scan grew about 16x.
     counts = count_grid_work(monkeypatch)
     params = Config()
 
@@ -141,20 +162,19 @@ def test_island_and_tree_work_grows_near_linearly(monkeypatch):
         place_islands(packages_of(sizes), [0] * sum(sizes), params)
         return dict(counts)
 
-    def tree_work(n):
-        # One tier, roomy enough that no pair is close: every tree is
-        # checked, none stops the scan early.
-        island = IslandLayout(0, (0.0, 0.0), 2.5 * math.sqrt(n), 0, [0.0])
-        counts.update(queries=0, tests=0)
-        place_trees(island, packages_of([n]), [0] * n, params)
-        assert counts["queries"] == n
-        return dict(counts)
+    small, large = island_work(100), island_work(400)
+    assert large["queries"] > 0 and large["tests"] > 0
+    for key in ("queries", "tests"):
+        assert large[key] < 6 * small[key], (key, small, large)
 
-    pairs = ((island_work(100), island_work(400)), (tree_work(250), tree_work(1000)))
-    for small, large in pairs:
-        assert large["queries"] > 0 and large["tests"] > 0
-        for key in ("queries", "tests"):
-            assert large[key] < 6 * small[key], (key, small, large)
+
+def test_trees_are_placed_without_grid_queries(monkeypatch):
+    model = corpus("jfreechart_annotations").model
+    layers = compute_layers(model)
+    (island,) = place_islands(model, layers, Config())
+    counts = count_grid_work(monkeypatch)
+    assert len(place_trees(island, model, layers, Config())) == 15
+    assert counts["queries"] == 0
 
 
 def test_a_large_base_radius_skips_the_points_the_origin_island_blocks(monkeypatch):
@@ -177,10 +197,13 @@ def test_tier_heights_are_global():
 
 
 def test_island_rings_example():
-    assert island_rings(6.0, 2) == [
-        (pytest.approx(0.9), pytest.approx(3.0)),
-        (pytest.approx(3.9), pytest.approx(6.0)),
-    ]
+    # Seven roots, an empty middle tier and thirteen grandchildren at
+    # s_min 2. The summit's centre holds one tree and its rows at 2 and
+    # 4 hold 5 and 12 (chord at least 2); the empty tier gets one empty
+    # row; each band reaches 1 past its rows, and walls run 1.
+    bands, rows = terraces([7, 0, 13], 2.0, "p")
+    assert bands == [(0.0, 5.0), (6.0, 8.0), (9.0, 11.0)]
+    assert rows == [[(0.0, 1), (2.0, 5), (4.0, 1)], [(7.0, 0)], [(10.0, 13)]]
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +239,13 @@ def test_separation_and_containment_on_a_crowded_island():
         assert gap > 0
 
 
-def test_crowded_island_falls_back_to_seedless_grid():
-    # Fifteen classes over four tiers cannot keep the seeded spiral at
-    # s_min; the layout re-grids them, so seeds stop mattering but the
-    # separation and containment invariants still hold.
+def test_seed_moves_trees_on_a_crowded_island():
+    # Fifteen classes over four tiers: each tier's rows turn with the
+    # seed, and every pair keeps s_min.
     model = corpus("jfreechart_annotations").model
     a = layout_of(model, seed=0)
     b = layout_of(model, seed=99)
-    assert [t.position for t in a.trees] == [t.position for t in b.trees]
+    assert [t.position for t in a.trees] != [t.position for t in b.trees]
     for layout in (a, b):
         assert oracles.min_pair_distance([t.position for t in layout.trees]) >= 2.0 - 1e-9
 
@@ -248,30 +270,52 @@ def test_seed_moves_trees_on_a_roomy_island():
         assert oracles.min_pair_distance([t.position for t in layout.trees]) >= 2.0 - 1e-9
 
 
+# ---------------------------------------------------------------------------
+# Terraces: every trunk on its own tier's band, at its height, s_min
+# from every other and inside its island.
+
 @st.composite
-def point_sets(draw):
-    s_min = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.01, 5.0))
-    side = s_min * (1.0 + 1e-6)  # the grid's cell side
-    coord = st.one_of(
-        st.integers(-8, 8).map(lambda k: k * s_min),  # pairs exactly s_min apart
-        st.integers(-8, 8).map(lambda k: k * side),  # points on cell boundaries
-        st.floats(-20.0, 20.0),
-        st.sampled_from([math.inf, -math.inf]),
-    )
-    points = draw(st.lists(st.tuples(coord, coord), max_size=30))
-    if points:
-        points += draw(st.lists(st.sampled_from(points), max_size=3))  # duplicates
-    return points, s_min
+def forests(draw):
+    """A random forest over packages of 1 to 40 classes, whose parents
+    may sit in any package, and the s_min and floor to lay it out at."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    parents = [draw(st.none() | st.integers(0, i - 1)) if i else None
+               for i in range(sum(sizes))]
+    names = draw(st.permutations([f"C{i:03d}" for i in range(sum(sizes))]))
+    params = Config(seed=draw(st.integers(0, 3)), s_min=draw(st.floats(0.05, 5.0)),
+                    base_radius_per_class=draw(st.floats(0.05, 5.0)))
+    return forest(sizes, parents, names), params
 
 
-@settings(max_examples=150, deadline=None)
-@given(point_sets())
-@example(([(0.0, 0.0), (2.0, 0.0), (0.0, -2.0), (-2.0, 2.0)], 2.0))
-@example(([(1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)], 0.5))
-@example(([(1e10, 0.0), (-1e10, 3.0), (1e10, 0.0)], 1e-300))  # x / s_min overflows
-def test_too_close_matches_the_all_pairs_scan(case):
-    points, s_min = case
-    assert _too_close(points, s_min) == (oracles.min_pair_distance(points) < s_min)
+@settings(max_examples=100, deadline=None)
+@given(forests())
+# Layers 0 and 2 on p0000, layer 1 only on p0001: p0000's middle tier is empty.
+@example((forest([2, 1], [None, 2, 0]), Config()))
+@example((forest([3, 1], [None, 3, 3, 0]), Config(s_min=0.05, base_radius_per_class=5.0)))
+# Forty trees on one tier, and a chain across three packages.
+@example((forest([40], [None] * 40), Config(s_min=5.0)))
+@example((forest([1, 1, 1], [None, 0, 1]), Config()))
+def test_random_forests_keep_their_terraces(case):
+    model, params = case
+    assert terrace_faults(model, params) == []
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_fixtures_keep_their_terraces(name):
+    assert terrace_faults(corpus(name).model, Config()) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_synth_corpora_keep_their_terraces(seed, tmp_path):
+    synth.generate(seed, tmp_path)
+    assert terrace_faults(analyze(tmp_path).model, Config()) == []
+
+
+@pytest.mark.parametrize("workload", corpora.WORKLOADS)
+def test_bench_corpora_keep_their_terraces(workload, tmp_path):
+    plan = corpora.generate(workload, BENCH_SEED, tmp_path, repo=REPO)
+    model = analyze(tmp_path).model
+    assert terrace_faults(model, Config(seed=plan.render_seed)) == []
 
 
 # ---------------------------------------------------------------------------
