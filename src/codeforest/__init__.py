@@ -12,30 +12,39 @@ Typical use:
 
     info = analyze("path/to/java/sources")
     export_gltf(build_scene(info, Config(seed=7)), "forest.gltf")
+
+Each public name is imported from its home module on first use, so
+importing the package (or ``codeforest.cli``) loads no pipeline layer.
 """
 
-from .config import Config, load_config, parse_config
-from .errors import CodeforestError
-from .geometry import (
-    Material,
-    Mesh,
-    Scene,
-    SceneNode,
-    assemble_scene,
-    default_palette,
-)
-from .layout import ForestLayout, build_layout
-from .model import (
-    CodeModel,
-    build_model,
-    compute_metrics,
-    resolve_calls,
-    resolve_inheritance,
-)
-from .parser import parse_corpus
-from .pipeline import CorpusInfo, analyze, build_scene
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Each public name -> the submodule that defines it.
+_HOME = {
+    "CodeforestError": "errors",
+    "CodeModel": "model",
+    "Config": "config",
+    "CorpusInfo": "pipeline",
+    "ForestLayout": "layout",
+    "Material": "geometry",
+    "Mesh": "geometry",
+    "Scene": "geometry",
+    "SceneNode": "geometry",
+    "analyze": "pipeline",
+    "assemble_scene": "geometry",
+    "build_layout": "layout",
+    "build_model": "model",
+    "build_scene": "pipeline",
+    "compute_metrics": "model",
+    "default_palette": "geometry",
+    "load_config": "config",
+    "parse_config": "config",
+    "parse_corpus": "parser",
+    "resolve_calls": "model",
+    "resolve_inheritance": "model",
+}
 
 __all__ = [
     "CodeforestError",
@@ -61,3 +70,12 @@ __all__ = [
     "resolve_inheritance",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value

@@ -25,10 +25,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import config as config_module
-from . import pipeline
 from .errors import CodeforestError
-from .exporters import export_gltf, export_mel, export_obj, export_report
+
+# Each command imports the layers it needs when it runs, so ``--help``
+# and ``analyze`` never load the scene layers or the scene writers.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_warnings(info: pipeline.CorpusInfo) -> None:
+def _print_warnings(info) -> None:
     lines = [f"{path}: {message}" for path, message in info.failures] + info.warnings
     for line in lines:
         # A path that is not valid UTF-8 holds surrogate escapes; show its
@@ -63,6 +63,9 @@ def _print_warnings(info: pipeline.CorpusInfo) -> None:
 
 
 def _run_analyze(args) -> int:
+    from . import pipeline
+    from .exporters.report import export_report
+
     info = pipeline.analyze(args.root)
     _print_warnings(info)
     if args.report:
@@ -76,6 +79,9 @@ def _run_analyze(args) -> int:
 
 
 def _run_render(args) -> int:
+    from . import config as config_module
+    from . import pipeline
+
     if args.config:
         cfg = config_module.load_config(args.config)
     else:
@@ -89,11 +95,17 @@ def _run_render(args) -> int:
 
     out = Path(args.output)
     if args.format == "gltf":
+        from .exporters.gltf import export_gltf
+
         export_gltf(scene, out)
         written = [out]
     elif args.format == "obj":
+        from .exporters.obj import export_obj
+
         written = list(export_obj(scene, out))
     else:
+        from .exporters.mel import export_mel
+
         export_mel(scene, out)
         written = [out]
     for path in written:

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..model import METHOD_KINDS, method_labels
-from ..pipeline import CorpusInfo
+
+if TYPE_CHECKING:
+    from ..pipeline import CorpusInfo
 
 _PACKAGE = (
     '{\n      "name": %s,\n      "classes": %d,\n      "methods": %d,\n      "loc": %d,'

@@ -307,17 +307,20 @@ def build_channel_mesh(
     """Flat water ribbon ``CHANNEL_WIDTH`` wide along the polyline
     ``pts``, two triangles per segment.
 
-    ``origin`` shifts the mesh into a parent node's local frame.
-    Raises DegenerateSegment when consecutive points coincide.
+    ``origin`` shifts the mesh into a parent node's local frame. A
+    point within 1e-9 of the last point kept is dropped; raises
+    DegenerateSegment, naming the missing point, when fewer than two
+    points remain.
     """
-    if len(pts) < 2:
-        raise DegenerateSegment(0)
-    for i in range(len(pts) - 1):
-        dx = pts[i + 1][0] - pts[i][0]
-        dy = pts[i + 1][1] - pts[i][1]
-        dz = pts[i + 1][2] - pts[i][2]
-        if dx * dx + dy * dy + dz * dz < 1e-18:
-            raise DegenerateSegment(i + 1)
+    kept = list(pts[:1])
+    for p in pts[1:]:
+        q = kept[-1]
+        dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+        if dx * dx + dy * dy + dz * dz >= 1e-18:
+            kept.append(p)
+    if len(kept) < 2:
+        raise DegenerateSegment(len(kept))
+    pts = kept
 
     # Horizontal direction per segment; vertical drops borrow a neighbour.
     seg_dirs: list[tuple[float, float] | None] = []

@@ -1,13 +1,19 @@
-"""End-to-end orchestration: source tree in, scene and metrics out."""
+"""End-to-end orchestration: source tree in, scene and metrics out.
+
+``analyze`` needs only the parser and the model. The scene layers
+(``config``, ``layout``, ``geometry``) are imported when ``build_scene``
+first runs, so an ``analyze`` command never loads them. Every layer
+function is still a module attribute, looked up at call time, so
+replacing one here replaces it for every call the pipeline makes.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .config import Config
-from .geometry import Scene, assemble_scene
-from .layout import build_layout
 from .model import (
     ClassMetrics,
     CodeModel,
@@ -19,6 +25,23 @@ from .model import (
     resolve_inheritance,
 )
 from .parser import parse_corpus
+
+if TYPE_CHECKING:
+    from .config import Config
+    from .geometry import Scene, assemble_scene
+    from .layout import build_layout
+
+# Scene-layer name -> the module that defines it, imported on first use.
+_SCENE_LAYERS = {"Config": "config", "build_layout": "layout", "assemble_scene": "geometry"}
+
+
+def __getattr__(name: str):
+    try:
+        home = _SCENE_LAYERS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{home}", __package__), name)
+    return value
 
 
 @dataclass
@@ -60,5 +83,7 @@ def analyze(root: str | Path) -> CorpusInfo:
 
 def build_scene(info: CorpusInfo, config: Config | None = None) -> Scene:
     """Lay out the corpus and assemble the full scene graph."""
+    for name in _SCENE_LAYERS.keys() - globals().keys():
+        __getattr__(name)
     cfg = config if config is not None else Config()
     return assemble_scene(info.model, info.class_metrics, build_layout(info.model, cfg), cfg)

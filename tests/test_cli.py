@@ -238,6 +238,20 @@ def test_overflowing_config_exits_two(tmp_path, capsys, fixture, line, what):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("s_min", ["1e-320", "5e-324"])
+def test_tiny_s_min_still_renders(tmp_path, capsys, s_min):
+    # Terrace rows lie s_min apart, so at a subnormal s_min a channel's
+    # polyline holds points that coincide with their neighbours; the
+    # ribbon drops them instead of failing the render.
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text(f"s_min = {s_min}\n", encoding="utf-8")
+    out = tmp_path / "x.gltf"
+    rc = main(["render", TWO_CLASSES, "-o", str(out), "--format", "gltf",
+               "--config", str(cfg)])
+    assert rc == 0, capsys.readouterr().err
+    assert check_gltf(json.loads(out.read_text(encoding="utf-8"))) == []
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(root):
         raise ValueError("internal bug")

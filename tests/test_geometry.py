@@ -159,6 +159,15 @@ def test_channel_ribbon_width():
 def test_zero_length_channel_raises():
     with pytest.raises(DegenerateSegment):
         build_channel_mesh(channel((1, 1, 1), (1, 1, 1)))
+    with pytest.raises(DegenerateSegment):
+        build_channel_mesh(channel((1, 1, 1), (1, 1, 1 + 1e-10), (1, 1, 1 - 1e-10)))
+
+
+def test_coincident_channel_points_are_dropped():
+    clean = build_channel_mesh(channel((0, 1, 0), (2, 1, 0), (4, 0, 3)))
+    doubled = build_channel_mesh(
+        channel((0, 1, 0), (0, 1, 1e-320), (2, 1, 0), (2, 1, 0), (4, 0, 3)))
+    assert doubled == clean
 
 
 def test_channel_origin_shift():
