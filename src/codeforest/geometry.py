@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateSegment, GeometryOverflow
+from .errors import DegenerateSegment, GeometryOverflow, NonPositiveValue
 from .layout import GOLDEN_ANGLE, ChannelPath, ForestLayout
 from .model import (
     KIND_ACCESSOR,
@@ -220,7 +220,7 @@ def build_island_mesh(
     the summit's centre.
     """
     if segments < 8:
-        raise ValueError("island tessellation needs at least 8 segments")
+        raise NonPositiveValue("segments", segments, reason="must be at least 8")
     # Ring r of the vertex list starts at r * segments: the summit's
     # outer ring, then each lower tier's inner and outer ring. An edge
     # ring's normal is that of the wall it bounds, so walls shade smooth.

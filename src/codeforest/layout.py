@@ -24,19 +24,18 @@ every tree stands on its own tier's band at its own height. The island
 radius is the shore band's outer edge, widened where needed to the
 floor ``max(base_radius_per_class * sqrt(n), 2 * s_min)``.
 
-Island placement costs about n log n, not n², and makes the same
-decisions, float for float, as the linear scan it replaces (the tests
-keep that scan as an oracle). Islands sit on the first golden-angle
-spiral point that clears every placed island. Each spiral search
-resumes at the largest point taken by an island no wider than the new
-one: every earlier point was blocked for that island, and stays blocked
-for a wider one, because the clearance ``need`` rounds monotonically in
-the radius. It also starts past the points that lie well inside the
-origin island's clearance, however many a large size puts there.
-Clearance tests look only at a uniform grid's neighbouring cells
-(``_Grid``). A cell is at least as wide as the largest distance that
-can fail a test on one axis, and cells are numbered by monotone
-rounding, so no failing neighbour is skipped.
+Island placement makes the same decisions, float for float, as the
+linear scan it replaces (the tests keep that scan as an oracle): each
+island sits on the first golden-angle spiral point that clears every
+placed island. A search skips only points whose outcome is known. It
+starts past the points that lie well inside the origin island's
+clearance, and at the largest point taken by an island no wider, since
+clearance ``need`` rounds monotonically in the radius. A spiral point
+is computed once per layout (up to ``_POINTS_KEPT`` at a time), with
+the cell of a uniform grid (``_Grid``) that lists every placed island
+near it, so a visit costs one lookup. After a long run of blocked
+points, a search skips a band of radii on which the placed islands'
+clearance discs cover every angle (``_band_end``).
 """
 
 from __future__ import annotations
@@ -57,6 +56,12 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 # Horizontal run of the wall between two bands, in units of s_min.
 _WALL_RUN = 0.5
+
+# Blocked points a search walks before it first tries to skip a band.
+_SKIP_RUN = 256
+# Spiral points a layout keeps; past this many it starts afresh, so a
+# long walk does not grow memory.
+_POINTS_KEPT = 1 << 16
 
 
 @dataclass
@@ -150,7 +155,7 @@ def place_islands(
     later, where consecutive spiral points are no longer distinct
     floats.
 
-    Three shortcuts keep that choice and skip only work whose outcome
+    Four shortcuts keep that choice and skip only work whose outcome
     is known:
 
     * The search for an island starts past every ``t`` whose point the
@@ -167,10 +172,19 @@ def place_islands(
       addition and multiplication round monotonically), so it is
       blocked for this one too. The ``t`` itself is tested again: an
       island sits there, but ``need * need`` may underflow to 0.
-    * A point is tested only against the islands a ``_Grid`` holds
-      near it. Its cell side is at least the largest ``need`` of any
-      pair, and a blocking island is closer than its ``need`` on each
-      axis.
+    * A point is tested only against the islands listed in its own
+      ``_Grid`` cell, which every island within the largest ``need`` of
+      any pair joins (see ``_Grid``). A point's coordinates and that
+      list are kept by ``t``, so a point that a later search walks again
+      costs one dict lookup. Newest islands come first in a list: they
+      most often block the points a search walks.
+    * After ``_SKIP_RUN`` blocked points in a row, a search asks
+      ``_band_end`` whether the placed islands surely block the next
+      points too, and resumes the exact test past the band they block.
+      Each check that skips nothing doubles the run to the next, so a
+      layout whose islands leave gaps pays little for the checks.
+      Without this, islands that ring the origin make every later
+      search walk about ``(size / gain)**2`` points they block.
     """
     gmax = max(layers, default=0)
     margin = params.island_margin
@@ -202,23 +216,36 @@ def place_islands(
         origin_blocks.append(blocked)
 
     # A side of at least ``gain`` keeps every cell number small.
-    grid = _Grid(max(2.0 * widest + margin, gain) * (1.0 + 1e-6))
+    grid = _Grid(max(2.0 * widest + margin, gain))
     # Where searches resume: radii ascending, each with the largest t
     # taken by an island of that radius or less, so t ascends too.
     resume_r: list[float] = []
     resume_t: list[int] = []
+    # Spiral points by t: x, z and the grid cell's list.
+    points: dict[int, tuple[float, float, list]] = {}
+    # Placed islands as (distance from the origin, angle, radius).
+    placed: list[tuple[float, float, float]] = []
     if islands:
         grid.add(0.0, 0.0, (0.0, 0.0, islands[0].radius))
+        placed.append((0.0, 0.0, islands[0].radius))
     for island, blocked in zip(islands[1:], origin_blocks[1:]):
         radius = island.radius
         at = bisect.bisect_right(resume_r, radius)
         t = max(resume_t[at - 1] - 1 if at else 0, blocked)
+        gap = _SKIP_RUN
+        check = t + gap
         while True:
             t += 1
-            r = gain * math.sqrt(t)
-            x = r * math.cos(t * GOLDEN_ANGLE)
-            z = r * math.sin(t * GOLDEN_ANGLE)
-            for cx, cz, other in grid.near(x, z):
+            p = points.get(t)
+            if p is None:
+                if len(points) >= _POINTS_KEPT:
+                    points.clear()
+                r = gain * math.sqrt(t)
+                x = r * math.cos(t * GOLDEN_ANGLE)
+                z = r * math.sin(t * GOLDEN_ANGLE)
+                p = points[t] = (x, z, grid.near(x, z))
+            x, z, cell = p
+            for cx, cz, other in cell:
                 dx = x - cx
                 dz = z - cz
                 need = radius + other + margin
@@ -226,6 +253,12 @@ def place_islands(
                     break
             else:
                 break
+            if t >= check:
+                end = _band_end(t + 1, gap, radius, margin, placed, gain)
+                if end == t:
+                    gap *= 2
+                check = end + gap
+                t = end
         at = end = bisect.bisect_left(resume_r, radius)
         while end < len(resume_t) and resume_t[end] <= t:
             end += 1
@@ -233,6 +266,7 @@ def place_islands(
         resume_t[at:end] = [t]
         island.center = (x, z)
         grid.add(x, z, (x, z, radius))
+        placed.append((math.hypot(x, z), math.atan2(z, x), radius))
     return islands
 
 
@@ -254,31 +288,109 @@ def _origin_blocks(need: float, gain: float) -> int:
     return t
 
 
-class _Grid:
-    """Items at points in the plane, bucketed in square cells.
+def _band_end(t: int, n: int, radius: float, margin: float, placed, gain: float) -> int:
+    """The last ``u >= t + n - 1`` such that the placed islands surely
+    block every spiral point from ``t`` to ``u`` for an island of
+    ``radius``, or ``t - 1`` if they do not surely block the first ``n``.
 
-    ``near(x, z)`` yields every item whose point lies within ``side``
-    of ``(x, z)`` on both axes, and perhaps a few more: it scans the
-    cells from that of ``x - side`` to that of ``x + side`` on each
-    axis. Rounding is monotone, so a point between the two ends has a
-    cell between them too, at any magnitude; in practice that is the
-    3x3 block around ``(x, z)``.
+    A placed island of radius ``r`` blocks the open disc of radius
+    ``need = radius + r + margin`` about its centre. A radial segment
+    lies in a disc if and only if both its ends do, so on the band of
+    radii ``[lo, hi]`` the disc blocks every angle of the arc it blocks
+    on both rims, the narrower of the two: both are centred on the
+    island's own angle. The band is blocked where those arcs cover the
+    circle. ``lo`` and ``hi`` lie 1e-9 outside the radii of points ``t``
+    and ``u``, far more than the rounding of a point's distance from the
+    origin. Each arc is taken for the disc shrunk by 1e-6 of its radius,
+    and only for a disc less than 1e4 radii from the origin: the
+    rounding of the arc's width and angle then moves its ends by far
+    less than that slack, so every point of the band lies inside some
+    unshrunk disc by much more than the rounding of the exact test. The
+    band grows from ``n`` points by doubling, then by bisection.
+    """
+    lo = gain * math.sqrt(t) * (1.0 - 1e-9)
+    arcs = []
+    for d, angle, other in placed:
+        m = (radius + other + margin) * (1.0 - 1e-6)
+        h = _arc(lo, d, m)
+        if h > 0.0 and d < 1e4 * m:
+            arcs.append((angle, d, m, h))
+
+    def covered(u: int) -> bool:
+        hi = gain * math.sqrt(u) * (1.0 + 1e-9)
+        spans = []
+        for angle, d, m, h in arcs:
+            h = min(h, _arc(hi, d, m))
+            if h >= math.pi:
+                return True
+            if h > 0.0:
+                spans.append(((angle - h) % math.tau, 2.0 * h))
+        if not spans:
+            return False
+        spans.sort()
+        start = end = spans[0][0]
+        for s, w in spans:
+            if s > end:
+                return False
+            end = max(end, s + w)
+        return end >= start + math.tau
+
+    if not covered(t + n - 1):
+        return t - 1
+    while covered(t + 2 * n - 1):
+        n *= 2
+    # Points t .. t + n - 1 are blocked, t .. t + 2n - 1 perhaps not.
+    step = n
+    while step > 1:
+        step //= 2
+        if covered(t + n + step - 1):
+            n += step
+    return t + n - 1
+
+
+def _arc(rho: float, d: float, m: float) -> float:
+    """Half-width of the arc that the disc of radius ``m``, centred ``d``
+    from the origin, cuts from the circle of radius ``rho`` about the
+    origin: ``pi`` for the whole circle, 0 for none."""
+    if rho + d <= m:
+        return math.pi
+    if abs(rho - d) >= m:
+        return 0.0
+    # sin(h / 2)**2 = (m*m - (rho - d)**2) / (4 * rho * d), the law of
+    # cosines without its cancelling terms.
+    return 2.0 * math.asin(math.sqrt(min(1.0, (m - rho + d) * (m + rho - d) / (4.0 * rho * d))))
+
+
+class _Grid:
+    """Items at points in the plane, each listed, newest first, in the
+    3x3 block of square cells around its own cell.
+
+    ``near(x, z)`` returns the list of the cell of ``(x, z)``: every item
+    within ``reach`` of ``(x, z)`` on both axes, and perhaps a few more.
+    An island blocks a point only if ``dx*dx + dz*dz < need*need``, so
+    each of ``dx`` and ``dz`` rounds below ``need``, and ``need <=
+    reach``. A cell's side is ``reach * (1 + 1e-6)``, so two points
+    closer than ``reach`` on an axis have exact quotients by the side
+    that differ by less than ``1 - 1e-6`` there. Below ``t = 2**53`` a
+    spiral point is at most ``sqrt(2**53)`` sides from the origin (a
+    side is at least ``gain``), so each division rounds by about 1e-8,
+    far less than that gap, and the two cells are at most one apart.
+
+    The returned list is the cell's own: items added later show in it.
     """
 
-    def __init__(self, side: float) -> None:
-        self.side = side
+    def __init__(self, reach: float) -> None:
+        self.side = reach * (1.0 + 1e-6)
         self.cells: dict[tuple[int, int], list] = {}
 
     def add(self, x: float, z: float, item) -> None:
-        key = (math.floor(x / self.side), math.floor(z / self.side))
-        self.cells.setdefault(key, []).append(item)
+        i, j = math.floor(x / self.side), math.floor(z / self.side)
+        for key in ((i + a, j + b) for a in (-1, 0, 1) for b in (-1, 0, 1)):
+            self.cells.setdefault(key, []).insert(0, item)
 
-    def near(self, x: float, z: float):
-        side, cells = self.side, self.cells
-        zs = range(math.floor((z - side) / side), math.floor((z + side) / side) + 1)
-        for i in range(math.floor((x - side) / side), math.floor((x + side) / side) + 1):
-            for j in zs:
-                yield from cells.get((i, j), ())
+    def near(self, x: float, z: float) -> list:
+        key = (math.floor(x / self.side), math.floor(z / self.side))
+        return self.cells.setdefault(key, [])
 
 
 def place_trees(

@@ -187,23 +187,28 @@ def spiral_slot(placed, radius: float, params) -> tuple[float, float]:
     each tested against every placed island."""
     if not placed:
         return (0.0, 0.0)
-    gain = max(1.0, 0.5 * params.island_margin)
     t = 1
-    while True:
-        r = gain * math.sqrt(t)
-        x = r * math.cos(t * GOLDEN_ANGLE)
-        z = r * math.sin(t * GOLDEN_ANGLE)
-        ok = True
-        for isl in placed:
-            dx = x - isl.center[0]
-            dz = z - isl.center[1]
-            need = radius + isl.radius + params.island_margin
-            if dx * dx + dz * dz < need * need:
-                ok = False
-                break
-        if ok:
-            return (x, z)
+    while spiral_blocked(placed, t, radius, params):
         t += 1
+    return spiral_point(t, params)
+
+
+def spiral_point(t: int, params) -> tuple[float, float]:
+    r = max(1.0, 0.5 * params.island_margin) * math.sqrt(t)
+    return (r * math.cos(t * GOLDEN_ANGLE), r * math.sin(t * GOLDEN_ANGLE))
+
+
+def spiral_blocked(placed, t: int, radius: float, params) -> bool:
+    """Whether an island in ``placed`` blocks spiral point ``t`` for an
+    island of ``radius``, by the exact clearance test."""
+    x, z = spiral_point(t, params)
+    for isl in placed:
+        dx = x - isl.center[0]
+        dz = z - isl.center[1]
+        need = radius + isl.radius + params.island_margin
+        if dx * dx + dz * dz < need * need:
+            return True
+    return False
 
 
 def worst_channel_rise(layout) -> float:

@@ -238,6 +238,26 @@ def test_overflowing_config_exits_two(tmp_path, capsys, fixture, line, what):
     assert not out.exists()
 
 
+def test_islands_that_ring_the_origin_render_in_time(tmp_path, capsys):
+    # Eight packages of three classes at base 1000: the first islands
+    # ring the origin, and each later search once walked millions of
+    # spiral points that the ring blocks.
+    root = tmp_path / "ring"
+    for p in range(8):
+        (root / f"p{p}").mkdir(parents=True)
+        for c in range(3):
+            (root / f"p{p}" / f"C{c}.java").write_text(
+                f"package p{p};\nclass C{c} {{ }}\n", encoding="utf-8")
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text("base_radius_per_class = 1000\n", encoding="utf-8")
+    out = tmp_path / "x.gltf"
+    with deadline(10.0):
+        rc = main(["render", str(root), "-o", str(out), "--format", "gltf",
+                   "--config", str(cfg)])
+    assert rc == 0, capsys.readouterr().err
+    assert check_gltf(json.loads(out.read_text(encoding="utf-8"))) == []
+
+
 @pytest.mark.parametrize("s_min", ["1e-320", "5e-324"])
 def test_tiny_s_min_still_renders(tmp_path, capsys, s_min):
     # Terrace rows lie s_min apart, so at a subnormal s_min a channel's

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from codeforest.errors import CodeforestError, DegenerateSegment, InheritanceCycle
+from codeforest.errors import (
+    CodeforestError,
+    DegenerateSegment,
+    InheritanceCycle,
+    NonPositiveValue,
+)
 from codeforest.exporters.mel import mel_text
 from codeforest.exporters.obj import obj_text
 from codeforest.geometry import (
@@ -118,8 +123,16 @@ def test_island_rings_lie_on_the_band_edges():
 
 
 def test_island_needs_at_least_eight_segments():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPositiveValue):
         build_island_mesh(*island(), segments=7)
+
+
+def test_too_few_segments_raise_the_config_error_through_the_library():
+    # The error a config file gets for the same value, not a bare ValueError.
+    with pytest.raises(NonPositiveValue) as err:
+        build_scene(corpus("two_classes"), Config(segments=4))
+    assert (err.value.key, err.value.value) == ("segments", 4)
+    assert str(err.value) == "config key segments must be at least 8, got 4"
 
 
 # ---------------------------------------------------------------------------

@@ -54,18 +54,27 @@ def packages_of(sizes):
 
 
 def count_grid_work(monkeypatch, limit=None):
-    """Count grid queries (spiral candidates) and the clearance tests
-    they lead to (items yielded). Past ``limit`` queries, fail rather
-    than run on."""
+    """Count grid queries (spiral points looked up) and the clearance
+    tests they lead to (cell items iterated, on every visit of a point).
+    Past ``limit`` queries, fail rather than run on."""
     counts = {"queries": 0, "tests": 0}
     near = layout_mod._Grid.near
+
+    class Counted:
+        """Stands for a cell's own list, which later islands still join."""
+
+        def __init__(self, items):
+            self.items = items
+
+        def __iter__(self):
+            for item in self.items:
+                counts["tests"] += 1
+                yield item
 
     def counted(self, x, z):
         counts["queries"] += 1
         assert limit is None or counts["queries"] <= limit, "too many grid queries"
-        for item in near(self, x, z):
-            counts["tests"] += 1
-            yield item
+        return Counted(near(self, x, z))
 
     monkeypatch.setattr(layout_mod._Grid, "near", counted)
     return counts
@@ -140,6 +149,10 @@ def test_islands_keep_their_margin():
 # Wide islands: each search starts past thousands of points the origin
 # island blocks, and the widest is not the first.
 @example(sizes=[1, 4, 1, 9], s_min=0.5, island_margin=1.0, base=30.0)
+# Islands that ring the origin: searches skip bands of blocked points.
+@example(sizes=[3] * 8, s_min=2.0, island_margin=4.0, base=30.0)
+@example(sizes=[3, 1, 3, 12, 3, 3, 1, 3], s_min=2.0, island_margin=4.0, base=30.0)
+@example(sizes=[1, 9, 3, 1, 20, 3, 4, 1], s_min=0.5, island_margin=1.0, base=8.0)
 def test_island_centres_match_the_linear_spiral_scan(sizes, s_min, island_margin, base):
     # Radii go up and down, so searches resume from narrower islands'
     # points and restart below wider ones'.
@@ -147,6 +160,32 @@ def test_island_centres_match_the_linear_spiral_scan(sizes, s_min, island_margin
     islands = place_islands(packages_of(sizes), [0] * sum(sizes), params)
     for p, island in enumerate(islands):
         assert island.center == oracles.spiral_slot(islands[:p], island.radius, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=3, max_size=8),
+    island_margin=st.floats(0.5, 6.0),
+    base=st.floats(5.0, 40.0),
+)
+@example(sizes=[3] * 8, island_margin=4.0, base=30.0)
+def test_a_skipped_band_holds_only_blocked_points(sizes, island_margin, base):
+    # Every band that a search skips, checked point by point (its first
+    # and last 5,000 points) against the islands placed at the time.
+    params = Config(island_margin=island_margin, base_radius_per_class=base)
+    band_end, bands = layout_mod._band_end, []
+
+    def recorded(t, n, radius, margin, placed, gain):
+        end = band_end(t, n, radius, margin, placed, gain)
+        bands.append((t, end, radius, len(placed)))
+        return end
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layout_mod, "_band_end", recorded)
+        islands = place_islands(packages_of(sizes), [0] * sum(sizes), params)
+    for t, end, radius, placed in bands:
+        for u in {*range(t, min(end, t + 5000) + 1), *range(max(t, end - 5000), end + 1)}:
+            assert oracles.spiral_blocked(islands[:placed], u, radius, params), (t, u, end)
 
 
 def test_island_work_grows_near_linearly(monkeypatch):
@@ -166,6 +205,54 @@ def test_island_work_grows_near_linearly(monkeypatch):
     assert large["queries"] > 0 and large["tests"] > 0
     for key in ("queries", "tests"):
         assert large[key] < 6 * small[key], (key, small, large)
+
+
+@pytest.mark.parametrize("base", [30.0, 100.0, 300.0, 1000.0])
+def test_islands_that_ring_the_origin_cost_few_queries(monkeypatch, base):
+    # Once the first islands ring the origin, every later search crosses
+    # a band the ring blocks; walked point by point that took 4,992,
+    # 49,763, 435,834 and more than 2 M queries.
+    counts = count_grid_work(monkeypatch, limit=10_000)
+    islands = place_islands(packages_of([3] * 8), [0] * 24,
+                            Config(base_radius_per_class=base))
+    assert len(islands) == 8 and counts["queries"] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), gain=st.floats(1.0, 1e3), margin=st.floats(1e-3, 1e3),
+       radii=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
+def test_grid_holds_every_island_that_can_block_a_point(data, gain, margin, radii):
+    # Sized as place_islands sizes it, for the largest need of any pair;
+    # spiral points below t = 2**53 lie within gain * sqrt(2**53) of the
+    # origin. Points and centres fall on cell edges too.
+    grid = layout_mod._Grid(max(2.0 * max(radii) + margin, gain))
+    side = grid.side
+    lim = gain * math.sqrt(2**53)
+    edges = int(lim / side)
+    coordinate = st.one_of(st.floats(-lim, lim),
+                           st.integers(-edges, edges).map(lambda k: k * side))
+    x, z = data.draw(coordinate), data.draw(coordinate)
+    radius = data.draw(st.sampled_from(radii))
+
+    def close_to(v, need):
+        # Anywhere in the cells around v, on their edges, or just inside need.
+        return st.one_of(st.floats(-1.5, 1.5).map(lambda u: v + u * side),
+                         st.integers(-2, 2).map(lambda k: (math.floor(v / side) + k) * side),
+                         st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.999, 1.0))
+                         .map(lambda su: v + su[0] * su[1] * need))
+
+    items = []
+    for other in radii:
+        need = radius + other + margin
+        item = (data.draw(close_to(x, need)), data.draw(close_to(z, need)), other)
+        grid.add(item[0], item[1], item)
+        items.append(item)
+    found = grid.near(x, z)
+    for item in items:
+        cx, cz, other = item
+        need = radius + other + margin
+        if abs(x - cx) < need and abs(z - cz) < need:
+            assert any(f is item for f in found), (x, z, item)
 
 
 def test_trees_are_placed_without_grid_queries(monkeypatch):
