@@ -8,7 +8,8 @@ field's default, ``int`` or ``float``.
 Config files are flat ``key = value`` lines; ``#`` starts a comment and
 blank lines are ignored. Unknown keys are rejected rather than skipped
 so typos surface immediately. All numeric knobs must be positive except
-``seed``, which only has to be non-negative. Palette entries override
+``seed``, which only has to be non-negative, and ``segments``, which
+takes an integer from 8 to 256. Palette entries override
 material colors and take four components in [0, 1]:
 
     seed = 7
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigSyntaxError, NonPositiveValue, UnknownKey
-from .geometry import Material, default_palette
+from .geometry import Material, check_segments, default_palette
 
 _PALETTE_NAMES = {m.name for m in default_palette()}
 
@@ -109,8 +110,8 @@ def apply_setting(cfg: Config, key: str, value: str, where: str) -> None:
         if key == "seed":
             if number < 0:
                 raise NonPositiveValue(key, number, reason="must be non-negative")
-        elif number < 8:
-            raise NonPositiveValue(key, number, reason="must be at least 8")
+        else:
+            check_segments(number)
     else:
         number = _parse_float(key, value, where)
         if number <= 0.0:

@@ -2,25 +2,34 @@
 
 One ``o`` group per mesh-bearing node, vertices baked into world space
 (the OBJ format has no node hierarchy), so a mesh that several nodes
-share is written once per node. Vertex and normal indices are global
-and 1-based; faces reference them as ``v//n``. A sibling .mtl file
+share has its ``v`` lines written once per node. A sibling .mtl file
 carries the palette as ``newmtl``/``Kd``/``d`` entries.
 
-Each block of ``v`` or ``vn`` lines is one ``%``-format over a flat
-tuple of the mesh's items; a world position is the float32 coordinate
-plus the node's world translation, added as Python floats.
+Each block of ``v`` lines is one ``%``-format over a flat tuple of the
+mesh's coordinates; a world position is the float32 coordinate plus
+the node's world translation, added as Python floats.
 
-Faces are where the text repeats itself: a corner names its vertex
-twice, and a vertex is a corner of about four triangles. So each
-node's ``k//k`` corner strings are formatted once per vertex, by one
-``%`` over the node's vertex numbers, and a mesh's ``f`` block is a
-``"f %s %s %s\\n" * t`` template filled with those strings through an
-``itemgetter`` over the mesh's indices. The scene stores every mesh
-once per distinct content, islands and channels included, so any mesh
-may be used by several nodes. The ``vn`` block, the template and the
-getter are kept only for a mesh that more than one node uses; a mesh
-used once, as most trunks and many channels are, would hold memory for
-nothing.
+Everything else a node writes depends on its mesh alone:
+
+* Normals do not move with a translation, and a scene holds few
+  distinct ones. One scene-wide table numbers each distinct ``vn``
+  line, keyed on its text (``-0.0`` and ``0.0`` print differently, and
+  a NaN never equals itself); a mesh's new lines are written the first
+  time it is used, just before its faces, so each reference points
+  back.
+* Faces name their vertices relative to the end of the vertex list,
+  by the OBJ spec's negative references: vertex ``k`` of an
+  ``n``-vertex mesh is ``k - n`` (``-n`` its first, ``-1`` its last),
+  whichever node's ``v`` lines precede the faces. A corner such as
+  ``-3//7`` pairs that with the ``vn`` number from the table.
+
+So a mesh's ``f`` block is one fixed string: a ``"f %s %s %s\\n" * t``
+template filled once from the mesh's corner strings through its
+indices. The scene stores every mesh once per distinct content,
+islands and channels included, so any mesh may be used by several
+nodes; the block is kept only for a mesh that more than one node uses,
+since a mesh used once, as most trunks and many channels are, would
+hold memory for nothing.
 
 The file is written in ``_WRITE_SLICE``-character slices, so at most
 one slice is ever encoded at a time: encoding the whole text at once
@@ -30,8 +39,8 @@ would hold a second, bytes copy of the largest file codeforest writes.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, cycle
-from operator import add, itemgetter
+from itertools import cycle
+from operator import add
 from pathlib import Path
 
 from ..errors import OutputIsMaterialFile
@@ -40,19 +49,14 @@ from ..geometry import Scene, flat, world_transforms
 _WRITE_SLICE = 1 << 20
 
 
-def _no_corners(corners: list[str]) -> tuple:
-    """The getter of a mesh without triangles: ``itemgetter()`` raises."""
-    return ()
-
-
 def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
     transforms = world_transforms(scene)
     chunks = []
     if mtl_name is not None:
         chunks.append(f"mtllib {mtl_name}\n")
     uses = Counter(node.mesh for node in scene.nodes)
-    shared: dict[int, tuple] = {}  # by mesh index: vn block, f template, getter
-    offset = 1
+    normal_numbers: dict[str, int] = {}  # vn line -> its 1-based number
+    shared_faces: dict[int, str] = {}  # by mesh index
     for idx, node in enumerate(scene.nodes):
         if node.mesh is None:
             continue
@@ -61,22 +65,22 @@ def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
         chunks.append(f"o {node.name}\nusemtl {scene.materials[mesh.material].name}\n")
         world = map(add, flat(mesh.positions).tolist(), cycle(transforms[idx]))
         chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world))
-        pieces = shared.get(node.mesh)
-        if pieces is None:
-            indices = mesh.indices.tolist()
-            pieces = (
-                "vn %.6f %.6f %.6f\n" * n % tuple(flat(mesh.normals).tolist()),
-                "f %s %s %s\n" * mesh.triangle_count,
-                itemgetter(*indices) if indices else _no_corners,
-            )
+        faces = shared_faces.get(node.mesh)
+        if faces is None:
+            numbers = []
+            normals = "vn %.6f %.6f %.6f\n" * n % tuple(flat(mesh.normals).tolist())
+            for line in normals.splitlines(True):
+                number = normal_numbers.get(line)
+                if number is None:
+                    number = normal_numbers[line] = len(normal_numbers) + 1
+                    chunks.append(line)
+                numbers.append(number)
+            corners = list(map("%d//%d".__mod__, zip(range(-n, 0), numbers)))
+            faces = "f %s %s %s\n" * mesh.triangle_count % tuple(
+                map(corners.__getitem__, mesh.indices.tolist()))
             if uses[node.mesh] > 1:
-                shared[node.mesh] = pieces
-        normals, faces, corners_of = pieces
-        chunks.append(normals)
-        numbers = range(offset, offset + n)
-        corners = ("%d//%d " * n % tuple(chain.from_iterable(zip(numbers, numbers)))).split()
-        chunks.append(faces % corners_of(corners))
-        offset += n
+                shared_faces[node.mesh] = faces
+        chunks.append(faces)
     return "".join(chunks) or "\n"
 
 

@@ -207,6 +207,16 @@ def _ring(radius: float, y: float, segments: int):
     return pts
 
 
+def check_segments(segments: int) -> None:
+    """Raise ``NonPositiveValue`` unless 8 <= ``segments`` <= 256: a
+    render's size grows with the square of ``segments`` (at 256 the
+    two-class fixture's glTF is already about 10 MB)."""
+    if segments < 8:
+        raise NonPositiveValue("segments", segments, reason="must be at least 8")
+    if segments > 256:
+        raise NonPositiveValue("segments", segments, reason="must be at most 256")
+
+
 def build_island_mesh(
     bands: tuple[tuple[float, float], ...], tier_heights: tuple[float, ...], segments: int
 ) -> Mesh:
@@ -219,8 +229,7 @@ def build_island_mesh(
     summit's outer ring, an inner and an outer ring per lower tier, and
     the summit's centre.
     """
-    if segments < 8:
-        raise NonPositiveValue("segments", segments, reason="must be at least 8")
+    check_segments(segments)
     # Ring r of the vertex list starts at r * segments: the summit's
     # outer ring, then each lower tier's inner and outer ring. An edge
     # ring's normal is that of the wall it bounds, so walls shade smooth.

@@ -18,11 +18,15 @@ purpose regenerates the file in the same commit:
     python tests/golden/update.py
 
 Before it rewrites the file, the script prints the ``corpus/command``
-entries that moved against the committed manifest.
+entries that moved against the committed manifest. A change meant to
+move one command's bytes alone passes ``--only COMMAND`` (``analyze``,
+``gltf``, ``obj`` or ``mel``): the script then rewrites that command's
+records only, and exits 1 without writing if any other record moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -162,11 +166,24 @@ def moved(old: dict, new: dict) -> list[str]:
     ]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite tests/golden/sha256.json.")
+    parser.add_argument("--only", choices=list(_COMMANDS), metavar="COMMAND",
+                        help="rewrite this command's records only; exit 1 if any other moved")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = compute_manifest(Path(tmp))
     old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
-    print("moved: " + (", ".join(moved(old, manifest)) or "nothing"))
+    entries = moved(old, manifest)
+    print("moved: " + (", ".join(entries) or "nothing"))
+    if args.only is not None:
+        others = [e for e in entries if e.rpartition("/")[2] != args.only]
+        if others:
+            print(f"not written: moved outside {args.only}: {', '.join(others)}")
+            return 1
+        for corpus, records in manifest.items():
+            old[corpus][args.only] = records[args.only]
+        manifest = old
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST.relative_to(REPO)} ({len(manifest)} corpora)")
     return 0

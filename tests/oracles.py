@@ -433,12 +433,24 @@ def gltf_reachable_nodes(doc: dict) -> int:
 # ---------------------------------------------------------------------------
 # Wavefront OBJ reading.
 
+def _obj_ref(word: str, defined: int, what: str, line: int) -> int:
+    """The 0-based index that an OBJ reference ``word`` names, with
+    ``defined`` items of its kind read so far: ``k`` counts from the
+    start (1 is the first), ``-k`` back from the last one read."""
+    k = int(word)
+    index = k - 1 if k > 0 else defined + k
+    if k == 0 or not 0 <= index < defined:
+        raise ValueError(f"line {line}: {what} {word} with {defined} defined")
+    return index
+
+
 def read_obj(text: str):
     """Parse the OBJ subset the exporter writes.
 
     Returns (objects, verts, normals, faces) where objects is a list of
     (name, material, face_count) and faces hold (vertex, normal) index
-    pairs as written (1-based).
+    pairs, 1-based, with each negative reference resolved against the
+    ``v`` or ``vn`` lines read before it.
     """
     objects: list[tuple[str, str | None, int]] = []
     verts: list[tuple[float, float, float]] = []
@@ -447,7 +459,7 @@ def read_obj(text: str):
     name: str | None = None
     material: str | None = None
     count = 0
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts:
             continue
@@ -465,7 +477,8 @@ def read_obj(text: str):
             corners = []
             for ref in parts[1:]:
                 v, _, n = ref.partition("//")
-                corners.append((int(v), int(n)))
+                corners.append((_obj_ref(v, len(verts), "v", number) + 1,
+                                _obj_ref(n, len(normals), "vn", number) + 1))
             faces.append(tuple(corners))
             count += 1
     if name is not None:
@@ -473,11 +486,44 @@ def read_obj(text: str):
     return objects, verts, normals, faces
 
 
+def obj_corners(text: str) -> list:
+    """An OBJ text as its geometry, whatever its numbering.
+
+    Every line but the ``vn`` lines, in order, with each ``f`` line
+    replaced by a tuple of its corners as the (``v`` line, ``vn`` line)
+    texts they reference. References may be positive or negative, and
+    must name a line read before them; index 0 or any other reference
+    out of range raises ``ValueError``. Two writers that number their
+    vertices and normals differently agree here exactly when each face
+    corner has the same position and normal text.
+    """
+    resolved: list = []
+    verts: list[str] = []
+    normals: list[str] = []
+    for number, line in enumerate(text.split("\n"), 1):
+        if line.startswith("v "):
+            verts.append(line)
+        elif line.startswith("vn "):
+            normals.append(line)
+            continue
+        elif line.startswith("f "):
+            corners = []
+            for ref in line.split()[1:]:
+                v, _, n = ref.partition("//")
+                corners.append((verts[_obj_ref(v, len(verts), "v", number)],
+                                normals[_obj_ref(n, len(normals), "vn", number)]))
+            line = tuple(corners)
+        resolved.append(line)
+    return resolved
+
+
 def obj_text_per_corner(scene, mtl_name: str | None = None) -> str:
-    """The OBJ writer as it was before corner strings were formatted once
-    per vertex: every face corner's vertex number is formatted twice, and
-    only the ``vn`` block is kept per mesh. The exporter must match it
-    byte for byte."""
+    """The OBJ writer before normals and faces were shared: every node
+    writes its mesh's full ``vn`` block after its ``v`` block, and every
+    face corner names both by the same absolute number, formatted twice.
+    A geometry oracle, not a byte oracle: the exporter numbers its
+    normals and vertices differently, and must agree with it under
+    ``obj_corners``."""
     from itertools import chain, cycle
     from operator import add
 

@@ -145,6 +145,22 @@ def test_small_segment_count_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_huge_segment_count_exits_two_before_building_a_scene(tmp_path, capsys, monkeypatch):
+    def no_scene(info, config=None):
+        raise AssertionError("build_scene was called")
+
+    monkeypatch.setattr(pipeline, "build_scene", no_scene)
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text("segments = 100000000\n", encoding="utf-8")
+    with deadline(5):
+        rc = main(["render", TWO_CLASSES, "-o", str(tmp_path / "x.obj"),
+                   "--format", "obj", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: config key segments must be at most 256, got 100000000\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_malformed_config_line_exits_two(tmp_path, capsys):
     cfg = tmp_path / "render.cfg"
     cfg.write_text("seed = 1\njust words\n", encoding="utf-8")

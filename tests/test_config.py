@@ -75,6 +75,15 @@ def test_segments_below_eight_are_rejected():
     assert "at least 8" in str(err.value)
 
 
+def test_segments_above_256_are_rejected():
+    assert parse_config("segments = 256").segments == 256
+    with pytest.raises(NonPositiveValue) as err:
+        parse_config("segments = 257")
+    assert (err.value.key, err.value.value) == ("segments", 257)
+    assert err.value.exit_code == 2
+    assert str(err.value) == "config key segments must be at most 256, got 257"
+
+
 def test_unknown_key_is_rejected():
     with pytest.raises(UnknownKey):
         parse_config("smin = 2")

@@ -135,6 +135,13 @@ def test_too_few_segments_raise_the_config_error_through_the_library():
     assert str(err.value) == "config key segments must be at least 8, got 4"
 
 
+def test_too_many_segments_raise_the_config_error_through_the_library():
+    with pytest.raises(NonPositiveValue) as err:
+        build_scene(corpus("two_classes"), Config(segments=257))
+    assert (err.value.key, err.value.value) == ("segments", 257)
+    assert str(err.value) == "config key segments must be at most 256, got 257"
+
+
 # ---------------------------------------------------------------------------
 # Channel meshes.
 
