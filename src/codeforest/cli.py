@@ -22,6 +22,8 @@ stderr and do not stop the run.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
 
@@ -114,7 +116,16 @@ def _run_render(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector off: nothing the
+    pipeline builds holds a reference cycle, so the collector would only
+    re-walk a heap that grows with the corpus. The caller's collector
+    state comes back on every return.
+    """
     args = _build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "analyze":
             return _run_analyze(args)
@@ -127,7 +138,31 @@ def main(argv=None) -> int:
         # reaches here is the root, the config or the output path.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def run() -> None:
+    """The ``codeforest`` process: ``main``, then exit without teardown.
+
+    Every file a command writes is closed (by ``with`` or ``write_text``)
+    before ``main`` returns, so once standard output and standard error
+    are flushed nothing is left to do, and ``os._exit`` skips the
+    interpreter's final collections and module freeing. A flush that
+    fails (a closed pipe, say) falls back to ``sys.exit``, so the
+    interpreter reports it as it would without this. A ``SystemExit``
+    from argument parsing and an uncaught exception take the normal
+    exit.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -43,6 +43,8 @@ _ITEM = ",\n        "
 _ROW = ",\n    "
 
 _TRANSLATION = ',\n      "translation": [\n        %s,\n        %s,\n        %s\n      ]'
+# The same for three finite floats, whose repr is their JSON text.
+_FINITE_TRANSLATION = _TRANSLATION.replace("%s", "%r")
 
 _ACCESSOR = '{\n      "bufferView": %d,\n      "componentType": %d,\n      "count": %d'
 _POSITION = _ACCESSOR + (
@@ -104,7 +106,11 @@ def build_gltf(scene: Scene) -> str:
         if node.mesh is not None:
             row += ',\n      "mesh": %d' % node.mesh
         if node.translation != (0.0, 0.0, 0.0):
-            row += _TRANSLATION % tuple(json_float(float(v)) for v in node.translation)
+            x, y, z = t = tuple(map(float, node.translation))
+            if -inf < x < inf and -inf < y < inf and -inf < z < inf:
+                row += _FINITE_TRANSLATION % t
+            else:
+                row += _TRANSLATION % tuple(map(json_float, t))
         if node.children:
             row += ',\n      "children": [\n        %s\n      ]' % _ITEM.join(
                 map(int.__repr__, node.children))

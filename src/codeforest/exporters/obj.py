@@ -3,7 +3,8 @@
 One ``o`` group per mesh-bearing node, vertices baked into world space
 (the OBJ format has no node hierarchy), so a mesh that several nodes
 share has its ``v`` lines written once per node. A sibling .mtl file
-carries the palette as ``newmtl``/``Kd``/``d`` entries.
+carries the palette as ``newmtl``/``Kd``/``d`` entries. Node names and
+the ``mtllib`` name are written with each line break as ``_``.
 
 Each block of ``v`` lines is one ``%``-format over a flat tuple of the
 mesh's coordinates; a world position is the float32 coordinate plus
@@ -48,12 +49,23 @@ from ..geometry import Scene, flat, world_transforms
 
 _WRITE_SLICE = 1 << 20
 
+# Each character ``str.splitlines`` breaks a line at, as ``_``. A name
+# written with one raw would start a line of its own, which may read as
+# a ``v``, ``vn`` or ``f`` line and shift every later number.
+_LINE_BREAKS = str.maketrans(dict.fromkeys("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "_"))
+
+
+def _one_line(name: str) -> str:
+    # No line break is printable, and the test is far cheaper than
+    # ``translate`` on the printable names every Java corpus gives.
+    return name if name.isprintable() else name.translate(_LINE_BREAKS)
+
 
 def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
     transforms = world_transforms(scene)
     chunks = []
     if mtl_name is not None:
-        chunks.append(f"mtllib {mtl_name}\n")
+        chunks.append(f"mtllib {_one_line(mtl_name)}\n")
     uses = Counter(node.mesh for node in scene.nodes)
     normal_numbers: dict[str, int] = {}  # vn line -> its 1-based number
     shared_faces: dict[int, str] = {}  # by mesh index
@@ -62,7 +74,7 @@ def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
             continue
         mesh = scene.meshes[node.mesh]
         n = mesh.vertex_count
-        chunks.append(f"o {node.name}\nusemtl {scene.materials[mesh.material].name}\n")
+        chunks.append(f"o {_one_line(node.name)}\nusemtl {scene.materials[mesh.material].name}\n")
         world = map(add, flat(mesh.positions).tolist(), cycle(transforms[idx]))
         chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world))
         faces = shared_faces.get(node.mesh)

@@ -517,10 +517,17 @@ def obj_corners(text: str) -> list:
     return resolved
 
 
+def one_line(name: str) -> str:
+    """``name`` with each character that ``str.splitlines`` breaks at,
+    alone between two others, as ``_``."""
+    return "".join("_" if len(f"a{c}b".splitlines()) > 1 else c for c in name)
+
+
 def obj_text_per_corner(scene, mtl_name: str | None = None) -> str:
     """The OBJ writer before normals and faces were shared: every node
     writes its mesh's full ``vn`` block after its ``v`` block, and every
     face corner names both by the same absolute number, formatted twice.
+    Names are written through ``one_line``.
     A geometry oracle, not a byte oracle: the exporter numbers its
     normals and vertices differently, and must agree with it under
     ``obj_corners``."""
@@ -532,7 +539,7 @@ def obj_text_per_corner(scene, mtl_name: str | None = None) -> str:
     transforms = world_transforms(scene)
     chunks = []
     if mtl_name is not None:
-        chunks.append(f"mtllib {mtl_name}\n")
+        chunks.append(f"mtllib {one_line(mtl_name)}\n")
     normal_blocks: dict[int, str] = {}  # by mesh index
     offset = 1
     for idx, node in enumerate(scene.nodes):
@@ -540,7 +547,7 @@ def obj_text_per_corner(scene, mtl_name: str | None = None) -> str:
             continue
         mesh = scene.meshes[node.mesh]
         n = mesh.vertex_count
-        chunks.append(f"o {node.name}\nusemtl {scene.materials[mesh.material].name}\n")
+        chunks.append(f"o {one_line(node.name)}\nusemtl {scene.materials[mesh.material].name}\n")
         world = map(add, flat(mesh.positions).tolist(), cycle(transforms[idx]))
         chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world))
         normals = normal_blocks.get(node.mesh)

@@ -1,17 +1,21 @@
 """Tests for the codeforest command line interface."""
 
+import io
 import json
 import os
 import signal
+import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from codeforest import pipeline
 from codeforest.cli import main
-from codeforest.config import load_config
+from codeforest.config import _NUMERIC_KEYS, load_config
 from codeforest.exporters.report import report_text
 from codeforest.layout import build_layout
 from codeforest.model import compute_layers
@@ -272,6 +276,49 @@ def test_islands_that_ring_the_origin_render_in_time(tmp_path, capsys):
                    "--config", str(cfg)])
     assert rc == 0, capsys.readouterr().err
     assert check_gltf(json.loads(out.read_text(encoding="utf-8"))) == []
+
+
+_FLOAT_KEYS = sorted(key for key, kind in _NUMERIC_KEYS.items() if kind is float)
+# One package each, so no island search, whose walk at some large
+# finite radii is still far too long for a property (ROADMAP item 8).
+_SMALL_FIXTURES = ["two_classes", "cycle", "calls", "nested", "overload"]
+
+
+@st.composite
+def valid_renders(draw) -> tuple[str, str, str]:
+    """(config text, fixture, format): ``segments`` anywhere in its valid
+    range, any seed, and up to three float keys anywhere in the positive
+    floats. A render's cost grows with the square of ``segments``, so
+    above 64 the fixture is the two-class one."""
+    segments = draw(st.integers(8, 256))
+    lines = [f"segments = {segments}", f"seed = {draw(st.integers(0, 2**31))}"]
+    for key in draw(st.lists(st.sampled_from(_FLOAT_KEYS), max_size=3, unique=True)):
+        lines.append(f"{key} = {draw(st.floats(5e-324, sys.float_info.max))!r}")
+    fixture = draw(st.sampled_from(_SMALL_FIXTURES)) if segments <= 64 else "two_classes"
+    return "\n".join(lines) + "\n", fixture, draw(st.sampled_from(["gltf", "obj", "mel"]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(valid_renders())
+@example(("segments = 256\n", "two_classes", "obj"))
+@example(("segments = 256\nh1 = 1e+39\n", "two_classes", "gltf"))
+@example(("segments = 8\ns_min = 5e-324\n", "calls", "mel"))
+@example(("segments = 200\n", "cycle", "gltf"))
+def test_a_valid_config_exits_with_a_typed_error_or_none(tmp_path_factory, render):
+    text, fixture, fmt = render
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = tmp / "render.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with deadline(20.0), redirect_stdout(out), redirect_stderr(err):
+        rc = main(["render", str(FIXTURES / fixture), "-o", str(tmp / f"x.{fmt}"),
+                   "--format", fmt, "--config", str(cfg)])
+    if rc == 0:
+        assert (tmp / f"x.{fmt}").is_file()
+    else:
+        assert rc in (1, 2)
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
+        assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("s_min", ["1e-320", "5e-324"])

@@ -186,6 +186,23 @@ def test_gltf_json_float_spells_like_json(value):
     assert json_float(value) == json.dumps(value)
 
 
+@pytest.mark.parametrize("translation", [
+    (1, 2, 3),
+    (-0.0, 0, -7),
+    (0.1, -1e-300, 5e-324),
+    (math.nan, 1.0, 2),
+    (1.0, math.inf, 2.0),
+    (0, 0.5, -math.inf),
+    (math.nan, math.inf, -math.inf),
+], ids=["ints", "-0.0 and ints", "small", "nan", "inf", "-inf", "none finite"])
+def test_translation_row_spells_each_value_as_json_float(translation):
+    # Finite translations fill a %r template; the rest go through
+    # json_float. Both must write what json_float writes for each value.
+    sc = Scene([SceneNode("forest", translation=translation)], [], default_palette())
+    expected = gltf_module._TRANSLATION % tuple(json_float(float(v)) for v in translation)
+    assert expected in build_gltf(sc)
+
+
 def test_oversized_mesh_rejected_before_buffering():
     # Ranges fake 2**32 + 2 vertices without allocating them; a range
     # has no bytes to buffer, so reaching the buffer raises otherwise.

@@ -1,10 +1,9 @@
 """Tests for the Wavefront OBJ/MTL exporter."""
 
-import re
 import tracemalloc
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codeforest.config import parse_config
@@ -199,17 +198,37 @@ def test_obj_readers_reject_a_reference_to_no_line_before_it(text):
         read_obj(text)
 
 
-# A name that holds a line of its own changes the file's numbering.
-_NUMBERED_LINE = re.compile(r"\n(v|vn|f) ")
+def _line_break_scene() -> Scene:
+    """Node names that, written raw, would add ``vn``, ``f`` and ``v``
+    lines."""
+    built = triangle_scene()
+    built.nodes[1].name = "a\nvn 1 2 3\r\nf 1//1 1//1 1//1\u2028v 9 9 9"
+    built.nodes.append(SceneNode("b\x85vn 4 5 6\x0bc", mesh=0))
+    built.nodes[0].children.append(2)
+    return built
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_scenes(), st.none() | st.text(max_size=8))
 @example(_zero_triangle_scene(), "forest.mtl")
+@example(_line_break_scene(), "x\nvn 0 0 0\n.mtl")
 def test_obj_text_equals_the_per_corner_writer(built, mtl_name):
-    names = [node.name for node in built.nodes] + [mtl_name or ""]
-    assume(not any(_NUMBERED_LINE.search(name) for name in names))
     assert_same_geometry(built, mtl_name)
+
+
+def test_line_breaks_in_names_are_written_as_underscores():
+    text = obj_text(_line_break_scene(), "x\nvn 0 0 0\f.mtl")
+    assert text.splitlines()[0] == "mtllib x_vn 0 0 0_.mtl"
+    assert [line for line in text.splitlines() if line.startswith("o ")] == [
+        "o a_vn 1 2 3__f 1//1 1//1 1//1_v 9 9 9", "o b_vn 4 5 6_c"]
+    assert vn_lines(text) == ["vn 0.000000 1.000000 0.000000"]
+    assert len(text.splitlines()) == len(text.split("\n")) - 1
+
+
+def test_every_line_break_of_splitlines_is_replaced():
+    breaks = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) > 1}
+    assert {chr(c) for c in obj_module._LINE_BREAKS} == breaks
+    assert not any(c.isprintable() for c in breaks)  # what the writer tests first
 
 
 def test_zero_triangle_mesh_writes_no_faces():

@@ -25,9 +25,12 @@ _PRINT_MODULES = "print(' '.join(sorted(sys.modules)))"
 
 _IMPORT_CLI = "import sys, codeforest.cli\n" + _PRINT_MODULES
 
-# ``python -m codeforest.cli ARGS``, then the loaded modules.
+# ``python -m codeforest.cli ARGS``, then the loaded modules. The CLI
+# leaves through ``os._exit``, which would end the process before the
+# print; here it raises ``SystemExit`` instead.
 _RUN_CLI = """
-import runpy, sys
+import os, runpy, sys
+os._exit = sys.exit
 try:
     runpy.run_module("codeforest.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
