@@ -13,10 +13,10 @@ format; the obj format writes a sibling ``.mtl``.
 
 Exit codes: 0 on success (including an empty corpus, which only warns),
 1 for model-level failures such as inheritance cycles or duplicate
-classes, 2 for usage errors: bad arguments, missing root, unknown
-format, an invalid config, or one whose sizes overflow the geometry, and
-an OBJ output named ``*.mtl``. Per-file parse failures are warnings on
-stderr and do not stop the run.
+classes and for a closed standard output, 2 for usage errors: bad
+arguments, missing root, unknown format, an invalid config, or one whose
+sizes overflow the geometry, and an OBJ output named ``*.mtl``.
+Per-file parse failures are warnings on stderr and do not stop the run.
 """
 
 from __future__ import annotations
@@ -133,6 +133,11 @@ def main(argv=None) -> int:
     except CodeforestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError as exc:
+        # A reader that closed standard output is no usage error: exit 1,
+        # as a print that fails the same way does.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         # Source files that fail to read are per-file warnings, so what
         # reaches here is the root, the config or the output path.

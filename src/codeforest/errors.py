@@ -27,49 +27,51 @@ class NonUtf8Input(CodeforestError):
         super().__init__(f"{file_id}: invalid UTF-8 at byte offset {byte_offset}")
 
 
-class UnterminatedLiteral(CodeforestError):
+class _SourceError(CodeforestError):
+    """An error at a source span, reported as ``file:line: problem``."""
+
+    problem: str
+
+    def __init__(self, span):
+        self.span = span
+        super().__init__(f"{span.file_id}:{span.line_start}: {self.problem}")
+
+
+class UnterminatedLiteral(_SourceError):
     """A string or character literal is not closed before end of line/file."""
 
-    def __init__(self, span):
-        self.span = span
-        super().__init__(f"{span.file_id}:{span.line_start}: unterminated literal")
+    problem = "unterminated literal"
 
 
-class UnterminatedComment(CodeforestError):
+class UnterminatedComment(_SourceError):
     """A block comment is not closed before end of file."""
 
-    def __init__(self, span):
-        self.span = span
-        super().__init__(f"{span.file_id}:{span.line_start}: unterminated block comment")
+    problem = "unterminated block comment"
 
 
-class UnbalancedBraces(CodeforestError):
+class UnbalancedBraces(_SourceError):
     """Brackets do not pair inside a compilation unit.
 
     ``span`` is the first closer with no partner or of the wrong kind,
     or the first opener that never closes.
     """
 
-    def __init__(self, span):
-        self.span = span
-        super().__init__(f"{span.file_id}:{span.line_start}: unbalanced braces")
+    problem = "unbalanced braces"
 
 
-class MissingClassName(CodeforestError):
+class MissingClassName(_SourceError):
     """A class or interface keyword is not followed by a name."""
 
-    def __init__(self, span):
-        self.span = span
-        super().__init__(f"{span.file_id}:{span.line_start}: class keyword without a name")
+    problem = "class keyword without a name"
 
 
-class MissingClassBody(CodeforestError):
+class MissingClassBody(_SourceError):
     """A class header reaches a closer or end of file before its ``{``."""
 
     def __init__(self, span, name: str):
-        self.span = span
         self.name = name
-        super().__init__(f"{span.file_id}:{span.line_start}: class {name} has no body")
+        self.problem = f"class {name} has no body"
+        super().__init__(span)
 
 
 class RootNotFound(CodeforestError):

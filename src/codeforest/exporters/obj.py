@@ -28,9 +28,9 @@ So a mesh's ``f`` block is one fixed string: a ``"f %s %s %s\\n" * t``
 template filled once from the mesh's corner strings through its
 indices. The scene stores every mesh once per distinct content,
 islands and channels included, so any mesh may be used by several
-nodes; the block is kept only for a mesh that more than one node uses,
-since a mesh used once, as most trunks and many channels are, would
-hold memory for nothing.
+nodes, and each block is kept for the next node that uses its mesh.
+Keeping it costs no text memory: the same string is held in the
+output's pieces until they are joined.
 
 The file is written in ``_WRITE_SLICE``-character slices, so at most
 one slice is ever encoded at a time: encoding the whole text at once
@@ -39,7 +39,6 @@ would hold a second, bytes copy of the largest file codeforest writes.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import cycle
 from operator import add
 from pathlib import Path
@@ -66,7 +65,6 @@ def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
     chunks = []
     if mtl_name is not None:
         chunks.append(f"mtllib {_one_line(mtl_name)}\n")
-    uses = Counter(node.mesh for node in scene.nodes)
     normal_numbers: dict[str, int] = {}  # vn line -> its 1-based number
     shared_faces: dict[int, str] = {}  # by mesh index
     for idx, node in enumerate(scene.nodes):
@@ -90,8 +88,7 @@ def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
             corners = list(map("%d//%d".__mod__, zip(range(-n, 0), numbers)))
             faces = "f %s %s %s\n" * mesh.triangle_count % tuple(
                 map(corners.__getitem__, mesh.indices.tolist()))
-            if uses[node.mesh] > 1:
-                shared_faces[node.mesh] = faces
+            shared_faces[node.mesh] = faces
         chunks.append(faces)
     return "".join(chunks) or "\n"
 

@@ -284,13 +284,9 @@ def _sphere(radius: float, segments: int, material: int) -> Mesh:
     norms = [(0.0, 1.0, 0.0)]
     for i in range(1, lat):
         phi = math.pi * i / lat
-        y = math.cos(phi)
-        r = math.sin(phi)
-        for k in range(segments):
-            a = 2.0 * math.pi * k / segments
-            n = (r * math.cos(a), y, r * math.sin(a))
-            norms.append(n)
-            verts.append((radius * n[0], radius * n[1], radius * n[2]))
+        unit = _ring(math.sin(phi), math.cos(phi), segments)
+        norms.extend(unit)
+        verts.extend((radius * x, radius * y, radius * z) for x, y, z in unit)
     south = len(verts)
     verts.append((0.0, -radius, 0.0))
     norms.append((0.0, -1.0, 0.0))

@@ -11,6 +11,12 @@ pulls out the structure later stages care about:
 * method and constructor declarations,
 * per-body field reads, field writes and call sites.
 
+One loop, ``parse_members``, reads the declarations of every level
+alike: the unit's top level up to its end, each class body up to its
+``}``. The top level drops the fields and methods it finds. An
+identifier directly before a type declaration is a modifier the subset
+does not know (``value class``) and is dropped at every level.
+
 Method bodies are scanned once the class's field list is complete. In
 a body, ``name(`` is a call site unless it is a declaration header,
 that is its ``)`` is followed by ``{``, ``throws`` or ``implements``
@@ -22,7 +28,7 @@ before ``name`` blocks it: ``new`` (a construction), ``return``, and
 Everything else (imports, annotations, generics, enum bodies, code the
 subset does not model) is consumed and dropped. The parser never guesses
 across bracket boundaries: ``(``/``)``, ``[``/``]`` and ``{``/``}`` are
-paired once per file in one bracket table (``_match_brackets``), every
+paired once per file in one bracket table (``match_brackets``), every
 scan jumps over a group to its partner and stops at the closer of the
 group it is in, so class, method and record bodies end where their
 brackets pair. A file whose brackets do not pair raises
@@ -91,8 +97,9 @@ _OPENERS = frozenset(_PARTNER)
 _CLOSERS = frozenset(_PARTNER.values())
 _BRACKETS = _OPENERS | _CLOSERS
 
-# Tokens that end the head (modifiers stripped) of a member declaration.
-_HEAD_ENDS = frozenset(("(", "=", ";", ",", "{", "}"))
+# Tokens that end the head (modifiers stripped) of a member declaration;
+# "" is the padding past the last token, where a top-level head ends.
+_HEAD_ENDS = frozenset(("(", "=", ";", ",", "{", "}", ""))
 
 _SIGNIFICANT = {kind: kind not in TRIVIA_KINDS for kind in KINDS}
 # Empty entries past the last significant token: a lookahead reads at
@@ -175,6 +182,7 @@ class _Parser:
         self.texts = list(compress(tokens.texts, keep)) + [""] * _PAD
         self.partner = self.match_brackets()
         self.pos = 0
+        self.package = ""
 
     def span(self, a: int, b: int) -> Span:
         """The span from significant token ``a`` through ``b``."""
@@ -217,9 +225,6 @@ class _Parser:
             self.pos += 1
             return True
         return False
-
-    def done(self) -> bool:
-        return self.pos >= self.n
 
     # -- skipping helpers ----------------------------------------------------
 
@@ -276,34 +281,8 @@ class _Parser:
     # -- declarations ----------------------------------------------------------
 
     def parse_unit_body(self) -> list[ClassDecl]:
-        texts = self.texts
-        package = ""
         out: list[ClassDecl] = []
-        while not self.done():
-            text = texts[self.pos]
-            if text in ("package", "import"):
-                self.pos += 1
-                if text == "package":
-                    package = self.read_type_ref() or ""
-                self.skip_until((";",))
-                self.accept(";")
-                continue
-            start, is_annotation_decl = self.collect_modifiers()
-            if self.done():
-                break
-            text = texts[self.pos]
-            if is_annotation_decl or text == "enum":
-                self.skip_declaration()
-                continue
-            if text in _TYPE_WORDS and self.at_type_declaration():
-                self.parse_class(package, "", start, out)
-                continue
-            # Not a declaration this subset models: drop one token, or a
-            # whole block so we never descend into foreign braces.
-            if text == "{":
-                self.skip_group()
-            else:
-                self.pos += 1
+        self.parse_members("", self.n, [], [], [], out)
         return out
 
     def collect_modifiers(self):
@@ -314,7 +293,7 @@ class _Parser:
         """
         texts = self.texts
         start: int | None = None
-        while not self.done():
+        while self.pos < self.n:
             pos = self.pos
             text = texts[pos]
             if text in _MODIFIERS:
@@ -331,6 +310,9 @@ class _Parser:
             elif text == "<":
                 # Type parameters of a generic method declaration.
                 self.take_generics()
+            elif self.kinds[pos] == KIND_IDENTIFIER and self.at_type_declaration(1):
+                # A modifier the subset does not know (``value class``).
+                self.pos += 1
             else:
                 break
             if start is None:
@@ -364,9 +346,10 @@ class _Parser:
             return width
         return 0
 
-    def at_type_declaration(self) -> bool:
-        """At ``class``, ``interface`` or ``record Name(`` / ``record Name<``."""
-        pos, texts, kinds = self.pos, self.texts, self.kinds
+    def at_type_declaration(self, k: int = 0) -> bool:
+        """Whether the token ``k`` past the cursor starts a type declaration:
+        ``class``, ``interface``, or ``record Name(`` / ``record Name<``."""
+        pos, texts, kinds = self.pos + k, self.texts, self.kinds
         if kinds[pos] == KIND_KEYWORD:
             return texts[pos] in ("class", "interface")
         return (
@@ -392,13 +375,7 @@ class _Parser:
             self.pos += 2
         return ".".join(parts)
 
-    def parse_class(
-        self,
-        package: str,
-        prefix: str,
-        start: int | None,
-        out: list[ClassDecl],
-    ) -> None:
+    def parse_class(self, prefix: str, start: int | None, out: list[ClassDecl]) -> None:
         texts = self.texts
         kw = self.pos  # "class", "interface" or "record"
         self.pos += 1
@@ -415,31 +392,30 @@ class _Parser:
         if texts[kw] == "record" and self.at("("):
             self.read_record_components(fields)
 
-        extends_names: list[str] = []
-        implements_names: list[str] = []
+        # The first name after ``extends`` or ``implements``; the rest of
+        # each list, type arguments included, is walked past.
+        extends = implements = None
         while True:
-            self.skip_until(("{", "extends", "implements"))
-            if self.accept("extends"):
-                extends_names.extend(self.read_type_ref_list())
+            self.skip_until(("{", "<", "extends", "implements"))
+            if self.at("<"):
+                self.take_generics()
+            elif self.accept("extends"):
+                extends = extends or self.read_type_ref()
             elif self.accept("implements"):
-                implements_names.extend(self.read_type_ref_list())
+                implements = implements or self.read_type_ref()
             else:
                 break
         if not self.at("{"):
             # The header ran into the closer of its group or end of file.
             raise MissingClassBody(self.span(kw, kw), simple_name)
 
-        if extends_names:
-            super_name = extends_names[0]
-        elif implements_names:
-            super_name = implements_names[0]
-        else:
-            super_name = None
-
         methods: list[MethodDecl] = []
         bodies: list[tuple[MethodDecl, int]] = []
         nested: list[ClassDecl] = []
-        close = self.parse_members(package, name, fields, methods, bodies, nested)
+        close = self.partner[self.pos]
+        self.pos += 1
+        self.parse_members(name + ".", close, fields, methods, bodies, nested)
+        self.pos = close + 1
 
         # Fields may be declared after the methods that use them, so the
         # bodies are scanned once the class's field list is complete.
@@ -450,8 +426,8 @@ class _Parser:
         out.append(
             ClassDecl(
                 name=name,
-                package_name=package,
-                super_name=super_name,
+                package_name=self.package,
+                super_name=extends or implements,
                 fields=fields,
                 methods=methods,
                 span=self.span(start, close),
@@ -478,52 +454,39 @@ class _Parser:
             self.accept(",")
         self.pos = close + 1
 
-    def read_type_ref_list(self) -> list[str]:
-        names = []
-        ref = self.read_type_ref()
-        while ref is not None:
-            names.append(ref)
-            if self.at(",") and self.at_kind(KIND_IDENTIFIER, 1):
-                self.pos += 1
-                ref = self.read_type_ref()
-            else:
-                break
-        return names
+    def parse_members(self, prefix: str, close: int, fields, methods, bodies, nested) -> None:
+        """Parse the declarations from the cursor up to ``close``.
 
-    def parse_members(
-        self,
-        package: str,
-        class_name: str,
-        fields: list[FieldDecl],
-        methods: list[MethodDecl],
-        bodies: list[tuple[MethodDecl, int]],
-        nested: list[ClassDecl],
-    ) -> int:
-        """Parse the member declarations of the class body at the cursor.
-
-        Returns the index of the body's closing brace and leaves the
-        cursor past it. Each method with a body goes to ``bodies`` with
-        the index of the body's opening brace.
+        ``close`` is the ``}`` of a class body, or ``self.n`` for the top
+        level of the unit, which passes lists it then drops. Fields and
+        methods go to ``fields`` and ``methods``, and each method with a
+        body to ``bodies`` with the index of the body's ``{``. Each type
+        declared here goes to ``nested`` as ``prefix + Name``, followed by
+        the types nested in it.
         """
         texts = self.texts
-        close = self.partner[self.pos]
-        self.pos += 1
         while self.pos < close:
-            if self.accept(";"):
-                continue
-            start, is_annotation_decl = self.collect_modifiers()
             text = texts[self.pos]
-            if is_annotation_decl or text == "enum":
-                self.skip_declaration()
-            elif text in _TYPE_WORDS and self.at_type_declaration():
-                self.parse_class(package, class_name + ".", start, nested)
-            elif text == "{":
-                # Instance or static initializer block.
-                self.skip_group()
+            if text == ";":
+                self.pos += 1
+            elif text in ("package", "import"):
+                self.pos += 1
+                if text == "package":
+                    self.package = self.read_type_ref() or ""
+                self.skip_until((";",))
+                self.accept(";")
             else:
-                self.parse_member(fields, methods, bodies)
-        self.pos = close + 1
-        return close
+                start, is_annotation_decl = self.collect_modifiers()
+                text = texts[self.pos]
+                if is_annotation_decl or text == "enum":
+                    self.skip_declaration()
+                elif text in _TYPE_WORDS and self.at_type_declaration():
+                    self.parse_class(prefix, start, nested)
+                elif text == "{":
+                    # An initializer block, or a block after a stray word.
+                    self.skip_group()
+                else:
+                    self.parse_member(fields, methods, bodies)
 
     def parse_member(self, fields, methods, bodies) -> None:
         """Parse one field or method declaration after its modifiers.

@@ -1,9 +1,16 @@
 """Declaration parsing and method-body scanning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeforest import lexer
-from codeforest.errors import MissingClassBody, MissingClassName, UnbalancedBraces
+from codeforest.errors import (
+    CodeforestError,
+    MissingClassBody,
+    MissingClassName,
+    UnbalancedBraces,
+)
 from codeforest.lexer import tokenize
 from codeforest.model import classify_method
 from codeforest.parser import (
@@ -72,6 +79,22 @@ def test_package_and_imports():
     (cls,) = parse("package a.b.c;\nimport java.util.List;\nclass K { }")
     assert cls.package_name == "a.b.c"
     assert cls.name == "K"
+
+
+def test_semicolons_and_imports_between_classes_change_nothing():
+    def records(between):
+        # Byte offsets move with the text between; lines do not.
+        return [
+            (c.name, c.package_name, c.super_name, c.fields, c.methods,
+             c.span.line_start, c.span.line_end)
+            for c in parse(f"package p;\nclass A extends B {{ int x; }}{between}\n"
+                           "class B { void m() { } }")
+        ]
+
+    plain = records("")
+    assert [r[:3] for r in plain] == [("A", "p", "B"), ("B", "p", None)]
+    for between in (";", "; ;", "import java.util.List;", "import static a.B.*; ;"):
+        assert records(between) == plain, between
 
 
 def test_modifiers_and_annotations():
@@ -178,6 +201,17 @@ def test_extends_wins_over_implements():
 def test_first_implements_is_super_when_no_extends():
     (cls,) = parse("class C implements A, B { }")
     assert cls.super_name == "A"
+
+
+@pytest.mark.parametrize("source, super_name", [
+    ("class Z implements A, B extends C { }", "C"),
+    ("interface I extends J, K { }", "J"),
+    # The ``extends`` of a later type argument opens no list.
+    ("class C implements A, Comparable<List<? extends Number>> { }", "A"),
+])
+def test_super_is_the_first_extends_name_else_the_first_implements_name(source, super_name):
+    (cls,) = parse(source)
+    assert cls.super_name == super_name
 
 
 def test_unbalanced_braces_raise():
@@ -349,6 +383,23 @@ def test_sealed_and_non_sealed_are_modifiers():
     assert [f.name for f in a.fields] == ["sealed", "non", "x"]
     assert a.span.line_start == 1 and a.methods == []
     assert n.super_name == "A" and [m.name for m in n.methods] == ["n"]
+
+
+def test_unknown_modifier_before_a_type_declaration_is_dropped():
+    # ``value`` is no modifier the subset knows; directly before a type
+    # declaration it is dropped at the top level and in a class body.
+    classes = parse(
+        "public value class A {\n"
+        "  value class I { int x; }\n"
+        "  value record P(int y) { }\n"
+        "  int value;\n"
+        "}\n"
+    )
+    assert [c.name for c in classes] == ["A", "A.I", "A.P"]
+    a, i, p = classes
+    assert [f.name for f in a.fields] == ["value"]
+    assert [f.name for f in i.fields] == ["x"] and [f.name for f in p.fields] == ["y"]
+    assert a.span.line_start == 1 and i.span.line_start == 2
 
 
 def test_spaced_non_sealed_is_not_a_modifier():
@@ -526,3 +577,38 @@ def test_spans_count_bytes_after_non_ascii_text():
     assert cls.name == "Café"
     assert (cls.span.byte_start, cls.span.byte_end) == (data.index(b"class"), len(data) - 1)
     assert (cls.span.line_start, cls.span.line_end) == (3, 5)
+
+
+# ---------------------------------------------------------------------------
+# Random token sequences: a result or a typed error, never a traceback.
+
+_WORDS = (
+    "class interface record enum extends implements permits package import public "
+    "static final sealed non-sealed value default @ < > >> , ; = . new return void "
+    "int String A B x yield throws ? * -"
+).split()
+
+
+def _group(inner):
+    return st.tuples(st.sampled_from(("()", "[]", "{}")), inner).map(
+        lambda t: [t[0][0], *t[1], t[0][1]])
+
+
+# Bracket groups nest, so most sequences get past the bracket check; a
+# stray bracket now and then tests the check itself.
+_TOKENS = st.recursive(
+    st.lists(st.sampled_from(_WORDS + ["{", ")"]), max_size=8),
+    lambda inner: st.lists(st.one_of(inner, _group(inner)), max_size=4).map(
+        lambda parts: [token for part in parts for token in part]),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=_TOKENS)
+def test_random_token_sequences_parse_or_raise_a_typed_error(tokens):
+    try:
+        classes = parse(" ".join(tokens))
+    except CodeforestError:
+        return
+    assert all(c.name for c in classes)

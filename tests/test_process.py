@@ -85,23 +85,29 @@ def test_usage_error_exits_two():
     assert "required" in done.stderr
 
 
-def _closed_pipe_exit(argv: list[str]) -> int:
+def _closed_pipe_exit(argv: list[str], unbuffered: bool) -> int:
     """Exit code of ``argv`` whose standard output is a pipe that no one
-    reads: its read end is closed before the process starts."""
+    reads: its read end is closed before the process starts. Unbuffered,
+    the first print fails; buffered, the flush at exit does."""
+    env = _env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read, write = os.pipe()
     os.close(read)
     try:
-        return subprocess.run(argv, env=_env(), stdout=write, stderr=subprocess.DEVNULL,
+        return subprocess.run(argv, env=env, stdout=write, stderr=subprocess.DEVNULL,
                               timeout=60).returncode
     finally:
         os.close(write)
 
 
 def test_closed_stdout_exits_as_a_plain_print_does():
-    plain = _closed_pipe_exit([sys.executable, "-c", "print('x')"])
-    assert plain != 0
-    assert _closed_pipe_exit(
-        [sys.executable, "-m", "codeforest.cli", "analyze", TWO_CLASSES]) == plain
+    for unbuffered in (False, True):
+        plain = _closed_pipe_exit([sys.executable, "-c", "print('x')"], unbuffered)
+        assert plain not in (0, 2)
+        assert _closed_pipe_exit(
+            [sys.executable, "-m", "codeforest.cli", "analyze", TWO_CLASSES],
+            unbuffered) == plain, unbuffered
 
 
 @pytest.fixture
