@@ -25,7 +25,6 @@ import argparse
 import gc
 import os
 import sys
-from pathlib import Path
 
 from .errors import CodeforestError
 
@@ -82,7 +81,7 @@ def _run_analyze(args) -> int:
 
 def _run_render(args) -> int:
     from . import config as config_module
-    from . import pipeline
+    from . import exporters, pipeline
 
     if args.config:
         cfg = config_module.load_config(args.config)
@@ -94,23 +93,9 @@ def _run_render(args) -> int:
     info = pipeline.analyze(args.root)
     _print_warnings(info)
     scene = pipeline.build_scene(info, cfg)
-
-    out = Path(args.output)
-    if args.format == "gltf":
-        from .exporters.gltf import export_gltf
-
-        export_gltf(scene, out)
-        written = [out]
-    elif args.format == "obj":
-        from .exporters.obj import export_obj
-
-        written = list(export_obj(scene, out))
-    else:
-        from .exporters.mel import export_mel
-
-        export_mel(scene, out)
-        written = [out]
-    for path in written:
+    # Each writer returns the paths it wrote: the OBJ one adds its ``.mtl``.
+    export = getattr(exporters, f"export_{args.format}")
+    for path in export(scene, args.output):
         print(f"wrote {path}")
     return 0
 

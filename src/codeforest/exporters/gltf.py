@@ -158,5 +158,8 @@ def build_gltf(scene: Scene) -> str:
     return _DOCUMENT % (_ROW.join(nodes), buffers)
 
 
-def export_gltf(scene: Scene, path: str | Path) -> None:
-    Path(path).write_text(build_gltf(scene) + "\n", encoding="utf-8")
+def export_gltf(scene: Scene, path: str | Path) -> tuple[Path]:
+    """Write ``<path>``; return the one path written."""
+    path = Path(path)
+    path.write_text(build_gltf(scene) + "\n", encoding="utf-8")
+    return (path,)

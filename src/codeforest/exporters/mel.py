@@ -92,5 +92,8 @@ def mel_text(scene: Scene) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_mel(scene: Scene, path: str | Path) -> None:
-    Path(path).write_text(mel_text(scene), encoding="utf-8")
+def export_mel(scene: Scene, path: str | Path) -> tuple[Path]:
+    """Write ``<path>``; return the one path written."""
+    path = Path(path)
+    path.write_text(mel_text(scene), encoding="utf-8")
+    return (path,)

@@ -15,12 +15,13 @@ normals, and a flat run of uint32 triangle indices. Meshes are shared
 by index: every mesh, islands and channels included, is stored once per
 distinct content. Within one ``assemble_scene`` call, one table maps
 each mesh's content, and the build arguments of each tree part
-(builder, dimensions, segment count, material) and island (bands, tier
-heights, segment count), to its index in ``scene.meshes``. So every
+(builder, dimensions, segment count, material), island (bands, tier
+heights, segment count) and channel (polyline, and the centre of the
+island it hangs under), to its index in ``scene.meshes``. So every
 leaf of a kind, every canopy of a given method count and every island
 of equal terraces is built once and held by several nodes. A channel's
-polyline is its own, so each channel is built and found by its content
-alone; channels of equal shape within their islands share one mesh.
+polyline is its own, so each channel is built once, and channels of
+equal shape within their islands share one mesh through its content.
 
 Nodes form a single tree rooted at ``forest`` with stable, unique
 names:
@@ -429,25 +430,20 @@ def assemble_scene(
     # the two kinds of key apart.
     table: dict = {}
 
-    def stored(m: Mesh) -> int:
-        """Index of the mesh with ``m``'s content, appending ``m`` if
-        no earlier mesh has it. A mesh is read-only from the moment it
-        is built."""
-        content = (m.positions.tobytes(), m.normals.tobytes(),
-                   m.indices.tobytes(), m.material)
-        idx = table.setdefault(content, len(meshes))
-        if idx == len(meshes):
-            meshes.append(m)
-        return idx
-
     def mesh(build, *args) -> int:
         """Index of ``build(*args)``, built on the first use of ``args``:
         bitwise the mesh ``build`` gives for the arguments it was first
-        built from."""
+        built from. A mesh built is appended only if no earlier mesh
+        has its content; it is read-only from the moment it is built."""
         key = (build, *args)
         idx = table.get(key)
         if idx is None:
-            idx = table[key] = stored(build(*args))
+            m = build(*args)
+            content = (m.positions.tobytes(), m.normals.tobytes(),
+                       m.indices.tobytes(), m.material)
+            idx = table[key] = table.setdefault(content, len(meshes))
+            if idx == len(meshes):
+                meshes.append(m)
         return idx
 
     def add_node(parent: int, node: SceneNode) -> int:
@@ -507,7 +503,7 @@ def assemble_scene(
                 island_node,
                 SceneNode(
                     _channel_name(model, channel, channel_names),
-                    mesh=stored(build_channel_mesh(tuple(channel.polyline), island.center)),
+                    mesh=mesh(build_channel_mesh, tuple(channel.polyline), island.center),
                 ),
             )
     for channel in cross_channels:
@@ -515,7 +511,7 @@ def assemble_scene(
             0,
             SceneNode(
                 _channel_name(model, channel, channel_names),
-                mesh=stored(build_channel_mesh(tuple(channel.polyline))),
+                mesh=mesh(build_channel_mesh, tuple(channel.polyline)),
             ),
         )
     _check_finite(scene)

@@ -5,17 +5,22 @@ pulls out the structure later stages care about:
 
 * the package name,
 * class, interface and record declarations, nested ones flattened to
-  ``Outer.Inner`` names (record components become fields; ``sealed``
-  and ``non-sealed`` are modifiers),
+  ``Outer.Inner`` names (record components become fields),
 * field declarations (name plus declared type as written),
 * method and constructor declarations,
 * per-body field reads, field writes and call sites.
 
 One loop, ``parse_members``, reads the declarations of every level
 alike: the unit's top level up to its end, each class body up to its
-``}``. The top level drops the fields and methods it finds. An
-identifier directly before a type declaration is a modifier the subset
-does not know (``value class``) and is dropped at every level.
+``}``. The top level drops the fields and methods it finds. One rule
+covers the modifiers the subset does not know: an identifier directly
+before a keyword, an annotation or a type declaration is one, and so is
+``non-sealed`` written without blanks (``sealed interface``,
+``non-sealed class``, ``value final class``, ``sealed @A class``). It
+is dropped at every level. Two such words in a row (``sealed value
+class``) are not read as modifiers, and the declaration after them is
+dropped. An annotation type declaration (``@interface``) is skipped
+whole, as an ``enum`` is.
 
 Method bodies are scanned once the class's field list is complete. In
 a body, ``name(`` is a call site unless it is a declaration header,
@@ -280,71 +285,49 @@ class _Parser:
 
     # -- declarations ----------------------------------------------------------
 
-    def parse_unit_body(self) -> list[ClassDecl]:
-        out: list[ClassDecl] = []
-        self.parse_members("", self.n, [], [], [], out)
-        return out
+    def collect_modifiers(self) -> int:
+        """Consume modifiers, the unknown ones too (see the module
+        docstring), annotations and type parameters; return the index
+        where they began. Stops at ``@interface``.
 
-    def collect_modifiers(self):
-        """Consume modifiers/annotations; flag ``@interface`` declarations.
-
-        Returns the index of the first token consumed (None if none was)
-        and the flag.
+        ``non-sealed`` is three adjacent rows of the token table. An
+        annotation before ``[`` or ``...`` (three ``.`` tokens) annotates
+        the array type written before it (``String @A [] names``), so
+        that type is no modifier.
         """
-        texts = self.texts
-        start: int | None = None
-        while self.pos < self.n:
-            pos = self.pos
+        texts, kinds = self.texts, self.kinds
+        start = self.pos
+        while True:
+            pos = self.pos = self.past_annotations(self.pos)
             text = texts[pos]
             if text in _MODIFIERS:
                 self.pos += 1
-            elif text in ("sealed", "non") and (width := self.sealed_modifier_width()):
-                self.pos += width
-            elif text == "@":
-                if texts[pos + 1] == "interface":
-                    return (pos if start is None else start), True
-                self.pos += 1
-                self.read_type_ref()
-                if self.at("("):
-                    self.skip_group()
             elif text == "<":
                 # Type parameters of a generic method declaration.
                 self.take_generics()
-            elif self.kinds[pos] == KIND_IDENTIFIER and self.at_type_declaration(1):
-                # A modifier the subset does not know (``value class``).
-                self.pos += 1
+            elif kinds[pos] != KIND_IDENTIFIER:
+                return start
             else:
-                break
-            if start is None:
-                start = pos
-        return start, False
+                width = 3 if (texts[pos:pos + 3] == ["non", "-", "sealed"]
+                              and self.index[pos + 2] == self.index[pos] + 2) else 1
+                after = pos + width
+                if not (kinds[after] == KIND_KEYWORD or self.at_type_declaration(width) or (
+                        texts[after] == "@"
+                        and texts[self.past_annotations(after)] not in ("[", "."))):
+                    return start
+                self.pos = after
 
-    def sealed_modifier_width(self) -> int:
-        """Tokens of a ``sealed`` or ``non-sealed`` modifier at the cursor, or 0.
-
-        Both are contextual words, so they count as modifiers only when
-        a keyword or an annotation follows; ``non-sealed`` must be
-        written without blanks (the lexer splits it into three tokens,
-        which must then be adjacent rows of the table).
-        """
-        pos, texts = self.pos, self.texts
-        if self.kinds[pos] != KIND_IDENTIFIER:
-            return 0
-        if texts[pos] == "sealed":
-            width = 1
-        elif (
-            texts[pos] == "non"
-            and texts[pos + 1] == "-"
-            and texts[pos + 2] == "sealed"
-            and self.index[pos + 2] == self.index[pos] + 2
-        ):
-            width = 3
-        else:
-            return 0
-        after = pos + width
-        if self.kinds[after] == KIND_KEYWORD or texts[after] == "@":
-            return width
-        return 0
+    def past_annotations(self, i: int) -> int:
+        """Index of the first token past the annotations from ``texts[i]``
+        on, each ``@a.B`` or ``@a.B(...)``; ``@interface`` is none."""
+        texts, kinds = self.texts, self.kinds
+        while texts[i] == "@" and kinds[i + 1] == KIND_IDENTIFIER:
+            i += 2
+            while texts[i] == "." and kinds[i + 1] == KIND_IDENTIFIER:
+                i += 2
+            if texts[i] == "(":
+                i = self.partner[i] + 1
+        return i
 
     def at_type_declaration(self, k: int = 0) -> bool:
         """Whether the token ``k`` past the cursor starts a type declaration:
@@ -375,12 +358,10 @@ class _Parser:
             self.pos += 2
         return ".".join(parts)
 
-    def parse_class(self, prefix: str, start: int | None, out: list[ClassDecl]) -> None:
+    def parse_class(self, prefix: str, start: int, out: list[ClassDecl]) -> None:
         texts = self.texts
         kw = self.pos  # "class", "interface" or "record"
         self.pos += 1
-        if start is None:
-            start = kw
         if not self.at_kind(KIND_IDENTIFIER):
             raise MissingClassName(self.span(kw, kw))
         simple_name = texts[self.pos]
@@ -476,9 +457,9 @@ class _Parser:
                 self.skip_until((";",))
                 self.accept(";")
             else:
-                start, is_annotation_decl = self.collect_modifiers()
+                start = self.collect_modifiers()
                 text = texts[self.pos]
-                if is_annotation_decl or text == "enum":
+                if text in ("@", "enum"):
                     self.skip_declaration()
                 elif text in _TYPE_WORDS and self.at_type_declaration():
                     self.parse_class(prefix, start, nested)
@@ -645,7 +626,10 @@ def parse_unit(tokens: Tokens) -> list[ClassDecl]:
 
     Outer classes precede their nested classes in the returned list.
     """
-    return _Parser(tokens).parse_unit_body()
+    parser = _Parser(tokens)
+    classes: list[ClassDecl] = []
+    parser.parse_members("", parser.n, [], [], [], classes)
+    return classes
 
 
 def parse_corpus(root) -> CorpusParse:

@@ -130,7 +130,7 @@ def test_single_embedded_buffer():
 
 def test_export_writes_pretty_json(tmp_path):
     path = tmp_path / "out.gltf"
-    export_gltf(scene("two_classes"), path)
+    assert export_gltf(scene("two_classes"), str(path)) == (path,)
     text = path.read_text(encoding="utf-8")
     assert text.endswith("}\n")
     assert json.loads(text) == gltf_doc(scene("two_classes"))

@@ -1,11 +1,13 @@
-"""Every import and every private module-level name in ``src/codeforest``
-is used.
+"""Every import, every private module-level name and every method in
+``src/codeforest`` is used.
 
 A stand-in for a linter's unused-name checks, written with ``ast``. An
 import counts as used when the module reads it anywhere (annotations
 included) or lists it in ``__all__``; ``from __future__`` imports are
 directives, not names. A module-level ``_name`` (assigned, or a
-function or class) counts as used when its own module reads it.
+function or class) counts as used when its own module reads it. A
+method defined on a class, dunders aside, counts as used when some
+module of the package reads it as an attribute (``x.name``).
 """
 
 import ast
@@ -91,3 +93,45 @@ def test_the_check_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """``module:line: Class.method`` for each method that no source reads."""
+    defined: dict[str, list[str]] = {}
+    read: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("__")):
+                        defined.setdefault(item.name, []).append(
+                            f"{module}:{item.lineno}: {node.name}.{item.name}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [where for name, places in defined.items() if name not in read for where in places]
+
+
+def test_the_check_finds_an_unread_method():
+    sources = {
+        "a.py": (
+            "class K:\n"
+            "    def __init__(self):\n"
+            "        self.used()\n"
+            "    def used(self):\n"
+            "        self.gone = 1\n"
+            "    def gone(self):\n"
+            "        pass\n"
+            "    def spare(self):\n"
+            "        pass\n"
+        ),
+        "b.py": "def f(k):\n    return k.called\n",
+        "c.py": "class L:\n    def called(self):\n        pass\n",
+    }
+    assert unread_methods(sources) == ["a.py:6: K.gone", "a.py:8: K.spare"]
+
+
+def test_no_unread_methods():
+    sources = {path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
+               for path in MODULES}
+    assert unread_methods(sources) == []

@@ -184,5 +184,5 @@ def test_flat_island_keeps_minimum_height():
 
 def test_export_round_trip(tmp_path):
     path = tmp_path / "forest.mel"
-    export_mel(scene("two_classes"), path)
+    assert export_mel(scene("two_classes"), str(path)) == (path,)
     assert path.read_text(encoding="utf-8") == mel_text(scene("two_classes"))

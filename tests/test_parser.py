@@ -402,6 +402,81 @@ def test_unknown_modifier_before_a_type_declaration_is_dropped():
     assert a.span.line_start == 1 and i.span.line_start == 2
 
 
+def test_unknown_modifier_before_a_keyword_or_an_annotation_is_dropped():
+    # The same rule as for ``sealed``: ``value`` before any keyword or
+    # annotation is a modifier the subset does not know.
+    classes = parse(
+        "value final class N { }\n"
+        "class O { value static class N { } value @A(1) interface I { } }\n"
+    )
+    assert [c.name for c in classes] == ["N", "O", "O.N", "O.I"]
+
+
+def test_a_type_before_an_array_type_annotation_is_no_modifier():
+    # ``String`` comes directly before an annotation, but ``[`` or
+    # ``...`` after the annotation makes it the annotated array's type.
+    cls, rec = parse(
+        "class K { String @A [] names; String @B @c.D [] all() { return names; } }\n"
+        "record R(String @A ... rest) { }\n"
+    )
+    assert [(f.name, f.declared_type) for f in cls.fields] == [("names", "String@A[]")]
+    assert [(m.name, m.return_type) for m in cls.methods] == [("all", "String@B@c.D[]")]
+    assert [(f.name, f.declared_type) for f in rec.fields] == [("rest", "String@A...")]
+
+
+def test_two_unknown_modifiers_in_a_row_are_not_modelled():
+    # Only one unknown word is read as a modifier; the declaration after
+    # two is dropped, and what follows it is still read.
+    classes = parse(
+        "sealed value class N { }\n"
+        "class O { value sealed class M { } int x; }\n"
+        "class After { }\n"
+    )
+    assert [c.name for c in classes] == ["O", "After"]
+    assert [f.name for f in classes[0].fields] == ["x"]
+
+
+def test_annotation_types_are_skipped_at_both_levels():
+    classes = parse(
+        "@interface Top { int size() default 1; }\n"
+        "class O {\n"
+        "  public @interface Inner { String value(); }\n"
+        "  int kept;\n"
+        "  @Deprecated @interface Marked { }\n"
+        "  class K { }\n"
+        "}\n"
+        "@interface Last { }\n"
+        "class After { }\n"
+    )
+    assert [c.name for c in classes] == ["O", "O.K", "After"]
+    o = classes[0]
+    assert [f.name for f in o.fields] == ["kept"] and o.methods == []
+
+
+# Modifiers the subset knows, annotations, and the words it does not
+# know; no two unknown words are adjacent.
+_KNOWN_MODIFIERS = st.sampled_from(
+    "public protected private static final abstract strictfp default @A @a.B(1)".split())
+_UNKNOWN_MODIFIER = st.sampled_from(["sealed", "non-sealed", "value"])
+_MODIFIER_RUNS = st.tuples(
+    st.lists(st.tuples(st.lists(_UNKNOWN_MODIFIER, max_size=1), _KNOWN_MODIFIERS), max_size=4),
+    st.lists(_UNKNOWN_MODIFIER, max_size=1),
+).map(lambda t: [word for unknown, known in t[0] for word in (*unknown, known)] + t[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(modifiers=_MODIFIER_RUNS,
+       declaration=st.sampled_from(["class N {}", "interface N {}", "record N() {}"]))
+def test_a_type_declaration_after_any_run_of_modifiers_is_modelled(modifiers, declaration):
+    text = " ".join([*modifiers, declaration])
+    (top,) = parse(text)
+    assert top.name == "N" and top.span.byte_start == 0
+    outer = "class O { "
+    o, nested = parse(outer + text + " }")
+    assert nested.name == "O.N" and nested.span.byte_start == len(outer)
+    assert o.fields == [] and o.methods == []
+
+
 def test_spaced_non_sealed_is_not_a_modifier():
     # ``non - sealed`` is an expression, never the modifier.
     (cls,) = parse("class K { int non = 1, sealed = 2, d = non - sealed; }")
