@@ -6,9 +6,23 @@ share has its ``v`` lines written once per node. A sibling .mtl file
 carries the palette as ``newmtl``/``Kd``/``d`` entries. Node names and
 the ``mtllib`` name are written with each line break as ``_``.
 
-Each block of ``v`` lines is one ``%``-format over a flat tuple of the
-mesh's coordinates; a world position is the float32 coordinate plus
-the node's world translation, added as Python floats.
+A world position is the float32 coordinate plus the node's world
+translation, added as Python floats and printed with ``%.6f``. A
+mesh's first use writes its ``v`` lines with one ``%``-format over all
+of its coordinates. Each axis of a mesh holds few distinct values
+(rings share their y, mirrored segments their x and z), so the second
+use builds the mesh a vertex plan, kept for every later use:
+
+* per axis, the distinct coordinates, keyed by their float32 bits,
+  since ``0.0`` and ``-0.0`` are equal as floats but print apart;
+* one template that formats those distinct sums, each ending in a
+  ``\\0``: ``"v %.6f \\0"`` per x, ``"%.6f \\0"`` per y and
+  ``"%.6f\\n\\0"`` per z;
+* an ``itemgetter`` that picks each vertex's x, y and z pieces of the
+  split text in vertex order.
+
+So a node whose mesh is planned formats each distinct number once, and
+a mesh used once (an island, a channel) costs no plan.
 
 Everything else a node writes depends on its mesh alone:
 
@@ -39,12 +53,12 @@ would hold a second, bytes copy of the largest file codeforest writes.
 
 from __future__ import annotations
 
-from itertools import cycle
-from operator import add
+from itertools import chain, count, cycle, repeat
+from operator import add, itemgetter
 from pathlib import Path
 
 from ..errors import OutputIsMaterialFile
-from ..geometry import Scene, flat, world_transforms
+from ..geometry import Mesh, Scene, flat, world_transforms
 
 _WRITE_SLICE = 1 << 20
 
@@ -60,6 +74,23 @@ def _one_line(name: str) -> str:
     return name if name.isprintable() else name.translate(_LINE_BREAKS)
 
 
+def _vertex_plan(mesh: Mesh) -> tuple:
+    """``(template, xs, ys, zs, pick)`` for a mesh with vertices."""
+    coords = flat(mesh.positions)
+    values = coords.tolist()
+    bits = coords.cast("B").cast("I").tolist()
+    axes, slots, start = [], [], 0
+    for k in range(3):
+        distinct = dict(zip(bits[k::3], values[k::3]))  # in first-use order
+        slot = dict(zip(distinct, count(start)))
+        axes.append(list(distinct.values()))
+        slots.append(map(slot.__getitem__, bits[k::3]))
+        start += len(distinct)
+    xs, ys, zs = axes
+    template = "v %.6f \0" * len(xs) + "%.6f \0" * len(ys) + "%.6f\n\0" * len(zs)
+    return template, xs, ys, zs, itemgetter(*chain.from_iterable(zip(*slots)))
+
+
 def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
     transforms = world_transforms(scene)
     chunks = []
@@ -67,16 +98,17 @@ def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
         chunks.append(f"mtllib {_one_line(mtl_name)}\n")
     normal_numbers: dict[str, int] = {}  # vn line -> its 1-based number
     shared_faces: dict[int, str] = {}  # by mesh index
+    plans: dict[int, tuple] = {}  # by mesh index, from its second use
     for idx, node in enumerate(scene.nodes):
         if node.mesh is None:
             continue
         mesh = scene.meshes[node.mesh]
         n = mesh.vertex_count
         chunks.append(f"o {_one_line(node.name)}\nusemtl {scene.materials[mesh.material].name}\n")
-        world = map(add, flat(mesh.positions).tolist(), cycle(transforms[idx]))
-        chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world))
         faces = shared_faces.get(node.mesh)
         if faces is None:
+            world = map(add, flat(mesh.positions).tolist(), cycle(transforms[idx]))
+            chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world))
             numbers = []
             normals = "vn %.6f %.6f %.6f\n" * n % tuple(flat(mesh.normals).tolist())
             for line in normals.splitlines(True):
@@ -89,6 +121,15 @@ def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
             faces = "f %s %s %s\n" * mesh.triangle_count % tuple(
                 map(corners.__getitem__, mesh.indices.tolist()))
             shared_faces[node.mesh] = faces
+        elif n:  # a later use; a mesh without vertices has no v lines
+            plan = plans.get(node.mesh)
+            if plan is None:
+                plan = plans[node.mesh] = _vertex_plan(mesh)
+            template, xs, ys, zs, pick = plan
+            tx, ty, tz = transforms[idx]
+            sums = (*map(add, xs, repeat(tx)), *map(add, ys, repeat(ty)),
+                    *map(add, zs, repeat(tz)))
+            chunks.append("".join(pick((template % sums).split("\0"))))
         chunks.append(faces)
     return "".join(chunks) or "\n"
 

@@ -480,6 +480,10 @@ class _Parser:
         while (text := texts[self.pos]) not in _HEAD_ENDS:
             if text == "<":
                 self.take_generics()
+            elif text == "@" and self.kinds[self.pos + 1] == KIND_IDENTIFIER:
+                # A type annotation (``String @A(1) []``): its ``(`` opens
+                # no parameter list.
+                self.pos = self.past_annotations(self.pos)
             else:
                 self.pos += 1
         if text == "}":

@@ -563,6 +563,48 @@ def obj_text_per_corner(scene, mtl_name: str | None = None) -> str:
     return "".join(chunks) or "\n"
 
 
+def obj_text_per_node(scene, mtl_name: str | None = None) -> str:
+    """The OBJ writer before each shared mesh's vertex lines were
+    planned: every node formats all of its world-space coordinates.
+    Normals and faces are shared as the exporter shares them, so this
+    is a byte oracle: ``obj_text`` must return exactly this text."""
+    from itertools import cycle
+    from operator import add
+
+    from codeforest.geometry import flat, world_transforms
+
+    transforms = world_transforms(scene)
+    chunks = []
+    if mtl_name is not None:
+        chunks.append(f"mtllib {one_line(mtl_name)}\n")
+    normal_numbers: dict[str, int] = {}  # vn line -> its 1-based number
+    shared_faces: dict[int, str] = {}  # by mesh index
+    for idx, node in enumerate(scene.nodes):
+        if node.mesh is None:
+            continue
+        mesh = scene.meshes[node.mesh]
+        n = mesh.vertex_count
+        chunks.append(f"o {one_line(node.name)}\nusemtl {scene.materials[mesh.material].name}\n")
+        world = map(add, flat(mesh.positions).tolist(), cycle(transforms[idx]))
+        chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world))
+        faces = shared_faces.get(node.mesh)
+        if faces is None:
+            numbers = []
+            normals = "vn %.6f %.6f %.6f\n" * n % tuple(flat(mesh.normals).tolist())
+            for line in normals.splitlines(True):
+                number = normal_numbers.get(line)
+                if number is None:
+                    number = normal_numbers[line] = len(normal_numbers) + 1
+                    chunks.append(line)
+                numbers.append(number)
+            corners = list(map("%d//%d".__mod__, zip(range(-n, 0), numbers)))
+            faces = "f %s %s %s\n" * mesh.triangle_count % tuple(
+                map(corners.__getitem__, mesh.indices.tolist()))
+            shared_faces[node.mesh] = faces
+        chunks.append(faces)
+    return "".join(chunks) or "\n"
+
+
 # ---------------------------------------------------------------------------
 # MEL scraping.
 

@@ -23,7 +23,7 @@ from codeforest.pipeline import analyze, build_scene
 import synth
 from conftest import CORPUS_NAMES, flat_mesh, literal_mesh, random_scenes, scene, vec3
 from golden.update import BENCH_SEED, REPO, corpora
-from oracles import obj_corners, obj_text_per_corner, read_obj
+from oracles import obj_corners, obj_text_per_corner, obj_text_per_node, read_obj
 
 
 def triangle_scene() -> Scene:
@@ -214,6 +214,74 @@ def _line_break_scene() -> Scene:
 @example(_line_break_scene(), "x\nvn 0 0 0\n.mtl")
 def test_obj_text_equals_the_per_corner_writer(built, mtl_name):
     assert_same_geometry(built, mtl_name)
+
+
+# Few values, so that an axis repeats within a mesh: both zeros, two
+# exact binary fractions and the largest float32.
+_POOL = st.sampled_from([0.0, -0.0, 1.5, -2.25, 3.4028234663852886e38])
+_OFFSETS = st.sampled_from([0.0, -0.0, 1.5, 1e9, -1e9]) | st.floats(-1e9, 1e9)
+
+
+def _pooled_mesh(positions: list[float], indices=()) -> Mesh:
+    """A mesh of flat x, y, z runs; with no vertices, a 1-D empty view,
+    since a memoryview cannot be cast to shape (0, 3)."""
+    if not positions:
+        empty = memoryview(b"").cast("f")
+        return Mesh(empty, empty, memoryview(b"").cast("I"), 0)
+    return flat_mesh(positions, [0.0, 1.0, -0.0] * (len(positions) // 3), list(indices))
+
+
+@st.composite
+def pooled_meshes(draw) -> Mesh:
+    n = draw(st.integers(0, 5))
+    positions = draw(st.lists(_POOL, min_size=3 * n, max_size=3 * n))
+    t = draw(st.integers(0, 3)) if n else 0
+    return _pooled_mesh(positions, draw(st.lists(
+        st.integers(0, max(n - 1, 0)), min_size=3 * t, max_size=3 * t)))
+
+
+@st.composite
+def shared_mesh_scenes(draw) -> Scene:
+    """Up to three pooled meshes over up to eight nodes, nested, so each
+    mesh is likely used more than once."""
+    meshes = draw(st.lists(pooled_meshes(), min_size=1, max_size=3))
+    nodes = [SceneNode("forest")]
+    for i in range(1, draw(st.integers(1, 8)) + 1):
+        translation = draw(st.just((-0.0, -0.0, -0.0))
+                           | st.tuples(_OFFSETS, _OFFSETS, _OFFSETS))
+        nodes.append(SceneNode(f"n{i}", translation=translation,
+                               mesh=draw(st.integers(0, len(meshes) - 1))))
+        nodes[draw(st.integers(0, i - 1))].children.append(i)
+    return Scene(nodes, meshes, default_palette())
+
+
+def _sharing_scene(mesh: Mesh, translation=(-0.0, -0.0, -0.0)) -> Scene:
+    """Three nodes under the root that all use ``mesh``."""
+    nodes = [SceneNode("forest", children=[1, 2, 3])]
+    nodes += [SceneNode(f"n{i}", translation=translation, mesh=0) for i in range(3)]
+    return Scene(nodes, [mesh], default_palette())
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_mesh_scenes())
+# Shared meshes: both zeros on one axis, no vertex (a bare itemgetter()
+# raises), one vertex.
+@example(_sharing_scene(_pooled_mesh([0.0, 1.5, -0.0, -0.0, 1.5, 0.0], [0, 1, 1])))
+@example(_sharing_scene(_pooled_mesh([])))
+@example(_sharing_scene(_pooled_mesh([-2.25, -0.0, 1.5]), (1e9, -1e9, -0.0)))
+def test_obj_text_equals_the_per_node_writer_byte_for_byte(built):
+    assert obj_text(built, "forest.mtl") == obj_text_per_node(built, "forest.mtl")
+
+
+def test_a_plan_keeps_both_zeros_apart(monkeypatch):
+    # A world translation is never -0.0 (the walk starts at +0.0, and
+    # 0.0 + -0.0 is 0.0), so only a stand-in walk shows that a plan
+    # keys its coordinates by bits: by value, -0.0 would take 0.0's slot.
+    built = _sharing_scene(_pooled_mesh([0.0, 1.5, -0.0, -0.0, 1.5, 0.0], [0, 1, 1]))
+    monkeypatch.setattr(obj_module, "world_transforms",
+                        lambda scene: [(-0.0, -0.0, -0.0)] * len(scene.nodes))
+    v_lines = [line for line in obj_text(built).splitlines() if line.startswith("v ")]
+    assert v_lines == ["v 0.000000 1.500000 -0.000000", "v -0.000000 1.500000 0.000000"] * 3
 
 
 def test_line_breaks_in_names_are_written_as_underscores():

@@ -424,6 +424,20 @@ def test_a_type_before_an_array_type_annotation_is_no_modifier():
     assert [(f.name, f.declared_type) for f in rec.fields] == [("rest", "String@A...")]
 
 
+def test_a_type_annotation_with_arguments_is_no_method_header():
+    # The annotation's ``(`` ends no member head: the member after it is
+    # read, and no method is named after the annotation.
+    cls, qualified = parse(
+        "class C { String @A(1) [] all() { return null; } String @A [] names; }\n"
+        "class Q { java.lang.@B(2) String name; int after; }\n"
+    )
+    assert [(m.name, m.return_type) for m in cls.methods] == [("all", "String@A(1)[]")]
+    assert [(f.name, f.declared_type) for f in cls.fields] == [("names", "String@A[]")]
+    assert qualified.methods == []
+    assert [(f.name, f.declared_type) for f in qualified.fields] == [
+        ("name", "java.lang.@B(2)String"), ("after", "int")]
+
+
 def test_two_unknown_modifiers_in_a_row_are_not_modelled():
     # Only one unknown word is read as a modifier; the declaration after
     # two is dropped, and what follows it is still read.
