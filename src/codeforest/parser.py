@@ -11,8 +11,9 @@ pulls out the structure later stages care about:
 * per-body field reads, field writes and call sites.
 
 One loop, ``parse_members``, reads the declarations of every level
-alike: the unit's top level up to its end, each class body up to its
-``}``. The top level drops the fields and methods it finds. One rule
+alike from one stack of open bodies, so any nesting depth parses: the
+unit's top level up to its end, each class body up to its ``}``. The
+top level drops the fields and methods it finds. One rule
 covers the modifiers the subset does not know: an identifier directly
 before a keyword, an annotation or a type declaration is one, and so is
 ``non-sealed`` written without blanks (``sealed interface``,
@@ -27,8 +28,9 @@ a body, ``name(`` is a call site unless it is a declaration header,
 that is its ``)`` is followed by ``{``, ``throws`` or ``implements``
 (a method of an anonymous or local class, a local constructor or
 record, an anonymous class ``new a.Foo(...) { ... }``), or the word
-before ``name`` blocks it: ``new`` (a construction), ``return``, and
-``void`` or a primitive type (a bodiless method of a local interface).
+before ``name`` blocks it: ``new`` (a construction), and ``void`` or a
+primitive type (a bodiless method of a local interface). ``return g()``
+is a call.
 
 Everything else (imports, annotations, generics, enum bodies, code the
 subset does not model) is consumed and dropped. The parser never guesses
@@ -81,14 +83,9 @@ _MODIFIERS = frozenset(
     transient volatile strictfp default""".split()
 )
 
-# Tokens after which ``name(`` is not a method call: ``new`` (``new
-# Foo(...)`` constructs), ``return``, and ``void``, a primitive return
-# type or the ``]`` of an array type, which make it a declaration even
-# without a body. An identifier other than ``yield`` blocks too (see
-# ``_scan_body``).
-_CALL_BLOCKING_WORDS = frozenset(
-    "new return void boolean byte char short int long float double ]".split()
-)
+# Tokens after which ``name(`` is no call (see ``scan_body``): ``new`` and
+# the ends of a return type. ``return`` is none of them: ``return g()`` calls.
+_CALL_BLOCKING_WORDS = frozenset("new void boolean byte char short int long float double ]".split())
 
 # Tokens after the ``)`` of ``name(...)`` that make it a declaration
 # header rather than a call.
@@ -358,7 +355,13 @@ class _Parser:
             self.pos += 2
         return ".".join(parts)
 
-    def parse_class(self, prefix: str, start: int, out: list[ClassDecl]) -> None:
+    def parse_class(self, prefix: str, start: int, out: list[ClassDecl]) -> tuple:
+        """Read the header of the type at the cursor, modifiers from
+        ``start`` on, append its ``ClassDecl`` to ``out`` and return its
+        body's frame: the prefix of the names nested in it, the index of
+        its ``}``, its fields (record components first), methods and
+        method bodies, and the ``ClassDecl``. The cursor is left in the body.
+        """
         texts = self.texts
         kw = self.pos  # "class", "interface" or "record"
         self.pos += 1
@@ -389,32 +392,22 @@ class _Parser:
         if not self.at("{"):
             # The header ran into the closer of its group or end of file.
             raise MissingClassBody(self.span(kw, kw), simple_name)
-
-        methods: list[MethodDecl] = []
-        bodies: list[tuple[MethodDecl, int]] = []
-        nested: list[ClassDecl] = []
         close = self.partner[self.pos]
         self.pos += 1
-        self.parse_members(name + ".", close, fields, methods, bodies, nested)
-        self.pos = close + 1
+        # The package is set by ``finish_class``, at the body's ``}``.
+        decl = ClassDecl(name, "", extends or implements, fields, [], self.span(start, close))
+        out.append(decl)
+        return name + ".", close, fields, decl.methods, [], decl
 
-        # Fields may be declared after the methods that use them, so the
-        # bodies are scanned once the class's field list is complete.
-        field_names = {f.name for f in fields}
+    def finish_class(self, decl: ClassDecl, close: int, bodies) -> None:
+        """Move past the ``}`` at ``close`` and complete its class: its
+        package is the one in force there, and its method bodies are scanned
+        now that its fields, which may follow the methods, are all known."""
+        self.pos = close + 1
+        decl.package_name = self.package
+        field_names = {f.name for f in decl.fields}
         for method, body in bodies:
             self.scan_body(body, field_names, method)
-
-        out.append(
-            ClassDecl(
-                name=name,
-                package_name=self.package,
-                super_name=extends or implements,
-                fields=fields,
-                methods=methods,
-                span=self.span(start, close),
-            )
-        )
-        out.extend(nested)
 
     def read_record_components(self, fields: list[FieldDecl]) -> None:
         """Consume a record header ``(T a, U b)``; each component is a field."""
@@ -435,39 +428,47 @@ class _Parser:
             self.accept(",")
         self.pos = close + 1
 
-    def parse_members(self, prefix: str, close: int, fields, methods, bodies, nested) -> None:
-        """Parse the declarations from the cursor up to ``close``.
+    def parse_members(self) -> list[ClassDecl]:
+        """Return the unit's classes, each followed by the types nested in it.
 
-        ``close`` is the ``}`` of a class body, or ``self.n`` for the top
-        level of the unit, which passes lists it then drops. Fields and
-        methods go to ``fields`` and ``methods``, and each method with a
-        body to ``bodies`` with the index of the body's ``{``. Each type
-        declared here goes to ``nested`` as ``prefix + Name``, followed by
-        the types nested in it.
+        One loop reads every level from a stack of open bodies. The unit's
+        top level is at the bottom: it ends at ``self.n`` and drops the
+        fields and methods it finds. A type declaration pushes the frame
+        of its body, which is popped at its ``}`` for ``finish_class``.
         """
         texts = self.texts
-        while self.pos < close:
-            text = texts[self.pos]
-            if text == ";":
-                self.pos += 1
-            elif text in ("package", "import"):
-                self.pos += 1
-                if text == "package":
-                    self.package = self.read_type_ref() or ""
-                self.skip_until((";",))
-                self.accept(";")
-            else:
-                start = self.collect_modifiers()
+        classes: list[ClassDecl] = []
+        stack = [("", self.n, [], [], [], None)]
+        while stack:
+            prefix, close, fields, methods, bodies, decl = stack[-1]
+            while self.pos < close:
                 text = texts[self.pos]
-                if text in ("@", "enum"):
-                    self.skip_declaration()
-                elif text in _TYPE_WORDS and self.at_type_declaration():
-                    self.parse_class(prefix, start, nested)
-                elif text == "{":
-                    # An initializer block, or a block after a stray word.
-                    self.skip_group()
+                if text == ";":
+                    self.pos += 1
+                elif text in ("package", "import"):
+                    self.pos += 1
+                    if text == "package":
+                        self.package = self.read_type_ref() or ""
+                    self.skip_until((";",))
+                    self.accept(";")
                 else:
-                    self.parse_member(fields, methods, bodies)
+                    start = self.collect_modifiers()
+                    text = texts[self.pos]
+                    if text in ("@", "enum"):
+                        self.skip_declaration()
+                    elif text in _TYPE_WORDS and self.at_type_declaration():
+                        stack.append(self.parse_class(prefix, start, classes))
+                        break
+                    elif text == "{":
+                        # An initializer block, or a block after a stray word.
+                        self.skip_group()
+                    else:
+                        self.parse_member(fields, methods, bodies)
+            else:
+                stack.pop()
+                if decl is not None:
+                    self.finish_class(decl, close, bodies)
+        return classes
 
     def parse_member(self, fields, methods, bodies) -> None:
         """Parse one field or method declaration after its modifiers.
@@ -519,9 +520,7 @@ class _Parser:
         self.skip_until(("{", ";"))  # throws clause and anything else before the body
         if self.at("{"):
             bodies.append((method, self.pos))
-            self.skip_group()
-        else:
-            self.accept(";")
+        self.skip_declaration()
 
     def finish_fields(self, head: int, end: int, fields: list[FieldDecl]) -> None:
         """Parse ``type a = init, b, c;`` declarator lists."""
@@ -558,13 +557,14 @@ class _Parser:
         identifier directly followed by ``(``, with these exceptions:
 
         * the token before the identifier is ``new`` (``new Foo(...)``
-          constructs) or ``return``; or it ends a return type, which makes
-          ``name(`` a declaration even without a body (``void run();``,
+          constructs), or it ends a return type, which makes ``name(`` a
+          declaration even without a body (``void run();``,
           ``String name();`` or ``int[] arr();`` in a local interface):
           ``void``, a primitive type, ``]``, or an identifier other than
           the contextual ``yield`` (``yield compute(f);`` is a call). A
           generic return type (``List<String> all();``) still reads as a
-          call, as its ``>`` may as well be a comparison;
+          call, as its ``>`` may as well be a comparison. Any other keyword
+          blocks nothing: ``return g();`` is a call;
         * the group's ``)`` is followed by ``{``, ``throws`` or
           ``implements``: a declaration header, such as a method of an
           anonymous or local class (``String toString() {``), a local
@@ -630,10 +630,7 @@ def parse_unit(tokens: Tokens) -> list[ClassDecl]:
 
     Outer classes precede their nested classes in the returned list.
     """
-    parser = _Parser(tokens)
-    classes: list[ClassDecl] = []
-    parser.parse_members("", parser.n, [], [], [], classes)
-    return classes
+    return _Parser(tokens).parse_members()
 
 
 def parse_corpus(root) -> CorpusParse:

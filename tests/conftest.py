@@ -8,6 +8,7 @@ fixtures (the annotations snapshot in particular) to a single parse.
 from __future__ import annotations
 
 import functools
+import sys
 from array import array
 from pathlib import Path
 
@@ -47,6 +48,16 @@ def annotations():
 @pytest.fixture
 def two_classes_scene():
     return scene("two_classes")
+
+
+def write_deep_corpus(root: Path) -> int:
+    """Write a file of member classes ``A0``, ``A1``, ..., each nested in
+    the one before, 100 levels deeper than the interpreter's recursion
+    limit, beside an ordinary file; return the depth."""
+    depth = sys.getrecursionlimit() + 100
+    (root / "Deep.java").write_text("".join(f"class A{i} {{ " for i in range(depth)) + "}" * depth)
+    (root / "Plain.java").write_text("class Plain { void m() { } }")
+    return depth
 
 
 def vec3(view) -> np.ndarray:

@@ -36,8 +36,8 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _WORD = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 # Characters that can directly precede a call in an expression. A word
-# character before the name means a declaration, a `new`, or a blocked
-# keyword like `return`, none of which count as call sites.
+# character before the name means a declaration or a `new`, neither of
+# which counts as a call site; the word `return` is the one exception.
 _CALL_PREV = set(";{}=(,.+-*/%<>!&|?:^~[")
 
 
@@ -105,10 +105,10 @@ def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
 
     Works directly on scrubbed characters: a call is a non-keyword word
     followed by `(` whose preceding non-space character is expression
-    punctuation. Declarations, `new Foo(...)` and keyword-blocked calls
-    such as `return foo()` all have a word character there instead, and
-    an annotation `@Foo(...)` has `@`; a qualified `@a.b.Foo(...)` is
-    skipped by walking its dotted chain back to the `@`.
+    punctuation or the word `return`. Declarations and `new Foo(...)`
+    have another word there instead, and an annotation `@Foo(...)` has
+    `@`; a qualified `@a.b.Foo(...)` is skipped by walking its dotted
+    chain back to the `@`.
     """
     src = scrub(text)
     sites = []
@@ -122,7 +122,7 @@ def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
         if j >= len(src) or src[j] != "(":
             continue
         p = _prev_nonspace(src, m.start() - 1)
-        if p < 0 or src[p] not in _CALL_PREV:
+        if p < 0 or (src[p] not in _CALL_PREV and _word_ending_at(src, p) != "return"):
             continue
         if src[p] != ".":
             sites.append((name, "implicit-this", None))

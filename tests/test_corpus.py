@@ -12,7 +12,7 @@ from codeforest import errors, parser
 from codeforest.errors import CodeforestError, RootNotFound
 from codeforest.lexer import tokenize
 from codeforest.parser import parse_corpus, parse_unit
-from conftest import FIXTURES
+from conftest import FIXTURES, write_deep_corpus
 
 
 def write(root, rel, text):
@@ -162,6 +162,16 @@ def test_file_with_multiple_top_level_classes(tmp_path):
     write(tmp_path, "Two.java", "class One { }\nclass Two { }")
     (unit,) = parse_corpus(tmp_path).units
     assert [c.name for c in unit.classes] == ["One", "Two"]
+
+
+def test_nesting_depth_is_not_limited(tmp_path):
+    depth = write_deep_corpus(tmp_path)
+    result = parse_corpus(tmp_path)
+    assert result.failures == []
+    deep, plain = result.units
+    names = [f"A{i}" for i in range(depth)]
+    assert [c.name for c in deep.classes] == [".".join(names[:k]) for k in range(1, depth + 1)]
+    assert [c.name for c in plain.classes] == ["Plain"]
 
 
 def test_text_block_file_parses_without_failures(tmp_path):

@@ -1,5 +1,5 @@
 """Every import, every private module-level name and every method in
-``src/codeforest`` is used.
+``src/codeforest`` is used, and no function there is recursive.
 
 A stand-in for a linter's unused-name checks, written with ``ast``. An
 import counts as used when the module reads it anywhere (annotations
@@ -7,7 +7,9 @@ included) or lists it in ``__all__``; ``from __future__`` imports are
 directives, not names. A module-level ``_name`` (assigned, or a
 function or class) counts as used when its own module reads it. A
 method defined on a class, dunders aside, counts as used when some
-module of the package reads it as an attribute (``x.name``).
+module of the package reads it as an attribute (``x.name``). No function
+or method reaches itself through calls, so no input's depth can exhaust
+the interpreter's stack.
 """
 
 import ast
@@ -135,3 +137,87 @@ def test_no_unread_methods():
     sources = {path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
                for path in MODULES}
     assert unread_methods(sources) == []
+
+
+def _own_nodes(function):
+    """The nodes of ``function``'s body, nested function and class bodies left out."""
+    todo = list(function.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def recursive_functions(source: str) -> list[str]:
+    """``line N: name`` for each function that reaches itself through calls.
+
+    A call by plain name (``f()``) goes to every function of that name not
+    defined in a class, nested ones included; ``self.f()`` goes to the
+    method ``f`` of the caller's class. Calls made in a nested function
+    are its own, not those of the function around it.
+    """
+    tree = ast.parse(source)
+    owner = {item: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body}
+    calls: dict[str, set[str]] = {}
+    lines: dict[str, int] = {}
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(function)
+        key = f"{cls}.{function.name}" if cls else function.name
+        lines.setdefault(key, function.lineno)
+        callees = calls.setdefault(key, set())
+        for node in _own_nodes(function):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    callees.add(func.id)
+                elif (cls and isinstance(func, ast.Attribute)
+                      and isinstance(func.value, ast.Name) and func.value.id == "self"):
+                    callees.add(f"{cls}.{func.attr}")
+    found = []
+    for key in sorted(calls, key=lines.__getitem__):
+        reached: set[str] = set()
+        todo = list(calls[key])
+        while todo:
+            callee = todo.pop()
+            if callee in calls and callee not in reached:
+                reached.add(callee)
+                todo.extend(calls[callee])
+        if key in reached:
+            found.append(f"line {lines[key]}: {key}")
+    return found
+
+
+def test_the_check_finds_a_recursive_function():
+    source = (
+        "def a():\n"
+        "    b()\n"
+        "def b():\n"
+        "    return a() if x else d()\n"
+        "def d():\n"
+        "    print(other.d)\n"
+        "class K:\n"
+        "    def f(self):\n"
+        "        self.g()\n"
+        "    def g(self):\n"
+        "        self.f()\n"
+        "    def h(self):\n"
+        "        other.h()\n"
+        "def outer():\n"
+        "    def inner(n):\n"
+        "        return inner(n - 1)\n"
+        "    return inner(3)\n"
+        "def e(n):\n"
+        "    return [e(n - 1)]\n"
+    )
+    assert recursive_functions(source) == [
+        "line 1: a", "line 3: b", "line 8: K.f", "line 10: K.g", "line 15: inner", "line 18: e",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_recursive_functions(path):
+    assert recursive_functions(path.read_text(encoding="utf-8")) == []

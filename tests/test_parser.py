@@ -1,5 +1,7 @@
 """Declaration parsing and method-body scanning."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -303,12 +305,14 @@ def test_chained_and_super_calls_are_other():
 
 
 def test_blocking_keywords_suppress_sites():
+    # ``return`` blocks nothing: ``return compute();`` is a call, and
+    # ``return (x);`` has no name before its ``(``.
     s = scan(
-        "{ return compute(); new Thing(x); if (a) { } for (;;) { } "
+        "{ return compute(); return (x); new Thing(x); if (a) { } for (;;) { } "
         "while (b) { } switch (c) { } }",
         [],
     )
-    assert site_tuples(s) == []
+    assert site_tuples(s) == [("compute", RECEIVER_THIS, None)]
 
 
 def test_call_inside_condition_counts():
@@ -701,3 +705,59 @@ def test_random_token_sequences_parse_or_raise_a_typed_error(tokens):
     except CodeforestError:
         return
     assert all(c.name for c in classes)
+
+
+# ---------------------------------------------------------------------------
+# Nesting plans: types in types, rendered from a plan that alone says
+# which of them are modelled.
+
+_NEST_KINDS = ("class", "interface", "record", "enum", "anonymous")
+
+# A plan is a tuple of (kind, plan) pairs, one per declaration of a body.
+_NESTING_PLANS = st.recursive(
+    st.just(()),
+    lambda inner: st.lists(st.tuples(st.sampled_from(_NEST_KINDS), inner), max_size=3).map(tuple),
+    max_leaves=12,
+)
+
+
+def render_plan(plan, prefix, expected, numbers) -> tuple[str, list[str]]:
+    """The Java text of ``plan``'s declarations and the methods it declares.
+
+    Each type modelled goes to ``expected`` in pre-order as ``[name,
+    fields, methods]``. An ``anonymous`` entry is a method whose body
+    holds an anonymous class. ``prefix`` is None in a body that is not
+    modelled: an ``enum``'s or an anonymous class's. ``numbers`` makes
+    names unique.
+    """
+    parts, methods = [], []
+    for kind, inner in plan:
+        n = next(numbers)
+        if kind == "anonymous":
+            body, _ = render_plan(inner, None, expected, numbers)
+            parts.append(f"void m{n}() {{ Object o = new Object() {{ {body} }}; }}")
+            methods.append(f"m{n}")
+            continue
+        header = f"{kind} T{n}"
+        fields = []
+        if kind == "record":
+            header += f"(int a{n}, String b{n})"
+            fields = [f"a{n}", f"b{n}"]
+        modelled = prefix is not None and kind != "enum"
+        entry = [f"{prefix}T{n}", fields, []]
+        if modelled:
+            expected.append(entry)
+        body, entry[2] = render_plan(inner, f"{entry[0]}." if modelled else None, expected, numbers)
+        parts.append(f"{header} {{ {'A, B; ' if kind == 'enum' else ''}{body} }}")
+    return " ".join(parts), methods
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=_NESTING_PLANS)
+def test_nested_types_are_modelled_as_their_plan_says(plan):
+    expected = []
+    text, _ = render_plan(plan, "", expected, itertools.count())
+    classes = parse(text)
+    assert [[c.name, [f.name for f in c.fields], [m.name for m in c.methods]]
+            for c in classes] == expected
+    assert all(m.call_sites == [] for c in classes for m in c.methods)

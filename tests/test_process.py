@@ -6,7 +6,8 @@ gives the caller back the collector state it found. ``cli.run``, the
 process entry, flushes standard output and standard error and leaves
 through ``os._exit``. The subprocess checks here run
 ``python -m codeforest.cli`` as a user would; the in-process checks
-call ``main``, as the other CLI tests do.
+call ``main``, as the other CLI tests do, and the hash-seed check calls
+it in one child process per ``PYTHONHASHSEED``.
 """
 
 import gc
@@ -22,7 +23,7 @@ from codeforest import pipeline
 from codeforest.cli import main
 from codeforest.errors import ConfigSyntaxError
 
-from conftest import FIXTURES
+from conftest import FIXTURES, write_deep_corpus
 
 SRC = Path(__file__).parent.parent / "src"
 TWO_CLASSES = str(FIXTURES / "two_classes")
@@ -193,3 +194,36 @@ def test_garbage_left_by_a_command_does_not_grow_with_the_corpus(tmp_path, capsy
     gc.disable()
     render(small)  # the first call also leaves what first use caches
     assert render(small) == render(large)
+
+
+def test_analyze_of_a_file_nested_past_the_recursion_limit_exits_0(tmp_path):
+    depth = write_deep_corpus(tmp_path)
+    done = _codeforest("analyze", str(tmp_path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(f"classes={depth + 1} methods=1 ")
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # One process per hash seed runs every writer, each into its own
+    # directory under the same file names: the OBJ file names its ``.mtl``.
+    corpus = str(FIXTURES / "jfreechart_annotations")
+    code = (
+        "import sys\n"
+        "from codeforest.cli import main\n"
+        "root = sys.argv[1]\n"
+        "assert main(['analyze', root, '--report', 'report.json']) == 0\n"
+        "for fmt in ('gltf', 'obj', 'mel'):\n"
+        "    assert main(['render', root, '-o', 'forest.' + fmt, '--format', fmt]) == 0\n"
+    )
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        out.mkdir()
+        done = subprocess.run([sys.executable, "-c", code, corpus], cwd=out,
+                              env={**_env(), "PYTHONHASHSEED": seed}, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    first, second = outputs
+    assert sorted(first) == ["forest.gltf", "forest.mel", "forest.mtl", "forest.obj", "report.json"]
+    assert [name for name in sorted(first) if first[name] != second.get(name)] == []
