@@ -1,14 +1,21 @@
 """glTF 2.0 export.
 
 Produces a single self-contained ``.gltf`` JSON file: all vertex and
-index data live in one buffer embedded as a base64 data URI. Every
-distinct mesh of the scene gets three accessors (POSITION, NORMAL,
-indices), each backed by its own buffer view, so accessor ``k`` uses
-view ``k``; nodes that share a mesh reference the same glTF mesh. A
-view holds one mesh array's bytes as they are: float32 VEC3 positions
-and normals, uint32 indices. POSITION accessors carry exact
-component-wise min/max (``geometry.bounds``). All chunks are multiples
-of four bytes, so views need no padding.
+index data live in one buffer embedded as a base64 data URI. Each
+scene mesh becomes one glTF mesh, and nodes that share a mesh
+reference the same glTF mesh. Its primitive refers to three arrays:
+POSITION, NORMAL and indices. Every distinct array gets one accessor,
+backed by its own buffer view, so accessor ``k`` uses view ``k``; the
+arrays are numbered in first-use order, keyed by their role and their
+bytes, and every later primitive with an equal array refers to the
+same accessor (channels of one point count share their normals and
+indices, for one). The role is part of the key: a sphere of radius 1
+has positions bitwise equal to its normals, but a NORMAL accessor
+carries no min/max and a POSITION accessor must. A view holds one
+array's bytes as they are: float32 VEC3 positions and normals, uint32
+indices. POSITION accessors carry exact component-wise min/max
+(``geometry.bounds``). All chunks are multiples of four bytes, so
+views need no padding.
 
 Nodes keep their scene names; a translation is emitted only when it
 differs from the default, matching the glTF schema's minItems rules
@@ -122,26 +129,33 @@ def build_gltf(scene: Scene) -> str:
     views: list[str] = []
     accessors: list[str] = []
     meshes: list[str] = []
+    # (template, bytes) -> accessor number; the template names the role.
+    numbers: dict[tuple[str, bytes], int] = {}
     offset = 0
     for mesh in scene.meshes:
         vertex_count = mesh.vertex_count
         index_count = len(mesh.indices)
         if vertex_count > _MAX_COUNT or index_count > _MAX_COUNT:
             raise SceneTooLarge(max(vertex_count, index_count))
-        lo, hi = bounds(mesh)
-        k = len(accessors)
-        accessors += (
-            _POSITION % (k, _FLOAT, vertex_count, *map(json_float, lo), *map(json_float, hi)),
-            _NORMAL % (k + 1, _FLOAT, vertex_count),
-            _INDICES % (k + 2, _UNSIGNED_INT, index_count),
-        )
-        meshes.append(_MESH % (k, k + 1, k + 2, mesh.material))
-        for data, target in ((mesh.positions.tobytes(), _ARRAY_BUFFER),
-                             (mesh.normals.tobytes(), _ARRAY_BUFFER),
-                             (mesh.indices.tobytes(), _ELEMENT_ARRAY_BUFFER)):
+        refs = []
+        for template, data, component, count, target in (
+                (_POSITION, mesh.positions.tobytes(), _FLOAT, vertex_count, _ARRAY_BUFFER),
+                (_NORMAL, mesh.normals.tobytes(), _FLOAT, vertex_count, _ARRAY_BUFFER),
+                (_INDICES, mesh.indices.tobytes(), _UNSIGNED_INT, index_count,
+                 _ELEMENT_ARRAY_BUFFER)):
+            k = numbers.setdefault((template, data), len(accessors))
+            refs.append(k)
+            if k < len(accessors):
+                continue
+            fields = (k, component, count)
+            if template is _POSITION:
+                lo, hi = bounds(mesh)
+                fields += (*map(json_float, lo), *map(json_float, hi))
+            accessors.append(template % fields)
             views.append(_VIEW % (offset, len(data), target))
             chunks.append(data)
             offset += len(data)
+        meshes.append(_MESH % (*refs, mesh.material))
 
     materials = []
     for material in scene.materials:

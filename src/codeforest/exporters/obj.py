@@ -46,11 +46,15 @@ Everything else a node writes depends on its mesh alone:
 
 So a mesh's ``f`` block is one fixed string: a ``"f %s %s %s\\n" * t``
 template filled once from the mesh's corner strings through its
-indices. The scene stores every mesh once per distinct content,
-islands and channels included, so any mesh may be used by several
-nodes, and each block is kept for the next node that uses its mesh.
-Keeping it costs no text memory: the same string is held in the
-output's pieces until they are joined.
+indices. The block depends on the mesh's normals and indices alone, so
+a mesh's first use takes the block of an earlier mesh whose normals
+and indices bytes are equal (every channel of one point count, for
+one): that mesh already numbered each ``vn`` line it needs, so no new
+``vn`` line is due either. The scene stores every mesh once per
+distinct content, islands and channels included, so any mesh may be
+used by several nodes, and each block is kept by mesh index for the
+next node that uses its mesh. Keeping it costs no text memory: the
+same string is held in the output's pieces until they are joined.
 
 The file is written in ``_WRITE_SLICE``-character slices, so at most
 one slice is ever encoded at a time: encoding the whole text at once
@@ -104,6 +108,7 @@ def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
         chunks.append(f"mtllib {_one_line(mtl_name)}\n")
     normal_numbers: dict[str, int] = {}  # vn line -> its 1-based number
     shared_faces: dict[int, str] = {}  # by mesh index
+    faces_by_content: dict[tuple[bytes, bytes], str] = {}  # normals, indices bytes
     plans: dict[int, tuple] = {}  # by mesh index, from its second use
     for idx, node in enumerate(scene.nodes):
         if node.mesh is None:
@@ -115,17 +120,21 @@ def obj_text(scene: Scene, mtl_name: str | None = None) -> str:
         if faces is None:
             world = map(add, flat(mesh.positions).tolist(), cycle(transforms[idx]))
             chunks.append("v %.6f %.6f %.6f\n" * n % tuple(world))
-            numbers = []
-            normals = "vn %.6f %.6f %.6f\n" * n % tuple(flat(mesh.normals).tolist())
-            for line in normals.splitlines(True):
-                number = normal_numbers.get(line)
-                if number is None:
-                    number = normal_numbers[line] = len(normal_numbers) + 1
-                    chunks.append(line)
-                numbers.append(number)
-            corners = list(map("%d//%d".__mod__, zip(range(-n, 0), numbers)))
-            faces = "f %s %s %s\n" * mesh.triangle_count % tuple(
-                map(corners.__getitem__, mesh.indices.tolist()))
+            content = (mesh.normals.tobytes(), mesh.indices.tobytes())
+            faces = faces_by_content.get(content)
+            if faces is None:
+                numbers = []
+                normals = "vn %.6f %.6f %.6f\n" * n % tuple(flat(mesh.normals).tolist())
+                for line in normals.splitlines(True):
+                    number = normal_numbers.get(line)
+                    if number is None:
+                        number = normal_numbers[line] = len(normal_numbers) + 1
+                        chunks.append(line)
+                    numbers.append(number)
+                corners = list(map("%d//%d".__mod__, zip(range(-n, 0), numbers)))
+                faces = "f %s %s %s\n" * mesh.triangle_count % tuple(
+                    map(corners.__getitem__, mesh.indices.tolist()))
+                faces_by_content[content] = faces
             shared_faces[node.mesh] = faces
         elif n:  # a later use; a mesh without vertices has no v lines
             plan = plans.get(node.mesh)

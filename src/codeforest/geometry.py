@@ -41,6 +41,7 @@ node translation or mesh position that overflows raises
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -316,7 +317,8 @@ def build_channel_mesh(
     ``origin`` shifts the mesh into a parent node's local frame. A
     point within 1e-9 of the last point kept is dropped; raises
     DegenerateSegment, naming the missing point, when fewer than two
-    points remain.
+    points remain. The normals and indices depend on the number of
+    points kept alone, so every ribbon of that count shares them.
     """
     kept = list(pts[:1])
     for p in pts[1:]:
@@ -341,7 +343,6 @@ def build_channel_mesh(
     half = CHANNEL_WIDTH / 2.0
     ox, oz = origin
     verts = []
-    norms = []
     for i, (x, y, z) in enumerate(pts):
         if i == 0:
             dx, dz = seg_dirs[0]
@@ -356,15 +357,22 @@ def build_channel_mesh(
         px, pz = -dz, dx
         verts.append((x - ox - px * half, y, z - oz - pz * half))  # right
         verts.append((x - ox + px * half, y, z - oz + pz * half))  # left
-        norms.extend([(0.0, 1.0, 0.0)] * 2)
+    normals, indices = _ribbon_topology(len(pts))
+    return Mesh(_vec3(chain.from_iterable(verts)), normals, indices, MAT_WATER)
 
+
+@functools.lru_cache(maxsize=256)
+def _ribbon_topology(points: int) -> tuple[memoryview, memoryview]:
+    """Normals and indices of a ribbon along ``points`` points: both
+    depend on the count alone, so ribbons of one count share the two
+    read-only views. Each point has a right and a left vertex, every
+    normal points straight up, and each segment is two triangles."""
     tris = []
-    for i in range(len(pts) - 1):
-        r0, l0 = 2 * i, 2 * i + 1
-        r1, l1 = 2 * i + 2, 2 * i + 3
-        tris.append((r0, l0, l1))
-        tris.append((r0, l1, r1))
-    return _as_mesh(verts, norms, tris, MAT_WATER)
+    for r0 in range(0, 2 * points - 2, 2):
+        l0, r1, l1 = r0 + 1, r0 + 2, r0 + 3
+        tris += (r0, l0, l1, r0, l1, r1)
+    return (_vec3((0.0, 1.0, 0.0) * (2 * points)),
+            memoryview(array("I", tris).tobytes()).cast("I"))
 
 
 def build_tree_parts(

@@ -727,7 +727,9 @@ _GLTF_MAX_COUNT = 0xFFFFFFFF
 
 
 def gltf_doc(scene) -> dict:
-    """The glTF document as a plain dict (JSON-ready)."""
+    """The glTF document as a plain dict (JSON-ready): one accessor and
+    one view per distinct array of a role (POSITION, NORMAL or indices),
+    numbered in first-use order."""
     from codeforest.errors import SceneTooLarge
     from codeforest.geometry import bounds
 
@@ -735,18 +737,25 @@ def gltf_doc(scene) -> dict:
     buffer_views: list[dict] = []
     accessors: list[dict] = []
     meshes_json: list[dict] = []
+    seen: dict[tuple[str, bytes], int] = {}  # (role, bytes) -> accessor
 
-    def add_view(data: bytes, target: int) -> int:
-        buffer_views.append(
-            {
-                "buffer": 0,
-                "byteOffset": len(buffer),
-                "byteLength": len(data),
-                "target": target,
-            }
-        )
-        buffer.extend(data)
-        return len(buffer_views) - 1
+    def add_accessor(role: str, data: bytes, target: int, entry: dict) -> int:
+        """The accessor of ``role`` over ``data``: the one made for the
+        first equal pair, or ``entry`` with a new view of ``data``."""
+        if (role, data) not in seen:
+            seen[role, data] = len(accessors)
+            entry = {"bufferView": len(buffer_views), **entry}
+            buffer_views.append(
+                {
+                    "buffer": 0,
+                    "byteOffset": len(buffer),
+                    "byteLength": len(data),
+                    "target": target,
+                }
+            )
+            buffer.extend(data)
+            accessors.append(entry)
+        return seen[role, data]
 
     for mesh in scene.meshes:
         vertex_count = mesh.vertex_count
@@ -754,42 +763,29 @@ def gltf_doc(scene) -> dict:
         if vertex_count > _GLTF_MAX_COUNT or index_count > _GLTF_MAX_COUNT:
             raise SceneTooLarge(max(vertex_count, index_count))
         lo, hi = bounds(mesh)
-        accessors.append(
-            {
-                "bufferView": add_view(mesh.positions.tobytes(), _GLTF_ARRAY_BUFFER),
-                "componentType": _GLTF_FLOAT,
-                "count": vertex_count,
-                "type": "VEC3",
-                "min": lo,
-                "max": hi,
-            }
-        )
-        position_accessor = len(accessors) - 1
-        accessors.append(
-            {
-                "bufferView": add_view(mesh.normals.tobytes(), _GLTF_ARRAY_BUFFER),
-                "componentType": _GLTF_FLOAT,
-                "count": vertex_count,
-                "type": "VEC3",
-            }
-        )
-        accessors.append(
-            {
-                "bufferView": add_view(mesh.indices.tobytes(), _GLTF_ELEMENT_ARRAY_BUFFER),
-                "componentType": _GLTF_UNSIGNED_INT,
-                "count": index_count,
-                "type": "SCALAR",
-            }
-        )
+        position = add_accessor("POSITION", mesh.positions.tobytes(), _GLTF_ARRAY_BUFFER, {
+            "componentType": _GLTF_FLOAT,
+            "count": vertex_count,
+            "type": "VEC3",
+            "min": lo,
+            "max": hi,
+        })
+        normal = add_accessor("NORMAL", mesh.normals.tobytes(), _GLTF_ARRAY_BUFFER, {
+            "componentType": _GLTF_FLOAT,
+            "count": vertex_count,
+            "type": "VEC3",
+        })
+        indices = add_accessor("indices", mesh.indices.tobytes(), _GLTF_ELEMENT_ARRAY_BUFFER, {
+            "componentType": _GLTF_UNSIGNED_INT,
+            "count": index_count,
+            "type": "SCALAR",
+        })
         meshes_json.append(
             {
                 "primitives": [
                     {
-                        "attributes": {
-                            "POSITION": position_accessor,
-                            "NORMAL": position_accessor + 1,
-                        },
-                        "indices": position_accessor + 2,
+                        "attributes": {"POSITION": position, "NORMAL": normal},
+                        "indices": indices,
                         "material": mesh.material,
                     }
                 ]

@@ -199,6 +199,82 @@ def test_channel_origin_shift():
     assert np.allclose(shifted[:, 1], base[:, 1])
 
 
+def ribbon_by_rows(pts, origin=(0.0, 0.0)):
+    """The channel ribbon built row by row through the generic
+    ``_as_mesh``: every vertex gets its own up normal, normalised, and
+    the indices are listed per segment."""
+    kept = list(pts[:1])
+    for p in pts[1:]:
+        if sum((a - b) ** 2 for a, b in zip(p, kept[-1])) >= 1e-18:
+            kept.append(p)
+    if len(kept) < 2:
+        raise DegenerateSegment(len(kept))
+    dirs = []
+    for (x0, _, z0), (x1, _, z1) in zip(kept, kept[1:]):
+        h = math.hypot(x1 - x0, z1 - z0)
+        dirs.append(((x1 - x0) / h, (z1 - z0) / h) if h > 1e-12 else None)
+    fallback = next((d for d in dirs if d is not None), (1.0, 0.0))
+    dirs = [d or fallback for d in dirs]
+    half = CHANNEL_WIDTH / 2.0
+    verts, norms, tris = [], [], []
+    for i, (x, y, z) in enumerate(kept):
+        if i == 0 or i == len(kept) - 1:
+            dx, dz = dirs[min(i, len(dirs) - 1)]
+        else:
+            mx, mz = dirs[i - 1][0] + dirs[i][0], dirs[i - 1][1] + dirs[i][1]
+            m = math.hypot(mx, mz)
+            dx, dz = (mx / m, mz / m) if m > 1e-12 else dirs[i]
+        px, pz = -dz, dx
+        verts += [(x - origin[0] - px * half, y, z - origin[1] - pz * half),
+                  (x - origin[0] + px * half, y, z - origin[1] + pz * half)]
+        norms += [(0.0, 1.0, 0.0)] * 2
+    for i in range(len(kept) - 1):
+        tris += [(2 * i, 2 * i + 1, 2 * i + 3), (2 * i, 2 * i + 3, 2 * i + 2)]
+    return _as_mesh(verts, norms, tris, geometry.MAT_WATER)
+
+
+_RIBBON_STEP = st.one_of(
+    st.tuples(st.floats(-50, 50), st.floats(-5, 5), st.floats(-50, 50)),  # any step
+    st.tuples(st.just(0.0), st.floats(-5, 5), st.just(0.0)),  # a vertical drop
+    st.tuples(st.floats(-1e-10, 1e-10), st.floats(-1e-10, 1e-10),
+              st.floats(-1e-10, 1e-10)),  # a near-duplicate point
+    st.just((0.0, 0.0, 0.0)),  # the same point again
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.tuples(st.floats(-1e3, 1e3), st.floats(0, 10), st.floats(-1e3, 1e3)),
+       steps=st.lists(_RIBBON_STEP, min_size=1, max_size=5),
+       origin=st.sampled_from([(0.0, 0.0), (-0.0, 0.0)])
+       | st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+@example(start=(0.0, 1.0, 0.0), steps=[(0.0, -1.0, 0.0), (0.0, -0.5, 0.0)], origin=(0.0, 0.0))
+@example(start=(1.0, 1.0, 1.0), steps=[(1e-10, 0.0, -1e-10)], origin=(0.0, 0.0))
+def test_channel_ribbon_equals_the_generic_build(start, steps, origin):
+    pts = [start]
+    for step in steps:
+        pts.append(tuple(a + b for a, b in zip(pts[-1], step)))
+    pts = tuple(pts)
+    try:
+        expected = ribbon_by_rows(pts, origin)
+    except DegenerateSegment as err:
+        with pytest.raises(DegenerateSegment) as got:
+            build_channel_mesh(pts, origin)
+        assert str(got.value) == str(err)
+        return
+    mesh = build_channel_mesh(pts, origin)
+    for name in ("positions", "normals", "indices"):
+        got, want = getattr(mesh, name), getattr(expected, name)
+        assert (got.tobytes(), got.shape, got.format, got.readonly) == (
+            want.tobytes(), want.shape, want.format, want.readonly)
+    assert mesh.material == expected.material
+    # Normals and indices depend on the point count alone: every ribbon
+    # of that count holds the very same two views.
+    straight = build_channel_mesh(tuple((float(i), 0.0, 0.0)
+                                        for i in range(mesh.vertex_count // 2)))
+    assert mesh.normals is straight.normals
+    assert mesh.indices is straight.indices
+
+
 # ---------------------------------------------------------------------------
 # Mesh arrays against the numpy formula.
 

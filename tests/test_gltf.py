@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from codeforest.errors import SceneTooLarge
 from codeforest.exporters import gltf as gltf_module
 from codeforest.exporters.gltf import build_gltf, export_gltf, json_float
-from codeforest.geometry import Mesh, Scene, SceneNode, default_palette
+from codeforest.geometry import MAT_CANOPY, Mesh, Scene, SceneNode, _sphere, default_palette
 
 from conftest import CORPUS_NAMES, flat_mesh, random_scenes, scene, vec3
 from oracles import check_gltf, gltf_doc, gltf_reachable_nodes
@@ -79,27 +79,96 @@ def test_default_transform_keys_omitted():
     assert "children" not in offset
 
 
+def arrays(doc: dict) -> list[bytes]:
+    """Each accessor's bytes, read through its buffer view."""
+    prefix = "data:application/octet-stream;base64,"
+    blob = base64.b64decode(doc["buffers"][0]["uri"][len(prefix):])
+    out = []
+    for acc in doc["accessors"]:
+        view = doc["bufferViews"][acc["bufferView"]]
+        size = 4 if acc["type"] == "SCALAR" else 12
+        assert view["byteLength"] == size * acc["count"]
+        out.append(blob[view["byteOffset"]:view["byteOffset"] + view["byteLength"]])
+    return out
+
+
+def references(doc: dict) -> list[tuple[int, int, int]]:
+    """Each glTF mesh's (POSITION, NORMAL, indices) accessor numbers."""
+    refs = []
+    for entry in doc.get("meshes", []):
+        (prim,) = entry["primitives"]
+        assert list(prim["attributes"]) == ["POSITION", "NORMAL"]
+        refs.append((*prim["attributes"].values(), prim["indices"]))
+    return refs
+
+
+def check_one_accessor_per_array(built: Scene) -> None:
+    """Every mesh's arrays decode to its ``Mesh`` arrays; accessors are
+    numbered in first-use order, accessor ``k`` uses view ``k``, each
+    serves one role, and no two of one role hold equal bytes."""
+    doc = document(built)
+    if not built.meshes:
+        assert "accessors" not in doc
+        return
+    data = arrays(doc)
+    refs = references(doc)
+    assert len(refs) == len(built.meshes)
+    roles: dict[int, int] = {}
+    for mesh, row in zip(built.meshes, refs):
+        assert [data[k] for k in row] == [mesh.positions.tobytes(), mesh.normals.tobytes(),
+                                          mesh.indices.tobytes()]
+        for role, k in enumerate(row):
+            assert roles.setdefault(k, role) == role
+    assert list(roles) == list(range(len(doc["accessors"])))  # in first-use order
+    assert [acc["bufferView"] for acc in doc["accessors"]] == list(range(len(data)))
+    assert len(doc["bufferViews"]) == len(data)
+    assert len(set(zip(roles.values(), data))) == len(data)
+
+
 def test_primitive_wiring_follows_mesh_order():
+    # Each primitive refers to accessors that hold its mesh's arrays;
+    # equal arrays share one, so the calls fixture needs fewer than
+    # three accessors per mesh.
     built = scene("calls")
     doc = document(built)
-    for i, (mesh, entry) in enumerate(zip(built.meshes, doc["meshes"])):
-        (prim,) = entry["primitives"]
-        assert prim["attributes"] == {"POSITION": 3 * i, "NORMAL": 3 * i + 1}
-        assert prim["indices"] == 3 * i + 2
-        assert prim["material"] == mesh.material
+    check_one_accessor_per_array(built)
+    assert [entry["primitives"][0]["material"] for entry in doc["meshes"]] == [
+        mesh.material for mesh in built.meshes]
+    assert len(doc["accessors"]) < 3 * len(built.meshes)
 
 
 def test_position_min_max_match_float32_data():
     built = scene("two_classes")
     doc = document(built)
-    for i, mesh in enumerate(built.meshes):
-        acc = doc["accessors"][3 * i]
+    for mesh, (position, normal, indices) in zip(built.meshes, references(doc), strict=True):
+        acc = doc["accessors"][position]
         f32 = vec3(mesh.positions)
         assert acc["min"] == [float(v) for v in f32.min(axis=0)]
         assert acc["max"] == [float(v) for v in f32.max(axis=0)]
         assert acc["count"] == mesh.vertex_count
-    # index accessors carry no bounds
-    assert "min" not in doc["accessors"][2]
+        # normal and index accessors carry no bounds
+        assert "min" not in doc["accessors"][normal]
+        assert "min" not in doc["accessors"][indices]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_one_accessor_per_distinct_array_on_fixtures(name):
+    check_one_accessor_per_array(scene(name))
+
+
+def test_unit_sphere_keeps_position_and_normal_apart():
+    # A sphere of radius 1.0 has positions bitwise equal to its normals;
+    # the role keeps the NORMAL off the POSITION accessor and its bounds.
+    sphere = _sphere(1.0, 8, MAT_CANOPY)
+    assert sphere.positions.tobytes() == sphere.normals.tobytes()
+    built = Scene([SceneNode("forest", mesh=0)], [sphere], default_palette())
+    doc = document(built)
+    assert references(doc) == [(0, 1, 2)]
+    position, normal, _ = doc["accessors"]
+    assert "min" in position and "max" in position
+    assert "min" not in normal and "max" not in normal
+    check_one_accessor_per_array(built)
+    assert check_gltf(doc) == []
 
 
 def test_translucent_material_marked_blend():
@@ -174,6 +243,14 @@ def _odd_scene() -> Scene:
 @example(empty_scene())
 def test_gltf_text_equals_json_dumps(built):
     assert build_gltf(built) == json.dumps(gltf_doc(built), indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_scenes())
+@example(_odd_scene())
+@example(empty_scene())
+def test_one_accessor_per_distinct_array(built):
+    check_one_accessor_per_array(built)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

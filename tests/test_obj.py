@@ -208,10 +208,25 @@ def _line_break_scene() -> Scene:
     return built
 
 
+def _face_twins_scene() -> Scene:
+    """Meshes whose face blocks may match by content: the second has
+    the first's normals and indices at other positions, the third the
+    first's indices with other normals; the second is used twice."""
+    tri = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+    up, side = [0.0, 1.0, 0.0] * 3, [1.0, 0.0, 0.0] * 3
+    meshes = [flat_mesh(tri, up, [0, 1, 2]), flat_mesh([v + 2.0 for v in tri], up, [0, 1, 2]),
+              flat_mesh(tri, side, [0, 1, 2], material=3)]
+    nodes = [SceneNode("forest", children=[1, 2, 3, 4])]
+    nodes += [SceneNode(f"n{i}", translation=(float(i), 0.0, 0.0), mesh=m)
+              for i, m in enumerate([1, 0, 2, 1])]
+    return Scene(nodes, meshes, default_palette())
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_scenes(), st.none() | st.text(max_size=8))
 @example(_zero_triangle_scene(), "forest.mtl")
 @example(_line_break_scene(), "x\nvn 0 0 0\n.mtl")
+@example(_face_twins_scene(), None)
 def test_obj_text_equals_the_per_corner_writer(built, mtl_name):
     assert_same_geometry(built, mtl_name)
 
@@ -269,6 +284,7 @@ def _sharing_scene(mesh: Mesh, translation=(-0.0, -0.0, -0.0)) -> Scene:
 @example(_sharing_scene(_pooled_mesh([0.0, 1.5, -0.0, -0.0, 1.5, 0.0], [0, 1, 1])))
 @example(_sharing_scene(_pooled_mesh([])))
 @example(_sharing_scene(_pooled_mesh([-2.25, -0.0, 1.5]), (1e9, -1e9, -0.0)))
+@example(_face_twins_scene())
 def test_obj_text_equals_the_per_node_writer_byte_for_byte(built):
     assert obj_text(built, "forest.mtl") == obj_text_per_node(built, "forest.mtl")
 
