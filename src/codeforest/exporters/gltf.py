@@ -4,7 +4,9 @@ Produces a single self-contained ``.gltf`` JSON file: all vertex and
 index data live in one buffer embedded as a base64 data URI. Each
 scene mesh becomes one glTF mesh, and nodes that share a mesh
 reference the same glTF mesh. Its primitive refers to three arrays:
-POSITION, NORMAL and indices. Every distinct array gets one accessor,
+POSITION, NORMAL and indices. A mesh without triangles has no indices
+and is drawn as points (mode 0), since glTF forbids an empty buffer
+view and an accessor of count 0. Every distinct array gets one accessor,
 backed by its own buffer view, so accessor ``k`` uses view ``k``; the
 arrays are numbered in first-use order, keyed by their role and their
 bytes, and every later primitive with an equal array refers to the
@@ -62,11 +64,12 @@ _POSITION = _ACCESSOR + (
 _NORMAL = _ACCESSOR + ',\n      "type": "VEC3"\n    }'
 _INDICES = _ACCESSOR + ',\n      "type": "SCALAR"\n    }'
 
-_MESH = (
+_PRIMITIVE = (
     '{\n      "primitives": [\n        {\n          "attributes": {'
     '\n            "POSITION": %d,\n            "NORMAL": %d\n          },'
-    '\n          "indices": %d,\n          "material": %d\n        }\n      ]\n    }'
 )
+_MESH = _PRIMITIVE + '\n          "indices": %d,\n          "material": %d\n        }\n      ]\n    }'
+_POINTS = _PRIMITIVE + '\n          "material": %d,\n          "mode": 0\n        }\n      ]\n    }'
 
 _VIEW = (
     '{\n      "buffer": 0,\n      "byteOffset": %d,\n      "byteLength": %d,'
@@ -138,11 +141,12 @@ def build_gltf(scene: Scene) -> str:
         if vertex_count > _MAX_COUNT or index_count > _MAX_COUNT:
             raise SceneTooLarge(max(vertex_count, index_count))
         refs = []
-        for template, data, component, count, target in (
-                (_POSITION, mesh.positions.tobytes(), _FLOAT, vertex_count, _ARRAY_BUFFER),
-                (_NORMAL, mesh.normals.tobytes(), _FLOAT, vertex_count, _ARRAY_BUFFER),
-                (_INDICES, mesh.indices.tobytes(), _UNSIGNED_INT, index_count,
-                 _ELEMENT_ARRAY_BUFFER)):
+        arrays = [(_POSITION, mesh.positions.tobytes(), _FLOAT, vertex_count, _ARRAY_BUFFER),
+                  (_NORMAL, mesh.normals.tobytes(), _FLOAT, vertex_count, _ARRAY_BUFFER)]
+        if index_count:
+            arrays.append((_INDICES, mesh.indices.tobytes(), _UNSIGNED_INT, index_count,
+                           _ELEMENT_ARRAY_BUFFER))
+        for template, data, component, count, target in arrays:
             k = numbers.setdefault((template, data), len(accessors))
             refs.append(k)
             if k < len(accessors):
@@ -155,7 +159,7 @@ def build_gltf(scene: Scene) -> str:
             views.append(_VIEW % (offset, len(data), target))
             chunks.append(data)
             offset += len(data)
-        meshes.append(_MESH % (*refs, mesh.material))
+        meshes.append((_MESH if index_count else _POINTS) % (*refs, mesh.material))
 
     materials = []
     for material in scene.materials:

@@ -1,19 +1,16 @@
 """Lossless tokenizer for the supported Java subset.
 
-Every byte of the input lands in exactly one token, so concatenating
-``token.text`` over the stream reproduces the file verbatim. That
-property is what lets later stages report spans (line and byte ranges)
-without keeping a second copy of the source.
+Every character of the input lands in exactly one token, so joining the
+token texts reproduces the file verbatim. That property is what lets
+later stages report line spans without keeping a second copy of the
+source.
 
-``tokenize`` returns a read-only ``Tokens`` sequence: a table of three
-parallel lists, ``kinds``, ``texts`` and ``starts`` (character offsets),
-with one row per token, trivia included, so ``len()`` is the full token
-count. No ``Token`` or ``Span`` is built while scanning. Indexing or
-iterating builds them on demand, and ``span(i, j)`` gives the span from
-token ``i`` through token ``j``. Lines come from a per-file table of
-line starts (bisect). Byte offsets equal character offsets in an ASCII
-file; in any other file they are converted through a table of its
-non-ASCII characters, and only for the spans asked for.
+``tokenize`` returns a ``Tokens`` table of three parallel lists,
+``kinds``, ``texts`` and ``starts`` (character offsets), with one row per
+token, trivia included, so ``len()`` is the full token count.
+``span(i, j)`` gives the lines from token ``i`` through token ``j``, read
+off a per-file table of line starts (bisect). A line ends at LF, CR or
+CR LF (JLS 3.4).
 
 The scanner is one alternation regex, ``_TOKEN_PATTERN``. Its groups
 name the kinds, but ``_token_regex`` compiles it with every group made
@@ -24,7 +21,8 @@ errors). ``_token_regex`` compiles once for ASCII text and once, on
 first use, for text with non-ASCII characters. Alternatives are tried in
 order, so the first that matches at a position wins:
 
-* ``whitespace``     maximal run of blanks, tabs and newlines
+* ``whitespace``     maximal run of blanks, tabs, line ends and byte order
+                     marks (U+FEFF)
 * ``comment``        ``//`` to end of line, or ``/* ... */``
 * ``string-literal`` a text block ``\"\"\"...\"\"\"`` (Java 15), which may span
                      lines, or a double-quoted literal on one line
@@ -49,8 +47,7 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
@@ -95,12 +92,12 @@ _WORD_START = r"(?:[^\W\d]|[$EXTRA_START])"
 # ``"(?!"")`` keeps an unclosed text block from lexing as ``""`` plus a
 # string that opens at its third quote: it reaches ``open_literal``.
 _TOKEN_PATTERN = r"""
-    (?P<whitespace>[ \t\r\n\f\x0b]+)
-    | (?P<line_comment>//[^\n]*)
+    (?P<whitespace>[ \t\r\n\f\x0b\ufeff]+)
+    | (?P<line_comment>//[^\r\n]*)
     | (?P<block_comment>/\*.*?\*/)
     | (?P<text_block>\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\")
-    | (?P<string>"(?!"")(?:[^"\\\n]|\\.)*")
-    | (?P<char>'(?:[^'\\\n]|\\.)*')
+    | (?P<string>"(?!"")(?:[^"\\\r\n]|\\.)*")
+    | (?P<char>'(?:[^'\\\r\n]|\\.)*')
     | (?P<word>WORD_START[\w$EXTRA_PART]*)
     | (?P<number>[0-9][0-9a-fA-FxXlLpP._]*)
     | (?P<open_comment>/\*)
@@ -182,10 +179,11 @@ _OPEN_LITERAL = "open-literal"
 # (a literal, or a lone opener), and the fallback takes any character
 # the others do not. Where the first character leaves the kind open,
 # the whole text decides: a keyword, ``/``, ``/=``, or a lone ``/*``,
-# ``"`` or ``'``. A non-ASCII first character starts an identifier or is
-# punctuation on its own (``tokenize`` tells which).
+# ``"`` or ``'``. A byte order mark is whitespace; any other non-ASCII
+# first character starts an identifier or is punctuation on its own
+# (``tokenize`` tells which).
 _KIND_OF_FIRST = dict.fromkeys(map(chr, range(128)), KIND_PUNCTUATION)
-_KIND_OF_FIRST.update(dict.fromkeys(" \t\r\n\f\x0b", KIND_WHITESPACE))
+_KIND_OF_FIRST.update(dict.fromkeys(" \t\r\n\f\x0b\ufeff", KIND_WHITESPACE))
 _KIND_OF_FIRST.update(dict.fromkeys(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", KIND_IDENTIFIER))
 _KIND_OF_FIRST.update(dict.fromkeys("0123456789", KIND_NUMBER))
@@ -194,81 +192,50 @@ _KIND_OF_TEXT = dict.fromkeys(KEYWORDS, KIND_KEYWORD)
 _KIND_OF_TEXT.update({"/": KIND_PUNCTUATION, "/=": KIND_PUNCTUATION, "/*": _OPEN_COMMENT,
                       '"': _OPEN_LITERAL, "'": _OPEN_LITERAL})
 _first_char = itemgetter(0)
-_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(slots=True)
 class Span:
-    """Half-open byte range plus 1-based inclusive line range."""
+    """1-based inclusive line range."""
 
     file_id: str
     line_start: int
     line_end: int
-    byte_start: int
-    byte_end: int
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str
-    text: str
-    span: Span
-
-
-class Tokens(Sequence):
-    """One file's tokens as a read-only table of parallel lists.
+class Tokens:
+    """One file's tokens as a table of parallel lists.
 
     Token ``i`` has kind ``kinds[i]`` and text ``texts[i]`` and starts at
     character offset ``starts[i]``; ``starts`` ends with one more entry,
-    the length of the text. Indexing, and so iterating, builds each
-    ``Token`` and its ``Span`` on demand.
+    the length of the text.
     """
 
-    __slots__ = ("file_id", "kinds", "texts", "starts", "_line_starts", "_wide", "_extra")
+    __slots__ = ("file_id", "kinds", "texts", "starts", "_line_starts")
 
     def __init__(self, file_id: str, text: str, kinds: list[str], texts: list[str]):
         self.file_id = file_id
         self.kinds = kinds
         self.texts = texts
         self.starts = list(accumulate(map(len, texts), initial=0))
-        # The offset of each line's first character, then one past the end.
-        self._line_starts = list(
-            accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0)
-        )
-        if text.isascii():
-            self._wide = None  # a character offset is a byte offset
-        else:
-            # Offsets of the non-ASCII characters, and the bytes the first
-            # k of them add beyond one each.
-            self._wide = [m.start() for m in _NON_ASCII.finditer(text)]
-            self._extra = list(accumulate(
-                (len(text[c].encode("utf-8")) - 1 for c in self._wide), initial=0))
+        # The offset of each line's first character, then one past the
+        # end. CR LF becomes a blank and LF, a lone CR an LF: one line
+        # end each, and every offset kept.
+        lines = text.replace("\r\n", " \n").replace("\r", "\n").split("\n")
+        self._line_starts = list(accumulate(map((1).__add__, map(len, lines)), initial=0))
 
     def __len__(self) -> int:
         return len(self.texts)
 
-    def __getitem__(self, i: int) -> Token:
-        at = range(len(self.texts))[i]  # negative indices count from the end
-        return Token(self.kinds[at], self.texts[at], self.span(at, at))
-
     def span(self, i: int, j: int) -> Span:
-        """The span from the start of token ``i`` to the end of token ``j``.
+        """The lines from the start of token ``i`` to the end of token ``j``.
 
         A token's last line is that of its last character, so a trailing
-        newline does not carry it onto the next line.
+        line end does not carry it onto the next line.
         """
-        start = self.starts[i]
-        end = self.starts[j + 1]
         lines = self._line_starts
-        wide = self._wide
-        if wide is None:
-            byte_start, byte_end = start, end
-        else:
-            extra = self._extra
-            byte_start = start + extra[bisect_left(wide, start)]
-            byte_end = end + extra[bisect_left(wide, end)]
-        return Span(self.file_id, bisect_right(lines, start),
-                    bisect_right(lines, end - 1), byte_start, byte_end)
+        return Span(self.file_id, bisect_right(lines, self.starts[i]),
+                    bisect_right(lines, self.starts[j + 1] - 1))
 
 
 def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
@@ -293,7 +260,6 @@ def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
     errors = [kinds.index(k) for k in (_OPEN_COMMENT, _OPEN_LITERAL) if k in kinds]
     if errors:
         at = min(errors)
-        span = tokens.span(at, at)
-        span.byte_end = span.byte_start
-        raise (UnterminatedComment if kinds[at] == _OPEN_COMMENT else UnterminatedLiteral)(span)
+        raise (UnterminatedComment if kinds[at] == _OPEN_COMMENT else UnterminatedLiteral)(
+            tokens.span(at, at))
     return tokens

@@ -359,6 +359,7 @@ def check_gltf(doc: dict) -> list[str]:
     for i, view in enumerate(views):
         end = view.get("byteOffset", 0) + view.get("byteLength", 0)
         need(end <= len(blob), f"bufferView {i} overruns the buffer")
+        need(view.get("byteLength", 0) >= 1, f"bufferView {i} is empty")
         need(view.get("buffer") == 0, f"bufferView {i} buffer != 0")
 
     def accessor_bytes(acc_index: int) -> bytes:
@@ -372,6 +373,7 @@ def check_gltf(doc: dict) -> list[str]:
         need(acc["componentType"] in _COMP_SIZE, f"accessor {i} component type")
         need(acc["type"] in _TYPE_ARITY, f"accessor {i} element type")
         need(0 <= acc["bufferView"] < len(views), f"accessor {i} view index")
+        need(acc["count"] >= 1, f"accessor {i} count < 1")
         size = _COMP_SIZE[acc["componentType"]] * _TYPE_ARITY[acc["type"]]
         view = views[acc["bufferView"]]
         need(
@@ -382,22 +384,20 @@ def check_gltf(doc: dict) -> list[str]:
     for mi, mesh in enumerate(meshes):
         for prim in mesh.get("primitives", []):
             attrs = prim.get("attributes", {})
-            if not need(
-                "POSITION" in attrs and "NORMAL" in attrs and "indices" in prim,
-                f"mesh {mi} primitive missing POSITION/NORMAL/indices",
-            ):
+            if not need("POSITION" in attrs and "NORMAL" in attrs,
+                        f"mesh {mi} primitive missing POSITION/NORMAL"):
                 continue
+            # Indexed TRIANGLES (mode 4, the default), or POINTS (mode 0)
+            # for a mesh without triangles.
+            need((prim.get("mode", 4), "indices" in prim) in ((4, True), (0, False)),
+                 f"mesh {mi} is neither indexed triangles nor unindexed points")
             pos = accessors[attrs["POSITION"]]
             norm = accessors[attrs["NORMAL"]]
-            idx = accessors[prim["indices"]]
             need(pos["type"] == "VEC3" and pos["componentType"] == 5126,
                  f"mesh {mi} POSITION must be float VEC3")
             need(norm["type"] == "VEC3" and norm["componentType"] == 5126,
                  f"mesh {mi} NORMAL must be float VEC3")
-            need(idx["type"] == "SCALAR" and idx["componentType"] == 5125,
-                 f"mesh {mi} indices must be uint32 SCALAR")
             need(norm["count"] == pos["count"], f"mesh {mi} normal count")
-            need(idx["count"] % 3 == 0, f"mesh {mi} index count not /3")
             if "material" in prim:
                 need(0 <= prim["material"] < len(materials),
                      f"mesh {mi} material out of range")
@@ -408,6 +408,12 @@ def check_gltf(doc: dict) -> list[str]:
             need(list(pos.get("min")) == lo, f"mesh {mi} POSITION min not exact")
             need(list(pos.get("max")) == hi, f"mesh {mi} POSITION max not exact")
 
+            if "indices" not in prim:
+                continue
+            idx = accessors[prim["indices"]]
+            need(idx["type"] == "SCALAR" and idx["componentType"] == 5125,
+                 f"mesh {mi} indices must be uint32 SCALAR")
+            need(idx["count"] % 3 == 0, f"mesh {mi} index count not /3")
             indices = struct.unpack(f"<{idx['count']}I", accessor_bytes(prim["indices"]))
             if indices:
                 need(max(indices) < pos["count"], f"mesh {mi} index out of range")
@@ -657,9 +663,10 @@ def file_class_loc(text: str) -> list[int]:
     return locs
 
 
-# The object-building tokenizer loop: one ``Token`` and ``Span`` per
-# match of the scanner's named-group form, its kind from the name of
-# the group that matched, lines and bytes counted as it goes.
+# The reference tokenizer loop: one ``(kind, text, line_start,
+# line_end)`` row per match of the scanner's named-group form, its kind
+# from the name of the group that matched, lines counted as it goes. A
+# line ends at LF, CR or CR LF (JLS 3.4).
 _KIND_OF_GROUP = {
     "whitespace": "whitespace",
     "line_comment": "comment",
@@ -670,17 +677,15 @@ _KIND_OF_GROUP = {
     "number": "number-literal",
     "punctuation": "punctuation",
 }
-# Only these groups can hold a newline (an escaped one, in literals).
-_MULTILINE_GROUPS = frozenset(
-    ("whitespace", "block_comment", "text_block", "string", "char")
-)
+LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
-    """``lexer.tokenize`` as a list of ``Token``, built one match at a time."""
+    """``lexer.tokenize`` as a list of ``(kind, text, line_start, line_end)``,
+    built one match at a time."""
     from codeforest import lexer
     from codeforest.errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
-    from codeforest.lexer import Span, Token
+    from codeforest.lexer import Span
 
     try:
         text = source.decode("utf-8")
@@ -690,26 +695,22 @@ def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
     regex = re.compile(lexer._pattern(ascii_only), lexer._FLAGS)
     tokens = []
     line = 1
-    byte = 0
     for m in regex.finditer(text):
         group = m.lastgroup
         chunk = m.group()
-        end = byte + len(chunk.encode("utf-8"))
         if group == "word":
             kind = "keyword" if chunk in JAVA_KEYWORDS else "identifier"
         elif group == "open_comment":
-            raise UnterminatedComment(Span(file_id, line, line, byte, byte))
+            raise UnterminatedComment(Span(file_id, line, line))
         elif group == "open_literal":
-            raise UnterminatedLiteral(Span(file_id, line, line, byte, byte))
+            raise UnterminatedLiteral(Span(file_id, line, line))
         else:
             kind = _KIND_OF_GROUP[group]
         first = line
-        if group in _MULTILINE_GROUPS and "\n" in chunk:
-            line += chunk.count("\n")
-        # A trailing newline sits on the line it terminates.
-        last = line - (line > first and chunk[-1] == "\n")
-        tokens.append(Token(kind, chunk, Span(file_id, first, last, byte, end)))
-        byte = end
+        line += len(LINE_END.findall(chunk))
+        # A trailing line end sits on the line it terminates.
+        last = line - (line > first and chunk[-1] in "\r\n")
+        tokens.append((kind, chunk, first, last))
     return tokens
 
 
@@ -729,7 +730,8 @@ _GLTF_MAX_COUNT = 0xFFFFFFFF
 def gltf_doc(scene) -> dict:
     """The glTF document as a plain dict (JSON-ready): one accessor and
     one view per distinct array of a role (POSITION, NORMAL or indices),
-    numbered in first-use order."""
+    numbered in first-use order. A mesh without triangles is POINTS
+    (mode 0) without indices."""
     from codeforest.errors import SceneTooLarge
     from codeforest.geometry import bounds
 
@@ -775,22 +777,18 @@ def gltf_doc(scene) -> dict:
             "count": vertex_count,
             "type": "VEC3",
         })
-        indices = add_accessor("indices", mesh.indices.tobytes(), _GLTF_ELEMENT_ARRAY_BUFFER, {
-            "componentType": _GLTF_UNSIGNED_INT,
-            "count": index_count,
-            "type": "SCALAR",
-        })
-        meshes_json.append(
-            {
-                "primitives": [
-                    {
-                        "attributes": {"POSITION": position, "NORMAL": normal},
-                        "indices": indices,
-                        "material": mesh.material,
-                    }
-                ]
-            }
-        )
+        primitive: dict = {"attributes": {"POSITION": position, "NORMAL": normal}}
+        if index_count:
+            primitive["indices"] = add_accessor(
+                "indices", mesh.indices.tobytes(), _GLTF_ELEMENT_ARRAY_BUFFER, {
+                    "componentType": _GLTF_UNSIGNED_INT,
+                    "count": index_count,
+                    "type": "SCALAR",
+                })
+            primitive["material"] = mesh.material
+        else:
+            primitive.update(material=mesh.material, mode=0)
+        meshes_json.append({"primitives": [primitive]})
 
     nodes_json = []
     for node in scene.nodes:

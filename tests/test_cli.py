@@ -386,6 +386,19 @@ def test_empty_corpus_warns_but_succeeds(tmp_path, capsys):
     assert out.err.startswith("warning:")
 
 
+def test_byte_order_marks_keep_each_file_in_its_package(tmp_path, capsys):
+    # Read as punctuation, a leading BOM hid both package lines, and the
+    # two classes clashed in the default package.
+    for package in ("a", "b"):
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "Util.java").write_bytes(
+            f"\ufeffpackage {package};\nclass Util {{ void run() {{ }} }}\n".encode())
+    assert main(["analyze", str(tmp_path)]) == 0
+    out = capsys.readouterr()
+    assert out.out == "classes=2 methods=2 loc=2 inheritance=0\n"
+    assert out.err == ""
+
+
 def test_parse_failure_warns_and_continues(tmp_path, capsys):
     root = tmp_path / "src"
     root.mkdir()

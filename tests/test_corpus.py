@@ -12,6 +12,7 @@ from codeforest import errors, parser
 from codeforest.errors import CodeforestError, RootNotFound
 from codeforest.lexer import tokenize
 from codeforest.parser import parse_corpus, parse_unit
+from codeforest.pipeline import analyze
 from conftest import FIXTURES, write_deep_corpus
 
 
@@ -203,6 +204,51 @@ def test_unclosed_text_block_is_a_failure(tmp_path):
     assert result.units == []
     ((path, message),) = result.failures
     assert path == "Doc.java" and message.startswith("UnterminatedLiteral: Doc.java:1:")
+
+
+# A file with LF line ends; its twins end lines with CR LF or a lone CR
+# (both line terminators in JLS 3.4), or start with a byte order mark.
+_LF_TWIN = (
+    "// header\n"
+    "package p;\n"
+    "class A extends B { // x\n"
+    '    String s = "a";\n'
+    "    void m() { run(); b.go(); }\n"
+    "}\n"
+    "class B {\n"
+    "    void run() { }\n"
+    "}\n"
+)
+
+
+def _summary(info):
+    """Names, packages, loc, methods with their call sites, and the edges."""
+    model = info.model
+    classes = [
+        (model.qualified_name(i), cls.package_name, metrics.loc,
+         [(m.name, m.call_sites) for m in cls.methods])
+        for i, (cls, metrics) in enumerate(zip(model.classes, info.class_metrics))
+    ]
+    return classes, model.inheritance_edges, model.call_edges
+
+
+@pytest.mark.parametrize("twin", [
+    _LF_TWIN.replace("\n", "\r\n"),
+    _LF_TWIN.replace("\n", "\r"),
+    "\ufeff" + _LF_TWIN,
+    "\ufeff" + _LF_TWIN.replace("\n", "\r"),
+], ids=["cr-lf", "cr", "bom", "bom-cr"])
+def test_line_ends_and_a_byte_order_mark_analyze_as_their_lf_twin(tmp_path, twin):
+    for name, text in (("lf", _LF_TWIN), ("twin", twin)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "A.java").write_bytes(text.encode())
+    expected = analyze(tmp_path / "lf")
+    got = analyze(tmp_path / "twin")
+    assert got.failures == expected.failures == []
+    assert _summary(got) == _summary(expected)
+    classes, inheritance, calls = _summary(expected)
+    assert [(name, loc) for name, _, loc, _ in classes] == [("p.A", 4), ("p.B", 3)]
+    assert len(inheritance) == 1 and len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -92,21 +92,25 @@ def arrays(doc: dict) -> list[bytes]:
     return out
 
 
-def references(doc: dict) -> list[tuple[int, int, int]]:
-    """Each glTF mesh's (POSITION, NORMAL, indices) accessor numbers."""
+def references(doc: dict) -> list[tuple[int, int, int | None]]:
+    """Each glTF mesh's (POSITION, NORMAL, indices) accessor numbers;
+    indices is None for a mesh of points."""
     refs = []
     for entry in doc.get("meshes", []):
         (prim,) = entry["primitives"]
         assert list(prim["attributes"]) == ["POSITION", "NORMAL"]
-        refs.append((*prim["attributes"].values(), prim["indices"]))
+        assert ("indices" in prim) != (prim.get("mode") == 0)
+        refs.append((*prim["attributes"].values(), prim.get("indices")))
     return refs
 
 
 def check_one_accessor_per_array(built: Scene) -> None:
-    """Every mesh's arrays decode to its ``Mesh`` arrays; accessors are
-    numbered in first-use order, accessor ``k`` uses view ``k``, each
-    serves one role, and no two of one role hold equal bytes."""
+    """Every mesh's arrays decode to its ``Mesh`` arrays, and a mesh
+    without triangles has no indices; accessors are numbered in
+    first-use order, accessor ``k`` uses view ``k``, each serves one
+    role, and no two of one role hold equal bytes."""
     doc = document(built)
+    assert check_gltf(doc) == []
     if not built.meshes:
         assert "accessors" not in doc
         return
@@ -115,10 +119,10 @@ def check_one_accessor_per_array(built: Scene) -> None:
     assert len(refs) == len(built.meshes)
     roles: dict[int, int] = {}
     for mesh, row in zip(built.meshes, refs):
-        assert [data[k] for k in row] == [mesh.positions.tobytes(), mesh.normals.tobytes(),
-                                          mesh.indices.tobytes()]
+        assert [b"" if k is None else data[k] for k in row] == [
+            mesh.positions.tobytes(), mesh.normals.tobytes(), mesh.indices.tobytes()]
         for role, k in enumerate(row):
-            assert roles.setdefault(k, role) == role
+            assert k is None or roles.setdefault(k, role) == role
     assert list(roles) == list(range(len(doc["accessors"])))  # in first-use order
     assert [acc["bufferView"] for acc in doc["accessors"]] == list(range(len(data)))
     assert len(doc["bufferViews"]) == len(data)
@@ -154,6 +158,15 @@ def test_position_min_max_match_float32_data():
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_one_accessor_per_distinct_array_on_fixtures(name):
     check_one_accessor_per_array(scene(name))
+
+
+def test_a_mesh_without_triangles_is_points_without_indices():
+    # glTF forbids a buffer view of 0 bytes and an accessor of count 0.
+    built = _odd_scene()
+    doc = document(built)
+    assert check_gltf(doc) == []
+    assert doc["meshes"][1] == {"primitives": [
+        {"attributes": {"POSITION": 3, "NORMAL": 4}, "material": 3, "mode": 0}]}
 
 
 def test_unit_sphere_keeps_position_and_normal_apart():

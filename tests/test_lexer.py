@@ -1,5 +1,7 @@
 """Tokenizer behaviour: lossless coverage, classification, error spans."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,8 @@ from conftest import FIXTURES
 
 
 def kinds_and_texts(source: str):
-    return [(t.kind, t.text) for t in tokenize(source.encode())]
+    tokens = tokenize(source.encode())
+    return list(zip(tokens.kinds, tokens.texts))
 
 
 def test_simple_declaration_kinds():
@@ -52,36 +55,35 @@ def test_simple_declaration_kinds():
         "/* multi\nline */ char c = '\\n';\n\tint k=0x1F;",
         "a >>>= b >>> c >> d > e;",
         "x\r\nและ = 1;",  # non-ascii identifier bytes stay intact
+        "\ufeffclass A {\r// c\r}\r",
     ],
 )
 def test_concatenation_reproduces_source(source):
     tokens = tokenize(source.encode())
-    assert "".join(t.text for t in tokens) == source
+    assert "".join(tokens.texts) == source
 
 
 def test_fixture_files_tokenize_losslessly():
     for path in sorted(FIXTURES.rglob("*.java")):
         data = path.read_bytes()
         tokens = tokenize(data, str(path))
-        assert "".join(t.text for t in tokens).encode() == data
+        assert "".join(tokens.texts).encode() == data
 
 
 def test_maximal_munch_operators():
-    texts = [t.text for t in tokenize(b"a>>>=b") if t.kind == KIND_PUNCTUATION]
+    texts = [t for k, t in kinds_and_texts("a>>>=b") if k == KIND_PUNCTUATION]
     assert texts == [">>>="]
-    texts = [t.text for t in tokenize(b"a==b!=c<=d") if t.kind == KIND_PUNCTUATION]
+    texts = [t for k, t in kinds_and_texts("a==b!=c<=d") if k == KIND_PUNCTUATION]
     assert texts == ["==", "!=", "<="]
 
 
 def test_value_words_are_keywords():
     for word in ("this", "super", "true", "false", "null", "new"):
-        (tok,) = tokenize(word.encode())
-        assert tok.kind == KIND_KEYWORD
+        assert kinds_and_texts(word) == [(KIND_KEYWORD, word)]
 
 
 def test_identifier_with_dollar_and_underscore():
-    (tok,) = tokenize(b"$_name9")
-    assert tok.kind == KIND_IDENTIFIER
+    assert kinds_and_texts("$_name9") == [(KIND_IDENTIFIER, "$_name9")]
 
 
 def test_string_and_char_literals():
@@ -162,22 +164,20 @@ def test_text_block_is_one_string_literal():
     toks = kinds_and_texts(f"s = {block};\nint y;")
     assert toks[4] == (KIND_STRING, block)
     assert toks[5] == (KIND_PUNCTUATION, ";")
-    (y,) = [t for t in tokenize(f"s = {block};\nint y;".encode()) if t.text == "y"]
-    assert y.span.line_start == 6
+    tokens = tokenize(f"s = {block};\nint y;".encode())
+    y = tokens.texts.index("y")
+    assert tokens.span(y, y) == Span("<memory>", 6, 6)
 
 
 def test_unclosed_text_block_raises():
     with pytest.raises(UnterminatedLiteral) as err:
         tokenize(b'int a;\nString s = """\n  never closed "" \\"""\n;')
-    assert err.value.span.line_start == 2
-    assert err.value.span.byte_start == len(b'int a;\nString s = ')
+    assert err.value.span == Span("<memory>", 2, 2)
 
 
 def test_tolerant_numbers():
     for text in ("0x1F", "1.5e3f", "1_000", "2L", ".5d"):
-        source = f"a={text};".encode()
-        kinds = [t.kind for t in tokenize(source)]
-        assert KIND_NUMBER in kinds, text
+        assert KIND_NUMBER in tokenize(f"a={text};".encode()).kinds, text
 
 
 def test_comment_kinds():
@@ -186,21 +186,57 @@ def test_comment_kinds():
     assert toks[-1] == (KIND_COMMENT, "/* block */")
 
 
+def _lines(tokens) -> list[tuple[str, int, int]]:
+    """Each token's text with its first and last line."""
+    spans = map(tokens.span, range(len(tokens)), range(len(tokens)))
+    return [(text, s.line_start, s.line_end) for text, s in zip(tokens.texts, spans)]
+
+
 def test_line_numbers():
     tokens = tokenize(b"a\nbb\n\nccc")
-    lines = {t.text: t.span.line_start for t in tokens if t.kind == KIND_IDENTIFIER}
+    lines = {t: first for t, first, _ in _lines(tokens) if t.isalpha()}
     assert lines == {"a": 1, "bb": 2, "ccc": 4}
 
 
-def test_byte_ranges_are_contiguous_and_half_open():
-    data = 'int \u00e9 = "x";'.encode()
-    tokens = tokenize(data)
-    at = 0
-    for t in tokens:
-        assert t.span.byte_start == at
-        at = t.span.byte_end
-        assert data[t.span.byte_start : t.span.byte_end].decode() == t.text
-    assert at == len(data)
+def test_cr_lf_and_a_lone_cr_each_end_one_line():
+    # JLS 3.4: LF, CR and CR LF are line terminators; LF CR is two.
+    tokens = tokenize("a\r\nbb\rc /* \r\r\n */ d\n\r\u00e9".encode())
+    assert _lines(tokens) == [
+        ("a", 1, 1), ("\r\n", 1, 1), ("bb", 2, 2), ("\r", 2, 2), ("c", 3, 3),
+        (" ", 3, 3), ("/* \r\r\n */", 3, 5), (" ", 5, 5), ("d", 5, 5),
+        ("\n\r", 5, 6), ("\u00e9", 7, 7),
+    ]
+
+
+def test_a_line_comment_stops_at_a_lone_cr():
+    assert kinds_and_texts("// header\rpackage p;") == [
+        (KIND_COMMENT, "// header"),
+        (KIND_WHITESPACE, "\r"),
+        (KIND_KEYWORD, "package"),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "p"),
+        (KIND_PUNCTUATION, ";"),
+    ]
+
+
+@pytest.mark.parametrize("source", [b'x = "a\rb";', b"c = '\r';"])
+def test_a_raw_cr_in_a_literal_raises(source):
+    with pytest.raises(UnterminatedLiteral) as err:
+        tokenize(source)
+    assert err.value.span == Span("<memory>", 1, 1)
+
+
+def test_a_byte_order_mark_is_whitespace():
+    assert kinds_and_texts("\ufeffpackage p; a\ufeffb") == [
+        (KIND_WHITESPACE, "\ufeff"),
+        (KIND_KEYWORD, "package"),
+        (KIND_WHITESPACE, " "),
+        (KIND_IDENTIFIER, "p"),
+        (KIND_PUNCTUATION, ";"),
+        (KIND_WHITESPACE, " "),
+        # Inside a name it is an ignorable part (Cf), so the name stays whole.
+        (KIND_IDENTIFIER, "a\ufeffb"),
+    ]
 
 
 def test_unterminated_string_raises():
@@ -232,13 +268,14 @@ def test_non_utf8_input_reports_offset():
 # Whole literals and comments keep most inputs valid; the lone openers
 # reach the error paths.
 _PIECES = st.sampled_from(
-    [" ", "\t", "\r\n", "\n", "/", "*", "a", "x1", "int", "_$", "0x1F",
+    [" ", "\t", "\r\n", "\r", "\n", "\ufeff", "/", "*", "a", "x1", "int", "_$", "0x1F",
      "1.5e3f", ".", ">>>=", "->", "::", "=", "{", "}", ";", "é", "größe",
      "中", "\u00a0", "²", "\u0301", "\u200d", "\x00", "€", "‿",
      '"a\\"b"', '"\\\n"', "'\\''", "'\\\n'",
      '"""\n "" \\""" é\n"""', "/* a\n é */", "// c é", '"', '"""', "'", "/*",
      "\\"]
 )
+_LINE_END = re.compile(rb"\r\n|\r|\n")
 _SOURCES = st.one_of(
     st.binary(max_size=64),
     st.text(max_size=64).map(str.encode),
@@ -253,20 +290,19 @@ def test_tokenize_is_lossless_or_raises(data):
         tokens = tokenize(data)
     except CodeforestError:
         return
-    assert "".join(t.text for t in tokens).encode() == data
+    assert "".join(tokens.texts).encode() == data
     at = 0
-    for t in tokens:
-        assert t.span.byte_start == at < t.span.byte_end
-        at = t.span.byte_end
-        assert data[t.span.byte_start : at] == t.text.encode()
-        assert t.span.line_start == data[: t.span.byte_start].count(b"\n") + 1
-        assert t.span.line_end == t.span.line_start + t.text[:-1].count("\n")
+    for text, first, last in _lines(tokens):
+        assert text and first == len(_LINE_END.findall(data[:at])) + 1
+        at += len(text.encode())
+        # A trailing line end sits on the line it terminates.
+        assert last == len(_LINE_END.findall(data[:at])) + 1 - (data[at - 1] in b"\r\n")
     assert at == len(data)
 
 
 def _same_as_the_loop(data: bytes) -> None:
-    """``tokenize`` equals the object-building loop, token for token, or
-    both raise the same error type with the same span."""
+    """``tokenize`` equals the reference loop row by row (kind, text and
+    lines), or both raise the same error type with the same span."""
     try:
         expected = oracles.tokenize_by_loop(data, "<diff>")
     except CodeforestError as exc:
@@ -277,8 +313,7 @@ def _same_as_the_loop(data: bytes) -> None:
         return
     tokens = tokenize(data, "<diff>")
     assert len(tokens) == len(expected)
-    assert list(tokens) == expected
-    assert [tokens[i] for i in range(-len(tokens), 0)] == expected
+    assert [(k, *row) for k, row in zip(tokens.kinds, _lines(tokens))] == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -292,7 +327,7 @@ def test_tokenize_matches_the_object_building_loop(data):
 @pytest.mark.parametrize("source", [
     "a /= b / c // d\n/**/ e /* f */", "x = ''; y = '\\''", 'p("", """\n""")',
     "/*", 'a "', "b '", "@x #y `z \\", "$a _b 9c .5 \x00d \x7f",
-    "\u00a0é² ٣ \u0301x ⁀€", "\t\f\x0b\r\n",
+    "\u00a0é² ٣ \u0301x ⁀€", "\t\f\x0b\r\n", "\ufeffa // b\rc\r\n\n\rd\ufeffe \ufeff",
 ])
 def test_edge_tokens_match_the_object_building_loop(source):
     _same_as_the_loop(source.encode())
@@ -306,6 +341,7 @@ def test_fixture_tokens_match_the_object_building_loop(path):
 
 
 def test_span_joins_tokens():
-    tokens = tokenize("é = 1;\nint y;".encode(), "f")
-    assert tokens.span(0, len(tokens) - 1) == Span("f", 1, 2, 0, 14)
-    assert tokens.span(2, 2) == tokens[2].span == Span("f", 1, 1, 3, 4)
+    tokens = tokenize("é = 1;\nint y;\r\n".encode(), "f")
+    assert tokens.span(0, len(tokens) - 1) == Span("f", 1, 2)
+    assert tokens.span(2, 7) == Span("f", 1, 2)
+    assert tokens.span(2, 2) == Span("f", 1, 1)

@@ -486,12 +486,12 @@ _MODIFIER_RUNS = st.tuples(
 @given(modifiers=_MODIFIER_RUNS,
        declaration=st.sampled_from(["class N {}", "interface N {}", "record N() {}"]))
 def test_a_type_declaration_after_any_run_of_modifiers_is_modelled(modifiers, declaration):
-    text = " ".join([*modifiers, declaration])
+    # One word a line, so the span's first line is the first modifier's.
+    text = "\n".join([*modifiers, declaration])
     (top,) = parse(text)
-    assert top.name == "N" and top.span.byte_start == 0
-    outer = "class O { "
-    o, nested = parse(outer + text + " }")
-    assert nested.name == "O.N" and nested.span.byte_start == len(outer)
+    assert top.name == "N" and (top.span.line_start, top.span.line_end) == (1, len(modifiers) + 1)
+    o, nested = parse("class O {\n" + text + " }")
+    assert nested.name == "O.N" and nested.span.line_start == 2
     assert o.fields == [] and o.methods == []
 
 
@@ -623,23 +623,7 @@ def test_class_header_at_end_of_file_raises():
 
 
 # ---------------------------------------------------------------------------
-# The parse path builds no token objects and a span only per class, and
-# its spans count bytes.
-
-def test_parse_corpus_builds_no_token(monkeypatch):
-    built = []
-
-    class CountingToken:
-        def __init__(self, *fields):
-            built.append(fields)
-
-    monkeypatch.setattr(lexer, "Token", CountingToken)
-    result = parse_corpus(FIXTURES / "jfreechart_annotations")
-    assert len(result.units) == 15 and not result.failures
-    assert built == []
-    list(tokenize(b"int x;"))  # the counter does see tokens built on demand
-    assert len(built) == 4
-
+# The parse path builds a span only per class, and its spans count lines.
 
 def test_parse_corpus_builds_one_span_per_class(monkeypatch):
     # Members and call sites carry no span; only a class (for its line
@@ -658,7 +642,7 @@ def test_parse_corpus_builds_one_span_per_class(monkeypatch):
     assert len(built) == classes
 
 
-def test_spans_count_bytes_after_non_ascii_text():
+def test_spans_count_lines_after_non_ascii_text():
     data = (
         "// é\n"
         "package p; /* é */\n"
@@ -668,7 +652,6 @@ def test_spans_count_bytes_after_non_ascii_text():
     ).encode()
     (cls,) = parse_unit(tokenize(data, "f"))
     assert cls.name == "Café"
-    assert (cls.span.byte_start, cls.span.byte_end) == (data.index(b"class"), len(data) - 1)
     assert (cls.span.line_start, cls.span.line_end) == (3, 5)
 
 

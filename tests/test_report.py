@@ -211,7 +211,7 @@ def random_infos(draw) -> CorpusInfo:
                                   False, "", set(), set(), [])
                        for _ in range(draw(st.integers(0, 4)))]
             classes.append(ClassDecl(draw(texts(1, 6)), name, None, [], methods,
-                                     Span("<memory>", 1, 1, 0, 0)))
+                                     Span("<memory>", 1, 1)))
     model = CodeModel(packages, classes, package_of)
     if classes:
         class_ids = st.integers(0, len(classes) - 1)
