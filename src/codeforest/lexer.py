@@ -1,9 +1,11 @@
 """Lossless tokenizer for the supported Java subset.
 
-Every character of the input lands in exactly one token, so joining the
-token texts reproduces the file verbatim. That property is what lets
-later stages report line spans without keeping a second copy of the
-source.
+Unicode escapes (``\\u0041``, JLS 3.3) are translated first, as Java
+does before it reads line ends or tokens. Every character of the
+translated text then lands in exactly one token, so joining the token
+texts reproduces it verbatim, and a file without escapes verbatim. That
+property is what lets later stages report line spans without keeping a
+second copy of the source.
 
 ``tokenize`` returns a ``Tokens`` table of three parallel lists,
 ``kinds``, ``texts`` and ``starts`` (character offsets), with one row per
@@ -169,6 +171,10 @@ def _word_start() -> re.Pattern:
     return re.compile(_pattern(False, _WORD_START))
 
 
+# A Unicode escape (JLS 3.3): a backslash after an even run of them (the
+# run is kept), one or more ``u``, then four hex digits.
+_UNICODE_ESCAPE = re.compile(r"(?<!\\)((?:\\\\)*)\\u+([0-9a-fA-F]{4})")
+
 # Kinds that are errors, not tokens: ``tokenize`` raises at the first.
 _OPEN_COMMENT = "open-comment"
 _OPEN_LITERAL = "open-literal"
@@ -239,7 +245,7 @@ class Tokens:
 
 
 def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
-    """Split ``source`` into a lossless token table.
+    """Split ``source``, Unicode escapes translated, into a lossless token table.
 
     Raises NonUtf8Input, UnterminatedLiteral or UnterminatedComment.
     """
@@ -247,6 +253,11 @@ def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
         text = source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise NonUtf8Input(exc.start, file_id) from None
+    if "\\u" in text:
+        # Escapes come before line ends (JLS 3.4), so ``\\u000a`` is one. An
+        # escaped surrogate pair is one code point, as Java reads UTF-16.
+        text = _UNICODE_ESCAPE.sub(lambda m: m[1] + chr(int(m[2], 16)), text).encode(
+            "utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
     ascii_only = text.isascii()
     texts = _token_regex(ascii_only).findall(text)

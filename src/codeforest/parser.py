@@ -7,8 +7,11 @@ pulls out the structure later stages care about:
 * class, interface and record declarations, nested ones flattened to
   ``Outer.Inner`` names (record components become fields),
 * field declarations (name plus declared type as written),
-* method and constructor declarations,
+* method and constructor declarations, a record's compact constructor
+  (``P { check(x); }``) among them,
 * per-body field reads, field writes and call sites.
+
+Unicode escapes are translated by ``tokenize``: ``class A\\u0042`` is ``AB``.
 
 One loop, ``parse_members``, reads the declarations of every level
 alike from one stack of open bodies, so any nesting depth parses: the
@@ -28,9 +31,10 @@ a body, ``name(`` is a call site unless it is a declaration header,
 that is its ``)`` is followed by ``{``, ``throws`` or ``implements``
 (a method of an anonymous or local class, a local constructor or
 record, an anonymous class ``new a.Foo(...) { ... }``), or the word
-before ``name`` blocks it: ``new`` (a construction), and ``void`` or a
-primitive type (a bodiless method of a local interface). ``return g()``
-is a call.
+before ``name`` blocks it: ``new`` (a construction), and ``void``, a
+primitive type or the ``>`` that closes a generic return type (a
+bodiless method of a local interface, ``List<String> all();``).
+``return g()`` is a call.
 
 Everything else (imports, annotations, generics, enum bodies, code the
 subset does not model) is consumed and dropped. The parser never guesses
@@ -83,9 +87,17 @@ _MODIFIERS = frozenset(
     transient volatile strictfp default""".split()
 )
 
+_PRIMITIVES = frozenset("boolean byte char short int long float double".split())
 # Tokens after which ``name(`` is no call (see ``scan_body``): ``new`` and
 # the ends of a return type. ``return`` is none of them: ``return g()`` calls.
-_CALL_BLOCKING_WORDS = frozenset("new void boolean byte char short int long float double ]".split())
+_CALL_BLOCKING_WORDS = frozenset(("new", "void", "]")) | _PRIMITIVES
+
+# How many ``<`` each closer of type arguments closes; the other tokens,
+# identifiers aside, that type arguments hold (``Map<? extends K, int[]>``);
+# and the tokens before a member's type: ``;``, ``{``, ``}`` or a modifier.
+_TYPE_ARGUMENT_ENDS = {">": 1, ">>": 2, ">>>": 3}
+_TYPE_ARGUMENT_WORDS = frozenset(", . ? & @ [ ] extends super".split()) | _PRIMITIVES
+_MEMBER_STARTS = frozenset((";", "{", "}")) | _MODIFIERS
 
 # Tokens after the ``)`` of ``name(...)`` that make it a declaration
 # header rather than a call.
@@ -360,7 +372,9 @@ class _Parser:
         ``start`` on, append its ``ClassDecl`` to ``out`` and return its
         body's frame: the prefix of the names nested in it, the index of
         its ``}``, its fields (record components first), methods and
-        method bodies, and the ``ClassDecl``. The cursor is left in the body.
+        method bodies, the ``ClassDecl``, and for a record the name and
+        ``has_params`` of its compact constructor. The cursor is left in
+        the body.
         """
         texts = self.texts
         kw = self.pos  # "class", "interface" or "record"
@@ -373,7 +387,9 @@ class _Parser:
         if self.at("<"):
             self.take_generics()
         fields: list[FieldDecl] = []
+        compact = None  # (name, has_params) of a record's compact constructor
         if texts[kw] == "record" and self.at("("):
+            compact = (simple_name, self.partner[self.pos] > self.pos + 1)
             self.read_record_components(fields)
 
         # The first name after ``extends`` or ``implements``; the rest of
@@ -397,7 +413,7 @@ class _Parser:
         # The package is set by ``finish_class``, at the body's ``}``.
         decl = ClassDecl(name, "", extends or implements, fields, [], self.span(start, close))
         out.append(decl)
-        return name + ".", close, fields, decl.methods, [], decl
+        return name + ".", close, fields, decl.methods, [], decl, compact
 
     def finish_class(self, decl: ClassDecl, close: int, bodies) -> None:
         """Move past the ``}`` at ``close`` and complete its class: its
@@ -438,9 +454,9 @@ class _Parser:
         """
         texts = self.texts
         classes: list[ClassDecl] = []
-        stack = [("", self.n, [], [], [], None)]
+        stack = [("", self.n, [], [], [], None, None)]
         while stack:
-            prefix, close, fields, methods, bodies, decl = stack[-1]
+            prefix, close, fields, methods, bodies, decl, compact = stack[-1]
             while self.pos < close:
                 text = texts[self.pos]
                 if text == ";":
@@ -462,6 +478,12 @@ class _Parser:
                     elif text == "{":
                         # An initializer block, or a block after a stray word.
                         self.skip_group()
+                    elif compact and text == compact[0] and texts[self.pos + 1] == "{":
+                        # A record's compact constructor: ``P { check(x); }``.
+                        method = MethodDecl(text, compact[1], "", set(), set(), [])
+                        methods.append(method)
+                        bodies.append((method, self.pos + 1))
+                        self.pos = self.partner[self.pos + 1] + 1
                     else:
                         self.parse_member(fields, methods, bodies)
             else:
@@ -561,10 +583,10 @@ class _Parser:
           declaration even without a body (``void run();``,
           ``String name();`` or ``int[] arr();`` in a local interface):
           ``void``, a primitive type, ``]``, or an identifier other than
-          the contextual ``yield`` (``yield compute(f);`` is a call). A
-          generic return type (``List<String> all();``) still reads as a
-          call, as its ``>`` may as well be a comparison. Any other keyword
-          blocks nothing: ``return g();`` is a call;
+          the contextual ``yield`` (``yield compute(f);`` is a call), or
+          the ``>`` closing a generic return type (``List<String> all();``,
+          see ``ends_return_type``). Any other keyword blocks nothing:
+          ``return g();`` is a call;
         * the group's ``)`` is followed by ``{``, ``throws`` or
           ``implements``: a declaration header, such as a method of an
           anonymous or local class (``String toString() {``), a local
@@ -595,6 +617,7 @@ class _Parser:
                     and (kinds[before] != KIND_IDENTIFIER or texts[before] == "yield")
                     and texts[partner[idx] + 1] not in _HEADER_ENDS
                     and not self.names_annotation(idx - 1)
+                    and not (texts[before] in _TYPE_ARGUMENT_ENDS and self.ends_return_type(before))
                 ):
                     calls.append(self.call_site(idx))
             elif text in fields and kinds[idx] == KIND_IDENTIFIER:
@@ -602,6 +625,30 @@ class _Parser:
                     writes.add(text)
                 elif texts[idx - 1] != ".":
                     reads.add(text)
+
+    def ends_return_type(self, close: int) -> bool:
+        """Whether the ``>`` (or ``>>``, ``>>>``) at ``close`` ends the type
+        ``a.B<...>`` of a member, not a comparison (``return a > f();``) or
+        explicit type arguments (``this.<T>h()``)."""
+        texts, kinds = self.texts, self.kinds
+        depth, i = 0, close
+        while True:
+            text = texts[i]
+            if text in _TYPE_ARGUMENT_ENDS:
+                depth += _TYPE_ARGUMENT_ENDS[text]
+            elif text == "<":
+                depth -= 1
+                if not depth:
+                    break
+            elif text not in _TYPE_ARGUMENT_WORDS and kinds[i] != KIND_IDENTIFIER:
+                return False
+            i -= 1
+        i -= 1  # the type's last name
+        if kinds[i] != KIND_IDENTIFIER:
+            return False
+        while texts[i - 1] == "." and kinds[i - 2] == KIND_IDENTIFIER:
+            i -= 2
+        return texts[i - 1] in _MEMBER_STARTS
 
     def names_annotation(self, name: int) -> bool:
         """Whether ``texts[name]`` ends an ``@name`` or ``@a.b.name``."""

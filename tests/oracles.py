@@ -680,9 +680,41 @@ _KIND_OF_GROUP = {
 LINE_END = re.compile(r"\r\n|\r|\n")
 
 
+def translate_unicode_escapes(text: str) -> str:
+    """JLS 3.3, one raw character at a time: a backslash after an even
+    number of raw backslashes, then one or more ``u`` and four hex
+    digits, is the UTF-16 code unit they spell, and a character made so
+    is not raw. Then each high surrogate directly before a low one pairs
+    with it into one code point."""
+    units = []
+    run = i = 0  # run: raw backslashes directly before text[i]
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and run % 2 == 0:
+            j = i + 1
+            while text[j:j + 1] == "u":
+                j += 1
+            digits = text[j:j + 4]
+            if j > i + 1 and len(digits) == 4 and all(c in "0123456789abcdefABCDEF" for c in digits):
+                units.append(chr(int(digits, 16)))
+                run, i = 0, j + 4
+                continue
+        run = run + 1 if ch == "\\" else 0
+        units.append(ch)
+        i += 1
+    out: list[str] = []
+    for ch in units:
+        if out and "\udc00" <= ch <= "\udfff" and "\ud800" <= out[-1] <= "\udbff":
+            out[-1] = chr(0x10000 + (ord(out[-1]) - 0xD800) * 0x400 + ord(ch) - 0xDC00)
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
     """``lexer.tokenize`` as a list of ``(kind, text, line_start, line_end)``,
-    built one match at a time."""
+    built one match at a time from the text with its Unicode escapes
+    translated."""
     from codeforest import lexer
     from codeforest.errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
     from codeforest.lexer import Span
@@ -691,6 +723,7 @@ def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
         text = source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise NonUtf8Input(exc.start, file_id) from None
+    text = translate_unicode_escapes(text)
     ascii_only = text.isascii()
     regex = re.compile(lexer._pattern(ascii_only), lexer._FLAGS)
     tokens = []
@@ -716,9 +749,9 @@ def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
 
 # ---------------------------------------------------------------------------
 # The glTF and the report as documents, and a generic indented JSON writer.
-# ``json.dumps(gltf_doc(s), indent=2)`` and
+# ``json.dumps(gltf_doc(s), separators=(",", ":"))`` and
 # ``json_text(report_doc(info), float_text="%.4f".__mod__)`` are the texts
-# the template writers must produce.
+# the glTF and report writers must produce.
 
 _GLTF_ARRAY_BUFFER = 34962
 _GLTF_ELEMENT_ARRAY_BUFFER = 34963

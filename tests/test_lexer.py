@@ -239,6 +239,36 @@ def test_a_byte_order_mark_is_whitespace():
     ]
 
 
+# Unicode escapes (JLS 3.3) are translated before anything else is read.
+
+def test_unicode_escape_joins_an_identifier():
+    # An escape may repeat its ``u``.
+    assert kinds_and_texts("class A\\u0042 x\\uuu0031") == [
+        (KIND_KEYWORD, "class"), (KIND_WHITESPACE, " "), (KIND_IDENTIFIER, "AB"),
+        (KIND_WHITESPACE, " "), (KIND_IDENTIFIER, "x1")]
+
+
+def test_unicode_escape_line_end_ends_a_comment_and_a_line():
+    tokens = tokenize(b"// c \\u000a void real() {}")
+    assert _lines(tokens)[:3] == [("// c ", 1, 1), ("\n ", 1, 2), ("void", 2, 2)]
+
+
+def test_an_escaped_backslash_starts_no_unicode_escape():
+    # An even run of backslashes before ``u`` is escapes of themselves;
+    # the backslash a ``\\u005c`` makes starts no further escape.
+    assert kinds_and_texts(r's = "\\u0041\\\u0041";')[4] == (KIND_STRING, r'"\\u0041\\A"')
+    assert kinds_and_texts(r"c = '\u005cu0041';")[4] == (KIND_CHAR, r"'\u0041'")
+
+
+def test_unicode_escapes_of_a_surrogate_pair_are_one_code_point():
+    tokens = tokenize(b"a\\ud83c\\udf32 = '\\udc00';")
+    assert tokens.texts == ["a", "\U0001f332", " ", "=", " ", "'\udc00'", ";"]
+
+
+def test_a_backslash_u_without_four_hex_digits_stays():
+    assert "".join(tokenize(b"a \\u00 \\uz123 \\").texts) == "a \\u00 \\uz123 \\"
+
+
 def test_unterminated_string_raises():
     with pytest.raises(UnterminatedLiteral) as err:
         tokenize(b'x = "abc\n1;')
@@ -273,9 +303,10 @@ _PIECES = st.sampled_from(
      "中", "\u00a0", "²", "\u0301", "\u200d", "\x00", "€", "‿",
      '"a\\"b"', '"\\\n"', "'\\''", "'\\\n'",
      '"""\n "" \\""" é\n"""', "/* a\n é */", "// c é", '"', '"""', "'", "/*",
-     "\\"]
+     "\\", "u", "\\u0041", "\\uu000a", "\\\\u0042", "\\ud83c\\udf32", "\\uDC00", "\\u00e9",
+     "\\u005c", "\\u0022", "\\u000D", "\\u0"]
 )
-_LINE_END = re.compile(rb"\r\n|\r|\n")
+_LINE_END = re.compile(r"\r\n|\r|\n")
 _SOURCES = st.one_of(
     st.binary(max_size=64),
     st.text(max_size=64).map(str.encode),
@@ -290,14 +321,17 @@ def test_tokenize_is_lossless_or_raises(data):
         tokens = tokenize(data)
     except CodeforestError:
         return
-    assert "".join(tokens.texts).encode() == data
+    # Lossless against the text with its Unicode escapes translated,
+    # where lines are counted too (JLS 3.3 comes before 3.4).
+    text = oracles.translate_unicode_escapes(data.decode())
+    assert "".join(tokens.texts) == text
     at = 0
-    for text, first, last in _lines(tokens):
-        assert text and first == len(_LINE_END.findall(data[:at])) + 1
-        at += len(text.encode())
+    for chunk, first, last in _lines(tokens):
+        assert chunk and first == len(_LINE_END.findall(text[:at])) + 1
+        at += len(chunk)
         # A trailing line end sits on the line it terminates.
-        assert last == len(_LINE_END.findall(data[:at])) + 1 - (data[at - 1] in b"\r\n")
-    assert at == len(data)
+        assert last == len(_LINE_END.findall(text[:at])) + 1 - (text[at - 1] in "\r\n")
+    assert at == len(text)
 
 
 def _same_as_the_loop(data: bytes) -> None:

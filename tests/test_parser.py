@@ -359,17 +359,43 @@ def test_nested_record_is_a_class_not_a_method():
     assert rec.super_name == "Comparable"
 
 
-def test_record_compact_constructor_is_not_a_method():
+def test_record_compact_constructor_is_a_constructor():
     (rec,) = parse("record Range<T>(T lo, T hi) { Range { check(lo); } T lo() { return lo; } }")
     assert rec.name == "Range"
     assert [f.name for f in rec.fields] == ["lo", "hi"]
-    assert [m.name for m in rec.methods] == ["lo"]
+    assert [(m.name, m.has_params, m.return_type) for m in rec.methods] == [
+        ("Range", True, ""), ("lo", False, "T")]
+    ctor = rec.methods[0]
+    assert site_tuples(ctor) == [("check", RECEIVER_THIS, None)]
+    assert ctor.reads_fields == {"lo"}
+
+
+def test_compact_constructor_has_params_when_the_record_has_components():
+    # A static field does not count as a component.
+    outer, rec = parse("class O { record E() { static int n; public E { check(); } } }")
+    assert [(m.name, m.has_params, m.return_type) for m in rec.methods] == [("E", False, "")]
+    assert outer.methods == []
 
 
 def test_record_as_a_name_is_not_a_declaration():
     (cls,) = parse("class K { Record record; void record(int n) { } }")
     assert [f.name for f in cls.fields] == ["record"]
     assert [m.name for m in cls.methods] == ["record"]
+
+
+def test_unicode_escapes_are_read_as_java_reads_them():
+    (cls,) = parse(
+        "class A\\u0042 {\n"
+        "  int x\\u0031;\n"
+        "  void f() { g\\u0031(); } // c \\u000a void real() {}\n"
+        "}\n"
+    )
+    assert cls.name == "AB"
+    assert [(f.name, f.declared_type) for f in cls.fields] == [("x1", "int")]
+    assert [m.name for m in cls.methods] == ["f", "real"]
+    assert site_tuples(cls.methods[0]) == [("g1", RECEIVER_THIS, None)]
+    # The escaped line end is a line end: the class spans five lines.
+    assert (cls.span.line_start, cls.span.line_end) == (1, 5)
 
 
 def test_sealed_and_non_sealed_are_modifiers():
@@ -551,10 +577,25 @@ def test_yield_call_is_a_call_site():
     assert site_tuples(s) == [("compute", RECEIVER_THIS, None)]
 
 
-def test_generic_bodiless_method_still_reads_as_a_call():
-    # ``>`` may close a type or be a comparison, so it blocks nothing.
-    s = scan("{ interface I { List<String> all(); } }", [])
-    assert site_tuples(s) == [("all", RECEIVER_THIS, None)]
+def test_generic_bodiless_method_is_a_declaration():
+    s = scan(
+        "{ interface I { List<String> all(); Map<K, List<V>> b(); "
+        "java.util.List<X> c(); public Map<K, Map<K, V>> d(); List<? extends int[]> e(); } }",
+        [],
+    )
+    assert site_tuples(s) == []
+
+
+@pytest.mark.parametrize("body", [
+    "{ return a > f(); }",
+    "{ if (a < b && c > f()) { } }",
+    "{ return this.<T>f(); }",
+    "{ Collections.<String>f(); }",
+    "{ g(a < b, c > f()); }",
+    "{ x = a < b ? c > f() : d; }",
+])
+def test_a_comparison_or_type_arguments_before_a_call_keep_it(body):
+    assert ("f", RECEIVER_THIS, None) in site_tuples(scan(body, []))
 
 
 def test_annotations_with_arguments_in_a_body_are_not_call_sites():
