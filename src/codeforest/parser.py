@@ -26,15 +26,15 @@ class``) are not read as modifiers, and the declaration after them is
 dropped. An annotation type declaration (``@interface``) is skipped
 whole, as an ``enum`` is.
 
-Method bodies are scanned once the class's field list is complete. In
-a body, ``name(`` is a call site unless it is a declaration header,
-that is its ``)`` is followed by ``{``, ``throws`` or ``implements``
-(a method of an anonymous or local class, a local constructor or
-record, an anonymous class ``new a.Foo(...) { ... }``), or the word
-before ``name`` blocks it: ``new`` (a construction), and ``void``, a
-primitive type or the ``>`` that closes a generic return type (a
-bodiless method of a local interface, ``List<String> all();``).
-``return g()`` is a call.
+Method bodies are scanned once the whole unit is read, so every field
+is known. In code, a call site is an identifier directly before ``(``
+that does not name an annotation, and the type after ``new`` is read
+whole: ``return g()``, ``yield g()`` and ``when g()`` call, ``new
+a.B()`` does not. A class body in code, after ``new T(...)`` or in a
+local type declaration, is read by ``parse_members`` as every class
+body is, its classes dropped; only the code it hands back (method
+bodies, initializer blocks, field initializers) is scanned, for the
+enclosing method, so no member head is read as a call.
 
 Everything else (imports, annotations, generics, enum bodies, code the
 subset does not model) is consumed and dropped. The parser never guesses
@@ -87,24 +87,10 @@ _MODIFIERS = frozenset(
     transient volatile strictfp default""".split()
 )
 
-_PRIMITIVES = frozenset("boolean byte char short int long float double".split())
-# Tokens after which ``name(`` is no call (see ``scan_body``): ``new`` and
-# the ends of a return type. ``return`` is none of them: ``return g()`` calls.
-_CALL_BLOCKING_WORDS = frozenset(("new", "void", "]")) | _PRIMITIVES
-
-# How many ``<`` each closer of type arguments closes; the other tokens,
-# identifiers aside, that type arguments hold (``Map<? extends K, int[]>``);
-# and the tokens before a member's type: ``;``, ``{``, ``}`` or a modifier.
-_TYPE_ARGUMENT_ENDS = {">": 1, ">>": 2, ">>>": 3}
-_TYPE_ARGUMENT_WORDS = frozenset(", . ? & @ [ ] extends super".split()) | _PRIMITIVES
-_MEMBER_STARTS = frozenset((";", "{", "}")) | _MODIFIERS
-
-# Tokens after the ``)`` of ``name(...)`` that make it a declaration
-# header rather than a call.
-_HEADER_ENDS = frozenset(("{", "throws", "implements"))
-
-# First words of a class, interface or record declaration.
+# First words of a class, interface or record declaration, and the words
+# that can open a class body in code (see ``code_after``).
 _TYPE_WORDS = frozenset(("class", "interface", "record"))
+_BODY_WORDS = _TYPE_WORDS | {"enum", "new"}
 
 _PARTNER = {"(": ")", "[": "]", "{": "}"}
 _OPENERS = frozenset(_PARTNER)
@@ -371,10 +357,9 @@ class _Parser:
         """Read the header of the type at the cursor, modifiers from
         ``start`` on, append its ``ClassDecl`` to ``out`` and return its
         body's frame: the prefix of the names nested in it, the index of
-        its ``}``, its fields (record components first), methods and
-        method bodies, the ``ClassDecl``, and for a record the name and
-        ``has_params`` of its compact constructor. The cursor is left in
-        the body.
+        its ``}``, its fields (record components first) and methods, the
+        ``ClassDecl``, and for a record the name and ``has_params`` of its
+        compact constructor. The cursor is left in the body.
         """
         texts = self.texts
         kw = self.pos  # "class", "interface" or "record"
@@ -410,20 +395,10 @@ class _Parser:
             raise MissingClassBody(self.span(kw, kw), simple_name)
         close = self.partner[self.pos]
         self.pos += 1
-        # The package is set by ``finish_class``, at the body's ``}``.
+        # The package is set at the body's ``}``, by ``parse_members``.
         decl = ClassDecl(name, "", extends or implements, fields, [], self.span(start, close))
         out.append(decl)
-        return name + ".", close, fields, decl.methods, [], decl, compact
-
-    def finish_class(self, decl: ClassDecl, close: int, bodies) -> None:
-        """Move past the ``}`` at ``close`` and complete its class: its
-        package is the one in force there, and its method bodies are scanned
-        now that its fields, which may follow the methods, are all known."""
-        self.pos = close + 1
-        decl.package_name = self.package
-        field_names = {f.name for f in decl.fields}
-        for method, body in bodies:
-            self.scan_body(body, field_names, method)
+        return name + ".", close, fields, decl.methods, decl, compact
 
     def read_record_components(self, fields: list[FieldDecl]) -> None:
         """Consume a record header ``(T a, U b)``; each component is a field."""
@@ -444,19 +419,26 @@ class _Parser:
             self.accept(",")
         self.pos = close + 1
 
-    def parse_members(self) -> list[ClassDecl]:
-        """Return the unit's classes, each followed by the types nested in it.
+    def parse_members(self, close: int) -> tuple[list[ClassDecl], list[tuple]]:
+        """Read the declarations from the cursor up to ``close``; return
+        the classes, each followed by the types nested in it, and their
+        code in source order.
 
-        One loop reads every level from a stack of open bodies. The unit's
-        top level is at the bottom: it ends at ``self.n`` and drops the
-        fields and methods it finds. A type declaration pushes the frame
-        of its body, which is popped at its ``}`` for ``finish_class``.
+        One loop reads every level from a stack of open bodies. The level
+        at the bottom (the unit's top level, or a class body in code) ends
+        at ``close`` and drops the fields and methods it finds. A type
+        declaration pushes the frame of its body, which is popped at its
+        ``}``; the class's package is the one in force there. The code is
+        one ``(class, method, lo, hi)`` per method body, initializer block
+        or field initializer ``texts[lo:hi]``, with ``class`` None at the
+        bottom level and ``method`` None for a block or an initializer.
         """
         texts = self.texts
         classes: list[ClassDecl] = []
-        stack = [("", self.n, [], [], [], None, None)]
+        code: list[tuple] = []
+        stack = [("", close, [], [], None, None)]
         while stack:
-            prefix, close, fields, methods, bodies, decl, compact = stack[-1]
+            prefix, close, fields, methods, decl, compact = stack[-1]
             while self.pos < close:
                 text = texts[self.pos]
                 if text == ";":
@@ -477,22 +459,24 @@ class _Parser:
                         break
                     elif text == "{":
                         # An initializer block, or a block after a stray word.
+                        code.append((decl, None, self.pos + 1, self.partner[self.pos]))
                         self.skip_group()
                     elif compact and text == compact[0] and texts[self.pos + 1] == "{":
                         # A record's compact constructor: ``P { check(x); }``.
                         method = MethodDecl(text, compact[1], "", set(), set(), [])
                         methods.append(method)
-                        bodies.append((method, self.pos + 1))
+                        code.append((decl, method, self.pos + 2, self.partner[self.pos + 1]))
                         self.pos = self.partner[self.pos + 1] + 1
                     else:
-                        self.parse_member(fields, methods, bodies)
+                        self.parse_member(decl, fields, methods, code)
             else:
                 stack.pop()
                 if decl is not None:
-                    self.finish_class(decl, close, bodies)
-        return classes
+                    self.pos = close + 1
+                    decl.package_name = self.package
+        return classes, code
 
-    def parse_member(self, fields, methods, bodies) -> None:
+    def parse_member(self, decl, fields, methods, code) -> None:
         """Parse one field or method declaration after its modifiers.
 
         Its head (modifiers stripped) is ``texts[head:end]``, the tokens
@@ -512,14 +496,14 @@ class _Parser:
         if text == "}":
             return
         if text == "(":
-            self.finish_method(head, self.pos, methods, bodies)
+            self.finish_method(decl, head, self.pos, methods, code)
         elif text == "{":
             # A stray block after tokens we did not understand.
             self.skip_group()
         else:
-            self.finish_fields(head, self.pos, fields)
+            self.finish_fields(decl, head, self.pos, fields, code)
 
-    def finish_method(self, head: int, end: int, methods, bodies) -> None:
+    def finish_method(self, decl, head: int, end: int, methods, code) -> None:
         name = end - 1
         if name < head or self.kinds[name] != KIND_IDENTIFIER:
             # Not a method declaration we model; drop the paren group.
@@ -541,11 +525,12 @@ class _Parser:
         self.skip_group()
         self.skip_until(("{", ";"))  # throws clause and anything else before the body
         if self.at("{"):
-            bodies.append((method, self.pos))
+            code.append((decl, method, self.pos + 1, self.partner[self.pos]))
         self.skip_declaration()
 
-    def finish_fields(self, head: int, end: int, fields: list[FieldDecl]) -> None:
-        """Parse ``type a = init, b, c;`` declarator lists."""
+    def finish_fields(self, decl, head: int, end: int, fields: list[FieldDecl], code) -> None:
+        """Parse ``type a = init, b, c;`` declarator lists; the tokens after
+        each name (``= init``) are code."""
         texts = self.texts
         if end - head < 2 or self.kinds[end - 1] != KIND_IDENTIFIER:
             self.skip_until((";",))
@@ -556,44 +541,37 @@ class _Parser:
         # Initializers and array suffixes are skipped up to the next
         # top-level ``,`` or ``;``. The type after ``new`` is read whole,
         # so the ``,`` in ``new HashMap<K, V>()`` splits no declarator.
+        lo = end
         while True:
             self.skip_until((",", ";", "new"))
             if self.accept("new"):
                 self.read_type_ref()
                 continue
+            if self.pos > lo:
+                code.append((decl, None, lo, self.pos))
             if not self.accept(","):
                 break
             if self.at_kind(KIND_IDENTIFIER):
                 names.append(self.pos)
                 self.pos += 1
+            lo = self.pos
         self.accept(";")
         for name in names:
             fields.append(FieldDecl(texts[name], declared_type))
 
     # -- method bodies -----------------------------------------------------------
 
-    def scan_body(self, body: int, fields, method: MethodDecl) -> None:
-        """Add the field accesses and call sites of the body at ``texts[body]``.
+    def scan_body(self, lo: int, hi: int, fields, method: MethodDecl) -> None:
+        """Add the field accesses and call sites of the code ``texts[lo:hi]``.
 
-        ``body`` is the index of the body's ``{``. A call site is an
-        identifier directly followed by ``(``, with these exceptions:
-
-        * the token before the identifier is ``new`` (``new Foo(...)``
-          constructs), or it ends a return type, which makes ``name(`` a
-          declaration even without a body (``void run();``,
-          ``String name();`` or ``int[] arr();`` in a local interface):
-          ``void``, a primitive type, ``]``, or an identifier other than
-          the contextual ``yield`` (``yield compute(f);`` is a call), or
-          the ``>`` closing a generic return type (``List<String> all();``,
-          see ``ends_return_type``). Any other keyword blocks nothing:
-          ``return g();`` is a call;
-        * the group's ``)`` is followed by ``{``, ``throws`` or
-          ``implements``: a declaration header, such as a method of an
-          anonymous or local class (``String toString() {``), a local
-          constructor or record, or ``new a.Foo(...) { ... }``;
-        * the name is an annotation's, plain or qualified: ``@`` comes
-          before it, or before the ``a.b.`` that qualifies it
-          (``@SuppressWarnings("u") int a;``, ``@java.lang.Deprecated()``).
+        A call site is an identifier directly before ``(`` that does not
+        name an annotation (``@A(...)``, ``@a.b.A(...)``). The type after
+        ``new`` is read whole, so ``new a.B<C>(...)`` calls nothing. A class
+        body in the code, after ``new T(...)`` or in a local type
+        declaration, is read by ``parse_members`` (see ``code_after``), and
+        only the code it hands back is scanned, so no member head is read
+        as a call; its calls count for ``method``. The ranges still to scan
+        are kept on one stack, the next in source order on top.
 
         The receiver is ``named`` for an ``x.m(...)`` pattern with an
         identifier receiver, ``implicit-this`` for bare and ``this.`` calls,
@@ -602,53 +580,64 @@ class _Parser:
 
         A field write is a field name directly followed by an assignment
         operator; a field read is any other occurrence of the name not
-        preceded by a dot. The body's braces keep every neighbour looked
-        at inside the unit.
+        preceded by a dot. The code lies inside a group, whose brackets
+        keep every neighbour looked at inside the unit.
         """
-        texts, kinds, partner = self.texts, self.kinds, self.partner
-        reads, writes, calls = method.reads_fields, method.writes_fields, method.call_sites
-        for idx in range(body + 1, partner[body]):
-            text = texts[idx]
-            if text == "(":
-                before = idx - 2
-                if (
-                    kinds[idx - 1] == KIND_IDENTIFIER
-                    and texts[before] not in _CALL_BLOCKING_WORDS
-                    and (kinds[before] != KIND_IDENTIFIER or texts[before] == "yield")
-                    and texts[partner[idx] + 1] not in _HEADER_ENDS
-                    and not self.names_annotation(idx - 1)
-                    and not (texts[before] in _TYPE_ARGUMENT_ENDS and self.ends_return_type(before))
-                ):
-                    calls.append(self.call_site(idx))
-            elif text in fields and kinds[idx] == KIND_IDENTIFIER:
-                if texts[idx + 1] in ASSIGNMENT_OPERATORS:
-                    writes.add(text)
-                elif texts[idx - 1] != ".":
-                    reads.add(text)
-
-    def ends_return_type(self, close: int) -> bool:
-        """Whether the ``>`` (or ``>>``, ``>>>``) at ``close`` ends the type
-        ``a.B<...>`` of a member, not a comparison (``return a > f();``) or
-        explicit type arguments (``this.<T>h()``)."""
         texts, kinds = self.texts, self.kinds
-        depth, i = 0, close
-        while True:
-            text = texts[i]
-            if text in _TYPE_ARGUMENT_ENDS:
-                depth += _TYPE_ARGUMENT_ENDS[text]
-            elif text == "<":
-                depth -= 1
-                if not depth:
+        reads, writes, calls = method.reads_fields, method.writes_fields, method.call_sites
+        ranges = [(lo, hi)]
+        while ranges:
+            i, hi = ranges.pop()
+            while i < hi:
+                text = texts[i]
+                if text == "(":
+                    if kinds[i - 1] == KIND_IDENTIFIER and not self.names_annotation(i - 1):
+                        calls.append(self.call_site(i))
+                elif text in _BODY_WORDS and (after := self.code_after(i, hi)):
+                    ranges += reversed(after)
                     break
-            elif text not in _TYPE_ARGUMENT_WORDS and kinds[i] != KIND_IDENTIFIER:
-                return False
-            i -= 1
-        i -= 1  # the type's last name
-        if kinds[i] != KIND_IDENTIFIER:
-            return False
-        while texts[i - 1] == "." and kinds[i - 2] == KIND_IDENTIFIER:
-            i -= 2
-        return texts[i - 1] in _MEMBER_STARTS
+                elif text in fields and kinds[i] == KIND_IDENTIFIER:
+                    if texts[i + 1] in ASSIGNMENT_OPERATORS:
+                        writes.add(text)
+                    elif texts[i - 1] != ".":
+                        reads.add(text)
+                i += 1
+
+    def code_after(self, i: int, hi: int) -> list[tuple[int, int]] | None:
+        """The ranges of code from ``texts[i]`` up to ``hi``, in source
+        order, when ``texts[i]`` is ``new`` or starts a local type
+        declaration; None when it is neither (``Foo.class``).
+
+        ``new`` skips its type, and the ``(`` after it; the class body of
+        ``new T(...) { ... }`` or of the declaration is read by
+        ``parse_members``, whose classes are dropped, and is replaced by
+        the code that it hands back. An ``enum`` is skipped whole there.
+        """
+        texts, partner = self.texts, self.partner
+        if texts[i] == "new":
+            self.pos = self.past_annotations(i + 1)
+            self.read_type_ref()
+            args = self.pos
+            if texts[args] != "(":
+                return [(args, hi)]
+            if texts[partner[args] + 1] != "{":
+                return [(args + 1, hi)]
+            head = [(args + 1, partner[args])]
+            self.pos = partner[args] + 2
+            close = end = partner[self.pos - 1]
+        else:
+            self.pos = i
+            if texts[i - 1] == "." or not (texts[i] == "enum" or self.at_type_declaration()):
+                return None
+            self.skip_until(("{",))
+            if not self.at("{"):
+                return None
+            head = []
+            end = partner[self.pos]
+            close = end + 1
+            self.pos = i
+        _, code = self.parse_members(close)
+        return head + [(lo, hi) for _, _, lo, hi in code] + [(end + 1, hi)]
 
     def names_annotation(self, name: int) -> bool:
         """Whether ``texts[name]`` ends an ``@name`` or ``@a.b.name``."""
@@ -677,7 +666,12 @@ def parse_unit(tokens: Tokens) -> list[ClassDecl]:
 
     Outer classes precede their nested classes in the returned list.
     """
-    return _Parser(tokens).parse_members()
+    parser = _Parser(tokens)
+    classes, code = parser.parse_members(parser.n)
+    for decl, method, lo, hi in code:
+        if decl is not None and method is not None:
+            parser.scan_body(lo, hi, {f.name for f in decl.fields}, method)
+    return classes
 
 
 def parse_corpus(root) -> CorpusParse:

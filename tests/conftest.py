@@ -8,8 +8,10 @@ fixtures (the annotations snapshot in particular) to a single parse.
 from __future__ import annotations
 
 import functools
+import signal
 import sys
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,27 @@ def write_deep_corpus(root: Path) -> int:
     (root / "Deep.java").write_text("".join(f"class A{i} {{ " for i in range(depth)) + "}" * depth)
     (root / "Plain.java").write_text("class Plain { void m() { } }")
     return depth
+
+
+class Hung(BaseException):
+    """Raised by ``deadline``. No ``Exception``: ``main`` would catch an
+    OSError, and hypothesis would shrink a failing example, running each
+    attempt up to the deadline again for minutes."""
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise ``Hung`` in the block once it has run ``seconds``."""
+    def hang(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def vec3(view) -> np.ndarray:

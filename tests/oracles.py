@@ -89,15 +89,16 @@ def _word_ending_at(src: str, i: int) -> str | None:
     return src[j + 1 : i + 1]
 
 
-def _annotation_chain(src: str, dot: int) -> bool:
-    """Whether the `a.b.` ending at `src[dot]` follows an `@`."""
+def _before_chain(src: str, dot: int) -> int:
+    """Index of the last non-space character before the `a.b.` ending at
+    `src[dot]`; the index of a `.` when a link is no word (`f().g(`)."""
     while dot >= 0 and src[dot] == ".":
         end = _prev_nonspace(src, dot - 1)
         word = _word_ending_at(src, end)
         if word is None:
-            return False
+            break
         dot = _prev_nonspace(src, end - len(word))
-    return dot >= 0 and src[dot] == "@"
+    return dot
 
 
 def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
@@ -107,8 +108,8 @@ def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
     followed by `(` whose preceding non-space character is expression
     punctuation or the word `return`. Declarations and `new Foo(...)`
     have another word there instead, and an annotation `@Foo(...)` has
-    `@`; a qualified `@a.b.Foo(...)` is skipped by walking its dotted
-    chain back to the `@`.
+    `@`; a qualified `@a.b.Foo(...)` or `new a.b.Foo(...)` is skipped by
+    walking its dotted chain back to the `@` or the `new`.
     """
     src = scrub(text)
     sites = []
@@ -127,7 +128,8 @@ def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
         if src[p] != ".":
             sites.append((name, "implicit-this", None))
             continue
-        if _annotation_chain(src, p):
+        before = _before_chain(src, p)
+        if before >= 0 and (src[before] == "@" or _word_ending_at(src, before) == "new"):
             continue
         owner = _word_ending_at(src, _prev_nonspace(src, p - 1))
         if owner is None:

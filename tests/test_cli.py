@@ -3,10 +3,9 @@
 import io
 import json
 import os
-import signal
 import sys
 import warnings
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +19,7 @@ from codeforest.exporters.report import report_text
 from codeforest.layout import build_layout
 from codeforest.model import compute_layers
 
-from conftest import FIXTURES, corpus
+from conftest import FIXTURES, corpus, deadline
 from oracles import check_gltf
 
 TWO_CLASSES = str(FIXTURES / "two_classes")
@@ -201,24 +200,6 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, line):
         f"error: {cfg}:1: {key} takes a finite number, got {value!r}\n"
     )
     assert not out.exists()
-
-
-class Hung(Exception):
-    """Raised by ``deadline``; not an OSError, which ``main`` would catch."""
-
-
-@contextmanager
-def deadline(seconds):
-    def hang(signum, frame):
-        raise Hung(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Declaration parsing and method-body scanning."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from codeforest import lexer
 from codeforest.errors import (
     CodeforestError,
@@ -22,7 +24,7 @@ from codeforest.parser import (
     parse_corpus,
     parse_unit,
 )
-from conftest import FIXTURES
+from conftest import FIXTURES, deadline
 
 
 def parse(source: str):
@@ -535,10 +537,11 @@ def test_local_record_is_not_a_call_site():
 def test_anonymous_class_methods_are_not_call_sites():
     s = scan(
         "{ new Runnable() { public void run() { go(); } }; "
-        "new Sized() { int size() { count(); return 1; } }; }",
+        "new Sized() { int size() { count(); return 1; } }; o.new Inner() { void r() { q(); } }; }",
         [],
     )
-    assert site_tuples(s) == [("go", RECEIVER_THIS, None), ("count", RECEIVER_THIS, None)]
+    assert site_tuples(s) == [("go", RECEIVER_THIS, None), ("count", RECEIVER_THIS, None),
+                              ("q", RECEIVER_THIS, None)]
 
 
 def test_anonymous_class_method_with_a_reference_type_is_not_a_call_site():
@@ -580,7 +583,8 @@ def test_yield_call_is_a_call_site():
 def test_generic_bodiless_method_is_a_declaration():
     s = scan(
         "{ interface I { List<String> all(); Map<K, List<V>> b(); "
-        "java.util.List<X> c(); public Map<K, Map<K, V>> d(); List<? extends int[]> e(); } }",
+        "java.util.List<X> c(); public Map<K, Map<K, V>> d(); List<? extends int[]> e(); "
+        "@Nullable List<String> f(); <T> List<T> g(); } }",
         [],
     )
     assert site_tuples(s) == []
@@ -606,6 +610,47 @@ def test_annotations_with_arguments_in_a_body_are_not_call_sites():
         [],
     )
     assert site_tuples(s) == [("f", RECEIVER_THIS, None), ("run", RECEIVER_NAMED, "x")]
+
+
+def test_a_qualified_construction_is_not_a_call_site():
+    s = scan("{ line = new Line2D.Double(0, 0, f(), 1); Map m = new java.util.HashMap(); }", [])
+    assert site_tuples(s) == [("f", RECEIVER_THIS, None)]
+
+
+def test_a_switch_guard_is_a_call_site():
+    s = scan("{ switch (o) { case String s when check(s) -> run(s); default -> { } } }", [])
+    assert site_tuples(s) == [("check", RECEIVER_THIS, None), ("run", RECEIVER_THIS, None)]
+
+
+def test_a_local_enum_is_skipped_whole():
+    # As at every other level: neither its constants nor the calls in it count.
+    s = scan("{ enum E { A(1), B(f()); } g(); }", ["f"])
+    assert site_tuples(s) == [("g", RECEIVER_THIS, None)]
+    assert s.reads_fields == set()
+
+
+def test_the_code_of_a_class_body_in_a_method_counts_in_source_order():
+    # Arguments, field initializer, initializer block, method bodies,
+    # a local class in one of them, then the code after the body.
+    s = scan(
+        "{ a(); new T(b()) { int x = c(), y; { d(); } void e(int n) { g(); "
+        "class L { L() { k(); } } l(); } }; record R(int n) { R { m(); } } z(); }",
+        [],
+    )
+    assert [c.callee_name for c in s.call_sites] == list("abcdgklmz")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+def test_the_oracle_finds_the_parsed_call_sites_in_every_fixture(name):
+    root = FIXTURES / name
+    parsed = Counter(site for unit in parse_corpus(root).units for cls in unit.classes
+                     for method in cls.methods for site in site_tuples(method))
+    rescanned = Counter(site for path in root.rglob("*.java")
+                        for site in oracles.file_call_sites(path.read_text(encoding="utf-8")))
+    assert parsed == rescanned
+    if name == "jfreechart_annotations":
+        kinds = Counter(kind for _, kind, _ in parsed.elements())
+        assert kinds == {RECEIVER_NAMED: 250, RECEIVER_THIS: 47, RECEIVER_OTHER: 9}
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +747,7 @@ def test_spans_count_lines_after_non_ascii_text():
 _WORDS = (
     "class interface record enum extends implements permits package import public "
     "static final sealed non-sealed value default @ < > >> , ; = . new return void "
-    "int String A B x yield throws ? * -"
+    "int String A B x yield when throws ? * -"
 ).split()
 
 
@@ -725,7 +770,8 @@ _TOKENS = st.recursive(
 @given(tokens=_TOKENS)
 def test_random_token_sequences_parse_or_raise_a_typed_error(tokens):
     try:
-        classes = parse(" ".join(tokens))
+        with deadline(2.0):
+            classes = parse(" ".join(tokens))
     except CodeforestError:
         return
     assert all(c.name for c in classes)
@@ -733,9 +779,10 @@ def test_random_token_sequences_parse_or_raise_a_typed_error(tokens):
 
 # ---------------------------------------------------------------------------
 # Nesting plans: types in types, rendered from a plan that alone says
-# which of them are modelled.
+# which of them are modelled and which calls each method makes.
 
-_NEST_KINDS = ("class", "interface", "record", "enum", "anonymous")
+_NEST_KINDS = ("class", "interface", "record", "enum", "anonymous",
+               "local class", "local interface", "local record")
 
 # A plan is a tuple of (kind, plan) pairs, one per declaration of a body.
 _NESTING_PLANS = st.recursive(
@@ -744,44 +791,84 @@ _NESTING_PLANS = st.recursive(
     max_leaves=12,
 )
 
+# Member heads of the shapes that were once read as calls in a method
+# body: an annotation with arguments, type parameters before a generic
+# type, an array type, a throws clause.
+_HEADS = ("@A(x = 1) void h{}()", "<T> List<T> h{}(T t)", "int[] h{}()",
+          "String h{}() throws E", "@Nullable List<String> h{}()")
 
-def render_plan(plan, prefix, expected, numbers) -> tuple[str, list[str]]:
-    """The Java text of ``plan``'s declarations and the methods it declares.
 
-    Each type modelled goes to ``expected`` in pre-order as ``[name,
-    fields, methods]``. An ``anonymous`` entry is a method whose body
-    holds an anonymous class. ``prefix`` is None in a body that is not
-    modelled: an ``enum``'s or an anonymous class's. ``numbers`` makes
-    names unique.
+def render_plan(plan, kind, prefix, expected, numbers) -> tuple[str, list, list, list[str]]:
+    """The Java text of a body of ``kind`` (None for the unit's top level)
+    holding ``plan``'s declarations; its fields; its methods as ``(name,
+    calls)``; and every call in its code, nested bodies but enums'
+    included, in source order.
+
+    A body that is no interface's opens with a method, a field and an
+    initializer block, and each of them calls ``c{n}()``; an interface
+    body opens with a bodiless method. Each type modelled goes to
+    ``expected`` in pre-order as ``[name, fields, methods]``. An
+    ``anonymous`` or ``local`` entry is a method whose body calls
+    ``c{n}()`` before or after it holds an anonymous class or a local
+    declaration. ``prefix`` is None in a body that is not modelled: one
+    in code or in an ``enum``. ``numbers`` makes names unique.
     """
-    parts, methods = [], []
-    for kind, inner in plan:
+    parts, fields, methods, calls = [], [], [], []
+    if kind is not None:
         n = next(numbers)
-        if kind == "anonymous":
-            body, _ = render_plan(inner, None, expected, numbers)
-            parts.append(f"void m{n}() {{ Object o = new Object() {{ {body} }}; }}")
-            methods.append(f"m{n}")
+        head = _HEADS[n % len(_HEADS)].format(n)
+        if kind == "interface":
+            parts.append(f"{head};")
+            methods.append((f"h{n}", []))
+        else:
+            parts.append(f"{head} {{ c{n}(); }} int f{n} = c{n}(); {{ c{n}(); }}")
+            methods.append((f"h{n}", [f"c{n}"]))
+            fields.append(f"f{n}")
+            calls += [f"c{n}"] * 3
+    for entry_kind, inner in plan:
+        n = next(numbers)
+        if entry_kind == "anonymous" or entry_kind.startswith("local "):
+            inner_kind = entry_kind.removeprefix("local ")
+            body, _, _, inner_calls = render_plan(inner, inner_kind, None, expected, numbers)
+            if entry_kind == "anonymous":
+                declaration = f"Object o = new Object() {{ {body} }};"
+            else:
+                components = "(int a)" if inner_kind == "record" else ""
+                declaration = f"{inner_kind} L{n}{components} {{ {body} }}"
+            if n % 2:
+                parts.append(f"void m{n}() {{ {declaration} c{n}(); }}")
+                method_calls = inner_calls + [f"c{n}"]
+            else:
+                parts.append(f"void m{n}() {{ c{n}(); {declaration} }}")
+                method_calls = [f"c{n}"] + inner_calls
+            methods.append((f"m{n}", method_calls))
+            calls += method_calls
             continue
-        header = f"{kind} T{n}"
-        fields = []
-        if kind == "record":
+        header = f"{entry_kind} T{n}"
+        components = []
+        if entry_kind == "record":
             header += f"(int a{n}, String b{n})"
-            fields = [f"a{n}", f"b{n}"]
-        modelled = prefix is not None and kind != "enum"
-        entry = [f"{prefix}T{n}", fields, []]
+            components = [f"a{n}", f"b{n}"]
+        modelled = prefix is not None and entry_kind != "enum"
+        entry = [f"{prefix}T{n}", components, []]
         if modelled:
             expected.append(entry)
-        body, entry[2] = render_plan(inner, f"{entry[0]}." if modelled else None, expected, numbers)
-        parts.append(f"{header} {{ {'A, B; ' if kind == 'enum' else ''}{body} }}")
-    return " ".join(parts), methods
+        body, inner_fields, entry[2], inner_calls = render_plan(
+            inner, entry_kind, f"{entry[0]}." if modelled else None, expected, numbers)
+        entry[1] += inner_fields
+        if entry_kind != "enum":
+            calls += inner_calls
+        parts.append(f"{header} {{ {'A, B; ' if entry_kind == 'enum' else ''}{body} }}")
+    return " ".join(parts), fields, methods, calls
 
 
 @settings(max_examples=150, deadline=None)
 @given(plan=_NESTING_PLANS)
 def test_nested_types_are_modelled_as_their_plan_says(plan):
     expected = []
-    text, _ = render_plan(plan, "", expected, itertools.count())
-    classes = parse(text)
-    assert [[c.name, [f.name for f in c.fields], [m.name for m in c.methods]]
+    text, _, _, _ = render_plan(plan, None, "", expected, itertools.count())
+    with deadline(2.0):
+        classes = parse(text)
+    assert [[c.name, [f.name for f in c.fields],
+             [(m.name, [s.callee_name for s in m.call_sites]) for m in c.methods]]
             for c in classes] == expected
-    assert all(m.call_sites == [] for c in classes for m in c.methods)
