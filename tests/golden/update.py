@@ -4,7 +4,9 @@ Each entry runs the four CLI commands (``analyze --report`` and the
 glTF, OBJ and MEL renders) through ``cli.main`` on one corpus and
 records, per command, the exit code, stdout and stderr (with the
 temporary directory replaced by ``<tmp>``) and the sha256 of every file
-it wrote. The corpora are:
+it wrote. Its ``parse`` record is the sha256 of ``parse_dump``, the
+whole ``parse_corpus`` result, so a parser change that moves no output
+byte is still seen. The corpora are:
 
 * the committed fixtures under ``tests/fixtures``,
 * ``tests/synth.py`` seeds 0-9 with the default config,
@@ -20,7 +22,7 @@ purpose regenerates the file in the same commit:
 Before it rewrites the file, the script prints the ``corpus/command``
 entries that moved against the committed manifest. A change meant to
 move one command's bytes alone passes ``--only COMMAND`` (``analyze``,
-``gltf``, ``obj`` or ``mel``): the script then rewrites that command's
+``gltf``, ``obj``, ``mel`` or ``parse``): the script then rewrites that command's
 records only, and exits 1 without writing if any other record moved.
 """
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -48,6 +51,7 @@ for entry in (str(REPO / "src"), str(TESTS), str(REPO / "bench")):
 import corpora  # noqa: E402
 import synth  # noqa: E402
 from codeforest import cli, pipeline  # noqa: E402
+from codeforest.parser import parse_corpus  # noqa: E402
 
 FIXTURES = TESTS / "fixtures"
 SYNTH_SEEDS = range(10)
@@ -60,6 +64,16 @@ _COMMANDS = {
     "obj": (["-o", "scene.obj", "--format", "obj"], ("scene.obj", "scene.mtl")),
     "mel": (["-o", "scene.mel", "--format", "mel"], ("scene.mel",)),
 }
+
+
+def parse_dump(root: Path) -> str:
+    """``parse_corpus(root)`` as canonical JSON: every field of every
+    unit, class, field, method and call site, spans, failures and
+    warnings, with each method's reads and writes sorted, so the text
+    does not depend on ``PYTHONHASHSEED``. The root is written
+    ``<root>``."""
+    result = dataclasses.asdict(parse_corpus(root))
+    return json.dumps(result, default=sorted, sort_keys=True).replace(str(root), "<root>")
 
 
 def _sha256(path: Path) -> str | None:
@@ -125,6 +139,7 @@ def _run_corpus(root: Path, out: Path, render_args: list[str]) -> dict:
             "stderr": stderr.getvalue(),
             "sha256": {f: _sha256(out / f) for f in files},
         }
+    entry["parse"] = {"sha256": hashlib.sha256(parse_dump(root).encode()).hexdigest()}
     return entry
 
 
@@ -168,7 +183,7 @@ def moved(old: dict, new: dict) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Rewrite tests/golden/sha256.json.")
-    parser.add_argument("--only", choices=list(_COMMANDS), metavar="COMMAND",
+    parser.add_argument("--only", choices=[*_COMMANDS, "parse"], metavar="COMMAND",
                         help="rewrite this command's records only; exit 1 if any other moved")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
