@@ -1,27 +1,28 @@
-"""Lossless tokenizer for the supported Java subset.
+"""Tokenizer for the supported Java subset.
 
 Unicode escapes (``\\u0041``, JLS 3.3) are translated first, as Java
-does before it reads line ends or tokens. Every character of the
-translated text then lands in exactly one token, so joining the token
-texts reproduces it verbatim, and a file without escapes verbatim. That
-property is what lets later stages report line spans without keeping a
-second copy of the source.
+does before it reads line ends or tokens. The scanner, ``_SCAN_PATTERN``,
+then matches ``(trivia*)(token|\\Z)``, trivia being whitespace and
+comments, so ``findall`` returns (trivia, token) pairs that tile the
+translated text and the trivia is never classified. ``\\Z`` ends the
+scan on trailing trivia, which would otherwise backtrack and give its
+last character to the ``.`` fallback.
 
-``tokenize`` returns a ``Tokens`` table of three parallel lists,
-``kinds``, ``texts`` and ``starts`` (character offsets), with one row per
-token, trivia included, so ``len()`` is the full token count.
-``span(i, j)`` gives the lines from token ``i`` through token ``j``, read
-off a per-file table of line starts (bisect). A line ends at LF, CR or
-CR LF (JLS 3.4).
+``tokenize`` returns a ``Tokens`` table of the significant tokens alone,
+three parallel lists ``kinds``, ``texts`` and ``starts`` (character
+offsets), so ``len()`` is the significant token count. ``span(i, j)``
+gives the lines from token ``i`` through token ``j``, read off a
+per-file table of line starts (bisect). A line ends at LF, CR or CR LF
+(JLS 3.4).
 
-The scanner is one alternation regex, ``_TOKEN_PATTERN``. Its groups
-name the kinds, but ``_token_regex`` compiles it with every group made
-non-capturing, so ``findall`` returns the token texts directly, and a
-token's kind is read off its text: its first character, then a table of
-whole texts (keywords, ``/`` and ``/=``, and the lone openers that are
-errors). ``_token_regex`` compiles once for ASCII text and once, on
-first use, for text with non-ASCII characters. Alternatives are tried in
-order, so the first that matches at a position wins:
+The trivia and the tokens are each one alternation regex whose groups
+name the kinds. ``_token_regex`` compiles the scanner with every named
+group made non-capturing, and a token's kind is read off its text: its
+first character, then a table of whole texts (keywords and the lone
+openers that are errors). ``_token_regex`` compiles once for ASCII text
+and once, on first use, for text with non-ASCII characters.
+Alternatives are tried in order, so the first that matches at a
+position wins (the first two are trivia):
 
 * ``whitespace``     maximal run of blanks, tabs, line ends and byte order
                      marks (U+FEFF)
@@ -51,7 +52,7 @@ import re
 import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 from .errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
@@ -62,12 +63,6 @@ KIND_PUNCTUATION = "punctuation"
 KIND_STRING = "string-literal"
 KIND_CHAR = "char-literal"
 KIND_NUMBER = "number-literal"
-KIND_COMMENT = "comment"
-KIND_WHITESPACE = "whitespace"
-
-KINDS = (KIND_KEYWORD, KIND_IDENTIFIER, KIND_PUNCTUATION, KIND_STRING, KIND_CHAR,
-         KIND_NUMBER, KIND_COMMENT, KIND_WHITESPACE)
-TRIVIA_KINDS = frozenset((KIND_COMMENT, KIND_WHITESPACE))
 
 KEYWORDS = frozenset(
     """
@@ -91,13 +86,15 @@ _ASCII_EXTRA_PART = r"\x00-\x08\x0e-\x1b\x7f"
 
 _WORD_START = r"(?:[^\W\d]|[$EXTRA_START])"
 
-# ``"(?!"")`` keeps an unclosed text block from lexing as ``""`` plus a
-# string that opens at its third quote: it reaches ``open_literal``.
-_TOKEN_PATTERN = r"""
+_TRIVIA_PATTERN = r"""
     (?P<whitespace>[ \t\r\n\f\x0b\ufeff]+)
     | (?P<line_comment>//[^\r\n]*)
     | (?P<block_comment>/\*.*?\*/)
-    | (?P<text_block>\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\")
+    """
+# ``"(?!"")`` keeps an unclosed text block from lexing as ``""`` plus a
+# string that opens at its third quote: it reaches ``open_literal``.
+_TOKEN_PATTERN = r"""
+    (?P<text_block>\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\")
     | (?P<string>"(?!"")(?:[^"\\\r\n]|\\.)*")
     | (?P<char>'(?:[^'\\\r\n]|\\.)*')
     | (?P<word>WORD_START[\w$EXTRA_PART]*)
@@ -107,6 +104,7 @@ _TOKEN_PATTERN = r"""
     | (?P<punctuation>>>>=|>>>|>>=|<<=|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
         |\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|.)
     """
+_SCAN_PATTERN = rf"((?:{_TRIVIA_PATTERN})*)({_TOKEN_PATTERN}|\Z)"
 _FLAGS = re.DOTALL | re.VERBOSE
 
 
@@ -147,7 +145,7 @@ def _non_ascii_classes() -> tuple[str, str]:
 
 
 @functools.cache
-def _pattern(ascii_only: bool, pattern: str = _TOKEN_PATTERN) -> str:
+def _pattern(ascii_only: bool, pattern: str = _SCAN_PATTERN) -> str:
     """``pattern`` with its identifier classes filled in.
 
     ASCII text cannot hold a non-ASCII identifier part, so importing the
@@ -160,8 +158,8 @@ def _pattern(ascii_only: bool, pattern: str = _TOKEN_PATTERN) -> str:
 
 @functools.cache
 def _token_regex(ascii_only: bool) -> re.Pattern:
-    """The scanner, with every group non-capturing, so that ``findall``
-    returns the token texts."""
+    """The scanner, with every named group non-capturing, so that
+    ``findall`` returns the (trivia, token) pairs."""
     return re.compile(re.sub(r"\(\?P<\w+>", "(?:", _pattern(ascii_only)), _FLAGS)
 
 
@@ -180,24 +178,21 @@ _OPEN_COMMENT = "open-comment"
 _OPEN_LITERAL = "open-literal"
 
 # A token's kind from its first character, for an ASCII one: no two
-# alternatives of the scanner start with the same ASCII character, but
-# for ``/`` (a comment, or the ``/`` and ``/=`` operators) and the quotes
-# (a literal, or a lone opener), and the fallback takes any character
-# the others do not. Where the first character leaves the kind open,
-# the whole text decides: a keyword, ``/``, ``/=``, or a lone ``/*``,
-# ``"`` or ``'``. A byte order mark is whitespace; any other non-ASCII
-# first character starts an identifier or is punctuation on its own
-# (``tokenize`` tells which).
+# token alternatives start with the same ASCII character, but for ``/``
+# and the quotes (an operator or a literal, or a lone opener), and the
+# fallback takes any character the others do not. Where the first
+# character leaves the kind open, the whole text decides: a keyword, or
+# a lone ``/*``, ``"`` or ``'``. A non-ASCII first character starts an
+# identifier or is punctuation on its own (``tokenize`` tells which).
 _KIND_OF_FIRST = dict.fromkeys(map(chr, range(128)), KIND_PUNCTUATION)
-_KIND_OF_FIRST.update(dict.fromkeys(" \t\r\n\f\x0b\ufeff", KIND_WHITESPACE))
 _KIND_OF_FIRST.update(dict.fromkeys(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", KIND_IDENTIFIER))
 _KIND_OF_FIRST.update(dict.fromkeys("0123456789", KIND_NUMBER))
-_KIND_OF_FIRST.update({"/": KIND_COMMENT, '"': KIND_STRING, "'": KIND_CHAR})
+_KIND_OF_FIRST.update({'"': KIND_STRING, "'": KIND_CHAR})
 _KIND_OF_TEXT = dict.fromkeys(KEYWORDS, KIND_KEYWORD)
-_KIND_OF_TEXT.update({"/": KIND_PUNCTUATION, "/=": KIND_PUNCTUATION, "/*": _OPEN_COMMENT,
-                      '"': _OPEN_LITERAL, "'": _OPEN_LITERAL})
+_KIND_OF_TEXT.update({"/*": _OPEN_COMMENT, '"': _OPEN_LITERAL, "'": _OPEN_LITERAL})
 _first_char = itemgetter(0)
+_token = itemgetter(1)
 
 
 @dataclass(slots=True)
@@ -210,20 +205,20 @@ class Span:
 
 
 class Tokens:
-    """One file's tokens as a table of parallel lists.
+    """One file's significant tokens as a table of parallel lists.
 
     Token ``i`` has kind ``kinds[i]`` and text ``texts[i]`` and starts at
-    character offset ``starts[i]``; ``starts`` ends with one more entry,
-    the length of the text.
+    character offset ``starts[i]``.
     """
 
     __slots__ = ("file_id", "kinds", "texts", "starts", "_line_starts")
 
-    def __init__(self, file_id: str, text: str, kinds: list[str], texts: list[str]):
+    def __init__(self, file_id: str, text: str, kinds: list[str], texts: list[str],
+                 starts: list[int]):
         self.file_id = file_id
         self.kinds = kinds
         self.texts = texts
-        self.starts = list(accumulate(map(len, texts), initial=0))
+        self.starts = starts
         # The offset of each line's first character, then one past the
         # end. CR LF becomes a blank and LF, a lone CR an LF: one line
         # end each, and every offset kept.
@@ -241,11 +236,11 @@ class Tokens:
         """
         lines = self._line_starts
         return Span(self.file_id, bisect_right(lines, self.starts[i]),
-                    bisect_right(lines, self.starts[j + 1] - 1))
+                    bisect_right(lines, self.starts[j] + len(self.texts[j]) - 1))
 
 
 def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
-    """Split ``source``, Unicode escapes translated, into a lossless token table.
+    """Split ``source``, Unicode escapes translated, into its significant tokens.
 
     Raises NonUtf8Input, UnterminatedLiteral or UnterminatedComment.
     """
@@ -260,14 +255,20 @@ def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
             "utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
     ascii_only = text.isascii()
-    texts = _token_regex(ascii_only).findall(text)
+    pairs = _token_regex(ascii_only).findall(text)
+    # Only ``\Z`` matches an empty token: once or twice, at the end.
+    texts = list(map(_token, pairs))
+    while texts and not texts[-1]:
+        texts.pop()
+    # The running length after each trivia is where its token starts.
+    starts = list(accumulate(map(len, chain.from_iterable(pairs))))[:2 * len(texts):2]
     by_first = map(_KIND_OF_FIRST.get, map(_first_char, texts))
     kinds = list(map(_KIND_OF_TEXT.get, texts, by_first))
     if not ascii_only and None in kinds:
         is_word = _word_start().match
         kinds = [kind or (KIND_IDENTIFIER if is_word(t) else KIND_PUNCTUATION)
                  for kind, t in zip(kinds, texts)]
-    tokens = Tokens(file_id, text, kinds, texts)
+    tokens = Tokens(file_id, text, kinds, texts, starts)
     errors = [kinds.index(k) for k in (_OPEN_COMMENT, _OPEN_LITERAL) if k in kinds]
     if errors:
         at = min(errors)

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import compress
 
 from .errors import (
     CodeforestError,
@@ -71,8 +70,6 @@ from .lexer import (
     ASSIGNMENT_OPERATORS,
     KIND_IDENTIFIER,
     KIND_KEYWORD,
-    KINDS,
-    TRIVIA_KINDS,
     Span,
     Tokens,
     tokenize,
@@ -95,13 +92,11 @@ _BODY_WORDS = _TYPE_WORDS | {"enum", "new"}
 _PARTNER = {"(": ")", "[": "]", "{": "}"}
 _OPENERS = frozenset(_PARTNER)
 _CLOSERS = frozenset(_PARTNER.values())
-_BRACKETS = _OPENERS | _CLOSERS
 
 # Tokens that end the head (modifiers stripped) of a member declaration;
 # "" is the padding past the last token, where a top-level head ends.
 _HEAD_ENDS = frozenset(("(", "=", ";", ",", "{", "}", ""))
 
-_SIGNIFICANT = {kind: kind not in TRIVIA_KINDS for kind in KINDS}
 # Empty entries past the last significant token: a lookahead reads at
 # most two tokens past a cursor at most one past the last token.
 _PAD = 2
@@ -158,13 +153,12 @@ class CorpusParse:
 
 
 class _Parser:
-    """Cursor over the significant tokens of one compilation unit.
+    """Cursor over the tokens of one compilation unit.
 
-    ``kinds`` and ``texts`` hold the significant tokens alone, ``index``
-    the row of each in the unit's ``Tokens`` table, which builds a
-    ``Span`` only for a class or an error. Past the last token, ``_PAD``
-    empty entries let a lookahead read ``""``. ``partner`` is the unit's
-    bracket table. Every scan moves either one token at a time or from an
+    ``kinds`` and ``texts`` are the unit's ``Tokens`` lists with ``_PAD``
+    empty entries past the last token, so a lookahead reads ``""``
+    there. A ``Span`` is built only for a class or an error. ``partner``
+    is the unit's bracket table. Every scan moves either one token at a time or from an
     opener past its partner, and stops at the closer of the group it is
     in, so no scan leaves the group it started in.
 
@@ -173,20 +167,14 @@ class _Parser:
     """
 
     def __init__(self, tokens: Tokens):
-        kinds = tokens.kinds
-        keep = list(map(_SIGNIFICANT.__getitem__, kinds))
-        self.tokens = tokens
-        self.index = list(compress(range(len(kinds)), keep))
-        self.n = len(self.index)
-        self.kinds = list(compress(kinds, keep)) + [""] * _PAD
-        self.texts = list(compress(tokens.texts, keep)) + [""] * _PAD
+        self.n = len(tokens)
+        self.kinds = tokens.kinds + [""] * _PAD
+        self.texts = tokens.texts + [""] * _PAD
+        self.starts = tokens.starts
+        self.span = tokens.span
         self.partner = self.match_brackets()
         self.pos = 0
         self.package = ""
-
-    def span(self, a: int, b: int) -> Span:
-        """The span from significant token ``a`` through ``b``."""
-        return self.tokens.span(self.index[a], self.index[b])
 
     def match_brackets(self) -> list[int]:
         """Index of each bracket's partner; other entries are unused.
@@ -197,10 +185,11 @@ class _Parser:
         texts = self.texts
         partner = [0] * self.n
         stack: list[int] = []
-        for i in compress(range(self.n), map(_BRACKETS.__contains__, texts)):
-            text = texts[i]
+        for i, text in enumerate(texts):
             if text in _OPENERS:
                 stack.append(i)
+            elif text not in _CLOSERS:
+                continue
             elif not stack or _PARTNER[texts[stack[-1]]] != text:
                 raise UnbalancedBraces(self.span(i, i))
             else:
@@ -285,7 +274,7 @@ class _Parser:
         docstring), annotations and type parameters; return the index
         where they began. Stops at ``@interface``.
 
-        ``non-sealed`` is three adjacent rows of the token table. An
+        ``non-sealed`` is three tokens with no characters between them. An
         annotation before ``[`` or ``...`` (three ``.`` tokens) annotates
         the array type written before it (``String @A [] names``), so
         that type is no modifier.
@@ -304,7 +293,7 @@ class _Parser:
                 return start
             else:
                 width = 3 if (texts[pos:pos + 3] == ["non", "-", "sealed"]
-                              and self.index[pos + 2] == self.index[pos] + 2) else 1
+                              and self.starts[pos + 2] == self.starts[pos] + 4) else 1
                 after = pos + width
                 if not (kinds[after] == KIND_KEYWORD or self.at_type_declaration(width) or (
                         texts[after] == "@"

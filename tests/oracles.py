@@ -666,9 +666,10 @@ def file_class_loc(text: str) -> list[int]:
 
 
 # The reference tokenizer loop: one ``(kind, text, line_start,
-# line_end)`` row per match of the scanner's named-group form, its kind
-# from the name of the group that matched, lines counted as it goes. A
-# line ends at LF, CR or CR LF (JLS 3.4).
+# line_end)`` row per match of one alternation of the scanner's trivia
+# and token groups, its kind from the name of the group that matched,
+# lines counted as it goes. A line ends at LF, CR or CR LF (JLS 3.4).
+TRIVIA_KINDS = ("whitespace", "comment")
 _KIND_OF_GROUP = {
     "whitespace": "whitespace",
     "line_comment": "comment",
@@ -714,9 +715,9 @@ def translate_unicode_escapes(text: str) -> str:
 
 
 def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
-    """``lexer.tokenize`` as a list of ``(kind, text, line_start, line_end)``,
-    built one match at a time from the text with its Unicode escapes
-    translated."""
+    """The text, Unicode escapes translated, as a list of ``(kind, text,
+    line_start, line_end)`` rows built one match at a time, whitespace
+    and comments included: ``lexer.tokenize`` keeps the other rows."""
     from codeforest import lexer
     from codeforest.errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
     from codeforest.lexer import Span
@@ -727,7 +728,8 @@ def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
         raise NonUtf8Input(exc.start, file_id) from None
     text = translate_unicode_escapes(text)
     ascii_only = text.isascii()
-    regex = re.compile(lexer._pattern(ascii_only), lexer._FLAGS)
+    regex = re.compile(
+        lexer._pattern(ascii_only, lexer._TRIVIA_PATTERN + "|" + lexer._TOKEN_PATTERN), lexer._FLAGS)
     tokens = []
     line = 1
     for m in regex.finditer(text):

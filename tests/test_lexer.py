@@ -1,4 +1,9 @@
-"""Tokenizer behaviour: lossless coverage, classification, error spans."""
+"""Tokenizer behaviour: lossless coverage, classification, error spans.
+
+``tokenize`` keeps the significant tokens alone; the whitespace and
+comments between them are checked against the rows of
+``oracles.tokenize_by_loop``, which keeps every piece of the text.
+"""
 
 import re
 
@@ -15,13 +20,11 @@ from codeforest.errors import (
 )
 from codeforest.lexer import (
     KIND_CHAR,
-    KIND_COMMENT,
     KIND_IDENTIFIER,
     KIND_KEYWORD,
     KIND_NUMBER,
     KIND_PUNCTUATION,
     KIND_STRING,
-    KIND_WHITESPACE,
     Span,
     tokenize,
 )
@@ -33,14 +36,37 @@ def kinds_and_texts(source: str):
     return list(zip(tokens.kinds, tokens.texts))
 
 
+def pieces(data: bytes, tokens) -> list[str]:
+    """The text of ``data``, Unicode escapes translated, cut into the
+    trivia before each token, that token, ..., and the trivia at the end.
+
+    Each token's text must sit at its offset, and each run of trivia
+    must be the whitespace and comment rows that ``tokenize_by_loop``
+    gives there.
+    """
+    text = oracles.translate_unicode_escapes(data.decode())
+    trivia, run = [], []
+    for kind, chunk, _, _ in oracles.tokenize_by_loop(data):
+        if kind in oracles.TRIVIA_KINDS:
+            run.append(chunk)
+        else:
+            trivia.append("".join(run))
+            run = []
+    trivia.append("".join(run))
+    ends = [start + len(token) for start, token in zip(tokens.starts, tokens.texts)]
+    assert [text[start:end] for start, end in zip(tokens.starts, ends)] == tokens.texts
+    assert [text[a:b] for a, b in zip([0, *ends], [*tokens.starts, len(text)])] == trivia
+    out = [trivia[0]]
+    for token, gap in zip(tokens.texts, trivia[1:]):
+        out += [token, gap]
+    return out
+
+
 def test_simple_declaration_kinds():
     assert kinds_and_texts("int x = 1;") == [
         (KIND_KEYWORD, "int"),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "x"),
-        (KIND_WHITESPACE, " "),
         (KIND_PUNCTUATION, "="),
-        (KIND_WHITESPACE, " "),
         (KIND_NUMBER, "1"),
         (KIND_PUNCTUATION, ";"),
     ]
@@ -60,14 +86,21 @@ def test_simple_declaration_kinds():
 )
 def test_concatenation_reproduces_source(source):
     tokens = tokenize(source.encode())
-    assert "".join(tokens.texts) == source
+    assert "".join(pieces(source.encode(), tokens)) == source
 
 
 def test_fixture_files_tokenize_losslessly():
     for path in sorted(FIXTURES.rglob("*.java")):
         data = path.read_bytes()
         tokens = tokenize(data, str(path))
-        assert "".join(tokens.texts).encode() == data
+        assert "".join(pieces(data, tokens)).encode() == data
+
+
+@pytest.mark.parametrize("source", ["a ", "a /* c */", "a // c", "a\r\n", "  "])
+def test_trailing_trivia_is_no_token(source):
+    # ``\Z`` ends the scan: the last blank or comment character does not
+    # fall back to punctuation.
+    assert kinds_and_texts(source) == [(KIND_IDENTIFIER, "a")] * ("a" in source)
 
 
 def test_maximal_munch_operators():
@@ -108,19 +141,12 @@ def test_identifier_parts_take_combining_marks_and_ignorables():
     # ASCII ignorable control inside identifiers (JLS 3.8).
     assert kinds_and_texts("int cafe\u0301 = a\u0903b + x\u200dy - p\x00q;") == [
         (KIND_KEYWORD, "int"),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "cafe\u0301"),
-        (KIND_WHITESPACE, " "),
         (KIND_PUNCTUATION, "="),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "a\u0903b"),
-        (KIND_WHITESPACE, " "),
         (KIND_PUNCTUATION, "+"),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "x\u200dy"),
-        (KIND_WHITESPACE, " "),
         (KIND_PUNCTUATION, "-"),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "p\x00q"),
         (KIND_PUNCTUATION, ";"),
     ]
@@ -131,19 +157,12 @@ def test_currency_and_connecting_punctuation_in_identifiers():
     # continue an identifier, like "$" and "_" (JLS 3.8).
     assert kinds_and_texts("int a€b = x‿y + £p - ⁀q;") == [
         (KIND_KEYWORD, "int"),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "a€b"),
-        (KIND_WHITESPACE, " "),
         (KIND_PUNCTUATION, "="),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "x‿y"),
-        (KIND_WHITESPACE, " "),
         (KIND_PUNCTUATION, "+"),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "£p"),
-        (KIND_WHITESPACE, " "),
         (KIND_PUNCTUATION, "-"),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "⁀q"),
         (KIND_PUNCTUATION, ";"),
     ]
@@ -153,7 +172,6 @@ def test_marks_and_ignorables_do_not_start_identifiers():
     assert kinds_and_texts("\u0301a \u200db") == [
         (KIND_PUNCTUATION, "\u0301"),
         (KIND_IDENTIFIER, "a"),
-        (KIND_WHITESPACE, " "),
         (KIND_PUNCTUATION, "\u200d"),
         (KIND_IDENTIFIER, "b"),
     ]
@@ -162,8 +180,8 @@ def test_marks_and_ignorables_do_not_start_identifiers():
 def test_text_block_is_one_string_literal():
     block = '"""\n  {"a";}\n  \\"""\n  ""x\n  """'
     toks = kinds_and_texts(f"s = {block};\nint y;")
-    assert toks[4] == (KIND_STRING, block)
-    assert toks[5] == (KIND_PUNCTUATION, ";")
+    assert toks[2] == (KIND_STRING, block)
+    assert toks[3] == (KIND_PUNCTUATION, ";")
     tokens = tokenize(f"s = {block};\nint y;".encode())
     y = tokens.texts.index("y")
     assert tokens.span(y, y) == Span("<memory>", 6, 6)
@@ -180,10 +198,10 @@ def test_tolerant_numbers():
         assert KIND_NUMBER in tokenize(f"a={text};".encode()).kinds, text
 
 
-def test_comment_kinds():
-    toks = kinds_and_texts("// line\n/* block */")
-    assert toks[0] == (KIND_COMMENT, "// line")
-    assert toks[-1] == (KIND_COMMENT, "/* block */")
+def test_comments_are_trivia():
+    assert kinds_and_texts("// line\n/* block */") == []
+    tokens = tokenize(b"a// line\n/* block */b/c")
+    assert (tokens.texts, tokens.starts) == (["a", "b", "/", "c"], [0, 20, 21, 22])
 
 
 def _lines(tokens) -> list[tuple[str, int, int]]:
@@ -202,18 +220,15 @@ def test_cr_lf_and_a_lone_cr_each_end_one_line():
     # JLS 3.4: LF, CR and CR LF are line terminators; LF CR is two.
     tokens = tokenize("a\r\nbb\rc /* \r\r\n */ d\n\r\u00e9".encode())
     assert _lines(tokens) == [
-        ("a", 1, 1), ("\r\n", 1, 1), ("bb", 2, 2), ("\r", 2, 2), ("c", 3, 3),
-        (" ", 3, 3), ("/* \r\r\n */", 3, 5), (" ", 5, 5), ("d", 5, 5),
-        ("\n\r", 5, 6), ("\u00e9", 7, 7),
+        ("a", 1, 1), ("bb", 2, 2), ("c", 3, 3), ("d", 5, 5), ("\u00e9", 7, 7),
     ]
 
 
 def test_a_line_comment_stops_at_a_lone_cr():
+    tokens = tokenize(b"// header\rpackage p;")
+    assert _lines(tokens)[0] == ("package", 2, 2)
     assert kinds_and_texts("// header\rpackage p;") == [
-        (KIND_COMMENT, "// header"),
-        (KIND_WHITESPACE, "\r"),
         (KIND_KEYWORD, "package"),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "p"),
         (KIND_PUNCTUATION, ";"),
     ]
@@ -228,12 +243,9 @@ def test_a_raw_cr_in_a_literal_raises(source):
 
 def test_a_byte_order_mark_is_whitespace():
     assert kinds_and_texts("\ufeffpackage p; a\ufeffb") == [
-        (KIND_WHITESPACE, "\ufeff"),
         (KIND_KEYWORD, "package"),
-        (KIND_WHITESPACE, " "),
         (KIND_IDENTIFIER, "p"),
         (KIND_PUNCTUATION, ";"),
-        (KIND_WHITESPACE, " "),
         # Inside a name it is an ignorable part (Cf), so the name stays whole.
         (KIND_IDENTIFIER, "a\ufeffb"),
     ]
@@ -244,29 +256,29 @@ def test_a_byte_order_mark_is_whitespace():
 def test_unicode_escape_joins_an_identifier():
     # An escape may repeat its ``u``.
     assert kinds_and_texts("class A\\u0042 x\\uuu0031") == [
-        (KIND_KEYWORD, "class"), (KIND_WHITESPACE, " "), (KIND_IDENTIFIER, "AB"),
-        (KIND_WHITESPACE, " "), (KIND_IDENTIFIER, "x1")]
+        (KIND_KEYWORD, "class"), (KIND_IDENTIFIER, "AB"), (KIND_IDENTIFIER, "x1")]
 
 
 def test_unicode_escape_line_end_ends_a_comment_and_a_line():
     tokens = tokenize(b"// c \\u000a void real() {}")
-    assert _lines(tokens)[:3] == [("// c ", 1, 1), ("\n ", 1, 2), ("void", 2, 2)]
+    assert _lines(tokens)[0] == ("void", 2, 2)
 
 
 def test_an_escaped_backslash_starts_no_unicode_escape():
     # An even run of backslashes before ``u`` is escapes of themselves;
     # the backslash a ``\\u005c`` makes starts no further escape.
-    assert kinds_and_texts(r's = "\\u0041\\\u0041";')[4] == (KIND_STRING, r'"\\u0041\\A"')
-    assert kinds_and_texts(r"c = '\u005cu0041';")[4] == (KIND_CHAR, r"'\u0041'")
+    assert kinds_and_texts(r's = "\\u0041\\\u0041";')[2] == (KIND_STRING, r'"\\u0041\\A"')
+    assert kinds_and_texts(r"c = '\u005cu0041';")[2] == (KIND_CHAR, r"'\u0041'")
 
 
 def test_unicode_escapes_of_a_surrogate_pair_are_one_code_point():
     tokens = tokenize(b"a\\ud83c\\udf32 = '\\udc00';")
-    assert tokens.texts == ["a", "\U0001f332", " ", "=", " ", "'\udc00'", ";"]
+    assert tokens.texts == ["a", "\U0001f332", "=", "'\udc00'", ";"]
 
 
 def test_a_backslash_u_without_four_hex_digits_stays():
-    assert "".join(tokenize(b"a \\u00 \\uz123 \\").texts) == "a \\u00 \\uz123 \\"
+    data = b"a \\u00 \\uz123 \\"
+    assert "".join(pieces(data, tokenize(data))) == "a \\u00 \\uz123 \\"
 
 
 def test_unterminated_string_raises():
@@ -324,19 +336,18 @@ def test_tokenize_is_lossless_or_raises(data):
     # Lossless against the text with its Unicode escapes translated,
     # where lines are counted too (JLS 3.3 comes before 3.4).
     text = oracles.translate_unicode_escapes(data.decode())
-    assert "".join(tokens.texts) == text
-    at = 0
-    for chunk, first, last in _lines(tokens):
+    assert "".join(pieces(data, tokens)) == text
+    for at, (chunk, first, last) in zip(tokens.starts, _lines(tokens)):
         assert chunk and first == len(_LINE_END.findall(text[:at])) + 1
         at += len(chunk)
         # A trailing line end sits on the line it terminates.
         assert last == len(_LINE_END.findall(text[:at])) + 1 - (text[at - 1] in "\r\n")
-    assert at == len(text)
 
 
 def _same_as_the_loop(data: bytes) -> None:
-    """``tokenize`` equals the reference loop row by row (kind, text and
-    lines), or both raise the same error type with the same span."""
+    """``tokenize`` equals the reference loop's significant rows, row by
+    row (kind, text and lines), or both raise the same error type with
+    the same span."""
     try:
         expected = oracles.tokenize_by_loop(data, "<diff>")
     except CodeforestError as exc:
@@ -345,6 +356,7 @@ def _same_as_the_loop(data: bytes) -> None:
         assert getattr(err.value, "span", None) == getattr(exc, "span", None)
         assert str(err.value) == str(exc)
         return
+    expected = [row for row in expected if row[0] not in oracles.TRIVIA_KINDS]
     tokens = tokenize(data, "<diff>")
     assert len(tokens) == len(expected)
     assert [(k, *row) for k, row in zip(tokens.kinds, _lines(tokens))] == expected
@@ -376,6 +388,7 @@ def test_fixture_tokens_match_the_object_building_loop(path):
 
 def test_span_joins_tokens():
     tokens = tokenize("é = 1;\nint y;\r\n".encode(), "f")
+    assert tokens.texts == ["é", "=", "1", ";", "int", "y", ";"]
     assert tokens.span(0, len(tokens) - 1) == Span("f", 1, 2)
-    assert tokens.span(2, 7) == Span("f", 1, 2)
-    assert tokens.span(2, 2) == Span("f", 1, 1)
+    assert tokens.span(1, 4) == Span("f", 1, 2)
+    assert tokens.span(1, 1) == Span("f", 1, 1)
