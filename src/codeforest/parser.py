@@ -327,20 +327,27 @@ class _Parser:
         )
 
     def read_type_ref(self) -> str | None:
-        """Read ``a.b.C`` with generics and array suffixes stripped."""
-        if not self.at_kind(KIND_IDENTIFIER):
-            return None
-        texts = self.texts
-        parts = [texts[self.pos]]
-        self.pos += 1
-        while self.at(".") and self.at_kind(KIND_IDENTIFIER, 1):
-            parts.append(texts[self.pos + 1])
-            self.pos += 2
+        """Read a type ``a.b.C`` whole, with its names joined: constructor
+        type arguments before it (``new <T>C()``), annotations before any
+        name (``@A a.@B C``), type arguments after any (``Outer<T>.Inner``)
+        and array suffixes are skipped. None when no name follows the
+        type arguments and annotations, which are read anyway."""
+        texts, kinds = self.texts, self.kinds
         if self.at("<"):
             self.take_generics()
+        self.pos = pos = self.past_annotations(self.pos)
+        parts = []
+        while kinds[pos] == KIND_IDENTIFIER:
+            parts.append(texts[pos])
+            self.pos = pos + 1
+            if self.at("<"):
+                self.take_generics()
+            if not self.at("."):
+                break
+            pos = self.past_annotations(self.pos + 1)
         while self.at("[") and self.at("]", 1):
             self.pos += 2
-        return ".".join(parts)
+        return ".".join(parts) or None
 
     def parse_class(self, prefix: str, start: int, out: list[ClassDecl]) -> tuple:
         """Read the header of the type at the cursor, modifiers from
@@ -555,7 +562,9 @@ class _Parser:
 
         A call site is an identifier directly before ``(`` that does not
         name an annotation (``@A(...)``, ``@a.b.A(...)``). The type after
-        ``new`` is read whole, so ``new a.B<C>(...)`` calls nothing. A class
+        ``new`` is read whole, so ``new a.B<C>(...)`` calls nothing, and so
+        is a type after ``instanceof`` or ``case``: when ``(`` follows it,
+        that group is a record pattern, and is jumped over. A class
         body in the code, after ``new T(...)`` or in a local type
         declaration, is read by ``parse_members`` (see ``code_after``), and
         only the code it hands back is scanned, so no member head is read
@@ -590,6 +599,11 @@ class _Parser:
                         writes.add(text)
                     elif texts[i - 1] != ".":
                         reads.add(text)
+                elif text in ("instanceof", "case"):
+                    # A record pattern, ``case Line(Point p, var q)``, calls nothing.
+                    self.pos = i + 1
+                    if self.read_type_ref() and self.at("("):
+                        i = self.partner[self.pos]
                 i += 1
 
     def code_after(self, i: int, hi: int) -> list[tuple[int, int]] | None:
@@ -604,7 +618,7 @@ class _Parser:
         """
         texts, partner = self.texts, self.partner
         if texts[i] == "new":
-            self.pos = self.past_annotations(i + 1)
+            self.pos = i + 1
             self.read_type_ref()
             args = self.pos
             if texts[args] != "(":

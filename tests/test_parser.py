@@ -218,6 +218,17 @@ def test_super_is_the_first_extends_name_else_the_first_implements_name(source, 
     assert cls.super_name == super_name
 
 
+@pytest.mark.parametrize("source, super_name", [
+    ("class B extends @A Base { }", "Base"),
+    ("class C implements @A I, J { }", "I"),
+    ("class D extends a.b.@A(1) Base { }", "a.b.Base"),
+    ("class E extends Outer<T>.@A Inner<U> { }", "Outer.Inner"),
+])
+def test_an_annotated_parent_is_read_whole(source, super_name):
+    (cls,) = parse(source)
+    assert cls.super_name == super_name
+
+
 def test_unbalanced_braces_raise():
     with pytest.raises(UnbalancedBraces):
         parse("class A { void m() { }")
@@ -527,6 +538,8 @@ def test_spaced_non_sealed_is_not_a_modifier():
     # ``non - sealed`` is an expression, never the modifier.
     (cls,) = parse("class K { int non = 1, sealed = 2, d = non - sealed; }")
     assert [f.name for f in cls.fields] == ["non", "sealed", "d"]
+    # Nor is ``non/**/-sealed``: its tokens are not adjacent in the text.
+    assert [c.name for c in parse("class K { non/**/-sealed class N { } }")] == ["K"]
 
 
 def test_local_record_is_not_a_call_site():
@@ -617,6 +630,22 @@ def test_a_qualified_construction_is_not_a_call_site():
     assert site_tuples(s) == [("f", RECEIVER_THIS, None)]
 
 
+def test_a_type_after_new_is_read_whole():
+    # Type arguments on an inner segment, constructor type arguments and
+    # an annotation on an inner segment.
+    s = scan("{ new Outer.Inner<T>.Deep(f()); new <T>Foo(); new a.@A B(); }", [])
+    assert site_tuples(s) == [("f", RECEIVER_THIS, None)]
+
+
+@pytest.mark.parametrize("body", [
+    "{ if (o instanceof Point(int x, int y) && g()) { } }",
+    "{ switch (o) { case Line(Point(var a, var b), Point c) when g() -> { } default -> { } } }",
+    "{ switch (o) { case Box<String>(var s): g(); } }",
+])
+def test_a_record_pattern_is_not_a_call_site(body):
+    assert site_tuples(scan(body, [])) == [("g", RECEIVER_THIS, None)]
+
+
 def test_a_switch_guard_is_a_call_site():
     s = scan("{ switch (o) { case String s when check(s) -> run(s); default -> { } } }", [])
     assert site_tuples(s) == [("check", RECEIVER_THIS, None), ("run", RECEIVER_THIS, None)]
@@ -662,6 +691,14 @@ def test_generic_construction_in_a_field_initializer():
         "Map<K, V> q = new java.util.TreeMap<K, List<V>>(); }"
     )
     assert [f.name for f in cls.fields] == ["m", "n", "q"]
+
+
+def test_an_annotated_or_generic_construction_splits_no_declarator():
+    (cls,) = parse(
+        "class A { Map<K, V> m = new @A HashMap<K, V>(), n; "
+        "Object p = new <K, V>Foo(), q; Object r = new a.@A B<K, V>.C<K, V>(), s; }"
+    )
+    assert [f.name for f in cls.fields] == ["m", "n", "p", "q", "r", "s"]
 
 
 def test_less_than_in_a_field_initializer_is_a_comparison():
@@ -747,7 +784,7 @@ def test_spans_count_lines_after_non_ascii_text():
 _WORDS = (
     "class interface record enum extends implements permits package import public "
     "static final sealed non-sealed value default @ < > >> , ; = . new return void "
-    "int String A B x yield when throws ? * -"
+    "int String A B x yield when case instanceof throws ? * -"
 ).split()
 
 
