@@ -28,13 +28,15 @@ whole, as an ``enum`` is.
 
 Method bodies are scanned once the whole unit is read, so every field
 is known. In code, a call site is an identifier directly before ``(``
-that does not name an annotation, and the type after ``new`` is read
-whole: ``return g()``, ``yield g()`` and ``when g()`` call, ``new
-a.B()`` does not. A class body in code, after ``new T(...)`` or in a
-local type declaration, is read by ``parse_members`` as every class
-body is, its classes dropped; only the code it hands back (method
-bodies, initializer blocks, field initializers) is scanned, for the
-enclosing method, so no member head is read as a call.
+that does not name an annotation, and the type after ``new``,
+``instanceof`` or ``case`` is read whole (``read_type_ref``):
+``return g()``, ``yield g()`` and ``when g()`` call, ``new a.B()`` and
+a record pattern ``case P(var x)`` do not. A class body in code, after
+``new T(...)`` or in a local type declaration, is read by
+``parse_members`` as every class body is, its classes dropped; only the
+code it hands back (method bodies, initializer blocks, field
+initializers) is scanned, for the enclosing method, so no member head
+is read as a call.
 
 Everything else (imports, annotations, generics, enum bodies, code the
 subset does not model) is consumed and dropped. The parser never guesses
@@ -158,9 +160,9 @@ class _Parser:
     ``kinds`` and ``texts`` are the unit's ``Tokens`` lists with ``_PAD``
     empty entries past the last token, so a lookahead reads ``""``
     there. A ``Span`` is built only for a class or an error. ``partner``
-    is the unit's bracket table. Every scan moves either one token at a time or from an
-    opener past its partner, and stops at the closer of the group it is
-    in, so no scan leaves the group it started in.
+    is the unit's bracket table. Every scan moves either one token at a
+    time or from an opener past its partner, and stops at the closer of
+    the group it is in, so no scan leaves the group it started in.
 
     A keyword's text is only ever a keyword's, and ``(`` or ``=`` only
     punctuation, so a test on such a text needs no test on the kind.

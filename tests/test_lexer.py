@@ -96,13 +96,6 @@ def test_fixture_files_tokenize_losslessly():
         assert "".join(pieces(data, tokens)).encode() == data
 
 
-@pytest.mark.parametrize("source", ["a ", "a /* c */", "a // c", "a\r\n", "  "])
-def test_trailing_trivia_is_no_token(source):
-    # ``\Z`` ends the scan: the last blank or comment character does not
-    # fall back to punctuation.
-    assert kinds_and_texts(source) == [(KIND_IDENTIFIER, "a")] * ("a" in source)
-
-
 def test_maximal_munch_operators():
     texts = [t for k, t in kinds_and_texts("a>>>=b") if k == KIND_PUNCTUATION]
     assert texts == [">>>="]

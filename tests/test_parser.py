@@ -212,19 +212,13 @@ def test_first_implements_is_super_when_no_extends():
     ("interface I extends J, K { }", "J"),
     # The ``extends`` of a later type argument opens no list.
     ("class C implements A, Comparable<List<? extends Number>> { }", "A"),
-])
-def test_super_is_the_first_extends_name_else_the_first_implements_name(source, super_name):
-    (cls,) = parse(source)
-    assert cls.super_name == super_name
-
-
-@pytest.mark.parametrize("source, super_name", [
+    # The name is read whole, past annotations and type arguments.
     ("class B extends @A Base { }", "Base"),
     ("class C implements @A I, J { }", "I"),
     ("class D extends a.b.@A(1) Base { }", "a.b.Base"),
     ("class E extends Outer<T>.@A Inner<U> { }", "Outer.Inner"),
 ])
-def test_an_annotated_parent_is_read_whole(source, super_name):
+def test_super_is_the_first_extends_name_else_the_first_implements_name(source, super_name):
     (cls,) = parse(source)
     assert cls.super_name == super_name
 
@@ -626,14 +620,10 @@ def test_annotations_with_arguments_in_a_body_are_not_call_sites():
 
 
 def test_a_qualified_construction_is_not_a_call_site():
-    s = scan("{ line = new Line2D.Double(0, 0, f(), 1); Map m = new java.util.HashMap(); }", [])
-    assert site_tuples(s) == [("f", RECEIVER_THIS, None)]
-
-
-def test_a_type_after_new_is_read_whole():
-    # Type arguments on an inner segment, constructor type arguments and
-    # an annotation on an inner segment.
-    s = scan("{ new Outer.Inner<T>.Deep(f()); new <T>Foo(); new a.@A B(); }", [])
+    # Nor with type arguments on an inner segment, constructor type
+    # arguments or an annotation on an inner segment.
+    s = scan("{ line = new Line2D.Double(0, 0, f(), 1); Map m = new java.util.HashMap(); "
+             "new Outer.Inner<T>.Deep(); new <T>Foo(); new a.@A B(); }", [])
     assert site_tuples(s) == [("f", RECEIVER_THIS, None)]
 
 
@@ -688,17 +678,11 @@ def test_the_oracle_finds_the_parsed_call_sites_in_every_fixture(name):
 def test_generic_construction_in_a_field_initializer():
     (cls,) = parse(
         "class A { Map<K, V> m = new HashMap<K, V>(), n; "
-        "Map<K, V> q = new java.util.TreeMap<K, List<V>>(); }"
+        "Map<K, V> q = new java.util.TreeMap<K, List<V>>(); "
+        "Map<K, V> r = new @A HashMap<K, V>(), s; Object t = new <K, V>Foo(), u; "
+        "Object v = new a.@A B<K, V>.C<K, V>(), w; }"
     )
-    assert [f.name for f in cls.fields] == ["m", "n", "q"]
-
-
-def test_an_annotated_or_generic_construction_splits_no_declarator():
-    (cls,) = parse(
-        "class A { Map<K, V> m = new @A HashMap<K, V>(), n; "
-        "Object p = new <K, V>Foo(), q; Object r = new a.@A B<K, V>.C<K, V>(), s; }"
-    )
-    assert [f.name for f in cls.fields] == ["m", "n", "p", "q", "r", "s"]
+    assert [f.name for f in cls.fields] == ["m", "n", "q", "r", "s", "t", "u", "v", "w"]
 
 
 def test_less_than_in_a_field_initializer_is_a_comparison():
