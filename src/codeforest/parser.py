@@ -95,9 +95,9 @@ _PARTNER = {"(": ")", "[": "]", "{": "}"}
 _OPENERS = frozenset(_PARTNER)
 _CLOSERS = frozenset(_PARTNER.values())
 
-# Tokens that end the head (modifiers stripped) of a member declaration;
-# "" is the padding past the last token, where a top-level head ends.
-_HEAD_ENDS = frozenset(("(", "=", ";", ",", "{", "}", ""))
+# Tokens that end the head (modifiers stripped) of a member or a record
+# component; "" is the padding past the last token, where a top-level head ends.
+_HEAD_ENDS = frozenset(("(", ")", "=", ";", ",", "{", "}", ""))
 
 # Empty entries past the last significant token: a lookahead reads at
 # most two tokens past a cursor at most one past the last token.
@@ -243,15 +243,14 @@ class _Parser:
             self.skip_group()
         self.accept(";")
 
-    def take_generics(self) -> None:
-        """Consume a ``<...>`` group; ``>>`` and ``>>>`` close 2 and 3 levels.
-
-        ``(...)`` and ``[...]`` inside are jumped; ``;``, ``{`` or a closer
-        ends the scan.
-        """
-        texts, n = self.texts, self.n
+    def take_generics(self) -> bool:
+        """Consume a ``<...>`` group, ``>>`` and ``>>>`` closing 2 and 3
+        levels, and return whether it closed. ``(...)`` and ``[...]`` inside
+        are jumped; ``;``, ``=``, ``{``, a closer or the end of the tokens
+        (no type argument holds one) ends the scan unclosed."""
+        texts = self.texts
         depth = 0
-        while self.pos < n:
+        while True:
             text = texts[self.pos]
             if text == "<":
                 depth += 1
@@ -261,13 +260,13 @@ class _Parser:
                 depth -= 2
             elif text == ">>>":
                 depth -= 3
-            elif text in (";", "{") or text in _CLOSERS or depth <= 0:
-                break
+            elif text in (";", "=", "{", "") or text in _CLOSERS:
+                return False
             elif text in _OPENERS:
                 self.pos = self.partner[self.pos]
             self.pos += 1
             if depth <= 0:
-                break
+                return True
 
     # -- declarations ----------------------------------------------------------
 
@@ -372,8 +371,19 @@ class _Parser:
         fields: list[FieldDecl] = []
         compact = None  # (name, has_params) of a record's compact constructor
         if texts[kw] == "record" and self.at("("):
-            compact = (simple_name, self.partner[self.pos] > self.pos + 1)
-            self.read_record_components(fields)
+            # Each component ``T a`` is a field, its head read as a member's.
+            close = self.partner[self.pos]
+            compact = (simple_name, close > self.pos + 1)
+            self.pos += 1
+            while self.pos < close:
+                self.collect_modifiers()
+                head = self.pos
+                end = self.walk_head()
+                if end - head >= 2 and self.kinds[end - 1] == KIND_IDENTIFIER:
+                    fields.append(FieldDecl(texts[end - 1], "".join(texts[head:end - 1])))
+                self.skip_until((",",))
+                self.accept(",")
+            self.pos = close + 1
 
         # The first name after ``extends`` or ``implements``; the rest of
         # each list, type arguments included, is walked past.
@@ -397,25 +407,6 @@ class _Parser:
         decl = ClassDecl(name, "", extends or implements, fields, [], self.span(start, close))
         out.append(decl)
         return name + ".", close, fields, decl.methods, decl, compact
-
-    def read_record_components(self, fields: list[FieldDecl]) -> None:
-        """Consume a record header ``(T a, U b)``; each component is a field."""
-        texts = self.texts
-        close = self.partner[self.pos]
-        self.pos += 1
-        while self.pos < close:
-            self.collect_modifiers()
-            head = self.pos
-            while self.pos < close and not self.at(","):
-                if self.at("<"):
-                    self.take_generics()
-                else:
-                    self.pos += 1
-            name = self.pos - 1
-            if name > head and self.kinds[name] == KIND_IDENTIFIER:
-                fields.append(FieldDecl(texts[name], "".join(texts[head:name])))
-            self.accept(",")
-        self.pos = close + 1
 
     def parse_members(self, close: int) -> tuple[list[ClassDecl], list[tuple]]:
         """Read the declarations from the cursor up to ``close``; return
@@ -474,32 +465,36 @@ class _Parser:
                     decl.package_name = self.package
         return classes, code
 
-    def parse_member(self, decl, fields, methods, code) -> None:
-        """Parse one field or method declaration after its modifiers.
-
-        Its head (modifiers stripped) is ``texts[head:end]``, the tokens
-        before the first of ``_HEAD_ENDS``.
-        """
+    def walk_head(self) -> int:
+        """Walk the cursor to the first of ``_HEAD_ENDS`` past a head
+        (modifiers stripped) and return its index. ``<...>`` groups and
+        annotations are jumped: a type annotation's ``(``, as in
+        ``String @A(1, 2) []``, opens no parameter list."""
         texts = self.texts
-        head = self.pos
         while (text := texts[self.pos]) not in _HEAD_ENDS:
             if text == "<":
                 self.take_generics()
             elif text == "@" and self.kinds[self.pos + 1] == KIND_IDENTIFIER:
-                # A type annotation (``String @A(1) []``): its ``(`` opens
-                # no parameter list.
                 self.pos = self.past_annotations(self.pos)
             else:
                 self.pos += 1
+        return self.pos
+
+    def parse_member(self, decl, fields, methods, code) -> None:
+        """Parse one field or method declaration after its modifiers; its
+        head is ``texts[head:end]`` (see ``walk_head``)."""
+        head = self.pos
+        end = self.walk_head()
+        text = self.texts[end]
         if text == "}":
             return
         if text == "(":
-            self.finish_method(decl, head, self.pos, methods, code)
+            self.finish_method(decl, head, end, methods, code)
         elif text == "{":
             # A stray block after tokens we did not understand.
             self.skip_group()
         else:
-            self.finish_fields(decl, head, self.pos, fields, code)
+            self.finish_fields(decl, head, end, fields, code)
 
     def finish_method(self, decl, head: int, end: int, methods, code) -> None:
         name = end - 1
@@ -537,13 +532,15 @@ class _Parser:
         declared_type = "".join(texts[head:end - 1])
         names = [end - 1]
         # Initializers and array suffixes are skipped up to the next
-        # top-level ``,`` or ``;``. The type after ``new`` is read whole,
-        # so the ``,`` in ``new HashMap<K, V>()`` splits no declarator.
+        # top-level ``,`` or ``;``. A ``<`` whose group closes opens type
+        # arguments, jumped whole; any other ``<`` is a comparison.
         lo = end
         while True:
-            self.skip_until((",", ";", "new"))
-            if self.accept("new"):
-                self.read_type_ref()
+            self.skip_until((",", ";", "<"))
+            if self.at("<"):
+                less = self.pos
+                if not self.take_generics():
+                    self.pos = less + 1
                 continue
             if self.pos > lo:
                 code.append((decl, None, lo, self.pos))

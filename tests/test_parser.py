@@ -690,6 +690,28 @@ def test_less_than_in_a_field_initializer_is_a_comparison():
     assert [f.name for f in cls.fields] == ["a", "b"]
 
 
+@pytest.mark.parametrize("source, names", [
+    ("class A { boolean b = o instanceof Map<K, V> m, c; }", ["b", "c"]),
+    ("class A { Object b = List.<K, V>of(), c; }", ["b", "c"]),
+    ("class A { Supplier<Map<K,V>> s = HashMap<K, V>::new, t; }", ["s", "t"]),
+    ("class A { boolean a = x < y, b = p > q; }", ["a", "b"]),
+    ("class A { int a = x < y ? 1 : 2, b; }", ["a", "b"]),
+])
+def test_a_less_than_opens_type_arguments_only_when_its_group_closes(source, names):
+    # Type arguments after any word, not only after ``new``, split no
+    # declarator list; a ``<`` whose group meets ``=`` or ``;`` first is
+    # a comparison.
+    (cls,) = parse(source)
+    assert [f.name for f in cls.fields] == names
+
+
+def test_a_record_component_head_is_read_as_a_member_head():
+    # The ``,`` in the type annotation's arguments ends no component.
+    (rec,) = parse("record R(String @A(1, 2) [] x, int y) {}")
+    assert [(f.name, f.declared_type) for f in rec.fields] == [
+        ("x", "String@A(1,2)[]"), ("y", "int")]
+
+
 # ---------------------------------------------------------------------------
 # Bracket pairing.
 
