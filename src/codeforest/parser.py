@@ -95,6 +95,9 @@ _PARTNER = {"(": ")", "[": "]", "{": "}"}
 _OPENERS = frozenset(_PARTNER)
 _CLOSERS = frozenset(_PARTNER.values())
 
+# How many ``<...>`` levels each token closes.
+_ANGLE_CLOSES = {">": 1, ">>": 2, ">>>": 3}
+
 # Tokens that end the head (modifiers stripped) of a member or a record
 # component; "" is the padding past the last token, where a top-level head ends.
 _HEAD_ENDS = frozenset(("(", ")", "=", ";", ",", "{", "}", ""))
@@ -653,14 +656,41 @@ class _Parser:
         texts = self.texts
         receiver_kind = RECEIVER_THIS
         receiver_name = None
-        if texts[paren - 2] == ".":
-            owner = paren - 3
+        dot = paren - 2
+        if texts[dot] in _ANGLE_CLOSES:
+            dot = self.dot_before_type_arguments(dot)
+        if texts[dot] == ".":
+            owner = dot - 1
             if self.kinds[owner] == KIND_IDENTIFIER:
                 receiver_kind = RECEIVER_NAMED
                 receiver_name = texts[owner]
             elif texts[owner] != "this":
                 receiver_kind = RECEIVER_OTHER
         return CallSite(texts[paren - 1], receiver_kind, receiver_name)
+
+    def dot_before_type_arguments(self, close: int) -> int:
+        """Index of the ``.`` before the explicit type arguments that end
+        at ``texts[close]`` (``List.<K, V>of``), else ``close``.
+
+        The ``<...>`` group is walked back over, jumping ``(...)`` and
+        ``[...]``. A ``;``, ``=``, brace or opener met first means it is
+        none (``if (a > m())``), and so does a ``<`` with no ``.`` before
+        it (``f(a < b, c > m())``).
+        """
+        texts = self.texts
+        i = close
+        depth = 0
+        while (text := texts[i]) not in (";", "=", "}") and text not in _OPENERS:
+            if text in _ANGLE_CLOSES:
+                depth += _ANGLE_CLOSES[text]
+            elif text in _CLOSERS:
+                i = self.partner[i]
+            elif text == "<":
+                depth -= 1
+                if depth == 0:
+                    return i - 1 if texts[i - 1] == "." else close
+            i -= 1
+        return close
 
 
 def parse_unit(tokens: Tokens) -> list[ClassDecl]:

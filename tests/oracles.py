@@ -101,6 +101,23 @@ def _before_chain(src: str, dot: int) -> int:
     return dot
 
 
+def _before_type_arguments(src: str, p: int) -> int:
+    """Index of the `.` before the explicit type arguments `.<...>` that
+    end with the `>` at `src[p]`, else `p`."""
+    depth = 0
+    for k in range(p, -1, -1):
+        if src[k] == ">":
+            depth += 1
+        elif src[k] == "<":
+            depth -= 1
+            if depth == 0:
+                q = _prev_nonspace(src, k - 1)
+                return q if q >= 0 and src[q] == "." else p
+        elif src[k] in "(){};=":
+            break
+    return p
+
+
 def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
     """All call sites in a file as (callee, receiver_kind, receiver).
 
@@ -109,7 +126,8 @@ def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
     punctuation or the word `return`. Declarations and `new Foo(...)`
     have another word there instead, and an annotation `@Foo(...)` has
     `@`; a qualified `@a.b.Foo(...)` or `new a.b.Foo(...)` is skipped by
-    walking its dotted chain back to the `@` or the `new`.
+    walking its dotted chain back to the `@` or the `new`. Explicit type
+    arguments after a `.` (`a.<T>m(`) are walked back over to that `.`.
     """
     src = scrub(text)
     sites = []
@@ -125,6 +143,8 @@ def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
         p = _prev_nonspace(src, m.start() - 1)
         if p < 0 or (src[p] not in _CALL_PREV and _word_ending_at(src, p) != "return"):
             continue
+        if src[p] == ">":
+            p = _before_type_arguments(src, p)
         if src[p] != ".":
             sites.append((name, "implicit-this", None))
             continue

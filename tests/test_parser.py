@@ -597,16 +597,32 @@ def test_generic_bodiless_method_is_a_declaration():
     assert site_tuples(s) == []
 
 
-@pytest.mark.parametrize("body", [
-    "{ return a > f(); }",
-    "{ if (a < b && c > f()) { } }",
-    "{ return this.<T>f(); }",
-    "{ Collections.<String>f(); }",
-    "{ g(a < b, c > f()); }",
-    "{ x = a < b ? c > f() : d; }",
-])
-def test_a_comparison_or_type_arguments_before_a_call_keep_it(body):
-    assert ("f", RECEIVER_THIS, None) in site_tuples(scan(body, []))
+_CALLS_AFTER_ANGLES = [
+    ("{ return a > f(); }", ("f", RECEIVER_THIS, None)),
+    ("{ if (a < b && c > f()) { } }", ("f", RECEIVER_THIS, None)),
+    ("{ return this.<T>f(); }", ("f", RECEIVER_THIS, None)),
+    ("{ Collections.<String>f(); }", ("f", RECEIVER_NAMED, "Collections")),
+    ("{ g(a < b, c > f()); }", ("f", RECEIVER_THIS, None)),
+    ("{ x = a < b ? c > f() : d; }", ("f", RECEIVER_THIS, None)),
+]
+
+
+@pytest.mark.parametrize("body, site", _CALLS_AFTER_ANGLES,
+                         ids=[body for body, _ in _CALLS_AFTER_ANGLES])
+def test_a_comparison_or_type_arguments_before_a_call_keep_it(body, site):
+    assert site in site_tuples(scan(body, []))
+
+
+def test_explicit_type_arguments_keep_the_receiver():
+    # The receiver is the name before the ``.`` that the type arguments
+    # follow; a ``>`` that closes no ``.<`` group leaves the call bare.
+    s = scan("{ obj.<T>foo(); List.<K, V>of(); m.<Map<K, V>>get(); this.<T>bar(); "
+             "super.<T>sup(); a.b().<int[]>c(); if (a > m()) { } f(a < b, c > m()); }", [])
+    assert site_tuples(s) == [
+        ("foo", RECEIVER_NAMED, "obj"), ("of", RECEIVER_NAMED, "List"),
+        ("get", RECEIVER_NAMED, "m"), ("bar", RECEIVER_THIS, None),
+        ("sup", RECEIVER_OTHER, None), ("b", RECEIVER_NAMED, "a"), ("c", RECEIVER_OTHER, None),
+        ("m", RECEIVER_THIS, None), ("f", RECEIVER_THIS, None), ("m", RECEIVER_THIS, None)]
 
 
 def test_annotations_with_arguments_in_a_body_are_not_call_sites():
