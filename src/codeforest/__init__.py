@@ -46,30 +46,7 @@ _HOME = {
     "resolve_inheritance": "model",
 }
 
-__all__ = [
-    "CodeforestError",
-    "CodeModel",
-    "Config",
-    "CorpusInfo",
-    "ForestLayout",
-    "Material",
-    "Mesh",
-    "Scene",
-    "SceneNode",
-    "analyze",
-    "assemble_scene",
-    "build_layout",
-    "build_model",
-    "build_scene",
-    "compute_metrics",
-    "default_palette",
-    "load_config",
-    "parse_config",
-    "parse_corpus",
-    "resolve_calls",
-    "resolve_inheritance",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):

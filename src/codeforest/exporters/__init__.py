@@ -18,16 +18,7 @@ _HOME = {
     "report_text": "report",
 }
 
-__all__ = [
-    "build_gltf",
-    "export_gltf",
-    "export_mel",
-    "mel_text",
-    "export_obj",
-    "obj_text",
-    "export_report",
-    "report_text",
-]
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):

@@ -37,7 +37,8 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            # Its string entries; a computed one (``*_HOME``) is read as a name.
+            used.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
