@@ -706,19 +706,19 @@ def test_less_than_in_a_field_initializer_is_a_comparison():
     assert [f.name for f in cls.fields] == ["a", "b"]
 
 
-@pytest.mark.parametrize("source, names", [
-    ("class A { boolean b = o instanceof Map<K, V> m, c; }", ["b", "c"]),
-    ("class A { Object b = List.<K, V>of(), c; }", ["b", "c"]),
-    ("class A { Supplier<Map<K,V>> s = HashMap<K, V>::new, t; }", ["s", "t"]),
-    ("class A { boolean a = x < y, b = p > q; }", ["a", "b"]),
-    ("class A { int a = x < y ? 1 : 2, b; }", ["a", "b"]),
+@pytest.mark.parametrize("source", [
+    "class A { boolean b = o instanceof Map<K, V> m, c; }",
+    "class A { Object b = List.<K, V>of(), c; }",
+    "class A { Supplier<Map<K,V>> b = HashMap<K, V>::new, c; }",
+    "class A { boolean b = x < y, c = p > q; }",
+    "class A { int b = x < y ? 1 : 2, c; }",
 ])
-def test_a_less_than_opens_type_arguments_only_when_its_group_closes(source, names):
+def test_a_less_than_opens_type_arguments_only_when_its_group_closes(source):
     # Type arguments after any word, not only after ``new``, split no
     # declarator list; a ``<`` whose group meets ``=`` or ``;`` first is
     # a comparison.
     (cls,) = parse(source)
-    assert [f.name for f in cls.fields] == names
+    assert [f.name for f in cls.fields] == ["b", "c"]
 
 
 def test_a_record_component_head_is_read_as_a_member_head():
@@ -931,3 +931,72 @@ def test_nested_types_are_modelled_as_their_plan_says(plan):
     assert [[c.name, [f.name for f in c.fields],
              [(m.name, [s.callee_name for s in m.call_sites]) for m in c.methods]]
             for c in classes] == expected
+
+
+# ---------------------------------------------------------------------------
+# Declarator plans: field declarator lists and record components, rendered
+# from a plan that alone gives every field's name and declared type.
+
+_ANNOTATIONS = st.sampled_from(["@A", "@A(1, 2)", "@a.B(x = 1, y = {1, 2})"])
+_BASE_TYPES = st.sampled_from(["int", "String", "K", "List<K>", "Map<K, List<V>>",
+                               "Map<? extends K, ? super V>", "java.util.Map<K, V>"])
+# Initializers that hold a ``,`` or a ``<`` no declarator list splits at.
+_ATOMS = ["g(1, 2)", "new G<K, V>()", "o instanceof T<K, V> p", "List.<K, V>m()",
+          "T<K, V>::new", "x < y", "p > q", "x < y ? 1 : 2", "(a, b) -> a < b",
+          "() -> { return f(x, y); }"]
+_INITIALIZERS = st.none() | st.sampled_from([*_ATOMS, "{1, 2}"]) | st.tuples(
+    st.sampled_from(_ATOMS), st.sampled_from(_ATOMS)).map(lambda t: f"c ? {t[0]} : {t[1]}")
+_LEADING = st.sampled_from(["", "private ", "static final ", "@A(1, 2) ", "@Deprecated private "])
+
+
+@st.composite
+def _written_types(draw, varargs=False):
+    """A type as written: generic, array or varargs, with type annotations
+    in an array, a type argument or a qualified name."""
+    base, annotation = draw(_BASE_TYPES), draw(_ANNOTATIONS)
+    if varargs:
+        return draw(st.sampled_from([f"{base}...", f"{base} {annotation} ..."]))
+    return draw(st.sampled_from([base, f"{base}[]", f"{base}[][]", f"{base} {annotation} []",
+                                 f"List<{annotation} {base}>", f"java.lang.{annotation} String"]))
+
+
+_DECLARATIONS = st.lists(
+    st.tuples(_LEADING, _written_types(), st.lists(_INITIALIZERS, min_size=1, max_size=3)),
+    max_size=4)
+# A leading annotation on a component annotates the component, not its type.
+_COMPONENTS = st.tuples(
+    st.lists(st.tuples(_ANNOTATIONS | st.just(""), _written_types()), max_size=3),
+    st.lists(_written_types(varargs=True), max_size=1),
+).map(lambda t: t[0] + [("", varargs) for varargs in t[1]])
+
+
+def render_declarators(declarations, components) -> tuple[str, list, list]:
+    """A class holding ``declarations`` and a record holding ``components``,
+    and the ``(name, declared type)`` of each one's fields: the names are
+    numbered in source order and a type is its text without blanks."""
+    numbers = itertools.count()
+    members, fields = [], []
+    for leading, written, initializers in declarations:
+        declarators = []
+        for initializer in initializers:
+            name = f"f{next(numbers)}"
+            fields.append((name, "".join(written.split())))
+            declarators.append(name if initializer is None else f"{name} = {initializer}")
+        members.append(f"{leading}{written} {', '.join(declarators)};")
+    header, record_fields = [], []
+    for annotation, written in components:
+        name = f"c{next(numbers)}"
+        record_fields.append((name, "".join(written.split())))
+        header.append(f"{annotation} {written} {name}")
+    text = f"class C {{ {' '.join(members)} }}\nrecord R({', '.join(header)}) {{ }}\n"
+    return text, fields, record_fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(declarations=_DECLARATIONS, components=_COMPONENTS)
+def test_declarators_and_record_components_are_read_as_their_plan_says(declarations, components):
+    text, fields, record_fields = render_declarators(declarations, components)
+    with deadline(2.0):
+        cls, rec = parse(text)
+    assert [(f.name, f.declared_type) for f in cls.fields] == fields
+    assert [(f.name, f.declared_type) for f in rec.fields] == record_fields
