@@ -26,6 +26,16 @@ class``) are not read as modifiers, and the declaration after them is
 dropped. An annotation type declaration (``@interface``) is skipped
 whole, as an ``enum`` is.
 
+One head walk, ``walk_head``, reads the head of every member and record
+component after its modifiers, up to the first of ``_HEAD_ENDS``, with
+``<...>`` groups and annotations jumped whole: ``String @A(1, 2) []``
+is one type, in a record header too. One rule tells type arguments from
+a comparison: a ``<`` whose group closes (``take_generics``) before a
+``;``, ``=``, ``{`` or closer holds type arguments. A field declarator
+list jumps such a group, so its ``,`` (``o instanceof Map<K, V> m, c``,
+``List.<K, V>of(), c``) splits no declarator; any other ``<`` is
+stepped over as a comparison (``boolean a = x < y, b;``).
+
 Method bodies are scanned once the whole unit is read, so every field
 is known. In code, a call site is an identifier directly before ``(``
 that does not name an annotation, and the type after ``new``,
@@ -36,7 +46,10 @@ a record pattern ``case P(var x)`` do not. A class body in code, after
 ``parse_members`` as every class body is, its classes dropped; only the
 code it hands back (method bodies, initializer blocks, field
 initializers) is scanned, for the enclosing method, so no member head
-is read as a call.
+is read as a call. A call's receiver is the word before its ``.``, past
+explicit type arguments: ``List.<K, V>of()`` is called on ``List``,
+``this.<T>m()`` on ``this``, and in ``if (a > m())`` no ``.<...>`` group
+ends at the ``>``, so ``m()`` is a bare call.
 
 Everything else (imports, annotations, generics, enum bodies, code the
 subset does not model) is consumed and dropped. The parser never guesses
@@ -257,12 +270,8 @@ class _Parser:
             text = texts[self.pos]
             if text == "<":
                 depth += 1
-            elif text == ">":
-                depth -= 1
-            elif text == ">>":
-                depth -= 2
-            elif text == ">>>":
-                depth -= 3
+            elif text in _ANGLE_CLOSES:
+                depth -= _ANGLE_CLOSES[text]
             elif text in (";", "=", "{", "") or text in _CLOSERS:
                 return False
             elif text in _OPENERS:
@@ -576,7 +585,8 @@ class _Parser:
         The receiver is ``named`` for an ``x.m(...)`` pattern with an
         identifier receiver, ``implicit-this`` for bare and ``this.`` calls,
         and ``other`` for anything else (chained or indexed expressions,
-        ``super.`` calls).
+        ``super.`` calls). Explicit type arguments between the ``.`` and
+        the name (``List.<K, V>of()``) are walked back over to the receiver.
 
         A field write is a field name directly followed by an assignment
         operator; a field read is any other occurrence of the name not

@@ -463,16 +463,20 @@ def test_a_type_before_an_array_type_annotation_is_no_modifier():
 
 def test_a_type_annotation_with_arguments_is_no_method_header():
     # The annotation's ``(`` ends no member head: the member after it is
-    # read, and no method is named after the annotation.
-    cls, qualified = parse(
+    # read, and no method is named after the annotation. Nor does its
+    # ``,`` end a record component.
+    cls, qualified, rec = parse(
         "class C { String @A(1) [] all() { return null; } String @A [] names; }\n"
         "class Q { java.lang.@B(2) String name; int after; }\n"
+        "record R(String @A(1, 2) [] x, int y) {}\n"
     )
     assert [(m.name, m.return_type) for m in cls.methods] == [("all", "String@A(1)[]")]
     assert [(f.name, f.declared_type) for f in cls.fields] == [("names", "String@A[]")]
     assert qualified.methods == []
     assert [(f.name, f.declared_type) for f in qualified.fields] == [
         ("name", "java.lang.@B(2)String"), ("after", "int")]
+    assert [(f.name, f.declared_type) for f in rec.fields] == [
+        ("x", "String@A(1,2)[]"), ("y", "int")]
 
 
 def test_two_unknown_modifiers_in_a_row_are_not_modelled():
@@ -692,40 +696,25 @@ def test_the_oracle_finds_the_parsed_call_sites_in_every_fixture(name):
 # Field initializers.
 
 def test_generic_construction_in_a_field_initializer():
+    # Type arguments split no declarator list after ``new``, nor after
+    # ``instanceof``, before a method name or before ``::``.
     (cls,) = parse(
         "class A { Map<K, V> m = new HashMap<K, V>(), n; "
         "Map<K, V> q = new java.util.TreeMap<K, List<V>>(); "
         "Map<K, V> r = new @A HashMap<K, V>(), s; Object t = new <K, V>Foo(), u; "
-        "Object v = new a.@A B<K, V>.C<K, V>(), w; }"
+        "Object v = new a.@A B<K, V>.C<K, V>(), w; "
+        "boolean b = o instanceof Map<K, V> p, c; Object d = List.<K, V>of(), e; "
+        "Supplier<Map<K,V>> f = HashMap<K, V>::new, g; }"
     )
-    assert [f.name for f in cls.fields] == ["m", "n", "q", "r", "s", "t", "u", "v", "w"]
+    assert [f.name for f in cls.fields] == [
+        "m", "n", "q", "r", "s", "t", "u", "v", "w", "b", "c", "d", "e", "f", "g"]
 
 
 def test_less_than_in_a_field_initializer_is_a_comparison():
-    (cls,) = parse("class A { boolean a = x < y, b; }")
-    assert [f.name for f in cls.fields] == ["a", "b"]
-
-
-@pytest.mark.parametrize("source", [
-    "class A { boolean b = o instanceof Map<K, V> m, c; }",
-    "class A { Object b = List.<K, V>of(), c; }",
-    "class A { Supplier<Map<K,V>> b = HashMap<K, V>::new, c; }",
-    "class A { boolean b = x < y, c = p > q; }",
-    "class A { int b = x < y ? 1 : 2, c; }",
-])
-def test_a_less_than_opens_type_arguments_only_when_its_group_closes(source):
-    # Type arguments after any word, not only after ``new``, split no
-    # declarator list; a ``<`` whose group meets ``=`` or ``;`` first is
-    # a comparison.
-    (cls,) = parse(source)
-    assert [f.name for f in cls.fields] == ["b", "c"]
-
-
-def test_a_record_component_head_is_read_as_a_member_head():
-    # The ``,`` in the type annotation's arguments ends no component.
-    (rec,) = parse("record R(String @A(1, 2) [] x, int y) {}")
-    assert [(f.name, f.declared_type) for f in rec.fields] == [
-        ("x", "String@A(1,2)[]"), ("y", "int")]
+    # A ``<`` whose group meets ``=`` or ``;`` before it closes.
+    (cls,) = parse("class A { boolean a = x < y, b; boolean c = x < y, d = p > q; "
+                   "int e = x < y ? 1 : 2, f; }")
+    assert [f.name for f in cls.fields] == ["a", "b", "c", "d", "e", "f"]
 
 
 # ---------------------------------------------------------------------------
