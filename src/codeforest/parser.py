@@ -37,19 +37,23 @@ list jumps such a group, so its ``,`` (``o instanceof Map<K, V> m, c``,
 stepped over as a comparison (``boolean a = x < y, b;``).
 
 Method bodies are scanned once the whole unit is read, so every field
-is known. In code, a call site is an identifier directly before ``(``
-that does not name an annotation, and the type after ``new``,
-``instanceof`` or ``case`` is read whole (``read_type_ref``):
-``return g()``, ``yield g()`` and ``when g()`` call, ``new a.B()`` and
-a record pattern ``case P(var x)`` do not. A class body in code, after
-``new T(...)`` or in a local type declaration, is read by
-``parse_members`` as every class body is, its classes dropped; only the
-code it hands back (method bodies, initializer blocks, field
-initializers) is scanned, for the enclosing method, so no member head
-is read as a call. A call's receiver is the word before its ``.``, past
-explicit type arguments: ``List.<K, V>of()`` is called on ``List``,
-``this.<T>m()`` on ``this``, and in ``if (a > m())`` no ``.<...>`` group
-ends at the ``>``, so ``m()`` is a bare call.
+is known, and code is read forward only, with the walks the
+declarations use. An annotation in code is jumped whole
+(``past_annotations``), so ``@Deprecated`` and ``@SuppressWarnings(MAX)``
+read no field. A call site is an identifier directly before ``(``, and
+the type after ``new``, ``instanceof`` or ``case`` is read whole
+(``read_type_ref``): ``return g()``, ``yield g()`` and ``when g()``
+call, ``new a.B()`` and a record pattern ``case P(var x)`` do not. A
+class body in code, after ``new T(...)`` or in a local type
+declaration, is read by ``parse_members`` as every class body is, its
+classes dropped; only the code it hands back (method bodies,
+initializer blocks, field initializers) is scanned, for the enclosing
+method, so no member head is read as a call. A call's receiver is the
+word before its ``.``. A ``.<`` opens explicit type arguments, read by
+``take_generics``: when they close before a name and ``(``, that name is
+called on the word before the ``.`` (``List.<K, V>of()`` on ``List``,
+``this.<T>m()`` on ``this``) and is no field read. In ``if (a > m())``
+no ``.<`` comes before the ``>``, so ``m()`` is a bare call.
 
 Everything else (imports, annotations, generics, enum bodies, code the
 subset does not model) is consumed and dropped. The parser never guesses
@@ -571,11 +575,13 @@ class _Parser:
     def scan_body(self, lo: int, hi: int, fields, method: MethodDecl) -> None:
         """Add the field accesses and call sites of the code ``texts[lo:hi]``.
 
-        A call site is an identifier directly before ``(`` that does not
-        name an annotation (``@A(...)``, ``@a.b.A(...)``). The type after
-        ``new`` is read whole, so ``new a.B<C>(...)`` calls nothing, and so
-        is a type after ``instanceof`` or ``case``: when ``(`` follows it,
-        that group is a record pattern, and is jumped over. A class
+        The code is read forward only. An annotation (``@A``,
+        ``@a.b.A(...)``) is jumped whole by ``past_annotations``, its
+        arguments too, so it reads, writes and calls nothing. A call site
+        is an identifier directly before ``(``. The type after ``new`` is
+        read whole, so ``new a.B<C>(...)`` calls nothing, and so is a type
+        after ``instanceof`` or ``case``: when ``(`` follows it, that group
+        is a record pattern, and is jumped over. A class
         body in the code, after ``new T(...)`` or in a local type
         declaration, is read by ``parse_members`` (see ``code_after``), and
         only the code it hands back is scanned, so no member head is read
@@ -585,8 +591,10 @@ class _Parser:
         The receiver is ``named`` for an ``x.m(...)`` pattern with an
         identifier receiver, ``implicit-this`` for bare and ``this.`` calls,
         and ``other`` for anything else (chained or indexed expressions,
-        ``super.`` calls). Explicit type arguments between the ``.`` and
-        the name (``List.<K, V>of()``) are walked back over to the receiver.
+        ``super.`` calls). At a ``.`` before ``<``, ``take_generics`` reads
+        the explicit type arguments; when they close before a name and its
+        ``(`` (``List.<K, V>of()``), that is a call on the receiver before
+        the ``.``, and the scan goes on past the ``(``.
 
         A field write is a field name directly followed by an assignment
         operator; a field read is any other occurrence of the name not
@@ -601,8 +609,19 @@ class _Parser:
             while i < hi:
                 text = texts[i]
                 if text == "(":
-                    if kinds[i - 1] == KIND_IDENTIFIER and not self.names_annotation(i - 1):
-                        calls.append(self.call_site(i))
+                    if kinds[i - 1] == KIND_IDENTIFIER:
+                        calls.append(self.call_site(i - 1, i - 2))
+                elif text == "@" and kinds[i + 1] == KIND_IDENTIFIER:
+                    i = self.past_annotations(i)
+                    continue
+                elif text == "." and texts[i + 1] == "<":
+                    self.pos = i + 1
+                    if self.take_generics():
+                        name = self.pos
+                        if kinds[name] == KIND_IDENTIFIER and texts[name + 1] == "(":
+                            calls.append(self.call_site(name, i))
+                            i = name + 2
+                            continue
                 elif text in _BODY_WORDS and (after := self.code_after(i, hi)):
                     ranges += reversed(after)
                     break
@@ -654,21 +673,12 @@ class _Parser:
         _, code = self.parse_members(close)
         return head + [(lo, hi) for _, _, lo, hi in code] + [(end + 1, hi)]
 
-    def names_annotation(self, name: int) -> bool:
-        """Whether ``texts[name]`` ends an ``@name`` or ``@a.b.name``."""
-        texts, kinds = self.texts, self.kinds
-        at = name - 1
-        while texts[at] == "." and kinds[at - 1] == KIND_IDENTIFIER:
-            at -= 2
-        return texts[at] == "@"
-
-    def call_site(self, paren: int) -> CallSite:
+    def call_site(self, name: int, dot: int) -> CallSite:
+        """The call of ``texts[name]``, on the receiver before ``texts[dot]``
+        when that is a ``.``."""
         texts = self.texts
         receiver_kind = RECEIVER_THIS
         receiver_name = None
-        dot = paren - 2
-        if texts[dot] in _ANGLE_CLOSES:
-            dot = self.dot_before_type_arguments(dot)
         if texts[dot] == ".":
             owner = dot - 1
             if self.kinds[owner] == KIND_IDENTIFIER:
@@ -676,31 +686,7 @@ class _Parser:
                 receiver_name = texts[owner]
             elif texts[owner] != "this":
                 receiver_kind = RECEIVER_OTHER
-        return CallSite(texts[paren - 1], receiver_kind, receiver_name)
-
-    def dot_before_type_arguments(self, close: int) -> int:
-        """Index of the ``.`` before the explicit type arguments that end
-        at ``texts[close]`` (``List.<K, V>of``), else ``close``.
-
-        The ``<...>`` group is walked back over, jumping ``(...)`` and
-        ``[...]``. A ``;``, ``=``, brace or opener met first means it is
-        none (``if (a > m())``), and so does a ``<`` with no ``.`` before
-        it (``f(a < b, c > m())``).
-        """
-        texts = self.texts
-        i = close
-        depth = 0
-        while (text := texts[i]) not in (";", "=", "}") and text not in _OPENERS:
-            if text in _ANGLE_CLOSES:
-                depth += _ANGLE_CLOSES[text]
-            elif text in _CLOSERS:
-                i = self.partner[i]
-            elif text == "<":
-                depth -= 1
-                if depth == 0:
-                    return i - 1 if texts[i - 1] == "." else close
-            i -= 1
-        return close
+        return CallSite(texts[name], receiver_kind, receiver_name)
 
 
 def parse_unit(tokens: Tokens) -> list[ClassDecl]:
