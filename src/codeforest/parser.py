@@ -362,9 +362,13 @@ class _Parser:
             if not self.at("."):
                 break
             pos = self.past_annotations(self.pos + 1)
+        self.skip_dims()
+        return ".".join(parts) or None
+
+    def skip_dims(self) -> None:
+        """Step over the ``[]`` pairs at the cursor."""
         while self.at("[") and self.at("]", 1):
             self.pos += 2
-        return ".".join(parts) or None
 
     def parse_class(self, prefix: str, start: int, out: list[ClassDecl]) -> tuple:
         """Read the header of the type at the cursor, modifiers from
@@ -394,9 +398,7 @@ class _Parser:
             while self.pos < close:
                 self.collect_modifiers()
                 head = self.pos
-                end = self.walk_head()
-                if end - head >= 2 and self.kinds[end - 1] == KIND_IDENTIFIER:
-                    fields.append(FieldDecl(texts[end - 1], "".join(texts[head:end - 1])))
+                self.declarator(head, self.walk_head(), fields)
                 self.skip_until((",",))
                 self.accept(",")
             self.pos = close + 1
@@ -537,19 +539,37 @@ class _Parser:
             code.append((decl, method, self.pos + 1, self.partner[self.pos]))
         self.skip_declaration()
 
-    def finish_fields(self, decl, head: int, end: int, fields: list[FieldDecl], code) -> None:
-        """Parse ``type a = init, b, c;`` declarator lists; the tokens after
-        each name (``= init``) are code."""
+    def declarator(self, head: int, end: int, fields: list[FieldDecl]) -> str | None:
+        """Add the field that the declarator ``texts[head:end]`` declares and
+        return the type before its name. The name is the identifier before
+        any trailing ``[]`` pairs, after a type, and the field's type is the
+        head without the name (``int c[][]`` is ``c: int[][]``). None, and
+        no field, when there is no such name: one after ``@`` or after a
+        ``.`` that ends no ``...`` ends an annotation (``int c @a.B []``)."""
         texts = self.texts
-        if end - head < 2 or self.kinds[end - 1] != KIND_IDENTIFIER:
+        name = end - 1
+        while name - head >= 3 and texts[name] == "]" and texts[name - 1] == "[":
+            name -= 2
+        before = texts[name - 1]
+        if (name <= head or self.kinds[name] != KIND_IDENTIFIER or before == "@"
+                or before == "." and texts[name - 2] != "."):
+            return None
+        fields.append(FieldDecl(texts[name], "".join(texts[head:name] + texts[name + 1:end])))
+        return "".join(texts[head:name])
+
+    def finish_fields(self, decl, head: int, end: int, fields: list[FieldDecl], code) -> None:
+        """Parse ``type a = init, b[], c;`` declarator lists; the tokens
+        after each declarator (``= init``) are code. A later declarator's
+        type is the first one's without its ``[]`` pairs, with its own."""
+        texts = self.texts
+        base = self.declarator(head, end, fields)
+        if base is None:
             self.skip_until((";",))
             self.accept(";")
             return
-        declared_type = "".join(texts[head:end - 1])
-        names = [end - 1]
-        # Initializers and array suffixes are skipped up to the next
-        # top-level ``,`` or ``;``. A ``<`` whose group closes opens type
-        # arguments, jumped whole; any other ``<`` is a comparison.
+        # Initializers are skipped up to the next top-level ``,`` or
+        # ``;``. A ``<`` whose group closes opens type arguments, jumped
+        # whole; any other ``<`` is a comparison.
         lo = end
         while True:
             self.skip_until((",", ";", "<"))
@@ -563,12 +583,12 @@ class _Parser:
             if not self.accept(","):
                 break
             if self.at_kind(KIND_IDENTIFIER):
-                names.append(self.pos)
+                name = self.pos
                 self.pos += 1
+                self.skip_dims()
+                fields.append(FieldDecl(texts[name], base + "".join(texts[name + 1:self.pos])))
             lo = self.pos
         self.accept(";")
-        for name in names:
-            fields.append(FieldDecl(texts[name], declared_type))
 
     # -- method bodies -----------------------------------------------------------
 

@@ -142,6 +142,14 @@ def test_has_params(params, has_params):
 def test_multi_declarator_field():
     (cls,) = parse("class F { private int a, b, c; }")
     assert [f.name for f in cls.fields] == ["a", "b", "c"]
+    # C-style ``[]`` pairs after a name belong to that declarator alone. A
+    # declarator with annotated pairs is dropped, and no annotation's name
+    # becomes a field.
+    (cls,) = parse("class A { int a[] = {1}, b; String s[]; int c; "
+                   "int c[][] = new int[2][], d; int x @A [], y @a.B []; }")
+    assert [(f.name, f.declared_type) for f in cls.fields] == [
+        ("a", "int[]"), ("b", "int"), ("s", "String[]"), ("c", "int"),
+        ("c", "int[][]"), ("d", "int")]
 
 
 def test_field_initializers_are_skipped():
@@ -949,8 +957,11 @@ def _written_types(draw, varargs=False):
                                  f"List<{annotation} {base}>", f"java.lang.{annotation} String"]))
 
 
+# Each declarator is a number of C-style ``[]`` pairs after its name and
+# an initializer or None.
 _DECLARATIONS = st.lists(
-    st.tuples(_LEADING, _written_types(), st.lists(_INITIALIZERS, min_size=1, max_size=3)),
+    st.tuples(_LEADING, _written_types(),
+              st.lists(st.tuples(st.integers(0, 2), _INITIALIZERS), min_size=1, max_size=3)),
     max_size=4)
 # A leading annotation on a component annotates the component, not its type.
 _COMPONENTS = st.tuples(
@@ -962,14 +973,16 @@ _COMPONENTS = st.tuples(
 def render_declarators(declarations, components) -> tuple[str, list, list]:
     """A class holding ``declarations`` and a record holding ``components``,
     and the ``(name, declared type)`` of each one's fields: the names are
-    numbered in source order and a type is its text without blanks."""
+    numbered in source order and a type is its text without blanks, with
+    the ``[]`` pairs written after its declarator's name."""
     numbers = itertools.count()
     members, fields = [], []
-    for leading, written, initializers in declarations:
+    for leading, written, plan in declarations:
         declarators = []
-        for initializer in initializers:
+        for dims, initializer in plan:
             name = f"f{next(numbers)}"
-            fields.append((name, "".join(written.split())))
+            fields.append((name, "".join(written.split()) + "[]" * dims))
+            name += " []" * dims
             declarators.append(name if initializer is None else f"{name} = {initializer}")
         members.append(f"{leading}{written} {', '.join(declarators)};")
     header, record_fields = [], []
