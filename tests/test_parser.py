@@ -635,6 +635,10 @@ def test_explicit_type_arguments_keep_the_receiver():
         ("get", RECEIVER_NAMED, "m"), ("bar", RECEIVER_THIS, None),
         ("sup", RECEIVER_OTHER, None), ("b", RECEIVER_NAMED, "a"), ("c", RECEIVER_OTHER, None),
         ("m", RECEIVER_THIS, None), ("f", RECEIVER_THIS, None), ("m", RECEIVER_THIS, None)]
+    # The name after the type arguments is a call, no read of a field.
+    s = scan("{ int j = obj.<T>size(); }", ["size"])
+    assert site_tuples(s) == [("size", RECEIVER_NAMED, "obj")]
+    assert s.reads_fields == set()
 
 
 def test_annotations_with_arguments_in_a_body_are_not_call_sites():
@@ -645,6 +649,11 @@ def test_annotations_with_arguments_in_a_body_are_not_call_sites():
         [],
     )
     assert site_tuples(s) == [("f", RECEIVER_THIS, None), ("run", RECEIVER_NAMED, "x")]
+    # An annotation is jumped whole: neither its name nor its arguments
+    # read or write a field.
+    s = scan("{ @Deprecated int j = 1; @SuppressWarnings(MAX) int k = 2; "
+             "@a.Deprecated(MAX = 1) int l = 3; }", ["Deprecated", "MAX"])
+    assert s.reads_fields == set() and s.writes_fields == set()
 
 
 def test_a_qualified_construction_is_not_a_call_site():
