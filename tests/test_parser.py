@@ -4,7 +4,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -811,9 +811,14 @@ def test_spans_count_lines_after_non_ascii_text():
 
 _WORDS = (
     "class interface record enum extends implements permits package import public "
-    "static final sealed non-sealed value default @ < > >> , ; = . new return void "
-    "int String A B x yield when case instanceof throws ? * -"
+    "static final sealed non-sealed value default @ < > >> >>> , ; = . .< new return void "
+    "int String A B x yield when case instanceof throws this super ? * -"
 ).split()
+
+
+def _is_name(text) -> bool:
+    """Whether ``text`` is one identifier token, so no keyword."""
+    return tokenize(text.encode(), "<name>").kinds == [lexer.KIND_IDENTIFIER]
 
 
 def _group(inner):
@@ -833,13 +838,25 @@ _TOKENS = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(tokens=_TOKENS)
+# Explicit type arguments that close before no name, or never close.
+@example(tokens=". < A > int ( )".split())
+@example(tokens="this . < A >> > ( ) x . < B".split())
+@example(tokens="( . < A ) x ( )".split())
 def test_random_token_sequences_parse_or_raise_a_typed_error(tokens):
-    try:
-        with deadline(2.0):
-            classes = parse(" ".join(tokens))
-    except CodeforestError:
-        return
-    assert all(c.name for c in classes)
+    # Read as a unit and as a method body. Every call site calls a name,
+    # and a ``named`` one is on a name.
+    text = " ".join(tokens)
+    for source in (text, f"class S {{ void m() {{ {text} }} }}"):
+        try:
+            with deadline(2.0):
+                classes = parse(source)
+        except CodeforestError:
+            continue
+        assert all(c.name for c in classes)
+        sites = [site for c in classes for m in c.methods for site in m.call_sites]
+        assert all(_is_name(site.callee_name) for site in sites)
+        assert all(_is_name(site.receiver_name) for site in sites
+                   if site.receiver_kind == RECEIVER_NAMED)
 
 
 # ---------------------------------------------------------------------------
