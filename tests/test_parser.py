@@ -1028,3 +1028,53 @@ def test_declarators_and_record_components_are_read_as_their_plan_says(declarati
         cls, rec = parse(text)
     assert [(f.name, f.declared_type) for f in cls.fields] == fields
     assert [(f.name, f.declared_type) for f in rec.fields] == record_fields
+
+
+# ---------------------------------------------------------------------------
+# Call plans: method bodies rendered from a plan that alone gives every
+# call site, in source order, with its receiver.
+
+# (text before the type arguments, receiver kind, receiver name); the call
+# ``a{n}()`` that a chained receiver makes is planned on its own.
+_RECEIVERS = [("", RECEIVER_THIS, None), ("this.", RECEIVER_THIS, None),
+              ("super.", RECEIVER_OTHER, None), ("obj.", RECEIVER_NAMED, "obj"),
+              ("a{n}().", RECEIVER_OTHER, None)]
+# Explicit type arguments, nested and closed by ``>>`` and ``>>>`` too.
+_TYPE_ARGUMENTS = ["", "<T>", "<K, V>", "<List<K>>", "<Map<K, List<V>>>", "<int[]>"]
+_LOCAL_ANNOTATIONS = ["", "@A ", "@a.b.C ", '@A(1, "x") ', "@A({1, 2}) "]
+# Where the call stands: ``{}`` is the call; a comparison comes just before
+# it in the last two.
+_CONTEXTS = ["{};", "{annotation}int j{n} = {};", "g{n}(a < b, c > {});",
+             "boolean t{n} = x > {};"]
+
+_CALL_PLANS = st.lists(st.tuples(
+    st.sampled_from(_CONTEXTS), st.sampled_from(_LOCAL_ANNOTATIONS),
+    st.sampled_from(_RECEIVERS), st.sampled_from(_TYPE_ARGUMENTS)), min_size=1, max_size=6)
+
+
+def render_calls(plan) -> tuple[str, list[tuple[str, str, str | None]]]:
+    """A file whose one method runs ``plan``'s statements, and every
+    ``(callee, receiver_kind, receiver)`` the statements make, in source
+    order. Each statement calls ``m{n}``, where ``n`` numbers it; type
+    arguments need a ``.``, so a bare call has none."""
+    statements, sites = [], []
+    for n, (context, annotation, (receiver, kind, name), arguments) in enumerate(plan):
+        if context.startswith("g"):
+            sites.append((f"g{n}", RECEIVER_THIS, None))
+        if receiver.startswith("a"):
+            sites.append((f"a{n}", RECEIVER_THIS, None))
+        sites.append((f"m{n}", kind, name))
+        call = receiver.format(n=n) + (arguments if receiver else "") + f"m{n}()"
+        statements.append(context.format(call, n=n, annotation=annotation))
+    return f"class C {{ void run() {{ {' '.join(statements)} }} }}\n", sites
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=_CALL_PLANS)
+def test_call_sites_are_read_as_their_plan_says(plan):
+    text, sites = render_calls(plan)
+    with deadline(2.0):
+        (cls,) = parse(text)
+    (method,) = cls.methods
+    assert site_tuples(method) == sites
+    assert oracles.file_call_sites(text) == sites
