@@ -128,6 +128,10 @@ def file_call_sites(text: str) -> list[tuple[str, str, str | None]]:
     `@`; a qualified `@a.b.Foo(...)` or `new a.b.Foo(...)` is skipped by
     walking its dotted chain back to the `@` or the `new`. Explicit type
     arguments after a `.` (`a.<T>m(`) are walked back over to that `.`.
+
+    The parser reads code forward only; this oracle keeps its backward
+    character walk on purpose, as a reference that shares no machinery
+    with it.
     """
     src = scrub(text)
     sites = []
