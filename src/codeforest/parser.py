@@ -552,7 +552,7 @@ class _Parser:
             name -= 2
         before = texts[name - 1]
         if (name <= head or self.kinds[name] != KIND_IDENTIFIER or before == "@"
-                or before == "." and texts[name - 2] != "."):
+                or (before == "." and texts[name - 2] != ".")):
             return None
         fields.append(FieldDecl(texts[name], "".join(texts[head:name] + texts[name + 1:end])))
         return "".join(texts[head:name])
