@@ -2,11 +2,13 @@
 
 Unicode escapes (``\\u0041``, JLS 3.3) are translated first, as Java
 does before it reads line ends or tokens. The scanner, ``_SCAN_PATTERN``,
-then matches ``(trivia*)(token|\\Z)``, trivia being whitespace and
-comments, so ``findall`` returns (trivia, token) pairs that tile the
-translated text and the trivia is never classified. ``\\Z`` ends the
-scan on trailing trivia, which would otherwise backtrack and give its
-last character to the ``.`` fallback.
+then matches ``(trivia)(token|\\Z)``, trivia being whitespace and
+comments. Its matches tile the translated text, so one ``split`` gives
+the flat list ``['', trivia, token, '', trivia, token, ..., '']``: the
+tokens are a slice of it and their offsets a slice of its running
+lengths, no object is built per token, and the trivia is never
+classified. ``\\Z`` ends the scan on trailing trivia, which would
+otherwise backtrack and give its last character to the ``.`` fallback.
 
 ``tokenize`` returns a ``Tokens`` table of the significant tokens alone,
 three parallel lists ``kinds``, ``texts`` and ``starts`` (character
@@ -15,18 +17,21 @@ gives the lines from token ``i`` through token ``j``, read off a
 per-file table of line starts (bisect). A line ends at LF, CR or CR LF
 (JLS 3.4).
 
-The trivia and the tokens are each one alternation regex whose groups
-name the kinds. ``_token_regex`` compiles the scanner with every named
-group made non-capturing, and a token's kind is read off its text: its
-first character, then a table of whole texts (keywords and the lone
-openers that are errors). ``_token_regex`` compiles once for ASCII text
-and once, on first use, for text with non-ASCII characters.
-Alternatives are tried in order, so the first that matches at a
-position wins (the first two are trivia):
+The tokens are one alternation regex whose groups name the kinds.
+``_token_regex`` compiles the scanner with every named group made
+non-capturing, and a token's kind is read off its text: its first
+character, then a table of whole texts (keywords and the lone openers
+that are errors). ``_token_regex`` compiles once for ASCII text and once,
+on first use, for text with non-ASCII characters. Trivia is a run of
+whitespace, then any comments, each followed by a run of whitespace, so
+its common case is one run of one character class. The token
+alternatives are tried in order, so the first that matches at a
+position wins (the first two kinds are trivia):
 
 * ``whitespace``     maximal run of blanks, tabs, line ends and byte order
                      marks (U+FEFF)
-* ``comment``        ``//`` to end of line, or ``/* ... */``
+* ``comment``        ``//`` to end of line, or ``/* ... */`` up to the
+                     first ``*/``
 * ``string-literal`` a text block ``\"\"\"...\"\"\"`` (Java 15), which may span
                      lines, or a double-quoted literal on one line
 * ``char-literal``   single-quoted, backslash escapes honoured
@@ -36,8 +41,10 @@ position wins (the first two are trivia):
                      marks (Mn, Mc) and ignorable characters (JLS 3.8),
                      not a keyword
 * ``number-literal`` tolerant numeric run (hex, float, suffixes)
-* ``punctuation``    operators and separators, longest first, with any
-                     other single character as the fallback
+* ``punctuation``    the separators and operators that start no longer
+                     one (``(){}[];,.@?~``), then the rest, longest
+                     first, with any other single character as the
+                     fallback
 
 Literals must close on their own line (text blocks and block comments
 before end of file); an opening quote or ``/*`` that no alternative can
@@ -52,7 +59,7 @@ import re
 import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, islice
 from operator import itemgetter
 
 from .errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
@@ -86,13 +93,16 @@ _ASCII_EXTRA_PART = r"\x00-\x08\x0e-\x1b\x7f"
 
 _WORD_START = r"(?:[^\W\d]|[$EXTRA_START])"
 
+# A block comment is unrolled, so no lazy repeat backtracks in it: runs
+# of ``[^*]*``, each ``*`` run then ending the comment at a ``/`` or
+# going on with any other character.
 _TRIVIA_PATTERN = r"""
-    (?P<whitespace>[ \t\r\n\f\x0b\ufeff]+)
-    | (?P<line_comment>//[^\r\n]*)
-    | (?P<block_comment>/\*.*?\*/)
+    [ \t\r\n\f\x0b\ufeff]*
+    (?:(?://[^\r\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)[ \t\r\n\f\x0b\ufeff]*)*
     """
 # ``"(?!"")`` keeps an unclosed text block from lexing as ``""`` plus a
-# string that opens at its third quote: it reaches ``open_literal``.
+# string that opens at its third quote: it reaches ``open_literal``. No
+# character of the first ``punctuation`` class starts a longer operator.
 _TOKEN_PATTERN = r"""
     (?P<text_block>\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\")
     | (?P<string>"(?!"")(?:[^"\\\r\n]|\\.)*")
@@ -101,10 +111,10 @@ _TOKEN_PATTERN = r"""
     | (?P<number>[0-9][0-9a-fA-FxXlLpP._]*)
     | (?P<open_comment>/\*)
     | (?P<open_literal>["'])
-    | (?P<punctuation>>>>=|>>>|>>=|<<=|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
+    | (?P<punctuation>[(){}\[\];,.@?~]|>>>=|>>>|>>=|<<=|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
         |\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|.)
     """
-_SCAN_PATTERN = rf"((?:{_TRIVIA_PATTERN})*)({_TOKEN_PATTERN}|\Z)"
+_SCAN_PATTERN = rf"({_TRIVIA_PATTERN})({_TOKEN_PATTERN}|\Z)"
 _FLAGS = re.DOTALL | re.VERBOSE
 
 
@@ -159,7 +169,7 @@ def _pattern(ascii_only: bool, pattern: str = _SCAN_PATTERN) -> str:
 @functools.cache
 def _token_regex(ascii_only: bool) -> re.Pattern:
     """The scanner, with every named group non-capturing, so that
-    ``findall`` returns the (trivia, token) pairs."""
+    ``split`` returns ``''``, the trivia and the token per match."""
     return re.compile(re.sub(r"\(\?P<\w+>", "(?:", _pattern(ascii_only)), _FLAGS)
 
 
@@ -192,7 +202,6 @@ _KIND_OF_FIRST.update({'"': KIND_STRING, "'": KIND_CHAR})
 _KIND_OF_TEXT = dict.fromkeys(KEYWORDS, KIND_KEYWORD)
 _KIND_OF_TEXT.update({"/*": _OPEN_COMMENT, '"': _OPEN_LITERAL, "'": _OPEN_LITERAL})
 _first_char = itemgetter(0)
-_token = itemgetter(1)
 
 
 @dataclass(slots=True)
@@ -255,13 +264,15 @@ def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
             "utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
     ascii_only = text.isascii()
-    pairs = _token_regex(ascii_only).findall(text)
-    # Only ``\Z`` matches an empty token: once or twice, at the end.
-    texts = list(map(_token, pairs))
+    # The matches tile the text, so ``split`` gives ``['', trivia, token]``
+    # per match, then a last ``''``. Only ``\Z`` matches an empty token:
+    # once or twice, at the end.
+    parts = _token_regex(ascii_only).split(text)
+    texts = parts[2::3]
     while texts and not texts[-1]:
         texts.pop()
     # The running length after each trivia is where its token starts.
-    starts = list(accumulate(map(len, chain.from_iterable(pairs))))[:2 * len(texts):2]
+    starts = list(islice(accumulate(map(len, parts)), 1, 3 * len(texts), 3))
     by_first = map(_KIND_OF_FIRST.get, map(_first_char, texts))
     kinds = list(map(_KIND_OF_TEXT.get, texts, by_first))
     if not ascii_only and None in kinds:

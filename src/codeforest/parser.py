@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .errors import (
     CodeforestError,
@@ -111,6 +112,7 @@ _BODY_WORDS = _TYPE_WORDS | {"enum", "new"}
 _PARTNER = {"(": ")", "[": "]", "{": "}"}
 _OPENERS = frozenset(_PARTNER)
 _CLOSERS = frozenset(_PARTNER.values())
+_BRACKETS = _OPENERS | _CLOSERS
 
 # How many ``<...>`` levels each token closes.
 _ANGLE_CLOSES = {">": 1, ">>": 2, ">>>": 3}
@@ -207,11 +209,10 @@ class _Parser:
         texts = self.texts
         partner = [0] * self.n
         stack: list[int] = []
-        for i, text in enumerate(texts):
+        for i in compress(count(), map(_BRACKETS.__contains__, texts)):
+            text = texts[i]
             if text in _OPENERS:
                 stack.append(i)
-            elif text not in _CLOSERS:
-                continue
             elif not stack or _PARTNER[texts[stack[-1]]] != text:
                 raise UnbalancedBraces(self.span(i, i))
             else:
@@ -366,9 +367,14 @@ class _Parser:
         return ".".join(parts) or None
 
     def skip_dims(self) -> None:
-        """Step over the ``[]`` pairs at the cursor."""
-        while self.at("[") and self.at("]", 1):
-            self.pos += 2
+        """Step over the ``[]`` pairs at the cursor, each after any
+        annotations (``@A [] @B []``)."""
+        texts = self.texts
+        while texts[self.pos] in ("[", "@"):
+            i = self.past_annotations(self.pos)
+            if texts[i] != "[" or texts[i + 1] != "]":
+                return
+            self.pos = i + 2
 
     def parse_class(self, prefix: str, start: int, out: list[ClassDecl]) -> tuple:
         """Read the header of the type at the cursor, modifiers from
@@ -541,26 +547,32 @@ class _Parser:
 
     def declarator(self, head: int, end: int, fields: list[FieldDecl]) -> str | None:
         """Add the field that the declarator ``texts[head:end]`` declares and
-        return the type before its name. The name is the identifier before
-        any trailing ``[]`` pairs, after a type, and the field's type is the
-        head without the name (``int c[][]`` is ``c: int[][]``). None, and
-        no field, when there is no such name: one after ``@`` or after a
-        ``.`` that ends no ``...`` ends an annotation (``int c @a.B []``)."""
-        texts = self.texts
-        name = end - 1
-        while name - head >= 3 and texts[name] == "]" and texts[name - 1] == "[":
-            name -= 2
-        before = texts[name - 1]
-        if (name <= head or self.kinds[name] != KIND_IDENTIFIER or before == "@"
-                or (before == "." and texts[name - 2] != ".")):
-            return None
-        fields.append(FieldDecl(texts[name], "".join(texts[head:name] + texts[name + 1:end])))
-        return "".join(texts[head:name])
+        return the type before its name, leaving the cursor at ``end``. The
+        name is the one identifier after a type that only dims follow
+        (``skip_dims``), and the field's type is the head without the name
+        (``int c @A [][]`` is ``c: int@A[][]``). An identifier after ``@``,
+        or after a ``.`` that ends no ``...``, names a type or an annotation.
+        None, and no field, when there is no name. The identifiers are tried
+        from the last, where the name usually is."""
+        texts, kinds = self.texts, self.kinds
+        for name in range(end - 1, head, -1):
+            before = texts[name - 1]
+            if kinds[name] == KIND_IDENTIFIER and before != "@" and (
+                    before != "." or texts[name - 2] == "."):
+                self.pos = name + 1
+                if self.pos < end:
+                    self.skip_dims()
+                if self.pos == end:
+                    fields.append(FieldDecl(
+                        texts[name], "".join(texts[head:name] + texts[name + 1:end])))
+                    return "".join(texts[head:name])
+        self.pos = end
+        return None
 
     def finish_fields(self, decl, head: int, end: int, fields: list[FieldDecl], code) -> None:
-        """Parse ``type a = init, b[], c;`` declarator lists; the tokens
-        after each declarator (``= init``) are code. A later declarator's
-        type is the first one's without its ``[]`` pairs, with its own."""
+        """Parse ``type a = init, b[], c @A [];`` declarator lists; the
+        tokens after each declarator (``= init``) are code. A later
+        declarator's type is the first one's without its dims, with its own."""
         texts = self.texts
         base = self.declarator(head, end, fields)
         if base is None:
@@ -617,8 +629,9 @@ class _Parser:
         the ``.``, and the scan goes on past the ``(``.
 
         A field write is a field name directly followed by an assignment
-        operator; a field read is any other occurrence of the name not
-        preceded by a dot. The code lies inside a group, whose brackets
+        operator; a field read is any other occurrence of the name neither
+        after a dot nor before ``(``, where it is a call (``size()`` reads
+        no field ``size``). The code lies inside a group, whose brackets
         keep every neighbour looked at inside the unit.
         """
         texts, kinds = self.texts, self.kinds
@@ -648,7 +661,7 @@ class _Parser:
                 elif text in fields and kinds[i] == KIND_IDENTIFIER:
                     if texts[i + 1] in ASSIGNMENT_OPERATORS:
                         writes.add(text)
-                    elif texts[i - 1] != ".":
+                    elif texts[i - 1] != "." and texts[i + 1] != "(":
                         reads.add(text)
                 elif text in ("instanceof", "case"):
                     # A record pattern, ``case Line(Point p, var q)``, calls nothing.
@@ -737,26 +750,38 @@ def parse_corpus(root) -> CorpusParse:
     """
     if not os.path.isdir(root):
         raise RootNotFound(str(root))
+    root = os.fspath(root)
     strip = len(os.path.join(root, ""))
     failures: list[tuple[str, str]] = []
-
-    def unlisted(exc: OSError) -> None:
-        failures.append((exc.filename[strip:] or ".", f"{type(exc).__name__}: {exc}"))
-
     paths = []
-    for top, _, names in os.walk(root, onerror=unlisted):
-        for name in names:
-            if name.endswith(".java"):
-                path = os.path.join(top, name)
-                if os.path.isfile(path):
-                    paths.append(path)
+    # Directories still to list. ``is_dir(follow_symlinks=False)`` holds
+    # for a real directory alone, and ``is_file()`` follows a link.
+    tops = [root]
+    while tops:
+        top = tops.pop()
+        try:
+            with os.scandir(top) as listing:
+                entries = list(listing)
+        except OSError as exc:
+            failures.append((exc.filename[strip:] or ".", f"{type(exc).__name__}: {exc}"))
+            continue
+        for entry in entries:
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    tops.append(entry.path)
+                elif entry.name.endswith(".java") and entry.is_file():
+                    paths.append(entry.path)
+            except OSError:
+                # A link loop, or a target that cannot be looked at.
+                pass
     paths.sort(key=os.fsencode)
 
     units: list[CorpusUnit] = []
     for path in paths:
         rel = path[strip:]
         try:
-            with open(path, "rb") as f:
+            # Unbuffered: the whole file is one read, which needs no buffer.
+            with open(path, "rb", 0) as f:
                 data = f.read()
             units.append(CorpusUnit(rel, parse_unit(tokenize(data, rel))))
         except (CodeforestError, OSError) as exc:

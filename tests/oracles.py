@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import math
+import os
 import re
 import struct
 from json.encoder import encode_basestring_ascii as _quote
@@ -706,6 +707,29 @@ _KIND_OF_GROUP = {
 }
 LINE_END = re.compile(r"\r\n|\r|\n")
 
+# The loop's own trivia and token alternations: one named group per
+# kind, a lazy block comment and one punctuation list, so the lexer's
+# scanner is checked against a pattern it does not share.
+# ``lexer._pattern`` fills in the identifier classes.
+_TRIVIA_PATTERN = r"""
+    (?P<whitespace>[ \t\r\n\f\x0b\ufeff]+)
+    | (?P<line_comment>//[^\r\n]*)
+    | (?P<block_comment>/\*.*?\*/)
+    """
+# ``"(?!"")`` keeps an unclosed text block from lexing as ``""`` plus a
+# string that opens at its third quote: it reaches ``open_literal``.
+_TOKEN_PATTERN = r"""
+    (?P<text_block>\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\")
+    | (?P<string>"(?!"")(?:[^"\\\r\n]|\\.)*")
+    | (?P<char>'(?:[^'\\\r\n]|\\.)*')
+    | (?P<word>WORD_START[\w$EXTRA_PART]*)
+    | (?P<number>[0-9][0-9a-fA-FxXlLpP._]*)
+    | (?P<open_comment>/\*)
+    | (?P<open_literal>["'])
+    | (?P<punctuation>>>>=|>>>|>>=|<<=|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
+        |\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|.)
+    """
+
 
 def translate_unicode_escapes(text: str) -> str:
     """JLS 3.3, one raw character at a time: a backslash after an even
@@ -753,7 +777,7 @@ def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
     text = translate_unicode_escapes(text)
     ascii_only = text.isascii()
     regex = re.compile(
-        lexer._pattern(ascii_only, lexer._TRIVIA_PATTERN + "|" + lexer._TOKEN_PATTERN), lexer._FLAGS)
+        lexer._pattern(ascii_only, _TRIVIA_PATTERN + "|" + _TOKEN_PATTERN), lexer._FLAGS)
     tokens = []
     line = 1
     for m in regex.finditer(text):
@@ -773,6 +797,29 @@ def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
         last = line - (line > first and chunk[-1] in "\r\n")
         tokens.append((kind, chunk, first, last))
     return tokens
+
+
+def java_files_by_walk(root: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The ``.java`` files under ``root`` that ``parse_corpus`` reads, as
+    root-relative paths in byte order, and its failures for directories
+    that cannot be listed: ``os.walk`` without following links, then
+    ``os.path.isfile``, which follows one and is false for a broken link,
+    a link loop and a directory."""
+    strip = len(os.path.join(root, ""))
+    failures: list[tuple[str, str]] = []
+
+    def unlisted(exc: OSError) -> None:
+        failures.append((exc.filename[strip:] or ".", f"{type(exc).__name__}: {exc}"))
+
+    paths = []
+    for top, _, names in os.walk(root, onerror=unlisted):
+        for name in names:
+            if name.endswith(".java"):
+                path = os.path.join(top, name)
+                if os.path.isfile(path):
+                    paths.append(path)
+    paths.sort(key=os.fsencode)
+    return [path[strip:] for path in paths], failures
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from codeforest import errors, parser
 from codeforest.errors import CodeforestError, RootNotFound
 from codeforest.lexer import tokenize
 from codeforest.parser import parse_corpus, parse_unit
 from codeforest.pipeline import analyze
-from conftest import FIXTURES, write_deep_corpus
+from conftest import FIXTURES, deadline, write_deep_corpus
 
 
 def write(root, rel, text):
@@ -84,6 +85,69 @@ def test_symlinks_and_non_files(tmp_path):
     # broken link and the directory named like a source are skipped.
     assert [u.path for u in result.units] == ["A.java", "Dir.java/Inner.java", "Link.java"]
     assert result.failures == []
+
+
+# A tree is built from (where, name, kind) entries, each made in the
+# ``where``-th directory made so far; an entry whose name is taken is
+# dropped. Links point into the tree or at ``ext`` beside the root.
+_ENTRY_KINDS = ("dir", "java", "bad java", "text", "link to file", "link to dir",
+                "broken link", "link loop")
+_TREES = st.lists(st.tuples(st.integers(0, 7),
+                            st.sampled_from(["a", "b", "A.java", "B.java", "c.txt"]),
+                            st.sampled_from(_ENTRY_KINDS)), max_size=12)
+
+
+def build_tree(base: Path, entries) -> Path:
+    root, ext = base / "root", base / "ext"
+    root.mkdir()
+    ext.mkdir()
+    write(ext, "E.java", "class E { }")
+    dirs, files = [root], [ext / "E.java"]
+    for n, (where, name, kind) in enumerate(entries):
+        path = dirs[where % len(dirs)] / name
+        if os.path.lexists(path):
+            continue
+        if kind == "dir":
+            path.mkdir()
+            dirs.append(path)
+        elif kind == "java":
+            path.write_text(f"class K{n} {{ }}")
+            files.append(path)
+        elif kind == "bad java":
+            path.write_text('class Bad { String s = "open\n}')
+        elif kind == "text":
+            path.write_text("not java")
+        elif kind == "link to file":
+            path.symlink_to(files[where % len(files)])
+        elif kind == "link to dir":
+            path.symlink_to([ext, *dirs][where % (len(dirs) + 1)], target_is_directory=True)
+        elif kind == "broken link":
+            path.symlink_to(base / "missing.java")
+        else:
+            path.symlink_to(path)
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREES)
+def test_the_walk_reads_what_os_walk_and_isfile_list(entries):
+    """Linked files are read; linked directories, broken links, link loops
+    and directories named like a source are not: units and failures as
+    ``os.walk`` and ``os.path.isfile`` give them, in byte order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = build_tree(Path(tmp), entries)
+        paths, failures = oracles.java_files_by_walk(str(root))
+        units = []
+        for rel in paths:
+            try:
+                units.append((rel, parse_unit(tokenize((root / rel).read_bytes(), rel))))
+            except CodeforestError as exc:
+                failures.append((rel, f"{type(exc).__name__}: {exc}"))
+        failures.sort(key=lambda failure: os.fsencode(failure[0]))
+        with deadline(2.0):
+            result = parse_corpus(root)
+    assert [(u.path, u.classes) for u in result.units] == units
+    assert result.failures == failures
 
 
 def test_unreadable_file_is_one_failure(tmp_path, monkeypatch):

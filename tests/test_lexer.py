@@ -307,7 +307,8 @@ _PIECES = st.sampled_from(
      "1.5e3f", ".", ">>>=", "->", "::", "=", "{", "}", ";", "é", "größe",
      "中", "\u00a0", "²", "\u0301", "\u200d", "\x00", "€", "‿",
      '"a\\"b"', '"\\\n"', "'\\''", "'\\\n'",
-     '"""\n "" \\""" é\n"""', "/* a\n é */", "// c é", '"', '"""', "'", "/*",
+     '"""\n "" \\""" é\n"""', "/* a\n é */", "*/", "**/", "/**/", "/***/", "// c é",
+     '"', '"""', "'", "/*",
      "\\", "u", "\\u0041", "\\uu000a", "\\\\u0042", "\\ud83c\\udf32", "\\uDC00", "\\u00e9",
      "\\u005c", "\\u0022", "\\u000D", "\\u0"]
 )

@@ -142,14 +142,16 @@ def test_has_params(params, has_params):
 def test_multi_declarator_field():
     (cls,) = parse("class F { private int a, b, c; }")
     assert [f.name for f in cls.fields] == ["a", "b", "c"]
-    # C-style ``[]`` pairs after a name belong to that declarator alone. A
-    # declarator with annotated pairs is dropped, and no annotation's name
-    # becomes a field.
+    # C-style ``[]`` pairs after a name, with their annotations, belong to
+    # that declarator alone, and no annotation's name becomes a field.
     (cls,) = parse("class A { int a[] = {1}, b; String s[]; int c; "
                    "int c[][] = new int[2][], d; int x @A [], y @a.B []; }")
     assert [(f.name, f.declared_type) for f in cls.fields] == [
         ("a", "int[]"), ("b", "int"), ("s", "String[]"), ("c", "int"),
-        ("c", "int[][]"), ("d", "int")]
+        ("c", "int[][]"), ("d", "int"), ("x", "int@A[]"), ("y", "int@a.B[]")]
+    (cls,) = parse("class A { int x @A [], y; int e, g @A []; }")
+    assert [(f.name, f.declared_type) for f in cls.fields] == [
+        ("x", "int@A[]"), ("y", "int"), ("e", "int"), ("g", "int@A[]")]
 
 
 def test_field_initializers_are_skipped():
@@ -635,9 +637,13 @@ def test_explicit_type_arguments_keep_the_receiver():
         ("get", RECEIVER_NAMED, "m"), ("bar", RECEIVER_THIS, None),
         ("sup", RECEIVER_OTHER, None), ("b", RECEIVER_NAMED, "a"), ("c", RECEIVER_OTHER, None),
         ("m", RECEIVER_THIS, None), ("f", RECEIVER_THIS, None), ("m", RECEIVER_THIS, None)]
-    # The name after the type arguments is a call, no read of a field.
+    # The name after the type arguments is a call, no read of a field,
+    # and so is a bare call of a method named like a field.
     s = scan("{ int j = obj.<T>size(); }", ["size"])
     assert site_tuples(s) == [("size", RECEIVER_NAMED, "obj")]
+    assert s.reads_fields == set()
+    s = scan("{ size(); }", ["size"])
+    assert site_tuples(s) == [("size", RECEIVER_THIS, None)]
     assert s.reads_fields == set()
 
 
@@ -983,11 +989,12 @@ def _written_types(draw, varargs=False):
                                  f"List<{annotation} {base}>", f"java.lang.{annotation} String"]))
 
 
-# Each declarator is a number of C-style ``[]`` pairs after its name and
-# an initializer or None.
+# Each declarator is its C-style ``[]`` pairs after its name, each given
+# as the annotation before it or "", and an initializer or None.
 _DECLARATIONS = st.lists(
     st.tuples(_LEADING, _written_types(),
-              st.lists(st.tuples(st.integers(0, 2), _INITIALIZERS), min_size=1, max_size=3)),
+              st.lists(st.tuples(st.lists(_ANNOTATIONS | st.just(""), max_size=2),
+                                 _INITIALIZERS), min_size=1, max_size=3)),
     max_size=4)
 # A leading annotation on a component annotates the component, not its type.
 _COMPONENTS = st.tuples(
@@ -1000,15 +1007,17 @@ def render_declarators(declarations, components) -> tuple[str, list, list]:
     """A class holding ``declarations`` and a record holding ``components``,
     and the ``(name, declared type)`` of each one's fields: the names are
     numbered in source order and a type is its text without blanks, with
-    the ``[]`` pairs written after its declarator's name."""
+    the ``[]`` pairs, and their annotations, written after its declarator's
+    name."""
     numbers = itertools.count()
     members, fields = [], []
     for leading, written, plan in declarations:
         declarators = []
         for dims, initializer in plan:
             name = f"f{next(numbers)}"
-            fields.append((name, "".join(written.split()) + "[]" * dims))
-            name += " []" * dims
+            suffix = "".join(f" {annotation} []" for annotation in dims)
+            fields.append((name, "".join((written + suffix).split())))
+            name += suffix
             declarators.append(name if initializer is None else f"{name} = {initializer}")
         members.append(f"{leading}{written} {', '.join(declarators)};")
     header, record_fields = [], []
