@@ -21,12 +21,10 @@ The tokens are one alternation regex whose groups name the kinds.
 ``_token_regex`` compiles the scanner with every named group made
 non-capturing, and a token's kind is read off its text: its first
 character, then a table of whole texts (keywords and the lone openers
-that are errors). ``_token_regex`` compiles once for ASCII text and once,
-on first use, for text with non-ASCII characters. Trivia is a run of
-whitespace, then any comments, each followed by a run of whitespace, so
-its common case is one run of one character class. The token
-alternatives are tried in order, so the first that matches at a
-position wins (the first two kinds are trivia):
+that are errors). Trivia is a run of whitespace, then any comments,
+each followed by a run of whitespace, so its common case is one run of
+one character class. The token alternatives are tried in order, so the
+first that matches at a position wins (the first two kinds are trivia):
 
 * ``whitespace``     maximal run of blanks, tabs, line ends and byte order
                      marks (U+FEFF)
@@ -46,6 +44,21 @@ position wins (the first two kinds are trivia):
                      first, with any other single character as the
                      fallback
 
+``\\w`` already takes every Unicode letter and digit. The identifier
+characters it misses are built per file, by ``_classes``, from the file's
+own distinct non-ASCII characters, one ``unicodedata.category`` call
+each, and ``_token_regex`` compiles the scanner, and the matcher that
+tells a non-ASCII first character's kind, once per distinct pair of
+classes. An ASCII file, or one whose non-ASCII characters are all
+letters, digits or other symbols (``é``, ``中``, ``©``, ``→``), gets empty
+classes and so the one plain scanner. A scanner matches only characters
+of the text it scans, so a class cut down to them splits every text as
+the class of all such code points would. Each new distinct pair costs
+about 0.9 ms to compile and 4.5 KiB to keep, for the life of the
+process: a corpus whose every file held another set of currency symbols,
+connecting punctuation, marks or format characters would pay that per
+file.
+
 Literals must close on their own line (text blocks and block comments
 before end of file); an opening quote or ``/*`` that no alternative can
 close is a token of its own, and ``tokenize`` raises at the first one
@@ -58,6 +71,7 @@ import functools
 import re
 import unicodedata
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import itemgetter
@@ -87,9 +101,11 @@ ASSIGNMENT_OPERATORS = frozenset(
 )
 
 # Identifier parts beyond ``[\w$]`` (Character.isJavaIdentifierPart):
-# the ASCII identifier-ignorable controls. Non-ASCII starts and parts are
-# added by ``_pattern``.
+# the ASCII identifier-ignorable controls. A file's non-ASCII starts and
+# parts are added by ``_token_regex`` from ``_classes``.
 _ASCII_EXTRA_PART = r"\x00-\x08\x0e-\x1b\x7f"
+_PART_CATEGORIES = frozenset(("Sc", "Pc", "Mn", "Mc", "Cf"))
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 _WORD_START = r"(?:[^\W\d]|[$EXTRA_START])"
 
@@ -118,65 +134,36 @@ _SCAN_PATTERN = rf"({_TRIVIA_PATTERN})({_TOKEN_PATTERN}|\Z)"
 _FLAGS = re.DOTALL | re.VERBOSE
 
 
-def _ranges(codes: list[int]) -> str:
-    """Regex class ranges covering the ascending code points ``codes``."""
-    ranges = []
-    start = prev = codes[0]
-    for c in codes[1:] + [-1]:
-        if c != prev + 1:
-            ranges.append(f"\\U{start:08x}-\\U{prev:08x}")
-            start = c
-        prev = c
-    return "".join(ranges)
-
-
 @functools.cache
-def _non_ascii_classes() -> tuple[str, str]:
-    """Class ranges of the non-ASCII identifier starts and parts ``\\w`` misses.
+def _token_regex(starts: str, parts: str) -> tuple[re.Pattern, re.Pattern]:
+    """The scanner, with every named group non-capturing so that
+    ``split`` returns ``''``, the trivia and the token per match, and the
+    matcher of an identifier's first character, for the non-ASCII
+    identifier starts and parts ``starts`` and ``parts`` (``_classes``)."""
+    word_start = _WORD_START.replace("EXTRA_START", starts)
+    scan = _SCAN_PATTERN.replace("WORD_START", word_start).replace(
+        "EXTRA_PART", _ASCII_EXTRA_PART + parts)
+    return re.compile(re.sub(r"\(\?P<\w+>", "(?:", scan), _FLAGS), re.compile(word_start)
+
+
+def _classes(chars: Iterable[str]) -> tuple[str, str]:
+    """The regex class contents of the identifier starts and parts among
+    the distinct non-ASCII characters ``chars`` that ``\\w`` misses (JLS
+    3.8), in code point order, so that equal sets give equal classes.
 
     Starts are the currency symbols (Sc) and connecting punctuation (Pc).
-    Parts are those plus the combining marks (Mn, Mc), the format
-    characters (Cf) and the C1 controls, all identifier-ignorable or part
-    characters in JLS 3.8. Unicode assigns Sc and Pc only in planes 0 and
-    1, and Mn, Mc and Cf only there and in the tag and variation-selector
-    blocks at U+E0000-U+E0FFF, so only those are scanned.
+    Parts are those, the combining marks (Mn, Mc), the format characters
+    (Cf) and the C1 controls (U+0080-U+009F).
     """
-    category = unicodedata.category
-    part_categories = frozenset(("Sc", "Pc", "Mn", "Mc", "Cf"))
-    starts = []
-    parts = list(range(0x80, 0xA0))
-    for block in (range(0xA0, 0x20000), range(0xE0000, 0xE1000)):
-        for c, cat in zip(block, map(category, map(chr, block))):
-            if cat in part_categories:
-                parts.append(c)
-                if cat in ("Sc", "Pc"):
-                    starts.append(c)
-    return _ranges(starts), _ranges(parts)
-
-
-@functools.cache
-def _pattern(ascii_only: bool, pattern: str = _SCAN_PATTERN) -> str:
-    """``pattern`` with its identifier classes filled in.
-
-    ASCII text cannot hold a non-ASCII identifier part, so importing the
-    module and tokenizing ASCII sources never pay for the Unicode scan.
-    """
-    starts, parts = ("", "") if ascii_only else _non_ascii_classes()
-    pattern = pattern.replace("WORD_START", _WORD_START).replace("EXTRA_START", starts)
-    return pattern.replace("EXTRA_PART", _ASCII_EXTRA_PART + parts)
-
-
-@functools.cache
-def _token_regex(ascii_only: bool) -> re.Pattern:
-    """The scanner, with every named group non-capturing, so that
-    ``split`` returns ``''``, the trivia and the token per match."""
-    return re.compile(re.sub(r"\(\?P<\w+>", "(?:", _pattern(ascii_only)), _FLAGS)
-
-
-@functools.cache
-def _word_start() -> re.Pattern:
-    """Matches a character that starts an identifier, non-ASCII ones included."""
-    return re.compile(_pattern(False, _WORD_START))
+    starts = parts = ""
+    for c in sorted(chars):
+        category = unicodedata.category(c)
+        if category in _PART_CATEGORIES or c < "\xa0":
+            code = f"\\U{ord(c):08x}"
+            parts += code
+            if category in ("Sc", "Pc"):
+                starts += code
+    return starts, parts
 
 
 # A Unicode escape (JLS 3.3): a backslash after an even run of them (the
@@ -264,10 +251,12 @@ def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
             "utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
     ascii_only = text.isascii()
+    classes = ("", "") if ascii_only else _classes(set(_NON_ASCII.findall(text)))
+    scanner, word_start = _token_regex(*classes)
     # The matches tile the text, so ``split`` gives ``['', trivia, token]``
     # per match, then a last ``''``. Only ``\Z`` matches an empty token:
     # once or twice, at the end.
-    parts = _token_regex(ascii_only).split(text)
+    parts = scanner.split(text)
     texts = parts[2::3]
     while texts and not texts[-1]:
         texts.pop()
@@ -276,8 +265,7 @@ def tokenize(source: bytes, file_id: str = "<memory>") -> Tokens:
     by_first = map(_KIND_OF_FIRST.get, map(_first_char, texts))
     kinds = list(map(_KIND_OF_TEXT.get, texts, by_first))
     if not ascii_only and None in kinds:
-        is_word = _word_start().match
-        kinds = [kind or (KIND_IDENTIFIER if is_word(t) else KIND_PUNCTUATION)
+        kinds = [kind or (KIND_IDENTIFIER if word_start.match(t) else KIND_PUNCTUATION)
                  for kind, t in zip(kinds, texts)]
     tokens = Tokens(file_id, text, kinds, texts, starts)
     errors = [kinds.index(k) for k in (_OPEN_COMMENT, _OPEN_LITERAL) if k in kinds]

@@ -41,12 +41,13 @@ is known, and code is read forward only, with the walks the
 declarations use. An annotation in code is jumped whole
 (``past_annotations``), so ``@Deprecated`` and ``@SuppressWarnings(MAX)``
 read no field. A call site is an identifier directly before ``(``, and
-the type after ``new``, ``instanceof`` or ``case`` is read whole
-(``read_type_ref``): ``return g()``, ``yield g()`` and ``when g()``
-call, ``new a.B()`` and a record pattern ``case P(var x)`` do not. A
-class body in code, after ``new T(...)`` or in a local type
-declaration, is read by ``parse_members`` as every class body is, its
-classes dropped; only the code it hands back (method bodies,
+the type after ``new`` or ``instanceof``, or after ``case`` in a pattern,
+is read whole (``read_type_ref``): ``return g()``, ``yield g()`` and
+``when g()`` call, ``new a.B()`` and a record pattern ``case P(var x)``
+do not, and a type, there or before a declared name (``Point p;``), is
+no field read. A class body in code, after ``new T(...)`` or in a local
+type declaration, is read by ``parse_members`` as every class body is,
+its classes dropped; only the code it hands back (method bodies,
 initializer blocks, field initializers) is scanned, for the enclosing
 method, so no member head is read as a call. A call's receiver is the
 word before its ``.``. A ``.<`` opens explicit type arguments, read by
@@ -611,9 +612,11 @@ class _Parser:
         ``@a.b.A(...)``) is jumped whole by ``past_annotations``, its
         arguments too, so it reads, writes and calls nothing. A call site
         is an identifier directly before ``(``. The type after ``new`` is
-        read whole, so ``new a.B<C>(...)`` calls nothing, and so is a type
-        after ``instanceof`` or ``case``: when ``(`` follows it, that group
-        is a record pattern, and is jumped over. A class
+        read whole, so ``new a.B<C>(...)`` calls nothing, and so is the type
+        after ``instanceof``, and after ``case`` when a binding name or
+        ``(`` follows it (a constant label, ``case MAX:``, is code): the
+        scan resumes past it, and past the ``(`` group, a record pattern,
+        when there is one. A class
         body in the code, after ``new T(...)`` or in a local type
         declaration, is read by ``parse_members`` (see ``code_after``), and
         only the code it hands back is scanned, so no member head is read
@@ -631,7 +634,8 @@ class _Parser:
         A field write is a field name directly followed by an assignment
         operator; a field read is any other occurrence of the name neither
         after a dot nor before ``(``, where it is a call (``size()`` reads
-        no field ``size``). The code lies inside a group, whose brackets
+        no field ``size``), nor before an identifier, where it is a declared
+        type (``Point p;``). The code lies inside a group, whose brackets
         keep every neighbour looked at inside the unit.
         """
         texts, kinds = self.texts, self.kinds
@@ -661,13 +665,16 @@ class _Parser:
                 elif text in fields and kinds[i] == KIND_IDENTIFIER:
                     if texts[i + 1] in ASSIGNMENT_OPERATORS:
                         writes.add(text)
-                    elif texts[i - 1] != "." and texts[i + 1] != "(":
+                    elif (texts[i - 1] != "." and texts[i + 1] != "("
+                          and kinds[i + 1] != KIND_IDENTIFIER):
                         reads.add(text)
                 elif text in ("instanceof", "case"):
-                    # A record pattern, ``case Line(Point p, var q)``, calls nothing.
                     self.pos = i + 1
-                    if self.read_type_ref() and self.at("("):
-                        i = self.partner[self.pos]
+                    if self.read_type_ref() and (text == "instanceof" or self.at("(")
+                                                 or self.at_kind(KIND_IDENTIFIER)):
+                        # A record pattern, ``case Line(Point p, var q)``, calls nothing.
+                        i = self.partner[self.pos] + 1 if self.at("(") else self.pos
+                        continue
                 i += 1
 
     def code_after(self, i: int, hi: int) -> list[tuple[int, int]] | None:

@@ -24,7 +24,7 @@ from codeforest.pipeline import analyze, build_scene
 FIXTURES = Path(__file__).parent / "fixtures"
 
 CORPUS_NAMES = ["two_classes", "jfreechart_annotations", "calls", "overload",
-                "nested", "multipkg", "modern"]
+                "nested", "multipkg", "modern", "unicode"]
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,10 +14,12 @@ synthetic generator produce; they are not general Java tools.
 from __future__ import annotations
 
 import base64
+import functools
 import math
 import os
 import re
 import struct
+import unicodedata
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
@@ -709,8 +711,8 @@ LINE_END = re.compile(r"\r\n|\r|\n")
 
 # The loop's own trivia and token alternations: one named group per
 # kind, a lazy block comment and one punctuation list, so the lexer's
-# scanner is checked against a pattern it does not share.
-# ``lexer._pattern`` fills in the identifier classes.
+# scanner is checked against a pattern it does not share. ``_loop_regex``
+# fills in the identifier classes from the whole Unicode table below.
 _TRIVIA_PATTERN = r"""
     (?P<whitespace>[ \t\r\n\f\x0b\ufeff]+)
     | (?P<line_comment>//[^\r\n]*)
@@ -729,6 +731,62 @@ _TOKEN_PATTERN = r"""
     | (?P<punctuation>>>>=|>>>|>>=|<<=|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
         |\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|.)
     """
+
+
+def _ranges(codes: list[int]) -> str:
+    """Regex class ranges covering the ascending code points ``codes``."""
+    ranges = []
+    start = prev = codes[0]
+    for c in codes[1:] + [-1]:
+        if c != prev + 1:
+            ranges.append(f"\\U{start:08x}-\\U{prev:08x}")
+            start = c
+        prev = c
+    return "".join(ranges)
+
+
+@functools.cache
+def _non_ascii_classes() -> tuple[str, str]:
+    """Class ranges of the non-ASCII identifier starts and parts ``\\w`` misses.
+
+    Starts are the currency symbols (Sc) and connecting punctuation (Pc).
+    Parts are those plus the combining marks (Mn, Mc), the format
+    characters (Cf) and the C1 controls, all identifier-ignorable or part
+    characters in JLS 3.8. Unicode assigns Sc and Pc only in planes 0 and
+    1, and Mn, Mc and Cf only there and in the tag and variation-selector
+    blocks at U+E0000-U+E0FFF, so only those are scanned.
+    """
+    category = unicodedata.category
+    part_categories = frozenset(("Sc", "Pc", "Mn", "Mc", "Cf"))
+    starts = []
+    parts = list(range(0x80, 0xA0))
+    for block in (range(0xA0, 0x20000), range(0xE0000, 0xE1000)):
+        for c, cat in zip(block, map(category, map(chr, block))):
+            if cat in part_categories:
+                parts.append(c)
+                if cat in ("Sc", "Pc"):
+                    starts.append(c)
+    return _ranges(starts), _ranges(parts)
+
+
+def identifier_code_points() -> tuple[set[int], set[int]]:
+    """The non-ASCII identifier starts and parts of ``_non_ascii_classes``,
+    as sets of code points."""
+    return tuple(
+        {c for lo, hi in re.findall(r"\\U(\w{8})-\\U(\w{8})", ranges)
+         for c in range(int(lo, 16), int(hi, 16) + 1)}
+        for ranges in _non_ascii_classes())
+
+
+@functools.cache
+def _loop_regex() -> re.Pattern:
+    """The loop's alternation, its identifier classes filled in from the
+    whole table, whatever the text holds."""
+    starts, parts = _non_ascii_classes()
+    pattern = (_TRIVIA_PATTERN + "|" + _TOKEN_PATTERN).replace(
+        "WORD_START", f"(?:[^\\W\\d]|[${starts}])")
+    return re.compile(pattern.replace("EXTRA_PART", r"\x00-\x08\x0e-\x1b\x7f" + parts),
+                      re.DOTALL | re.VERBOSE)
 
 
 def translate_unicode_escapes(text: str) -> str:
@@ -766,7 +824,6 @@ def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
     """The text, Unicode escapes translated, as a list of ``(kind, text,
     line_start, line_end)`` rows built one match at a time, whitespace
     and comments included: ``lexer.tokenize`` keeps the other rows."""
-    from codeforest import lexer
     from codeforest.errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
     from codeforest.lexer import Span
 
@@ -775,12 +832,9 @@ def tokenize_by_loop(source: bytes, file_id: str = "<memory>") -> list:
     except UnicodeDecodeError as exc:
         raise NonUtf8Input(exc.start, file_id) from None
     text = translate_unicode_escapes(text)
-    ascii_only = text.isascii()
-    regex = re.compile(
-        lexer._pattern(ascii_only, _TRIVIA_PATTERN + "|" + _TOKEN_PATTERN), lexer._FLAGS)
     tokens = []
     line = 1
-    for m in regex.finditer(text):
+    for m in _loop_regex().finditer(text):
         group = m.lastgroup
         chunk = m.group()
         if group == "word":

@@ -6,12 +6,15 @@ comments between them are checked against the rows of
 """
 
 import re
+import unicodedata
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from codeforest import lexer
 from codeforest.errors import (
     CodeforestError,
     NonUtf8Input,
@@ -170,6 +173,45 @@ def test_marks_and_ignorables_do_not_start_identifiers():
     ]
 
 
+def test_every_code_point_joins_identifiers_as_the_whole_table_says():
+    # The per-character rule on every non-ASCII code point, surrogates
+    # too, against the whole table the lexer once built.
+    starts, parts = (set(map(int, re.findall(r"\\U(\w{8})", cls), repeat(16)))
+                     for cls in lexer._classes(map(chr, range(0x80, 0x110000))))
+    want_starts, want_parts = oracles.identifier_code_points()
+    assert starts == want_starts
+    assert parts == want_parts
+
+
+def test_scanners_are_compiled_per_distinct_identifier_classes(monkeypatch):
+    lexer._token_regex.cache_clear()
+    compiled, looked_up = [], []
+    compile_, category = re.compile, unicodedata.category
+    monkeypatch.setattr(re, "compile", lambda *a: compiled.append(a) or compile_(*a))
+    monkeypatch.setattr(unicodedata, "category", lambda c: looked_up.append(c) or category(c))
+
+    tokenize(b"class A { int x; }")
+    assert compiled and not looked_up
+    # Letters, digits and other symbols, in code, comments and literals,
+    # need no class of their own: the ASCII scanner takes them.
+    compiled.clear()
+    letters = "/* ©é */ class Größe { int 中² = 1; String s = \"→ é\"; } // ٣"
+    tokens = tokenize(letters.encode())
+    assert tokens.texts[1:3] == ["Größe", "{"] and "中²" in tokens.texts
+    assert compiled == []
+    assert sorted(looked_up) == sorted({c for c in letters if not c.isascii()})
+
+    looked_up.clear()
+    euro = "class P { int a€b; String s = \"€ é\"; }"
+    assert "a€b" in tokenize(euro.encode()).texts
+    assert len(compiled) == 2  # the scanner and its identifier-start matcher
+    assert sorted(looked_up) == ["é", "€"]
+    compiled.clear()
+    assert "€x" in tokenize("class Q { int €x; } // é".encode()).texts
+    tokenize(b"class R { }")
+    assert compiled == []
+
+
 def test_text_block_is_one_string_literal():
     block = '"""\n  {"a";}\n  \\"""\n  ""x\n  """'
     toks = kinds_and_texts(f"s = {block};\nint y;")
@@ -305,7 +347,8 @@ def test_non_utf8_input_reports_offset():
 _PIECES = st.sampled_from(
     [" ", "\t", "\r\n", "\r", "\n", "\ufeff", "/", "*", "a", "x1", "int", "_$", "0x1F",
      "1.5e3f", ".", ">>>=", "->", "::", "=", "{", "}", ";", "é", "größe",
-     "中", "\u00a0", "²", "\u0301", "\u200d", "\x00", "€", "‿",
+     "中", "\u00a0", "²", "\u0301", "\u0903", "\u200d", "\U000e0041", "\x85", "\x00",
+     "€", "‿",
      '"a\\"b"', '"\\\n"', "'\\''", "'\\\n'",
      '"""\n "" \\""" é\n"""', "/* a\n é */", "*/", "**/", "/**/", "/***/", "// c é",
      '"', '"""', "'", "/*",

@@ -679,6 +679,29 @@ def test_a_record_pattern_is_not_a_call_site(body):
     assert site_tuples(scan(body, [])) == [("g", RECEIVER_THIS, None)]
 
 
+@pytest.mark.parametrize("body, reads", [
+    # After ``instanceof`` the type is read whole; the scan resumes past it.
+    ("{ if (o instanceof Point) { } }", set()),
+    ("{ if (o instanceof Point && Other > 0) { } }", {"Other"}),
+    ("{ if (o instanceof Point[] && Other > 0) { } }", {"Other"}),
+    ("{ if (o instanceof Point q && q.x > Other) { } }", {"Other"}),
+    ("{ if (o instanceof Point(int x, int y) && Other > 0) { } }", {"Other"}),
+    # After ``case``, when a binding name or a record pattern follows.
+    ("{ switch (o) { case Point q -> Other++; default -> { } } }", {"Other"}),
+    ("{ switch (o) { case Point(var x, var y) -> { } default -> Other++; } }", {"Other"}),
+    ("{ switch (o) { case Point q when q.x > Other -> { } default -> { } } }", {"Other"}),
+    # A constant label reads its name.
+    ("{ switch (n) { case Point: break; case Other -> { } } }", {"Point", "Other"}),
+    # A field name directly before an identifier is a declared type.
+    ("{ Point p; Other q = 1; final Point r = null; }", set()),
+    ("{ for (Point p : Other) { } }", {"Other"}),
+])
+def test_a_type_named_like_a_field_is_no_read(body, reads):
+    s = scan(body, ["Point", "Other"])
+    assert s.reads_fields == reads and s.writes_fields == set()
+    assert site_tuples(s) == []
+
+
 def test_a_switch_guard_is_a_call_site():
     s = scan("{ switch (o) { case String s when check(s) -> run(s); default -> { } } }", [])
     assert site_tuples(s) == [("check", RECEIVER_THIS, None), ("run", RECEIVER_THIS, None)]
