@@ -3,7 +3,7 @@
 ``Config`` is the one parameter object: layout (``build_layout`` and
 its stages) and geometry (``tree_dimensions``, ``assemble_scene``) read
 their settings from it directly. Each numeric key takes the type of its
-field's default, ``int`` or ``float``.
+default in ``DEFAULTS``, ``int`` or ``float``.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment and
 blank lines are ignored. Unknown keys are rejected rather than skipped
@@ -20,7 +20,6 @@ material colors and take four components in [0, 1]:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigSyntaxError, NonPositiveValue, UnknownKey
@@ -28,37 +27,41 @@ from .geometry import Material, check_segments, default_palette
 
 _PALETTE_NAMES = {m.name for m in default_palette()}
 
+# Numeric key -> its default, whose type, int or float, is the key's type.
+DEFAULTS = {
+    "seed": 0,
+    "s_min": 2.0,
+    "tier_drop": 1.0,
+    "base_radius_per_class": 1.5,
+    "island_margin": 4.0,
+    "h0": 1.0,
+    "h1": 0.4,
+    "r0": 0.15,
+    "c": 1.0,
+    "leaf_radius": 0.12,
+    "canopy_coefficient": 0.5,
+    "segments": 12,
+}
 
-@dataclass
+
 class Config:
-    seed: int = 0
-    s_min: float = 2.0
-    tier_drop: float = 1.0
-    base_radius_per_class: float = 1.5
-    island_margin: float = 4.0
-    h0: float = 1.0
-    h1: float = 0.4
-    r0: float = 0.15
-    c: float = 1.0
-    leaf_radius: float = 0.12
-    canopy_coefficient: float = 0.5
-    segments: int = 12
-    palette_overrides: dict[str, tuple[float, float, float, float]] = field(
-        default_factory=dict
-    )
+    """The ``DEFAULTS`` keys and ``palette_overrides`` (material name ->
+    RGBA), each settable by keyword."""
+
+    __slots__ = (*DEFAULTS, "palette_overrides")
+
+    def __init__(self, **settings):
+        self.palette_overrides: dict[str, tuple[float, float, float, float]] = {}
+        for key, value in {**DEFAULTS, **settings}.items():
+            setattr(self, key, value)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
     def palette(self) -> list[Material]:
-        materials = default_palette()
-        for i, mat in enumerate(materials):
-            if mat.name in self.palette_overrides:
-                materials[i] = replace(mat, base_color=self.palette_overrides[mat.name])
-        return materials
-
-
-# Numeric key -> int or float, the type of its field's default.
-_NUMERIC_KEYS = {
-    f.name: type(f.default) for f in fields(Config) if type(f.default) in (int, float)
-}
+        return [Material(m.name, self.palette_overrides.get(m.name, m.base_color))
+                for m in default_palette()]
 
 
 def parse_config(text: str, file_id: str = "<config>") -> Config:
@@ -99,10 +102,10 @@ def apply_setting(cfg: Config, key: str, value: str, where: str) -> None:
                 raise NonPositiveValue(key, component, reason="needs components in [0, 1]")
         cfg.palette_overrides[name] = rgba
         return
-    kind = _NUMERIC_KEYS.get(key)
-    if kind is None:
+    default = DEFAULTS.get(key)
+    if default is None:
         raise UnknownKey(key)
-    if kind is int:
+    if type(default) is int:
         try:
             number = int(value)
         except ValueError:

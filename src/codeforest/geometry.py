@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -87,10 +86,12 @@ _LEAF_MATERIAL = {
 }
 
 
-@dataclass
 class Material:
-    name: str
-    base_color: tuple[float, float, float, float]
+    __slots__ = ("name", "base_color")
+
+    def __init__(self, name: str, base_color: tuple[float, float, float, float]):
+        self.name = name
+        self.base_color = base_color
 
 
 def default_palette() -> list[Material]:
@@ -106,12 +107,19 @@ def default_palette() -> list[Material]:
     ]
 
 
-@dataclass
 class Mesh:
-    positions: memoryview  # float32, shape (n, 3)
-    normals: memoryview  # float32, shape (n, 3)
-    indices: memoryview  # uint32, shape (3 * t,)
-    material: int
+    __slots__ = ("positions", "normals", "indices", "material")
+
+    def __init__(self, positions: memoryview, normals: memoryview, indices: memoryview,
+                 material: int):
+        self.positions = positions  # float32, shape (n, 3)
+        self.normals = normals  # float32, shape (n, 3)
+        self.indices = indices  # uint32, shape (3 * t,)
+        self.material = material
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
     @property
     def vertex_count(self) -> int:
@@ -134,30 +142,38 @@ def bounds(mesh: Mesh) -> tuple[list[float], list[float]]:
     return [min(a) for a in axes], [max(a) for a in axes]
 
 
-@dataclass
 class SceneNode:
-    name: str
-    translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    mesh: int | None = None
-    children: list[int] = field(default_factory=list)
+    __slots__ = ("name", "translation", "mesh", "children")
+
+    def __init__(self, name: str, translation: tuple[float, float, float] = (0.0, 0.0, 0.0),
+                 mesh: int | None = None, children: list[int] | None = None):
+        self.name = name
+        self.translation = translation
+        self.mesh = mesh
+        self.children = [] if children is None else children
 
 
-@dataclass
 class Scene:
     """Nodes, the meshes they hold by index, and the palette; node 0 is
     the root."""
 
-    nodes: list[SceneNode]
-    meshes: list[Mesh]
-    materials: list[Material]
+    __slots__ = ("nodes", "meshes", "materials")
+
+    def __init__(self, nodes: list[SceneNode], meshes: list[Mesh], materials: list[Material]):
+        self.nodes = nodes
+        self.meshes = meshes
+        self.materials = materials
 
 
-@dataclass
 class TreeDims:
-    trunk_height: float
-    trunk_radius: float
-    canopy_radius: float
-    leaf_radius: float
+    __slots__ = ("trunk_height", "trunk_radius", "canopy_radius", "leaf_radius")
+
+    def __init__(self, trunk_height: float, trunk_radius: float, canopy_radius: float,
+                 leaf_radius: float):
+        self.trunk_height = trunk_height
+        self.trunk_radius = trunk_radius
+        self.canopy_radius = canopy_radius
+        self.leaf_radius = leaf_radius
 
 
 def tree_dimensions(

@@ -43,7 +43,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import GeometryOverflow
@@ -64,34 +63,44 @@ _SKIP_RUN = 256
 _POINTS_KEPT = 1 << 16
 
 
-@dataclass
 class IslandLayout:
-    package_index: int
-    center: tuple[float, float]  # (x, z)
-    radius: float
-    layer_lo: int  # lowest layer number present = summit
-    tier_heights: list[float]  # y per layer, index 0 = layer_lo, last = shore
-    bands: list[tuple[float, float]]  # flat (inner, outer) radii per tier, likewise
+    __slots__ = ("package_index", "center", "radius", "layer_lo", "tier_heights", "bands")
+
+    def __init__(self, package_index: int, center: tuple[float, float], radius: float,
+                 layer_lo: int, tier_heights: list[float], bands: list[tuple[float, float]]):
+        self.package_index = package_index
+        self.center = center  # (x, z)
+        self.radius = radius
+        self.layer_lo = layer_lo  # lowest layer number present = summit
+        self.tier_heights = tier_heights  # y per layer, index 0 = layer_lo, last = shore
+        self.bands = bands  # flat (inner, outer) radii per tier, likewise
 
 
-@dataclass
 class TreePlacement:
-    class_index: int
-    position: tuple[float, float]  # (x, z)
-    trunk_base_y: float
+    __slots__ = ("class_index", "position", "trunk_base_y")
+
+    def __init__(self, class_index: int, position: tuple[float, float], trunk_base_y: float):
+        self.class_index = class_index
+        self.position = position  # (x, z)
+        self.trunk_base_y = trunk_base_y
 
 
-@dataclass
 class ChannelPath:
-    edge: tuple[int, int]  # (parent class index, child class index)
-    polyline: list[tuple[float, float, float]]
+    __slots__ = ("edge", "polyline")
+
+    def __init__(self, edge: tuple[int, int], polyline: list[tuple[float, float, float]]):
+        self.edge = edge  # (parent class index, child class index)
+        self.polyline = polyline
 
 
-@dataclass
 class ForestLayout:
-    islands: list[IslandLayout]
-    trees: list[TreePlacement]
-    channels: list[ChannelPath]
+    __slots__ = ("islands", "trees", "channels")
+
+    def __init__(self, islands: list[IslandLayout], trees: list[TreePlacement],
+                 channels: list[ChannelPath]):
+        self.islands = islands
+        self.trees = trees
+        self.channels = channels
 
 
 def _hash01(*parts) -> float:

@@ -72,7 +72,6 @@ import re
 import unicodedata
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import itemgetter
 
@@ -191,13 +190,19 @@ _KIND_OF_TEXT.update({"/*": _OPEN_COMMENT, '"': _OPEN_LITERAL, "'": _OPEN_LITERA
 _first_char = itemgetter(0)
 
 
-@dataclass(slots=True)
 class Span:
     """1-based inclusive line range."""
 
-    file_id: str
-    line_start: int
-    line_end: int
+    __slots__ = ("file_id", "line_start", "line_end")
+
+    def __init__(self, file_id: str, line_start: int, line_end: int):
+        self.file_id = file_id
+        self.line_start = line_start
+        self.line_end = line_end
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
 class Tokens:

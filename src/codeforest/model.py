@@ -23,8 +23,6 @@ resolved call sites and fan-in and fan-out sums always balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DuplicateClassName, InheritanceCycle
 from .parser import (
     RECEIVER_NAMED,
@@ -43,50 +41,74 @@ METHOD_KINDS = (KIND_CONSTRUCTOR, KIND_ACCESSOR, KIND_MUTATOR, KIND_OTHER)
 MethodId = tuple[int, int]  # (class index, method ordinal in declaration order)
 
 
-@dataclass
 class PackageRecord:
-    name: str
-    class_indices: list[int]
+    __slots__ = ("name", "class_indices")
+
+    def __init__(self, name: str, class_indices: list[int]):
+        self.name = name
+        self.class_indices = class_indices
 
 
-@dataclass
 class CallEdge:
-    caller: MethodId
-    callee: MethodId
-    count: int
+    __slots__ = ("caller", "callee", "count")
+
+    def __init__(self, caller: MethodId, callee: MethodId, count: int):
+        self.caller = caller
+        self.callee = callee
+        self.count = count
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
-@dataclass
 class CodeModel:
-    packages: list[PackageRecord]
-    classes: list[ClassDecl]
-    package_of: list[int]
-    inheritance_edges: list[tuple[int, int]] = field(default_factory=list)
-    unresolved_supers: list[tuple[int, str]] = field(default_factory=list)
-    call_edges: list[CallEdge] = field(default_factory=list)
+    __slots__ = ("packages", "classes", "package_of", "inheritance_edges",
+                 "unresolved_supers", "call_edges")
+
+    def __init__(self, packages: list[PackageRecord], classes: list[ClassDecl],
+                 package_of: list[int], inheritance_edges: list[tuple[int, int]] | None = None,
+                 unresolved_supers: list[tuple[int, str]] | None = None):
+        self.packages = packages
+        self.classes = classes
+        self.package_of = package_of
+        self.inheritance_edges = [] if inheritance_edges is None else inheritance_edges
+        self.unresolved_supers = [] if unresolved_supers is None else unresolved_supers
+        self.call_edges: list[CallEdge] = []
 
     def qualified_name(self, class_index: int) -> str:
         pkg = self.packages[self.package_of[class_index]].name
         return f"{pkg}.{self.classes[class_index].name}"
 
 
-@dataclass
 class ClassMetrics:
-    method_count: int
-    loc: int
-    depth: int
-    fan_in: int
-    fan_out: int
-    cohesion: float
-    kind_histogram: dict[str, int]
+    __slots__ = ("method_count", "loc", "depth", "fan_in", "fan_out", "cohesion",
+                 "kind_histogram")
+
+    def __init__(self, method_count: int, loc: int, depth: int, fan_in: int, fan_out: int,
+                 cohesion: float, kind_histogram: dict[str, int]):
+        self.method_count = method_count
+        self.loc = loc
+        self.depth = depth
+        self.fan_in = fan_in
+        self.fan_out = fan_out
+        self.cohesion = cohesion
+        self.kind_histogram = kind_histogram
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
-@dataclass
 class PackageMetrics:
-    class_count: int
-    method_count: int
-    loc: int
-    inheritance_edge_count: int
+    __slots__ = ("class_count", "method_count", "loc", "inheritance_edge_count")
+
+    def __init__(self, class_count: int, method_count: int, loc: int,
+                 inheritance_edge_count: int):
+        self.class_count = class_count
+        self.method_count = method_count
+        self.loc = loc
+        self.inheritance_edge_count = inheritance_edge_count
 
 
 def build_model(units: list[CorpusUnit]) -> CodeModel:

@@ -44,8 +44,9 @@ read no field. A call site is an identifier directly before ``(``, and
 the type after ``new`` or ``instanceof``, or after ``case`` in a pattern,
 is read whole (``read_type_ref``): ``return g()``, ``yield g()`` and
 ``when g()`` call, ``new a.B()`` and a record pattern ``case P(var x)``
-do not, and a type, there or before a declared name (``Point p;``), is
-no field read. A class body in code, after ``new T(...)`` or in a local
+do not, and a type, there, before a declared name (``Point[] p;``), in
+a cast (``(Point) o``) or as a type argument (``List<Point> p``), is no
+field read. A class body in code, after ``new T(...)`` or in a local
 type declaration, is read by ``parse_members`` as every class body is,
 its classes dropped; only the code it hands back (method bodies,
 initializer blocks, field initializers) is scanned, for the enclosing
@@ -127,20 +128,32 @@ _HEAD_ENDS = frozenset(("(", ")", "=", ";", ",", "{", "}", ""))
 _PAD = 2
 
 
-@dataclass
 class FieldDecl:
-    name: str
-    declared_type: str
+    __slots__ = ("name", "declared_type")
+
+    def __init__(self, name: str, declared_type: str):
+        self.name = name
+        self.declared_type = declared_type
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
-@dataclass
 class CallSite:
-    callee_name: str
-    receiver_kind: str  # RECEIVER_THIS, RECEIVER_NAMED or RECEIVER_OTHER
-    receiver_name: str | None  # only for RECEIVER_NAMED
+    __slots__ = ("callee_name", "receiver_kind", "receiver_name")
+
+    def __init__(self, callee_name: str, receiver_kind: str, receiver_name: str | None):
+        self.callee_name = callee_name
+        self.receiver_kind = receiver_kind  # RECEIVER_THIS, RECEIVER_NAMED or RECEIVER_OTHER
+        self.receiver_name = receiver_name  # only for RECEIVER_NAMED
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
-@dataclass
+@dataclass  # bench/tracing.py's _resolution_by_kind calls dataclasses.replace on it
 class MethodDecl:
     name: str
     has_params: bool
@@ -150,7 +163,7 @@ class MethodDecl:
     call_sites: list[CallSite]
 
 
-@dataclass
+@dataclass  # bench/tracing.py's _resolution_by_kind calls dataclasses.replace on it
 class ClassDecl:
     name: str  # nested classes flattened as Outer.Inner
     package_name: str  # "" for the default package
@@ -164,17 +177,22 @@ class ClassDecl:
         return self.name.rsplit(".", 1)[-1]
 
 
-@dataclass
 class CorpusUnit:
-    path: str  # corpus-relative posix path
-    classes: list[ClassDecl]
+    __slots__ = ("path", "classes")
+
+    def __init__(self, path: str, classes: list[ClassDecl]):
+        self.path = path  # corpus-relative posix path
+        self.classes = classes
 
 
-@dataclass
 class CorpusParse:
-    units: list[CorpusUnit]
-    failures: list[tuple[str, str]]  # (path, "ErrorType: detail")
-    warnings: list[str]
+    __slots__ = ("units", "failures", "warnings")
+
+    def __init__(self, units: list[CorpusUnit], failures: list[tuple[str, str]],
+                 warnings: list[str]):
+        self.units = units
+        self.failures = failures  # (path, "ErrorType: detail")
+        self.warnings = warnings
 
 
 class _Parser:
@@ -634,9 +652,10 @@ class _Parser:
         A field write is a field name directly followed by an assignment
         operator; a field read is any other occurrence of the name neither
         after a dot nor before ``(``, where it is a call (``size()`` reads
-        no field ``size``), nor before an identifier, where it is a declared
-        type (``Point p;``). The code lies inside a group, whose brackets
-        keep every neighbour looked at inside the unit.
+        no field ``size``), nor a type (``names_type``): before a declared
+        name (``Point p;``, ``Point[] p``), in a cast (``(Point) o``) or as
+        a type argument (``List<Point> p``). The code lies inside a group,
+        whose brackets keep every neighbour looked at inside the unit.
         """
         texts, kinds = self.texts, self.kinds
         reads, writes, calls = method.reads_fields, method.writes_fields, method.call_sites
@@ -665,8 +684,7 @@ class _Parser:
                 elif text in fields and kinds[i] == KIND_IDENTIFIER:
                     if texts[i + 1] in ASSIGNMENT_OPERATORS:
                         writes.add(text)
-                    elif (texts[i - 1] != "." and texts[i + 1] != "("
-                          and kinds[i + 1] != KIND_IDENTIFIER):
+                    elif texts[i - 1] != "." and texts[i + 1] != "(" and not self.names_type(i):
                         reads.add(text)
                 elif text in ("instanceof", "case"):
                     self.pos = i + 1
@@ -676,6 +694,25 @@ class _Parser:
                         i = self.partner[self.pos] + 1 if self.at("(") else self.pos
                         continue
                 i += 1
+
+    def names_type(self, i: int) -> bool:
+        """Whether the name ``texts[i]`` in code is a type, read whole by
+        ``read_type_ref``: before a declared name (``Point[] p``,
+        ``Point<T> p``, ``Point.Inner p``), in a cast before an identifier
+        (``(Point) o``, but not ``if (Point) run();``), or as a type
+        argument before ``,`` or ``>`` after a ``<`` whose group closes
+        (``take_generics``) before a declared name (``List<Point> p``)."""
+        texts = self.texts
+        self.pos = i
+        self.read_type_ref()
+        if texts[i - 1] == "<":
+            if not (self.at(",") or texts[self.pos] in _ANGLE_CLOSES):
+                return False
+            self.pos = i - 1
+            return self.take_generics() and self.at_kind(KIND_IDENTIFIER)
+        if texts[i - 1] == "(" and texts[i - 2] not in ("if", "while") and self.at(")"):
+            self.pos += 1
+        return self.at_kind(KIND_IDENTIFIER)
 
     def code_after(self, i: int, hi: int) -> list[tuple[int, int]] | None:
         """The ranges of code from ``texts[i]`` up to ``hi``, in source

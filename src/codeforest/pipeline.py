@@ -9,7 +9,6 @@ replacing one here replaces it for every call the pipeline makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -44,18 +43,24 @@ def __getattr__(name: str):
     return value
 
 
-@dataclass
 class CorpusInfo:
     """Parsed and measured corpus, ready for layout or reporting."""
 
-    root: str
-    model: CodeModel
-    class_metrics: list[ClassMetrics]
-    package_metrics: list[PackageMetrics]
-    totals: dict
-    files: int = 0
-    failures: list[tuple[str, str]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("root", "model", "class_metrics", "package_metrics", "totals", "files",
+                 "failures", "warnings")
+
+    def __init__(self, root: str, model: CodeModel, class_metrics: list[ClassMetrics],
+                 package_metrics: list[PackageMetrics], totals: dict, files: int = 0,
+                 failures: list[tuple[str, str]] | None = None,
+                 warnings: list[str] | None = None):
+        self.root = root
+        self.model = model
+        self.class_metrics = class_metrics
+        self.package_metrics = package_metrics
+        self.totals = totals
+        self.files = files
+        self.failures = [] if failures is None else failures
+        self.warnings = [] if warnings is None else warnings
 
 
 def analyze(root: str | Path) -> CorpusInfo:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -72,8 +71,20 @@ def parse_dump(root: Path) -> str:
     warnings, with each method's reads and writes sorted, so the text
     does not depend on ``PYTHONHASHSEED``. The root is written
     ``<root>``."""
-    result = dataclasses.asdict(parse_corpus(root))
+    result = _as_json(parse_corpus(root))
     return json.dumps(result, default=sorted, sort_keys=True).replace(str(root), "<root>")
+
+
+def _as_json(value):
+    """``value`` with each list or tuple a list and each record, down to
+    the spans, a dict of its own fields: its ``__slots__``, or for a
+    dataclass its ``__dict__``."""
+    if isinstance(value, (list, tuple)):
+        return [_as_json(item) for item in value]
+    names = getattr(value, "__slots__", None) or getattr(value, "__dict__", None)
+    if names is None:
+        return value
+    return {name: _as_json(getattr(value, name)) for name in names}
 
 
 def _sha256(path: Path) -> str | None:
@@ -100,7 +111,8 @@ def _shared_pipeline():
         return infos[key]
 
     def shared_build_scene(info, config=None):
-        key = (id(info), repr(config))
+        key = (id(info), None if config is None
+               else repr([getattr(config, name) for name in config.__slots__]))
         if key not in scenes:
             scenes[key] = build_scene(info, config)
         return scenes[key]

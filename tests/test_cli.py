@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from codeforest import pipeline
 from codeforest.cli import main
-from codeforest.config import _NUMERIC_KEYS, load_config
+from codeforest.config import DEFAULTS, load_config
 from codeforest.exporters.report import report_text
 from codeforest.layout import build_layout
 from codeforest.model import compute_layers
@@ -259,7 +259,7 @@ def test_islands_that_ring_the_origin_render_in_time(tmp_path, capsys):
     assert check_gltf(json.loads(out.read_text(encoding="utf-8"))) == []
 
 
-_FLOAT_KEYS = sorted(key for key, kind in _NUMERIC_KEYS.items() if kind is float)
+_FLOAT_KEYS = sorted(key for key, default in DEFAULTS.items() if type(default) is float)
 # One package each, so no island search, whose walk at some large
 # finite radii is still far too long for a property (ROADMAP item 8).
 _SMALL_FIXTURES = ["two_classes", "cycle", "calls", "nested", "overload"]

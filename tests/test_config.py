@@ -1,12 +1,11 @@
 """Config file parsing and validation."""
 
-import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
-from codeforest.config import Config, load_config, parse_config
+from codeforest.config import DEFAULTS, Config, load_config, parse_config
 from codeforest.errors import ConfigSyntaxError, NonPositiveValue, UnknownKey
 
 
@@ -156,15 +155,10 @@ def test_defaults_match_documented_values():
     assert cfg.h0 == 1.0
 
 
-NUMERIC_FIELDS = [
-    f for f in dataclasses.fields(Config) if type(f.default) in (int, float)
-]
-
-
 def test_every_numeric_field_round_trips_a_non_default_value():
     values = {
-        f.name: f.default + 9 if type(f.default) is int else f.default * 2.0 + 0.25
-        for f in NUMERIC_FIELDS
+        name: default + 9 if type(default) is int else default * 2.0 + 0.25
+        for name, default in DEFAULTS.items()
     }
     cfg = parse_config("".join(f"{name} = {value}\n" for name, value in values.items()))
     for name, value in values.items():
@@ -177,7 +171,7 @@ def test_readme_table_lists_exactly_the_config_keys():
     table = readme.split("## Configuration", 1)[1].split("\n\n| key", 1)[1]
     rows = table.split("\n\n", 1)[0].splitlines()[2:]
     listed = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
-    keys = {f.name for f in NUMERIC_FIELDS} | {"palette.<material>"}
-    others = {f.name for f in dataclasses.fields(Config)} - {f.name for f in NUMERIC_FIELDS}
-    assert others == {"palette_overrides"}
+    keys = set(DEFAULTS) | {"palette.<material>"}
+    assert set(Config.__slots__) - set(DEFAULTS) == {"palette_overrides"}
+    assert all(type(default) in (int, float) for default in DEFAULTS.values())
     assert listed == keys

@@ -1,6 +1,5 @@
 """Mesh builders, tree sizing and scene assembly."""
 
-import dataclasses
 import functools
 import math
 import tempfile
@@ -24,6 +23,7 @@ from codeforest.geometry import (
     CANOPY_LIFT,
     CANOPY_MIN_RADIUS,
     CHANNEL_WIDTH,
+    Mesh,
     Scene,
     SceneNode,
     assemble_scene,
@@ -38,7 +38,7 @@ from codeforest.geometry import (
 )
 from codeforest.geometry import _as_mesh
 from codeforest import geometry
-from codeforest.config import Config, parse_config
+from codeforest.config import DEFAULTS, Config, parse_config
 from codeforest.layout import build_layout
 from codeforest.model import ClassMetrics
 from codeforest.pipeline import analyze, build_scene
@@ -561,11 +561,9 @@ def unshared(s):
     for node in s.nodes:
         if node.mesh is not None:
             mesh = s.meshes[node.mesh]
-            meshes.append(dataclasses.replace(
-                mesh, positions=_copy(mesh.positions), normals=_copy(mesh.normals),
-                indices=_copy(mesh.indices),
-            ))
-            node = dataclasses.replace(node, mesh=len(meshes) - 1)
+            meshes.append(Mesh(_copy(mesh.positions), _copy(mesh.normals),
+                               _copy(mesh.indices), mesh.material))
+            node = SceneNode(node.name, node.translation, len(meshes) - 1, node.children)
         nodes.append(node)
     return Scene(nodes, meshes, s.materials)
 
@@ -686,13 +684,12 @@ def synth_info(seed):
 # Sizes stay within [0.05, 50]: wider island radii make the spiral slow.
 _CONFIG_LINES = st.fixed_dictionaries(
     {
-        f.name: (
-            st.integers(min_value=0) if f.name == "seed"
-            else st.integers(8, 24) if f.name == "segments"
+        name: (
+            st.integers(min_value=0) if name == "seed"
+            else st.integers(8, 24) if name == "segments"
             else st.floats(0.05, 50.0)
         )
-        for f in dataclasses.fields(Config)
-        if f.name != "palette_overrides"
+        for name in DEFAULTS
     }
 ).map(lambda values: "".join(f"{key} = {value!r}\n" for key, value in values.items()))
 

@@ -695,11 +695,33 @@ def test_a_record_pattern_is_not_a_call_site(body):
     # A field name directly before an identifier is a declared type.
     ("{ Point p; Other q = 1; final Point r = null; }", set()),
     ("{ for (Point p : Other) { } }", {"Other"}),
+    # A type read whole before a declared name, a cast, a type argument.
+    ("{ Point[] ps = null; }", set()),
+    ("{ List<Point> ps = null; }", set()),
+    ("{ Point<T> ps = null; }", set()),
+    ("{ Point.Inner q = null; }", set()),
+    ("{ Object p = (Point) o; }", set()),
+    ("{ Object p = (Point[]) o; Map<Point, String> m = null; }", set()),
 ])
 def test_a_type_named_like_a_field_is_no_read(body, reads):
     s = scan(body, ["Point", "Other"])
     assert s.reads_fields == reads and s.writes_fields == set()
     assert site_tuples(s) == []
+
+
+@pytest.mark.parametrize("body", [
+    "{ int a = Point.x; }",
+    "{ Point.m(); }",
+    "{ int a = (Point) - 1; }",
+    "{ boolean b = Point < n; }",
+    "{ boolean b = a < Point; }",
+    "{ if (lo < Point && hi > lo) { } }",
+    "{ if (Point) run(); }",
+    "{ while (Point) run(); }",
+])
+def test_a_field_used_as_a_value_is_still_read(body):
+    s = scan(body, ["Point"])
+    assert s.reads_fields == {"Point"} and s.writes_fields == set()
 
 
 def test_a_switch_guard_is_a_call_site():
