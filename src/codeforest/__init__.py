@@ -13,13 +13,45 @@ Typical use:
     info = analyze("path/to/java/sources")
     export_gltf(build_scene(info, Config(seed=7)), "forest.gltf")
 
-Each public name is imported from its home module on first use, so
-importing the package (or ``codeforest.cli``) loads no pipeline layer.
+Each public name is imported from its home module on first use (see
+``lazy``), so importing the package (or ``codeforest.cli``) loads no
+pipeline layer. ``Record`` and ``lazy`` live here because Python runs
+this module before any submodule, so sharing them adds no import.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+
+def lazy(namespace: dict, homes: dict[str, str], package: str):
+    """A module ``__getattr__`` (PEP 562) that imports each name in
+    ``homes`` from its module ``homes[name]``, relative to ``package``, on
+    first use and binds it in ``namespace``, the module's globals."""
+
+    def __getattr__(name: str):
+        try:
+            home = homes[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}") from None
+        value = namespace[name] = getattr(import_module(f".{home}", package), name)
+        return value
+
+    return __getattr__
+
+
+class Record:
+    """Base of the slotted records that compare: equal when of the same
+    class with every slot equal. Defining ``__eq__`` alone leaves them
+    unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__)
+
 
 # Each public name -> the submodule that defines it.
 _HOME = {
@@ -48,11 +80,4 @@ _HOME = {
 
 __all__ = [*_HOME, "__version__"]
 
-
-def __getattr__(name: str):
-    try:
-        home = _HOME[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
-    return value
+__getattr__ = lazy(globals(), _HOME, __name__)

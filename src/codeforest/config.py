@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from . import Record
 from .errors import ConfigSyntaxError, NonPositiveValue, UnknownKey
 from .geometry import Material, check_segments, default_palette
 
@@ -44,7 +45,7 @@ DEFAULTS = {
 }
 
 
-class Config:
+class Config(Record):
     """The ``DEFAULTS`` keys and ``palette_overrides`` (material name ->
     RGBA), each settable by keyword."""
 
@@ -54,10 +55,6 @@ class Config:
         self.palette_overrides: dict[str, tuple[float, float, float, float]] = {}
         for key, value in {**DEFAULTS, **settings}.items():
             setattr(self, key, value)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
     def palette(self) -> list[Material]:
         return [Material(m.name, self.palette_overrides.get(m.name, m.base_color))

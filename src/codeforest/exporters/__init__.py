@@ -1,10 +1,10 @@
 """Scene and report writers: glTF 2.0, Wavefront OBJ, Maya MEL, JSON.
 
-Each writer is imported from its own module on first use, so a command
-loads only the format it writes.
+Each writer is imported from its own module on first use (see
+``codeforest.lazy``), so a command loads only the format it writes.
 """
 
-from importlib import import_module
+from .. import lazy
 
 # Each public name -> the module that defines it.
 _HOME = {
@@ -20,11 +20,4 @@ _HOME = {
 
 __all__ = list(_HOME)
 
-
-def __getattr__(name: str):
-    try:
-        home = _HOME[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
-    return value
+__getattr__ = lazy(globals(), _HOME, __name__)

@@ -47,6 +47,7 @@ from array import array
 from itertools import chain
 from typing import TYPE_CHECKING
 
+from . import Record
 from .errors import DegenerateSegment, GeometryOverflow, NonPositiveValue
 from .layout import GOLDEN_ANGLE, ChannelPath, ForestLayout
 from .model import (
@@ -58,6 +59,7 @@ from .model import (
     CodeModel,
     classify_method,
     method_labels,
+    numbered,
 )
 
 if TYPE_CHECKING:
@@ -107,7 +109,7 @@ def default_palette() -> list[Material]:
     ]
 
 
-class Mesh:
+class Mesh(Record):
     __slots__ = ("positions", "normals", "indices", "material")
 
     def __init__(self, positions: memoryview, normals: memoryview, indices: memoryview,
@@ -116,10 +118,6 @@ class Mesh:
         self.normals = normals  # float32, shape (n, 3)
         self.indices = indices  # uint32, shape (3 * t,)
         self.material = material
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
     @property
     def vertex_count(self) -> int:
@@ -226,9 +224,11 @@ def _ring(radius: float, y: float, segments: int):
 
 
 def check_segments(segments: int) -> None:
-    """Raise ``NonPositiveValue`` unless 8 <= ``segments`` <= 256: a
-    render's size grows with the square of ``segments`` (at 256 the
-    two-class fixture's glTF is already about 10 MB)."""
+    """Raise ``NonPositiveValue`` unless ``segments`` is an integer from 8
+    to 256: a render's size grows with the square of ``segments`` (at 256
+    the two-class fixture's glTF is already about 10 MB)."""
+    if not isinstance(segments, int):
+        raise NonPositiveValue("segments", segments, reason="must be an integer")
     if segments < 8:
         raise NonPositiveValue("segments", segments, reason="must be at least 8")
     if segments > 256:
@@ -477,7 +477,6 @@ def assemble_scene(
         return idx
 
     max_fan_out = max((cm.fan_out for cm in class_metrics), default=0)
-    tree_by_class = {t.class_index: t for t in forest.trees}
     channel_names: dict[str, int] = {}
 
     # Channels within one package hang under its island, after its
@@ -504,7 +503,7 @@ def assemble_scene(
         )
         for class_index in pkg.class_indices:
             cls = model.classes[class_index]
-            placement = tree_by_class[class_index]
+            placement = forest.trees[class_index]
             qualified = model.qualified_name(class_index)
             dims = tree_dimensions(class_metrics[class_index], max_fan_out, params)
             kinds = [classify_method(m, cls.simple_name) for m in cls.methods]
@@ -554,10 +553,8 @@ def _check_finite(scene: Scene) -> None:
 
 def _channel_name(model: CodeModel, channel: ChannelPath, used: dict[str, int]) -> str:
     parent_cls, child_cls = channel.edge
-    base = f"channel:{model.classes[parent_cls].name}->{model.classes[child_cls].name}"
-    n = used.get(base, 0) + 1
-    used[base] = n
-    return base if n == 1 else f"{base}#{n}"
+    return numbered(
+        f"channel:{model.classes[parent_cls].name}->{model.classes[child_cls].name}", used)
 
 
 def world_transforms(scene: Scene) -> list[tuple[float, float, float]]:

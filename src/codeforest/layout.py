@@ -408,7 +408,8 @@ def place_trees(
     layers: list[int],
     params: Config,
 ) -> list[TreePlacement]:
-    """Deal each layer's trees, in name order, onto its tier's rows.
+    """Deal each layer's trees, in name order (the order in which
+    ``build_model`` numbers a package's classes), onto its tier's rows.
 
     A row of ``m`` trees spaces them ``2 * pi / m`` apart, the first at
     the angle ``2 * pi * _hash01(seed, "theta0", layer)``. The angle
@@ -417,7 +418,7 @@ def place_trees(
     """
     pkg = model.packages[island.package_index]
     by_tier: list[list[int]] = [[] for _ in island.tier_heights]
-    for idx in sorted(pkg.class_indices, key=lambda i: model.classes[i].name):
+    for idx in pkg.class_indices:
         by_tier[layers[idx] - island.layer_lo].append(idx)
     _, rows = terraces([len(group) for group in by_tier], params.s_min, pkg.name)
     cx, cz = island.center
@@ -447,14 +448,15 @@ def route_channels(
     Cross-island channels take the straight elevated line between the
     two trunk bases. Because layer heights are global, the child end
     is always strictly lower and y never increases along a path.
+    ``trees`` holds one tree per class, in class-index order, as
+    ``build_layout`` gives them.
     """
-    by_class = {t.class_index: t for t in trees}
     gmax = max(layers, default=0)
     height_of = lambda k: (gmax - k) * params.tier_drop
     channels = []
     for child, parent in model.inheritance_edges:
-        tp = by_class[parent]
-        tc = by_class[child]
+        tp = trees[parent]
+        tc = trees[child]
         px, pz = tp.position
         cx, cz = tc.position
         same_island = model.package_of[parent] == model.package_of[child]

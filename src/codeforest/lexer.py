@@ -75,6 +75,7 @@ from collections.abc import Iterable
 from itertools import accumulate, islice
 from operator import itemgetter
 
+from . import Record
 from .errors import NonUtf8Input, UnterminatedComment, UnterminatedLiteral
 
 KIND_KEYWORD = "keyword"
@@ -190,7 +191,7 @@ _KIND_OF_TEXT.update({"/*": _OPEN_COMMENT, '"': _OPEN_LITERAL, "'": _OPEN_LITERA
 _first_char = itemgetter(0)
 
 
-class Span:
+class Span(Record):
     """1-based inclusive line range."""
 
     __slots__ = ("file_id", "line_start", "line_end")
@@ -199,10 +200,6 @@ class Span:
         self.file_id = file_id
         self.line_start = line_start
         self.line_end = line_end
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
 class Tokens:

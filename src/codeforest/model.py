@@ -23,6 +23,7 @@ resolved call sites and fan-in and fan-out sums always balance.
 
 from __future__ import annotations
 
+from . import Record
 from .errors import DuplicateClassName, InheritanceCycle
 from .parser import (
     RECEIVER_NAMED,
@@ -49,17 +50,13 @@ class PackageRecord:
         self.class_indices = class_indices
 
 
-class CallEdge:
+class CallEdge(Record):
     __slots__ = ("caller", "callee", "count")
 
     def __init__(self, caller: MethodId, callee: MethodId, count: int):
         self.caller = caller
         self.callee = callee
         self.count = count
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
 class CodeModel:
@@ -81,7 +78,7 @@ class CodeModel:
         return f"{pkg}.{self.classes[class_index].name}"
 
 
-class ClassMetrics:
+class ClassMetrics(Record):
     __slots__ = ("method_count", "loc", "depth", "fan_in", "fan_out", "cohesion",
                  "kind_histogram")
 
@@ -94,10 +91,6 @@ class ClassMetrics:
         self.fan_out = fan_out
         self.cohesion = cohesion
         self.kind_histogram = kind_histogram
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
 class PackageMetrics:
@@ -353,19 +346,18 @@ def compute_metrics(model: CodeModel) -> tuple[list[ClassMetrics], list[PackageM
     return class_metrics, package_metrics
 
 
-def method_labels(cls: ClassDecl) -> list[str]:
-    """Method names with ``#k`` ordinal suffixes for overloads.
+def numbered(name: str, used: dict[str, int]) -> str:
+    """``name`` with its ``#k`` ordinal suffix, counting this use in
+    ``used``: the first use keeps the bare name, later ones carry their
+    1-based occurrence index (``draw``, ``draw#2``, ``draw#3``)."""
+    n = used[name] = used.get(name, 0) + 1
+    return name if n == 1 else f"{name}#{n}"
 
-    The first occurrence keeps the bare name; later ones carry their
-    1-based occurrence index (``draw``, ``draw#2``, ``draw#3``).
-    """
-    seen: dict[str, int] = {}
-    labels = []
-    for m in cls.methods:
-        n = seen.get(m.name, 0) + 1
-        seen[m.name] = n
-        labels.append(m.name if n == 1 else f"{m.name}#{n}")
-    return labels
+
+def method_labels(cls: ClassDecl) -> list[str]:
+    """Method names, ``numbered`` so that overloads differ."""
+    used: dict[str, int] = {}
+    return [numbered(m.name, used) for m in cls.methods]
 
 
 def corpus_totals(model: CodeModel, class_metrics: list[ClassMetrics]) -> dict:

@@ -81,6 +81,7 @@ import os
 from dataclasses import dataclass
 from itertools import compress, count
 
+from . import Record
 from .errors import (
     CodeforestError,
     MissingClassBody,
@@ -128,29 +129,21 @@ _HEAD_ENDS = frozenset(("(", ")", "=", ";", ",", "{", "}", ""))
 _PAD = 2
 
 
-class FieldDecl:
+class FieldDecl(Record):
     __slots__ = ("name", "declared_type")
 
     def __init__(self, name: str, declared_type: str):
         self.name = name
         self.declared_type = declared_type
 
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
-
-class CallSite:
+class CallSite(Record):
     __slots__ = ("callee_name", "receiver_kind", "receiver_name")
 
     def __init__(self, callee_name: str, receiver_kind: str, receiver_name: str | None):
         self.callee_name = callee_name
         self.receiver_kind = receiver_kind  # RECEIVER_THIS, RECEIVER_NAMED or RECEIVER_OTHER
         self.receiver_name = receiver_name  # only for RECEIVER_NAMED
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
 
 @dataclass  # bench/tracing.py's _resolution_by_kind calls dataclasses.replace on it
@@ -244,11 +237,11 @@ class _Parser:
 
     # -- cursor primitives -------------------------------------------------
 
-    def at(self, text: str, k: int = 0) -> bool:
-        return self.texts[self.pos + k] == text
+    def at(self, text: str) -> bool:
+        return self.texts[self.pos] == text
 
-    def at_kind(self, kind: str, k: int = 0) -> bool:
-        return self.kinds[self.pos + k] == kind
+    def at_kind(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
 
     def accept(self, text: str) -> bool:
         """Consume the token at the cursor if it is ``text``."""

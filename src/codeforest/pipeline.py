@@ -2,17 +2,18 @@
 
 ``analyze`` needs only the parser and the model. The scene layers
 (``config``, ``layout``, ``geometry``) are imported when ``build_scene``
-first runs, so an ``analyze`` command never loads them. Every layer
-function is still a module attribute, looked up at call time, so
-replacing one here replaces it for every call the pipeline makes.
+first runs (``codeforest.lazy``), so an ``analyze`` command never
+loads them. Every layer function is still a module attribute, looked
+up at call time, so replacing one here replaces it for every call the
+pipeline makes.
 """
 
 from __future__ import annotations
 
-from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import lazy
 from .model import (
     ClassMetrics,
     CodeModel,
@@ -34,13 +35,7 @@ if TYPE_CHECKING:
 _SCENE_LAYERS = {"Config": "config", "build_layout": "layout", "assemble_scene": "geometry"}
 
 
-def __getattr__(name: str):
-    try:
-        home = _SCENE_LAYERS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f".{home}", __package__), name)
-    return value
+__getattr__ = lazy(globals(), _SCENE_LAYERS, __package__)
 
 
 class CorpusInfo:

@@ -142,6 +142,14 @@ def test_too_many_segments_raise_the_config_error_through_the_library():
     assert str(err.value) == "config key segments must be at most 256, got 257"
 
 
+def test_a_fractional_segment_count_raises_the_config_error_through_the_library():
+    # 8 <= 8.5 <= 256, but a mesh takes a whole number of segments.
+    with pytest.raises(NonPositiveValue) as err:
+        build_scene(corpus("two_classes"), Config(segments=8.5))
+    assert (err.value.key, err.value.value) == ("segments", 8.5)
+    assert str(err.value) == "config key segments must be an integer, got 8.5"
+
+
 # ---------------------------------------------------------------------------
 # Channel meshes.
 

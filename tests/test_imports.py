@@ -9,7 +9,8 @@ function or class) counts as used when its own module reads it. A
 method defined on a class, dunders aside, counts as used when some
 module of the package reads it as an attribute (``x.name``). No function
 or method reaches itself through calls, so no input's depth can exhaust
-the interpreter's stack.
+the interpreter's stack. No two functions or methods have the same body,
+so each rule is written once.
 """
 
 import ast
@@ -222,3 +223,43 @@ def test_the_check_finds_a_recursive_function():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_no_recursive_functions(path):
     assert recursive_functions(path.read_text(encoding="utf-8")) == []
+
+
+def copied_bodies(sources: dict[str, str]) -> list[list[str]]:
+    """``module:line: name`` of the functions and methods that share a
+    body, one list per body that more than one has. Bodies compare as
+    AST dumps, docstring dropped, so names, layout and comments aside."""
+    places: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {item: f"{node.name}." for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                places.setdefault(ast.dump(ast.Module(body, [])), []).append(
+                    f"{module}:{node.lineno}: {owner.get(node, '')}{node.name}")
+    return [where for where in places.values() if len(where) > 1]
+
+
+def test_the_check_finds_a_copied_body():
+    sources = {
+        "a.py": (
+            "def f(x):\n"
+            "    return x + 1\n"
+            "class K:\n"
+            "    def g(self, y):\n"
+            "        'Adds one.'\n"
+            "        return x + 1  # the same\n"
+            "    def h(self):\n"
+            "        return x - 1\n"
+        ),
+        "b.py": "def f(x):\n    return x - 1\ndef k(x):\n    return x + 2\n",
+    }
+    assert copied_bodies(sources) == [["a.py:1: f", "a.py:4: K.g"], ["a.py:7: K.h", "b.py:1: f"]]
+
+
+def test_no_copied_bodies():
+    sources = {path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
+               for path in MODULES}
+    assert copied_bodies(sources) == []

@@ -162,6 +162,18 @@ def test_island_centres_match_the_linear_spiral_scan(sizes, s_min, island_margin
         assert island.center == oracles.spiral_slot(islands[:p], island.radius, params)
 
 
+@pytest.mark.parametrize("kept", [1, 3, 16])
+def test_island_centres_match_the_scan_when_few_spiral_points_are_kept(monkeypatch, kept):
+    # Past ``_POINTS_KEPT`` points a layout forgets them and computes
+    # afresh the ones it visits again, which must move no island.
+    monkeypatch.setattr(layout_mod, "_POINTS_KEPT", kept)
+    params = Config(base_radius_per_class=8.0)
+    sizes = [9, 1, 16, 1, 4, 20, 1, 9]
+    islands = place_islands(packages_of(sizes), [0] * sum(sizes), params)
+    for p, island in enumerate(islands):
+        assert island.center == oracles.spiral_slot(islands[:p], island.radius, params)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 12), min_size=3, max_size=8),

@@ -93,6 +93,19 @@ def test_ambiguous_name_is_unresolved():
     assert model.unresolved_supers == [(kid, "Base")]
 
 
+def test_two_same_package_candidates_leave_the_name_unresolved():
+    # ``Inner`` names both ``p.Inner`` and the nested ``p.Outer.Inner``.
+    # Java would take the top-level ``p.Inner``; the model calls it ambiguous.
+    model = make_model(
+        "package p;\nclass Outer { static class Inner { } }",
+        "package p;\nclass Inner { }",
+        "package p;\nclass User extends Inner { }",
+    )
+    user = qnames(model).index("p.User")
+    assert model.inheritance_edges == []
+    assert model.unresolved_supers == [(user, "Inner")]
+
+
 def test_unknown_name_is_unresolved():
     model = make_model("class Kid extends Elsewhere { }")
     assert model.unresolved_supers == [(0, "Elsewhere")]

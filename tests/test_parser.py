@@ -256,6 +256,20 @@ def test_fields_declared_after_use_are_still_seen():
     assert cls.methods[0].reads_fields == {"n"}
 
 
+def test_a_member_head_cut_short_by_the_body_close_declares_nothing():
+    a, b = parse("class A { int x } class B { }")
+    assert (a.name, a.fields, a.methods) == ("A", [], [])
+    assert (b.name, b.fields, b.methods) == ("B", [], [])
+
+
+@pytest.mark.parametrize("rest", ["{ foo(); }", ";"])
+def test_a_parameter_list_after_no_name_is_skipped_with_its_body(rest):
+    (cls,) = parse(f"class A {{ int[] () {rest} void m() {{ bar(); }} }}")
+    (method,) = cls.methods
+    assert method.name == "m"
+    assert site_tuples(method) == [("bar", RECEIVER_THIS, None)]
+
+
 # ---------------------------------------------------------------------------
 # Body scanning: field access.
 
@@ -1132,3 +1146,80 @@ def test_call_sites_are_read_as_their_plan_says(plan):
     (method,) = cls.methods
     assert site_tuples(method) == sites
     assert oracles.file_call_sites(text) == sites
+
+
+# ---------------------------------------------------------------------------
+# Field plans: fields, parameters and locals, and method bodies rendered
+# from a plan that alone gives every method's field reads and writes.
+
+# Statement -> (reads, writes) of ``{x}`` when it names a field. A field
+# name directly before an assignment operator is a write, dotted or not;
+# any other use is a read unless it is dotted or a type (``names_type``).
+_ACCESSES = {
+    "int v{n} = {x};": (True, False),
+    "int v{n} = this.{x};": (False, False),
+    "int v{n} = obj.{x};": (False, False),
+    "{x} = 1;": (False, True),
+    "this.{x} = 1;": (False, True),
+    "obj.{x} = 1;": (False, True),
+    # ``++`` is no assignment operator, so this reads alone.
+    "{x}++;": (True, False),
+    "{x} += 2;": (False, True),
+    "{x}[i] = 1;": (True, False),
+    # A declared type, a cast and a first type argument read nothing.
+    "{x} v{n} = null;": (False, False),
+    "Object v{n} = ({x}) obj;": (False, False),
+    "List<{x}> v{n} = null;": (False, False),
+    "Map<{x}, String> v{n} = null;": (False, False),
+    # A later type argument still reads the field, as README says.
+    "Map<String, {x}> v{n} = null;": (True, False),
+}
+
+
+@st.composite
+def _field_plans(draw):
+    """``(fields, methods)``: the number of fields ``f{k}``, and per method
+    its number of parameters ``p{k}`` and locals ``l{k}`` and its
+    ``(statement, name)`` accesses, each name a field, a parameter or a
+    local. No parameter or local shares a field's name."""
+    fields = draw(st.integers(1, 3))
+    methods = []
+    for _ in range(draw(st.integers(1, 3))):
+        params, locals_ = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        names = ([f"f{k}" for k in range(fields)] + [f"p{k}" for k in range(params)]
+                 + [f"l{k}" for k in range(locals_)])
+        accesses = draw(st.lists(st.tuples(st.sampled_from(list(_ACCESSES)),
+                                           st.sampled_from(names)), max_size=6))
+        methods.append((params, locals_, accesses))
+    return fields, methods
+
+
+def render_fields(fields, methods) -> tuple[str, list[tuple[set, set]]]:
+    """A class declaring the planned fields and methods, and each
+    method's ``(reads_fields, writes_fields)``, from the plan alone."""
+    members = [f"int f{k};" for k in range(fields)]
+    numbers = itertools.count()
+    expected = []
+    for m, (params, locals_, accesses) in enumerate(methods):
+        statements = [f"int l{k} = 0;" for k in range(locals_)]
+        reads, writes = set(), set()
+        for statement, name in accesses:
+            statements.append(statement.format(x=name, n=next(numbers)))
+            read, write = _ACCESSES[statement] if name.startswith("f") else (False, False)
+            if read:
+                reads.add(name)
+            if write:
+                writes.add(name)
+        header = ", ".join(f"int p{k}" for k in range(params))
+        members.append(f"void m{m}({header}) {{ {' '.join(statements)} }}")
+        expected.append((reads, writes))
+    return f"class C {{ {' '.join(members)} }}\n", expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=_field_plans())
+def test_field_reads_and_writes_are_read_as_their_plan_says(plan):
+    text, expected = render_fields(*plan)
+    with deadline(2.0):
+        (cls,) = parse(text)
+    assert [(m.reads_fields, m.writes_fields) for m in cls.methods] == expected
