@@ -80,15 +80,11 @@ def _run_analyze(args) -> int:
 
 
 def _run_render(args) -> int:
-    from . import config as config_module
-    from . import exporters, pipeline
+    from . import config, exporters, pipeline
 
-    if args.config:
-        cfg = config_module.load_config(args.config)
-    else:
-        cfg = config_module.Config()
+    cfg = config.load_config(args.config) if args.config else config.Config()
     if args.seed is not None:
-        config_module.apply_setting(cfg, "seed", str(args.seed), "--seed")
+        cfg.seed = args.seed
 
     info = pipeline.analyze(args.root)
     _print_warnings(info)

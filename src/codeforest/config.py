@@ -2,15 +2,12 @@
 
 ``Config`` is the one parameter object: layout (``build_layout`` and
 its stages) and geometry (``tree_dimensions``, ``assemble_scene``) read
-their settings from it directly. Each numeric key takes the type of its
-default in ``DEFAULTS``, ``int`` or ``float``.
+their settings from it directly. ``check_setting`` is the one rule for
+every value set on it, from a config file, ``--seed`` or code.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment and
 blank lines are ignored. Unknown keys are rejected rather than skipped
-so typos surface immediately. All numeric knobs must be positive except
-``seed``, which only has to be non-negative, and ``segments``, which
-takes an integer from 8 to 256. Palette entries override
-material colors and take four components in [0, 1]:
+so typos surface immediately. Palette entries override material colors:
 
     seed = 7
     s_min = 2.5
@@ -24,7 +21,7 @@ from pathlib import Path
 
 from . import Record
 from .errors import ConfigSyntaxError, NonPositiveValue, UnknownKey
-from .geometry import Material, check_segments, default_palette
+from .geometry import Material, default_palette
 
 _PALETTE_NAMES = {m.name for m in default_palette()}
 
@@ -47,18 +44,61 @@ DEFAULTS = {
 
 class Config(Record):
     """The ``DEFAULTS`` keys and ``palette_overrides`` (material name ->
-    RGBA), each settable by keyword."""
+    RGBA), each settable by keyword and checked by ``check_setting``
+    whenever set; changing ``palette_overrides`` in place is not."""
 
     __slots__ = (*DEFAULTS, "palette_overrides")
 
     def __init__(self, **settings):
-        self.palette_overrides: dict[str, tuple[float, float, float, float]] = {}
-        for key, value in {**DEFAULTS, **settings}.items():
+        for key, value in {**DEFAULTS, "palette_overrides": {}, **settings}.items():
             setattr(self, key, value)
+
+    def __setattr__(self, key: str, value) -> None:
+        object.__setattr__(self, key, check_setting(key, value))
 
     def palette(self) -> list[Material]:
         return [Material(m.name, self.palette_overrides.get(m.name, m.base_color))
                 for m in default_palette()]
+
+
+def check_setting(key: str, value):
+    """``value`` as ``Config`` keeps it under ``key`` (a float key's as a
+    ``float``); ``UnknownKey`` for a key it lacks, ``NonPositiveValue`` for
+    a value the key does not take. A render's size grows with the square
+    of ``segments``: 256 gives a 10 MB glTF."""
+    if key == "palette_overrides":
+        if not isinstance(value, dict):
+            raise NonPositiveValue(key, value, reason="must be a dict")
+        for name, rgba in value.items():
+            key = f"palette.{name}"
+            if name not in _PALETTE_NAMES:
+                raise UnknownKey(key)
+            if not isinstance(rgba, (tuple, list)) or len(rgba) != 4:
+                raise NonPositiveValue(key, rgba, reason="needs 4 components")
+            for component in rgba:
+                if not (_is_number(component) and 0.0 <= component <= 1.0):
+                    raise NonPositiveValue(key, component, reason="needs components in [0, 1]")
+        return dict(value)
+    if key not in DEFAULTS:
+        raise UnknownKey(key)
+    number = _is_number(value)
+    if type(DEFAULTS[key]) is float:
+        if not (number and 0 < value < 2**1024):  # 2**1024 is past every float
+            reason = "must be positive" if number and value <= 0 else "must be a finite number"
+            raise NonPositiveValue(key, value, reason=reason)
+        return float(value)
+    if not (number and isinstance(value, int)):
+        raise NonPositiveValue(key, value, reason="must be an integer")
+    if key == "seed" and value < 0:
+        raise NonPositiveValue(key, value, reason="must be non-negative")
+    if key == "segments" and not 8 <= value <= 256:
+        bound = "at least 8" if value < 8 else "at most 256"
+        raise NonPositiveValue(key, value, reason=f"must be {bound}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def parse_config(text: str, file_id: str = "<config>") -> Config:
@@ -84,46 +124,27 @@ def load_config(path: str | Path) -> Config:
 
 
 def apply_setting(cfg: Config, key: str, value: str, where: str) -> None:
-    """Check ``key = value`` and set it on ``cfg``; ``where`` names the
-    source in a syntax error."""
+    """Parse the text ``value`` as ``key`` takes it and assign it to ``cfg``,
+    which checks it; ``where`` names the source in a syntax error."""
     if key.startswith("palette."):
-        name = key[len("palette."):]
-        if name not in _PALETTE_NAMES:
-            raise UnknownKey(key)
         parts = value.replace(",", " ").split()
         if len(parts) != 4:
             raise ConfigSyntaxError(where, "palette colors take 4 components")
-        rgba = tuple(_parse_float(key, part, where) for part in parts)
-        for component in rgba:
-            if not 0.0 <= component <= 1.0:
-                raise NonPositiveValue(key, component, reason="needs components in [0, 1]")
-        cfg.palette_overrides[name] = rgba
-        return
-    default = DEFAULTS.get(key)
-    if default is None:
-        raise UnknownKey(key)
-    if type(default) is int:
-        try:
-            number = int(value)
-        except ValueError:
-            raise ConfigSyntaxError(where, f"{key} takes an integer, got {value!r}") from None
-        if key == "seed":
-            if number < 0:
-                raise NonPositiveValue(key, number, reason="must be non-negative")
-        else:
-            check_segments(number)
+        rgba = tuple(_parse_number(float, key, part, where) for part in parts)
+        cfg.palette_overrides = {**cfg.palette_overrides, key[len("palette."):]: rgba}
+    elif key in DEFAULTS:
+        setattr(cfg, key, _parse_number(type(DEFAULTS[key]), key, value, where))
     else:
-        number = _parse_float(key, value, where)
-        if number <= 0.0:
-            raise NonPositiveValue(key, number)
-    setattr(cfg, key, number)
+        raise UnknownKey(key)
 
 
-def _parse_float(key: str, value: str, where: str) -> float:
+def _parse_number(kind: type, key: str, text: str, where: str):
+    """``text`` as a ``kind``, ``int`` or ``float``; a float must be finite."""
     try:
-        number = float(value)
+        number = kind(text)
     except ValueError:
-        raise ConfigSyntaxError(where, f"{key} takes a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigSyntaxError(where, f"{key} takes a finite number, got {value!r}")
+        what = "an integer" if kind is int else "a number"
+        raise ConfigSyntaxError(where, f"{key} takes {what}, got {text!r}") from None
+    if kind is float and not math.isfinite(number):
+        raise ConfigSyntaxError(where, f"{key} takes a finite number, got {text!r}")
     return number

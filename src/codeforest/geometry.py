@@ -48,7 +48,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import Record
-from .errors import DegenerateSegment, GeometryOverflow, NonPositiveValue
+from .errors import DegenerateSegment, GeometryOverflow
 from .layout import GOLDEN_ANGLE, ChannelPath, ForestLayout
 from .model import (
     KIND_ACCESSOR,
@@ -223,18 +223,6 @@ def _ring(radius: float, y: float, segments: int):
     return pts
 
 
-def check_segments(segments: int) -> None:
-    """Raise ``NonPositiveValue`` unless ``segments`` is an integer from 8
-    to 256: a render's size grows with the square of ``segments`` (at 256
-    the two-class fixture's glTF is already about 10 MB)."""
-    if not isinstance(segments, int):
-        raise NonPositiveValue("segments", segments, reason="must be an integer")
-    if segments < 8:
-        raise NonPositiveValue("segments", segments, reason="must be at least 8")
-    if segments > 256:
-        raise NonPositiveValue("segments", segments, reason="must be at most 256")
-
-
 def build_island_mesh(
     bands: tuple[tuple[float, float], ...], tier_heights: tuple[float, ...], segments: int
 ) -> Mesh:
@@ -247,7 +235,6 @@ def build_island_mesh(
     summit's outer ring, an inner and an outer ring per lower tier, and
     the summit's centre.
     """
-    check_segments(segments)
     # Ring r of the vertex list starts at r * segments: the summit's
     # outer ring, then each lower tier's inner and outer ring. An edge
     # ring's normal is that of the wall it bounds, so walls shade smooth.

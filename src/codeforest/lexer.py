@@ -96,10 +96,6 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-ASSIGNMENT_OPERATORS = frozenset(
-    ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=")
-)
-
 # Identifier parts beyond ``[\w$]`` (Character.isJavaIdentifierPart):
 # the ASCII identifier-ignorable controls. A file's non-ASCII starts and
 # parts are added by ``_token_regex`` from ``_classes``.

@@ -139,21 +139,13 @@ def _class_lookup(model: CodeModel):
 
 
 def _resolve_name(model: CodeModel, by_name, from_class: int, written: str) -> int | None:
-    """Resolve a written type name: same package first, then corpus-unique."""
-    wanted = written.rsplit(".", 1)[-1] if "." in written else written
-    candidates = by_name.get(written) or by_name.get(wanted) or []
+    """Resolve a written type name to the one candidate in ``from_class``'s
+    package, else to the one in the corpus; two or more resolve nothing."""
+    candidates = by_name.get(written) or by_name.get(written.rsplit(".", 1)[-1]) or []
     candidates = [i for i in candidates if i != from_class]
-    if not candidates:
-        return None
     pkg = model.package_of[from_class]
-    local = [i for i in candidates if model.package_of[i] == pkg]
-    if len(local) == 1:
-        return local[0]
-    if len(local) > 1:
-        return None
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+    pool = [i for i in candidates if model.package_of[i] == pkg] or candidates
+    return pool[0] if len(pool) == 1 else None
 
 
 def resolve_inheritance(model: CodeModel) -> None:

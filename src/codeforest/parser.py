@@ -90,7 +90,6 @@ from .errors import (
     UnbalancedBraces,
 )
 from .lexer import (
-    ASSIGNMENT_OPERATORS,
     KIND_IDENTIFIER,
     KIND_KEYWORD,
     Span,
@@ -116,6 +115,11 @@ _PARTNER = {"(": ")", "[": "]", "{": "}"}
 _OPENERS = frozenset(_PARTNER)
 _CLOSERS = frozenset(_PARTNER.values())
 _BRACKETS = _OPENERS | _CLOSERS
+
+# A field name before an assignment or a step, or after a step, is written.
+_STEPS = frozenset(("++", "--"))
+_WRITES_AFTER = _STEPS | frozenset(
+    ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="))
 
 # How many ``<...>`` levels each token closes.
 _ANGLE_CLOSES = {">": 1, ">>": 2, ">>>": 3}
@@ -240,8 +244,8 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.texts[self.pos] == text
 
-    def at_kind(self, kind: str) -> bool:
-        return self.kinds[self.pos] == kind
+    def at_identifier(self) -> bool:
+        return self.kinds[self.pos] == KIND_IDENTIFIER
 
     def accept(self, text: str) -> bool:
         """Consume the token at the cursor if it is ``text``."""
@@ -399,7 +403,7 @@ class _Parser:
         texts = self.texts
         kw = self.pos  # "class", "interface" or "record"
         self.pos += 1
-        if not self.at_kind(KIND_IDENTIFIER):
+        if not self.at_identifier():
             raise MissingClassName(self.span(kw, kw))
         simple_name = texts[self.pos]
         self.pos += 1
@@ -606,7 +610,7 @@ class _Parser:
                 code.append((decl, None, lo, self.pos))
             if not self.accept(","):
                 break
-            if self.at_kind(KIND_IDENTIFIER):
+            if self.at_identifier():
                 name = self.pos
                 self.pos += 1
                 self.skip_dims()
@@ -643,12 +647,15 @@ class _Parser:
         the ``.``, and the scan goes on past the ``(``.
 
         A field write is a field name directly followed by an assignment
-        operator; a field read is any other occurrence of the name neither
-        after a dot nor before ``(``, where it is a call (``size()`` reads
-        no field ``size``), nor a type (``names_type``): before a declared
-        name (``Point p;``, ``Point[] p``), in a cast (``(Point) o``) or as
-        a type argument (``List<Point> p``). The code lies inside a group,
-        whose brackets keep every neighbour looked at inside the unit.
+        operator, ``++`` or ``--`` (``x += 1``, ``this.x++``), or directly
+        after ``++`` or ``--`` (``--x``; not ``++this.x``, which neither
+        writes nor reads). A field read is any other occurrence of the
+        name neither after a dot nor before ``(``, where it is a call
+        (``size()`` reads no field ``size``), nor a type (``names_type``):
+        before a declared name (``Point p;``, ``Point[] p``), in a cast
+        (``(Point) o``) or as a type argument (``List<Point> p``). The code
+        lies inside a group, whose brackets keep every neighbour looked at
+        inside the unit.
         """
         texts, kinds = self.texts, self.kinds
         reads, writes, calls = method.reads_fields, method.writes_fields, method.call_sites
@@ -675,14 +682,14 @@ class _Parser:
                     ranges += reversed(after)
                     break
                 elif text in fields and kinds[i] == KIND_IDENTIFIER:
-                    if texts[i + 1] in ASSIGNMENT_OPERATORS:
+                    if texts[i + 1] in _WRITES_AFTER or texts[i - 1] in _STEPS:
                         writes.add(text)
                     elif texts[i - 1] != "." and texts[i + 1] != "(" and not self.names_type(i):
                         reads.add(text)
                 elif text in ("instanceof", "case"):
                     self.pos = i + 1
                     if self.read_type_ref() and (text == "instanceof" or self.at("(")
-                                                 or self.at_kind(KIND_IDENTIFIER)):
+                                                 or self.at_identifier()):
                         # A record pattern, ``case Line(Point p, var q)``, calls nothing.
                         i = self.partner[self.pos] + 1 if self.at("(") else self.pos
                         continue
@@ -702,10 +709,10 @@ class _Parser:
             if not (self.at(",") or texts[self.pos] in _ANGLE_CLOSES):
                 return False
             self.pos = i - 1
-            return self.take_generics() and self.at_kind(KIND_IDENTIFIER)
+            return self.take_generics() and self.at_identifier()
         if texts[i - 1] == "(" and texts[i - 2] not in ("if", "while") and self.at(")"):
             self.pos += 1
-        return self.at_kind(KIND_IDENTIFIER)
+        return self.at_identifier()
 
     def code_after(self, i: int, hi: int) -> list[tuple[int, int]] | None:
         """The ranges of code from ``texts[i]`` up to ``hi``, in source

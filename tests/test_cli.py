@@ -429,3 +429,76 @@ def test_non_utf8_path_is_warned_as_its_bytes(tmp_path, command, capsys):
     err = capsys.readouterr().err
     assert "p/Bad\\xe9.java" in err
     assert "\\udc" not in err and "\udce9" not in err
+
+
+# Few class names, so files clash (exit 1) and ``extends`` closes loops.
+_NAMES = ["C0", "C1", "C2"]
+# Directory and file names: plain, not UTF-8, non-ASCII, with a blank,
+# and a directory named like a source file.
+_DIRS = [b"a", b"b", b"\xff", "ü".encode(), b"x y", b"D.java"]
+_FILES = [b"C0.java", b"\xfe.java", "Größe.java".encode(), b"a b.java", b"notes.txt"]
+
+
+@st.composite
+def input_trees(draw) -> list[tuple[bytes, bytes]]:
+    """``(relative path, contents)`` per file: up to 6 files, 0 to 3
+    directories deep, each empty or holding up to 3 classes of 0 to 3
+    methods, or of 150 (about 6 KB). Line ends are LF, CR or CRLF; a file
+    may start with a byte order mark, spell a keyword with a Unicode
+    escape, hold a broken escape, a byte that is not UTF-8, or be cut
+    short anywhere."""
+    files = []
+    for _ in range(draw(st.integers(0, 6))):
+        path = b"/".join([*draw(st.lists(st.sampled_from(_DIRS), max_size=3)),
+                          draw(st.sampled_from(_FILES))])
+        lines = [draw(st.sampled_from(["", "package p;", "package q.r;"]))]
+        for _ in range(draw(st.integers(0, 3))):
+            parent = draw(st.sampled_from(["", *(f" extends {n}" for n in _NAMES)]))
+            lines.append(f"class {draw(st.sampled_from(_NAMES))}{parent} {{")
+            count = draw(st.sampled_from([0, 1, 3, 150]))
+            lines += [f"  int f{m}; void m{m}() {{ f{m}++; m{(m + 1) % count}(); }}"
+                      for m in range(count)]
+            lines.append("}")
+        text = draw(st.sampled_from(["\n", "\r", "\r\n"])).join(lines)
+        text = draw(st.sampled_from(["", "\ufeff"])) + text
+        twist = draw(st.sampled_from(["", "escape", "broken", "byte", "cut"]))
+        if twist == "escape":
+            text = text.replace("class", "\\u0063lass", 1)
+        elif twist == "broken":
+            text += ' String s = "\\u00zz";'
+        data = text.encode("utf-8")
+        at = draw(st.integers(0, len(data)))
+        if twist == "byte":
+            data = data[:at] + b"\xff" + data[at:]
+        elif twist == "cut":
+            data = data[:at]
+        files.append((path, data))
+    return files
+
+
+@settings(max_examples=80, deadline=None)
+@given(input_trees(), st.sampled_from(["gltf", "obj", "mel"]))
+@example([(b"C0.java", b"class C0 extends C1 { }"), (b"a/C0.java", b"class C1 extends C0 { }")],
+         "gltf")
+@example([(b"C0.java", b"class C0 { }"), (b"b/C0.java", b"class C0 { }")], "obj")
+def test_any_input_tree_exits_with_a_typed_error_or_none(tmp_path_factory, files, fmt):
+    tmp = tmp_path_factory.mktemp("tree")
+    root = os.fsencode(tmp / "src")
+    os.mkdir(root)
+    for path, data in files:
+        full = os.path.join(root, path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "ab") as out:
+            out.write(data)
+    out = tmp / f"forest.{fmt}"
+    for argv in (["analyze", os.fsdecode(root)],
+                 ["render", os.fsdecode(root), "-o", str(out), "--format", fmt]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with deadline(10.0), redirect_stdout(stdout), redirect_stderr(stderr):
+            rc = main(argv)
+        if rc == 0:
+            assert argv[0] == "analyze" or out.is_file()
+        else:
+            assert rc in (1, 2)
+            assert stderr.getvalue().splitlines()[-1].startswith("error: ")
+            assert "Traceback" not in stderr.getvalue()

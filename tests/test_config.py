@@ -1,12 +1,21 @@
 """Config file parsing and validation."""
 
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codeforest.config import DEFAULTS, Config, load_config, parse_config
-from codeforest.errors import ConfigSyntaxError, NonPositiveValue, UnknownKey
+from codeforest.errors import CodeforestError, ConfigSyntaxError, NonPositiveValue, UnknownKey
+from codeforest.exporters import build_gltf, mel_text, obj_text
+from codeforest.exporters.obj import mtl_text
+from codeforest.geometry import default_palette
+from codeforest.pipeline import build_scene
+
+from conftest import corpus
 
 
 def test_empty_text_gives_defaults():
@@ -175,3 +184,97 @@ def test_readme_table_lists_exactly_the_config_keys():
     assert set(Config.__slots__) - set(DEFAULTS) == {"palette_overrides"}
     assert all(type(default) in (int, float) for default in DEFAULTS.values())
     assert listed == keys
+
+
+_MATERIALS = [m.name for m in default_palette()]
+# Numbers at and past every edge of the rule, and values of no number type.
+_VALUES = (st.sampled_from([0, 0.0, -0.0, -1, 7, 8, 256, 257, 1e308, 2**1024, -math.inf,
+                            math.inf, math.nan, True, False, None, "2", "", b"1"])
+           | st.integers(-10**20, 10**20) | st.integers(0, 40) | st.floats()
+           | st.floats(0.01, 100.0) | st.text(max_size=3)
+           | st.lists(st.floats(0.0, 1.0) | st.floats() | st.integers(-1, 2),
+                      min_size=3, max_size=5).map(tuple))
+
+
+@st.composite
+def settings_in_code(draw) -> tuple[str, object]:
+    """A ``Config`` keyword and a value for it: a numeric key, the palette
+    (a bare value, or materials, known or not, mapped to values) or a key
+    ``Config`` does not have."""
+    key = draw(st.sampled_from([*DEFAULTS, "palette_overrides", "smin", "palette", "seeds"]))
+    if key == "palette_overrides" and draw(st.booleans()):
+        return key, draw(st.dictionaries(st.sampled_from([*_MATERIALS, "sky"]), _VALUES,
+                                         max_size=2))
+    return key, draw(_VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(settings_in_code())
+@example(("island_margin", math.nan))
+@example(("s_min", "2"))
+@example(("smin", 2))
+@example(("seed", -1))
+@example(("segments", 8.5))
+@example(("palette_overrides", {"water": (0.0, 0.0, 0.0)}))
+@example(("palette_overrides", {"water": (0, 1, 0, True)}))
+@example(("h1", 2**1024))
+def test_a_config_built_in_code_is_refused_or_renders(setting):
+    key, value = setting
+    try:
+        cfg = Config(**{key: value})
+    except (UnknownKey, NonPositiveValue):
+        return
+    try:
+        scene = build_scene(corpus("two_classes"), cfg)
+        build_gltf(scene), obj_text(scene), mtl_text(scene), mel_text(scene)
+    except CodeforestError:
+        pass
+
+
+def _outcome(build):
+    """What ``build()`` gives: a ``Config``, or its error's type and message."""
+    try:
+        return build()
+    except CodeforestError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def numeric_settings(draw) -> tuple[str, int | float]:
+    """A numeric key and a finite value of its own type."""
+    key = draw(st.sampled_from(sorted(DEFAULTS)))
+    if type(DEFAULTS[key]) is int:
+        return key, draw(st.integers(-10**20, 10**20) | st.integers(-2, 300))
+    return key, draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(numeric_settings())
+@example(("s_min", -0.0))
+@example(("segments", 7))
+@example(("seed", -1))
+def test_code_and_files_meet_one_rule(setting):
+    key, value = setting
+    assert (_outcome(lambda: Config(**{key: value}))
+            == _outcome(lambda: parse_config(f"{key} = {value!r}")))
+
+
+@pytest.mark.parametrize("bad", [
+    {"island_margin": math.nan}, {"s_min": "2"}, {"smin": 2}, {"seed": -1},
+    {"segments": 8.5}, {"palette_overrides": {"water": (0.0, 0.0, 0.0)}},
+    {"h0": True}, {"palette_overrides": {"sky": (0.0, 0.0, 0.0, 1.0)}},
+])
+def test_a_bad_setting_in_code_is_refused_at_construction(bad):
+    with pytest.raises((NonPositiveValue, UnknownKey)):
+        Config(**bad)
+
+
+def test_an_assignment_is_checked_as_a_keyword_is():
+    cfg = Config()
+    with pytest.raises(NonPositiveValue) as err:
+        cfg.seed = -1
+    assert str(err.value) == "config key seed must be non-negative, got -1"
+    with pytest.raises(UnknownKey):
+        cfg.smin = 2.0
+    cfg.s_min = 3
+    assert (cfg.s_min, type(cfg.s_min), cfg.seed) == (3.0, float, 0)

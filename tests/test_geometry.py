@@ -122,11 +122,6 @@ def test_island_rings_lie_on_the_band_edges():
     assert edges == {(0.0, 2.0), (1.0, 2.0), (2.0, 1.0), (3.5, 1.0), (4.0, 0.0), (9.0, 0.0)}
 
 
-def test_island_needs_at_least_eight_segments():
-    with pytest.raises(NonPositiveValue):
-        build_island_mesh(*island(), segments=7)
-
-
 def test_too_few_segments_raise_the_config_error_through_the_library():
     # The error a config file gets for the same value, not a bare ValueError.
     with pytest.raises(NonPositiveValue) as err:

@@ -10,7 +10,8 @@ method defined on a class, dunders aside, counts as used when some
 module of the package reads it as an attribute (``x.name``). No function
 or method reaches itself through calls, so no input's depth can exhaust
 the interpreter's stack. No two functions or methods have the same body,
-so each rule is written once.
+so each rule is written once. No parameter is given the same constant by
+every call, so no parameter is a knob that buys nothing.
 """
 
 import ast
@@ -263,3 +264,93 @@ def test_no_copied_bodies():
     sources = {path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
                for path in MODULES}
     assert copied_bodies(sources) == []
+
+
+def _constant(node) -> str | None:
+    """A literal's source, or a name in capitals (``KIND_IDENTIFIER``,
+    also as ``lexer.KIND_IDENTIFIER``); None for any other expression."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        return name if name.isupper() else None
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return ast.unparse(node)
+
+
+def constant_arguments(sources: dict[str, str]) -> list[str]:
+    """``module:line: name(param=value)`` for each parameter of a function
+    or method with two calls or more to which every call passes the same
+    constant. A call ``f(...)`` or ``x.f(...)`` counts for the one
+    function or method named ``f``; a method's first parameter is its
+    receiver. Dunders, names defined twice and functions with a call that
+    passes ``*`` or ``**`` arguments are left out."""
+    defs: dict[str, list[tuple[str, list[str]]]] = {}
+    calls: dict[str, list[ast.Call]] = {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {item: f"{node.name}." for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                params = positional[node in owner:] + [a.arg for a in args.kwonlyargs]
+                defs.setdefault(node.name, []).append(
+                    (f"{module}:{node.lineno}: {owner.get(node, '')}{node.name}", params))
+            elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    found = []
+    for name, places in defs.items():
+        sites = calls.get(name, [])
+        if (name.startswith("__") or len(places) > 1 or len(sites) < 2
+                or any(isinstance(arg, ast.Starred) for call in sites for arg in call.args)
+                or any(k.arg is None for call in sites for k in call.keywords)):
+            continue
+        where, params = places[0]
+        given = [dict(zip(params, call.args)) | {k.arg: k.value for k in call.keywords}
+                 for call in sites]
+        for param in params:
+            passed = {_constant(args[param]) if param in args else None for args in given}
+            if len(passed) == 1 and None not in passed:
+                found.append(f"{where}({param}={passed.pop()})")
+    return found
+
+
+def test_the_check_finds_a_constant_argument():
+    sources = {
+        "a.py": (
+            "KIND = 'k'\n"
+            "def f(x, kind, flag=False):\n"
+            "    return g(x, 2) + g(x, n=2)\n"
+            "def g(x, n):\n"
+            "    return x\n"
+            "class K:\n"
+            "    def at(self, kind):\n"
+            "        return f(1, KIND) + f(2, kind=KIND, flag=True)\n"
+            "    def once(self, n):\n"
+            "        return self.at(KIND)\n"
+            "    def spread(self, n):\n"
+            "        return 0\n"
+            "def twice(n):\n"
+            "    return 1\n"
+        ),
+        "b.py": (
+            "def h(k, rest):\n"
+            "    return (k.at(a.KIND) + f(3, KIND, flag=k) + k.once(0)\n"
+            "            + k.spread(1) + k.spread(*rest) + twice(1) + twice(1))\n"
+            "def twice(n):\n"
+            "    return 2\n"
+        ),
+    }
+    assert constant_arguments(sources) == [
+        "a.py:2: f(kind=KIND)", "a.py:4: g(n=2)", "a.py:7: K.at(kind=KIND)",
+    ]
+
+
+def test_no_constant_arguments():
+    sources = {path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
+               for path in MODULES}
+    assert constant_arguments(sources) == []

@@ -262,6 +262,9 @@ def method_of(source, which=0):
         ("int n; public void setN(int v) { n = v; }", "mutator"),
         ("public void setFlag() { }", "other"),
         ("public void run() { }", "other"),
+        # A step writes its field, so a getter that steps one is no accessor.
+        ("int n; public int getNext() { return n++; }", "other"),
+        ("int n; public void setBack(int v) { --n; }", "mutator"),
     ],
 )
 def test_classification_table(decl, kind):

@@ -701,8 +701,8 @@ def test_a_record_pattern_is_not_a_call_site(body):
     ("{ if (o instanceof Point q && q.x > Other) { } }", {"Other"}),
     ("{ if (o instanceof Point(int x, int y) && Other > 0) { } }", {"Other"}),
     # After ``case``, when a binding name or a record pattern follows.
-    ("{ switch (o) { case Point q -> Other++; default -> { } } }", {"Other"}),
-    ("{ switch (o) { case Point(var x, var y) -> { } default -> Other++; } }", {"Other"}),
+    ("{ switch (o) { case Point q -> n = Other; default -> { } } }", {"Other"}),
+    ("{ switch (o) { case Point(var x, var y) -> { } default -> n = Other; } }", {"Other"}),
     ("{ switch (o) { case Point q when q.x > Other -> { } default -> { } } }", {"Other"}),
     # A constant label reads its name.
     ("{ switch (n) { case Point: break; case Other -> { } } }", {"Point", "Other"}),
@@ -1162,8 +1162,12 @@ _ACCESSES = {
     "{x} = 1;": (False, True),
     "this.{x} = 1;": (False, True),
     "obj.{x} = 1;": (False, True),
-    # ``++`` is no assignment operator, so this reads alone.
-    "{x}++;": (True, False),
+    # A step writes its field, as a compound assignment does.
+    "{x}++;": (False, True),
+    "++{x};": (False, True),
+    "{x}--;": (False, True),
+    "--{x};": (False, True),
+    "this.{x}++;": (False, True),
     "{x} += 2;": (False, True),
     "{x}[i] = 1;": (True, False),
     # A declared type, a cast and a first type argument read nothing.
